@@ -4,10 +4,11 @@
 // tree); the oblivious chase never reuses witnesses so it dominates the
 // restricted one wherever witnesses pre-exist.
 //
-// Also compares the delta-driven engine against the naive full
-// re-enumeration loop on generator workloads (equal outputs, wall-clock
-// speedup) and exports ChaseStats counters into the google-benchmark
-// counter set (visible in --benchmark_format=json output).
+// Also compares the production engine against the kNaive reference on
+// generator workloads (equal outputs, wall-clock speedup), measures the
+// engine's thread scaling (E15), and exports ChaseStats counters into the
+// google-benchmark counter set (visible in --benchmark_format=json
+// output).
 
 #include "bench_common.h"
 
@@ -79,13 +80,12 @@ GeneratorWorkload MakeGeneratorWorkload(int nodes, int edges, uint64_t seed) {
 }
 
 ChaseResult TimedChase(const GeneratorWorkload& w, ChaseEngine engine,
-                       double* ms, bool plans = true, bool vsink = true) {
+                       size_t threads, double* ms) {
   ChaseOptions opts;
   opts.max_rounds = 256;
   opts.max_facts = 5000000;
   opts.engine = engine;
-  opts.compiled_plans = plans;
-  opts.vectorized_sink = vsink;
+  opts.threads = threads;
   auto t0 = std::chrono::steady_clock::now();
   ChaseResult r = RunChase(w.theory, w.instance, opts);
   *ms = std::chrono::duration<double, std::milli>(
@@ -96,45 +96,28 @@ ChaseResult TimedChase(const GeneratorWorkload& w, ChaseEngine engine,
 
 void PrintEngineComparison() {
   bddfc_bench::Banner(
-      "E1b", "delta-driven vs naive chase engine (generator workloads)");
+      "E1b", "production engine (one thread) vs naive reference "
+             "(generator workloads)");
   std::printf("%-8s %-8s %-8s %-8s %-12s %-12s %-10s %-18s %-6s\n", "nodes",
-              "edges", "facts", "rounds", "naive ms", "delta ms", "speedup",
-              "bindings n/d", "equal");
+              "edges", "facts", "rounds", "naive ms", "prod ms", "speedup",
+              "bindings n/p", "equal");
   const int sizes[][2] = {{50, 150}, {100, 300}, {200, 600}, {400, 1200}};
   for (auto [nodes, edges] : sizes) {
     GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, /*seed=*/42);
-    double naive_ms = 0, delta_ms = 0;
-    ChaseResult naive = TimedChase(w, ChaseEngine::kNaive, &naive_ms);
-    ChaseResult delta = TimedChase(w, ChaseEngine::kDelta, &delta_ms);
+    double naive_ms = 0, prod_ms = 0;
+    ChaseResult naive = TimedChase(w, ChaseEngine::kNaive, 1, &naive_ms);
+    ChaseResult prod = TimedChase(w, ChaseEngine::kParallel, 1, &prod_ms);
     const bool equal = naive.structure.NumFacts() ==
-                           delta.structure.NumFacts() &&
-                       naive.facts_per_round == delta.facts_per_round &&
-                       naive.nulls_created == delta.nulls_created &&
-                       naive.fixpoint_reached == delta.fixpoint_reached;
+                           prod.structure.NumFacts() &&
+                       naive.facts_per_round == prod.facts_per_round &&
+                       naive.nulls_created == prod.nulls_created &&
+                       naive.fixpoint_reached == prod.fixpoint_reached;
     std::printf("%-8d %-8d %-8zu %-8zu %-12.2f %-12.2f %-10.2f %9zu/%-8zu %-6s\n",
-                nodes, edges, delta.structure.NumFacts(), delta.rounds_run,
-                naive_ms, delta_ms, naive_ms / std::max(delta_ms, 1e-9),
+                nodes, edges, prod.structure.NumFacts(), prod.rounds_run,
+                naive_ms, prod_ms, naive_ms / std::max(prod_ms, 1e-9),
                 naive.stats.match.bindings_tried,
-                delta.stats.match.bindings_tried, equal ? "yes" : "NO");
+                prod.stats.match.bindings_tried, equal ? "yes" : "NO");
   }
-}
-
-ChaseResult TimedParallelChase(const GeneratorWorkload& w, size_t threads,
-                               double* ms, bool plans = true,
-                               bool vsink = true) {
-  ChaseOptions opts;
-  opts.max_rounds = 256;
-  opts.max_facts = 5000000;
-  opts.engine = ChaseEngine::kParallel;
-  opts.threads = threads;
-  opts.compiled_plans = plans;
-  opts.vectorized_sink = vsink;
-  auto t0 = std::chrono::steady_clock::now();
-  ChaseResult r = RunChase(w.theory, w.instance, opts);
-  *ms = std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
-  return r;
 }
 
 /// True iff the two results are byte-identical: same rows in the same
@@ -152,21 +135,16 @@ bool ByteIdentical(const ChaseResult& a, const ChaseResult& b) {
 
 /// One measured configuration of E15, also a row of BENCH_chase.json.
 struct ScalingRow {
-  const char* family;  // "scaling" (generator) or "tc-saturation"
   int nodes;
   int edges;
-  std::string engine;  // "delta" or "parallel"
-  size_t threads;      // 0 for the delta baseline
-  bool plans;          // compiled query plans vs the interpretive matcher
+  size_t threads;
   double ms;
   size_t facts;
   size_t rounds;
-  bool identical;  // byte-identical to the delta interpreter baseline
-  bool vsink = true;  // vectorized round sink vs the per-binding hash sink
+  bool identical;  // byte- and stats-identical to the one-thread run
 };
 
-/// Order-independent execution counters two equivalent runs must agree on
-/// (the parallel-at-one-thread parity contract rides on this too).
+/// Execution counters every thread count must agree on.
 bool StatsParity(const ChaseResult& a, const ChaseResult& b) {
   return a.stats.match.bindings_tried == b.stats.match.bindings_tried &&
          a.stats.triggers_deduped == b.stats.triggers_deduped &&
@@ -190,14 +168,10 @@ void WriteBenchJson(const std::vector<ScalingRow>& rows) {
   for (size_t i = 0; i < rows.size(); ++i) {
     const ScalingRow& r = rows[i];
     std::fprintf(f,
-                 "    {\"family\": \"%s\", \"nodes\": %d, \"edges\": %d, "
-                 "\"engine\": \"%s\", "
-                 "\"threads\": %zu, \"plans\": %s, \"vsink\": %s, "
-                 "\"ms\": %.3f, "
-                 "\"facts\": %zu, \"rounds\": %zu, \"identical\": %s}%s\n",
-                 r.family, r.nodes, r.edges, r.engine.c_str(), r.threads,
-                 r.plans ? "true" : "false", r.vsink ? "true" : "false",
-                 r.ms, r.facts, r.rounds,
+                 "    {\"nodes\": %d, \"edges\": %d, \"threads\": %zu, "
+                 "\"ms\": %.3f, \"facts\": %zu, \"rounds\": %zu, "
+                 "\"identical\": %s}%s\n",
+                 r.nodes, r.edges, r.threads, r.ms, r.facts, r.rounds,
                  r.identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
@@ -206,168 +180,42 @@ void WriteBenchJson(const std::vector<ScalingRow>& rows) {
   std::printf("wrote %s (%zu rows)\n", path, rows.size());
 }
 
-/// Transitive closure of a c0 -> c1 -> ... -> c(n-1) path under the
-/// composition rule e(X,Y), e(Y,Z) -> e(X,Z): the join-dominated datalog
-/// saturation load (O(n^2) facts, O(n^3) bindings over ~log n rounds)
-/// where per-binding evaluation cost, not sink cost, decides the wall
-/// clock — the workload the compiled executor exists for.
-GeneratorWorkload MakeTcWorkload(int n) {
-  Program p = ParseProgram("e(X, Y), e(Y, Z) -> e(X, Z).").ValueOrDie();
-  PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
-  TermId prev = p.theory.mutable_sig().AddConstant("c0");
-  for (int i = 1; i < n; ++i) {
-    std::string name = "c";
-    name += std::to_string(i);
-    TermId next = p.theory.mutable_sig().AddConstant(name);
-    p.instance.AddFact(e, {prev, next});
-    prev = next;
-  }
-  return {nullptr, std::move(p.theory), std::move(p.instance)};
-}
-
-void PrintPlanSaturation(std::vector<ScalingRow>* json_rows) {
+void PrintParallelScaling(std::vector<ScalingRow>* json_rows) {
   bddfc_bench::Banner(
-      "E15b", "compiled plans vs interpretive matcher on datalog "
-              "saturation (path transitive closure, byte-identical "
-              "output required)");
-  std::printf("%-8s %-8s %-8s %-10s %-10s %-9s %-10s %-9s\n", "n", "facts",
-              "rounds", "interp ms", "plans ms", "planspd", "t=4 plans",
-              "identical");
-  for (int n : {48, 96, 144}) {
-    double interp_ms = 0, plans_ms = 0, t4_ms = 0;
-    GeneratorWorkload ref_w = MakeTcWorkload(n);
-    ChaseResult ref = TimedChase(ref_w, ChaseEngine::kDelta, &interp_ms,
-                                 /*plans=*/false);
-    GeneratorWorkload plan_w = MakeTcWorkload(n);
-    ChaseResult pr = TimedChase(plan_w, ChaseEngine::kDelta, &plans_ms);
-    GeneratorWorkload par_w = MakeTcWorkload(n);
-    ChaseResult t4 = TimedParallelChase(par_w, 4, &t4_ms);
-    const bool plans_ok = ByteIdentical(pr, ref) && StatsParity(pr, ref);
-    const bool t4_ok = ByteIdentical(t4, ref);
-    json_rows->push_back({"tc-saturation", n, n - 1, "delta", 0, false,
-                          interp_ms, ref.structure.NumFacts(),
-                          ref.rounds_run, true});
-    json_rows->push_back({"tc-saturation", n, n - 1, "delta", 0, true,
-                          plans_ms, pr.structure.NumFacts(), pr.rounds_run,
-                          plans_ok});
-    json_rows->push_back({"tc-saturation", n, n - 1, "parallel", 4, true,
-                          t4_ms, t4.structure.NumFacts(), t4.rounds_run,
-                          t4_ok});
-    std::printf("%-8d %-8zu %-8zu %-10.2f %-10.2f %-9.2f %-10.2f %-9s\n", n,
-                ref.structure.NumFacts(), ref.rounds_run, interp_ms,
-                plans_ms, interp_ms / std::max(plans_ms, 1e-9), t4_ms,
-                plans_ok && t4_ok ? "yes" : "NO");
-  }
-}
-
-void PrintSinkSaturation(std::vector<ScalingRow>* json_rows) {
-  bddfc_bench::Banner(
-      "E15c", "vectorized round sink vs per-binding hash sink on datalog "
-              "saturation (path transitive closure; byte-identical output "
-              "and dedup counters required)");
-  std::printf("%-8s %-8s %-8s %-11s %-10s %-9s %-10s %-11s %-10s %-9s\n",
-              "n", "facts", "rounds", "hashsink", "vsink ms", "sinkspd",
-              "t=4 vsink", "candidates", "contained", "identical");
-  for (int n : {48, 96, 144}) {
-    double hash_ms = 0, vsink_ms = 0, t4_ms = 0;
-    GeneratorWorkload ref_w = MakeTcWorkload(n);
-    ChaseResult ref = TimedChase(ref_w, ChaseEngine::kDelta, &hash_ms,
-                                 /*plans=*/true, /*vsink=*/false);
-    GeneratorWorkload vs_w = MakeTcWorkload(n);
-    ChaseResult vs = TimedChase(vs_w, ChaseEngine::kDelta, &vsink_ms);
-    GeneratorWorkload par_w = MakeTcWorkload(n);
-    ChaseResult t4 = TimedParallelChase(par_w, 4, &t4_ms);
-    const bool vs_ok = ByteIdentical(vs, ref) && StatsParity(vs, ref);
-    const bool t4_ok = ByteIdentical(t4, ref) &&
-                       t4.stats.sink_candidates == vs.stats.sink_candidates &&
-                       t4.stats.sink_contained == vs.stats.sink_contained;
-    json_rows->push_back({"tc-sink", n, n - 1, "delta", 0, true, hash_ms,
-                          ref.structure.NumFacts(), ref.rounds_run, true,
-                          /*vsink=*/false});
-    json_rows->push_back({"tc-sink", n, n - 1, "delta", 0, true, vsink_ms,
-                          vs.structure.NumFacts(), vs.rounds_run, vs_ok,
-                          /*vsink=*/true});
-    json_rows->push_back({"tc-sink", n, n - 1, "parallel", 4, true, t4_ms,
-                          t4.structure.NumFacts(), t4.rounds_run, t4_ok,
-                          /*vsink=*/true});
-    std::printf("%-8d %-8zu %-8zu %-11.2f %-10.2f %-9.2f %-10.2f %-11zu "
-                "%-10zu %-9s\n",
-                n, vs.structure.NumFacts(), vs.rounds_run, hash_ms,
-                vsink_ms, hash_ms / std::max(vsink_ms, 1e-9), t4_ms,
-                vs.stats.sink_candidates, vs.stats.sink_contained,
-                vs_ok && t4_ok ? "yes" : "NO");
-  }
-}
-
-void PrintParallelScaling(std::vector<ScalingRow>* out_rows) {
-  bddfc_bench::Banner(
-      "E15", "parallel sharded chase scaling and compiled-plan speedup "
-             "(byte-identical across engines, thread counts and plans "
-             "on/off; thread scaling needs real cores)");
-  std::printf("%-8s %-8s %-8s %-8s %-9s %-9s %-8s %-8s %-8s %-8s %-8s "
-              "%-9s %-9s\n",
-              "nodes", "edges", "facts", "rounds", "interp", "plans",
-              "planspd", "t=1", "t=2", "t=4", "t=8", "speedup4",
-              "identical");
+      "E15", "production chase engine thread scaling (byte- and "
+             "stats-identical at every thread count; scaling needs real "
+             "cores)");
+  std::printf("%-8s %-8s %-8s %-8s %-8s %-8s %-8s %-8s %-9s %-9s\n",
+              "nodes", "edges", "facts", "rounds", "t=1", "t=2", "t=4", "t=8",
+              "speedup4", "identical");
   const int sizes[][2] = {{100, 300}, {200, 600}, {400, 1200}};
   const size_t thread_counts[] = {1, 2, 4, 8};
-  std::vector<ScalingRow> json_rows;
   for (auto [nodes, edges] : sizes) {
     // Each run chases a freshly generated workload: the chase interns
     // nulls into the workload's signature, so reusing one instance would
     // shift the TermIds of the second run and break the byte comparison.
-    // Reference: the delta engine on the interpretive matcher.
-    double interp_ms = 0;
-    GeneratorWorkload ref_w = MakeGeneratorWorkload(nodes, edges, 42);
-    ChaseResult ref = TimedChase(ref_w, ChaseEngine::kDelta, &interp_ms,
-                                 /*plans=*/false);
-    json_rows.push_back({"scaling", nodes, edges, "delta", 0, false,
-                         interp_ms,
-                         ref.structure.NumFacts(), ref.rounds_run, true});
-    double plans_ms = 0;
-    {
-      GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, 42);
-      ChaseResult r = TimedChase(w, ChaseEngine::kDelta, &plans_ms);
-      json_rows.push_back({"scaling", nodes, edges, "delta", 0, true,
-                           plans_ms,
-                           r.structure.NumFacts(), r.rounds_run,
-                           ByteIdentical(r, ref) && StatsParity(r, ref)});
-    }
+    // Reference: the one-thread (inline) run.
     double ms[4] = {0, 0, 0, 0};
+    GeneratorWorkload ref_w = MakeGeneratorWorkload(nodes, edges, 42);
+    ChaseResult ref = TimedChase(ref_w, ChaseEngine::kParallel, 1, &ms[0]);
+    json_rows->push_back({nodes, edges, 1, ms[0], ref.structure.NumFacts(),
+                          ref.rounds_run, true});
     bool all_identical = true;
-    for (int i = 0; i < 4; ++i) {
+    for (int i = 1; i < 4; ++i) {
       GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, 42);
-      ChaseResult r = TimedParallelChase(w, thread_counts[i], &ms[i]);
-      // The t=1 row is the serial-route parity contract: kParallel at one
-      // thread takes the sequential round path, so bytes *and* stats must
-      // match the delta engine exactly.
-      bool identical = ByteIdentical(r, ref);
-      if (thread_counts[i] == 1) identical = identical && StatsParity(r, ref);
+      ChaseResult r =
+          TimedChase(w, ChaseEngine::kParallel, thread_counts[i], &ms[i]);
+      const bool identical = ByteIdentical(r, ref) && StatsParity(r, ref);
       all_identical = all_identical && identical;
-      json_rows.push_back({"scaling", nodes, edges, "parallel",
-                           thread_counts[i], true,
-                           ms[i], r.structure.NumFacts(), r.rounds_run,
-                           identical});
-    }
-    {
-      // Interpreter parity of the serial route as well (plans off).
-      GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, 42);
-      double t1_interp_ms = 0;
-      ChaseResult r = TimedParallelChase(w, 1, &t1_interp_ms,
-                                         /*plans=*/false);
-      json_rows.push_back({"scaling", nodes, edges, "parallel", 1, false,
-                           t1_interp_ms,
-                           r.structure.NumFacts(), r.rounds_run,
-                           ByteIdentical(r, ref) && StatsParity(r, ref)});
+      json_rows->push_back({nodes, edges, thread_counts[i], ms[i],
+                            r.structure.NumFacts(), r.rounds_run, identical});
     }
     std::printf(
-        "%-8d %-8d %-8zu %-8zu %-9.2f %-9.2f %-8.2f %-8.2f %-8.2f %-8.2f "
-        "%-8.2f %-9.2f %-9s\n",
-        nodes, edges, ref.structure.NumFacts(), ref.rounds_run, interp_ms,
-        plans_ms, interp_ms / std::max(plans_ms, 1e-9), ms[0], ms[1], ms[2],
-        ms[3], ms[0] / std::max(ms[2], 1e-9), all_identical ? "yes" : "NO");
+        "%-8d %-8d %-8zu %-8zu %-8.2f %-8.2f %-8.2f %-8.2f %-9.2f %-9s\n",
+        nodes, edges, ref.structure.NumFacts(), ref.rounds_run, ms[0], ms[1],
+        ms[2], ms[3], ms[0] / std::max(ms[2], 1e-9),
+        all_identical ? "yes" : "NO");
   }
-  out_rows->insert(out_rows->end(), json_rows.begin(), json_rows.end());
 }
 
 void PrintTable() {
@@ -516,8 +364,6 @@ void PrintAllTables() {
   PrintEngineComparison();
   std::vector<ScalingRow> json_rows;
   PrintParallelScaling(&json_rows);
-  PrintPlanSaturation(&json_rows);
-  PrintSinkSaturation(&json_rows);
   WriteBenchJson(json_rows);
 }
 

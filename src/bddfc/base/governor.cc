@@ -99,8 +99,7 @@ std::unique_ptr<ExecutionContext> ExecutionContext::CreateChild(
 
 ExecutionContext::ExecutionContext(ExecutionContext* parent,
                                    size_t memory_limit_bytes)
-    : start_(parent->start_),
-      has_deadline_(parent->has_deadline_),
+    : has_deadline_(parent->has_deadline_),
       deadline_(parent->deadline_),
       memory_(memory_limit_bytes, &parent->memory_),
       cancel_(parent->cancel_),
@@ -217,7 +216,7 @@ Status ExecutionContext::CheckPoint(const char* where) {
                 std::string("cancelled at ") + where);
   }
   if (has_deadline_ &&
-      std::chrono::steady_clock::now() > deadline_) {
+      std::chrono::steady_clock::now() >= deadline_) {
     return Trip(ResourceKind::kDeadline,
                 std::string("deadline exceeded at ") + where);
   }

@@ -180,17 +180,20 @@ InjectedFault InjectedFaultFromName(std::string_view name);
 /// drains queued pool tasks and unwinds nested phases.
 class ExecutionContext {
  public:
-  ExecutionContext() : start_(std::chrono::steady_clock::now()) {}
+  ExecutionContext() = default;
 
   ExecutionContext(const ExecutionContext&) = delete;
   ExecutionContext& operator=(const ExecutionContext&) = delete;
 
   // -- configuration (before the run) --------------------------------------
 
+  /// Sets the deadline `ms` milliseconds from this call — not from the
+  /// context's creation, so a child created late (a request on a
+  /// long-running server) still gets its full allowance.
   void SetDeadlineAfterMs(double ms) {
-    deadline_ = start_ + std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double, std::milli>(ms));
+    deadline_ = std::chrono::steady_clock::now() +
+                std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                    std::chrono::duration<double, std::milli>(ms));
     has_deadline_ = true;
   }
   bool has_deadline() const { return has_deadline_; }
@@ -346,7 +349,6 @@ class ExecutionContext {
   /// returns the ResourceExhausted status for the recorded trip.
   Status Trip(ResourceKind kind, std::string detail);
 
-  const std::chrono::steady_clock::time_point start_;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
   MemoryAccountant memory_;

@@ -7,7 +7,6 @@
 #include <unordered_set>
 
 #include "bddfc/base/thread_pool.h"
-#include "bddfc/chase/parallel.h"
 #include "bddfc/chase/round.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/metrics.h"
@@ -87,8 +86,7 @@ void ChaseStats::PublishTo(const char* prefix,
 
 using chase_internal::AddFactTracked;
 using chase_internal::ApplyRound;
-using chase_internal::EnumerateRoundParallel;
-using chase_internal::EnumerateRoundSequential;
+using chase_internal::EnumerateRound;
 using chase_internal::RoundBuffer;
 using chase_internal::RoundInputs;
 
@@ -164,30 +162,20 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   // one witness per trigger, not one per round).
   std::unordered_set<std::string> fired;
 
-  // kParallel with one resolved worker thread routes through the serial
-  // delta round path: a pool plus striped tables buys nothing at
-  // parallelism 1 and used to cost up to 2x against kDelta. Same bytes
-  // (both funnel through ApplyRound's canonical order), same stats.
+  // The production engine shards over a pool above one thread and runs
+  // each round inline otherwise. The reference (kNaive) uses none of the
+  // production machinery: no pool, no plans, no sorted indexes.
+  const bool production = options.engine != ChaseEngine::kNaive;
   const size_t pool_threads =
       options.threads != 0 ? options.threads : ThreadPool::DefaultThreads();
-  const bool parallel =
-      options.engine == ChaseEngine::kParallel && pool_threads > 1;
   std::unique_ptr<ThreadPool> pool;
-  if (parallel) {
+  if (production && pool_threads > 1) {
     pool = std::make_unique<ThreadPool>(pool_threads);
     pool->SetCancelToken(ctx->cancel_token());
   }
 
   // Compiled query plans: one cache per run, shared by every round (and
-  // every shard task — PlanCache is thread-safe). kNaive stays on the
-  // interpretive Matcher as the independent A/B reference.
-  const bool use_plans =
-      options.compiled_plans && options.engine != ChaseEngine::kNaive;
-  // The vectorized sink's bulk containment pass gallops the same sorted
-  // indexes the plans use, so it needs them fresh even on the
-  // interpretive path (kNaive keeps the hash sink — see ChaseOptions).
-  const bool use_vsink =
-      options.vectorized_sink && options.engine != ChaseEngine::kNaive;
+  // every shard task — PlanCache is thread-safe).
   PlanCache plan_cache;
 
   for (size_t round = 1; round <= options.max_rounds; ++round) {
@@ -205,9 +193,10 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     obs::TraceSpan round_span(&ctx->tracer(), "chase.round");
 
     // Round boundaries are the single-threaded point of the run: extend
-    // the sorted per-position indexes over the previous round's additions
-    // before any (possibly parallel) scan starts reading them.
-    if (use_plans || use_vsink) {
+    // the sorted per-position indexes (read by the plans and the sink's
+    // bulk containment) over the previous round's additions before any
+    // (possibly parallel) scan starts reading them.
+    if (production) {
       Status fs = ctx->CheckFault(faults::kIndexRefresh);
       if (!fs.ok()) {
         out.status = std::move(fs);
@@ -237,31 +226,17 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // snapshot into a buffer; the structure is not touched until the
     // buffer is applied, so every engine sees one frozen instance.
     RoundBuffer buf;
-    RoundInputs inputs{theory,
-                       out.structure,
-                       options,
-                       ctx,
-                       &fired,
-                       use_plans ? &plan_cache : nullptr,
-                       fault};
-    Status barrier = Status::OK();
-    if (parallel) {
-      barrier = EnumerateRoundParallel(inputs, pool.get(), &buf);
-    } else {
-      EnumerateRoundSequential(inputs, options.engine != ChaseEngine::kNaive,
-                               &buf);
-    }
+    RoundInputs inputs{theory, out.structure, options, ctx,
+                       &fired,  plan_cache,    fault};
+    Status barrier = EnumerateRound(inputs, pool.get(), &buf);
 
     auto elapsed_ms = [&round_start] {
       return std::chrono::duration<double, std::milli>(
                  std::chrono::steady_clock::now() - round_start)
           .count();
     };
-    // Fold the round's counters into the run stats. Per-task wall times
-    // were already max-merged inside the buffer (shards overlap; summing
-    // them would report more time than the wall clock shows); the run
-    // records the measured barrier-to-barrier round time below instead.
-    buf.stats.round_ms.clear();
+    // Fold the round's counters into the run stats; the run records the
+    // measured barrier-to-barrier round time below.
     out.stats += buf.stats;
 
     // A non-OK barrier means queued shard tasks were drained unrun
@@ -302,9 +277,9 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // Sink counter identity (paranoia): every buffered datalog occurrence
     // is either contained in the frozen structure, collapsed as an
     // in-round duplicate, or emitted as a fresh tuple. A sink that drops
-    // or double-counts tuples breaks this identity. Only the vectorized
-    // sink populates sink_candidates, so the check is gated on it.
-    if (paranoia != ParanoiaLevel::kOff && use_vsink &&
+    // or double-counts tuples breaks this identity. Only the production
+    // engine's vectorized sink populates sink_candidates.
+    if (paranoia != ParanoiaLevel::kOff && production &&
         buf.stats.sink_candidates != buf.stats.sink_contained +
                                          buf.stats.datalog_deduped +
                                          buf.datalog.size()) {

@@ -11,17 +11,30 @@
 // non-oblivious chase demands at most one witness per demanded pattern,
 // which is what Lemma 3(iv) relies on.
 //
-// The default engine is *delta-driven* (semi-naive): from round 2 on, each
-// rule body is evaluated only over bindings in which at least one atom
-// matches a fact born in the previous round. The delta is a per-relation
-// row range recorded by Structure::MarkRoundBoundary — no copied
-// structures. Each body atom in turn anchors the delta while atoms before
-// the anchor stay on pre-round rows (the old/new split), so every binding
-// is derived exactly once per round. Because facts are never deleted, a
-// trigger whose body avoids the delta was already handled in an earlier
-// round, and the delta engine produces the same rounds and facts as the
-// naive full re-enumeration (kept available as ChaseEngine::kNaive for A/B
-// testing and ablation baselines).
+// One production engine and one independent reference compute it
+// (DESIGN.md §2.3, §2.11):
+//
+//   * kParallel, the production engine, is *delta-driven* (semi-naive):
+//     from round 2 on, each rule body is evaluated only over bindings in
+//     which at least one atom matches a fact born in the previous round.
+//     The delta is a per-relation row range recorded by
+//     Structure::MarkRoundBoundary. Each body atom in turn anchors the
+//     delta while atoms before the anchor stay on pre-round rows (the
+//     old/new split), so every binding is derived exactly once per round.
+//     Bodies run as compiled query plans (eval/plan.h) and head
+//     derivations go through the vectorized round sink (chase/round.h).
+//     At one thread the round runs inline over the whole delta; above one
+//     it shards into fixed 1,024-row chunks on a thread pool.
+//   * kNaive, the reference, re-enumerates every binding every round on
+//     the interpretive Matcher and buffers through a per-binding hash sink.
+//     It shares none of the production path's plans, sink or sorted
+//     indexes.
+//
+// Because facts are never deleted, a trigger whose body avoids the delta
+// was already handled in an earlier round, so both engines produce the
+// same result byte for byte: rows with raw TermIds, null provenance, birth
+// rounds, facts_per_round and the dedup counters. Only bindings_tried
+// differs (the reference re-enumerates old bindings).
 
 #ifndef BDDFC_CHASE_CHASE_H_
 #define BDDFC_CHASE_CHASE_H_
@@ -39,18 +52,16 @@
 
 namespace bddfc {
 
-/// Which round loop RunChase uses. Both produce the same result (same
-/// facts, same rounds, same null count); kDelta only enumerates bindings
-/// anchored in the previous round's delta.
+/// Which round loop RunChase uses. Both produce byte-identical results
+/// (see the header comment); only bindings_tried and the wall time differ.
 enum class ChaseEngine {
-  kDelta,  ///< semi-naive delta evaluation (default)
-  kNaive,  ///< full re-enumeration every round (the seed loop; baseline)
-  /// Sharded delta evaluation on a thread pool: each round's anchor scans
-  /// split into fixed-size row chunks buffered through striped dedup
-  /// tables and merged in canonical order at the round barrier, so the
-  /// result — including row order and null naming — is byte-identical to
-  /// kDelta at any ChaseOptions::threads (see chase/parallel.h).
+  /// The production engine: delta evaluation through compiled plans and
+  /// the vectorized sink, inline at one thread and sharded above. The
+  /// result does not depend on ChaseOptions::threads.
   kParallel,
+  /// The independent reference: full re-enumeration every round on the
+  /// interpretive Matcher with the per-binding hash sink.
+  kNaive,
 };
 
 /// Deliberate engine faults for the differential fuzzer's self-test
@@ -71,8 +82,9 @@ enum class ChaseFault {
   /// Break the vectorized sink's sort-dedup merge: any candidate tuple
   /// derived more than once in a round is dropped entirely instead of
   /// collapsed to one copy, so facts with multiple derivations go missing.
-  /// Inactive when vectorized_sink is off — the point is proving the
-  /// differential oracles see through the batched path specifically.
+  /// Inactive on kNaive, whose hash sink has no sort-dedup merge — the
+  /// point is proving the differential oracles see through the batched
+  /// path specifically.
   kSinkDropDup,
 };
 
@@ -97,31 +109,12 @@ struct ChaseOptions {
   /// existential TGDs are still *checked* afterwards by CheckModel).
   bool datalog_only = false;
   /// Round-loop implementation (results are identical; speed is not).
-  ChaseEngine engine = ChaseEngine::kDelta;
-  /// Worker threads for ChaseEngine::kParallel (ignored otherwise);
-  /// 0 = ThreadPool::DefaultThreads(). The result does not depend on this
-  /// value, only the wall time does. A resolved value <= 1 routes through
-  /// the serial round path inside the parallel engine — same bytes, same
-  /// stats, none of the pool/striped-table overhead.
-  size_t threads = 0;
-  /// Evaluate rule bodies through compiled query plans (eval/plan.h) with
-  /// vectorized block execution (eval/exec.h) instead of the interpretive
-  /// Matcher. Applies to kDelta and kParallel; kNaive always runs the
-  /// interpreter so an independent A/B reference survives. The result is
-  /// byte-identical either way — only postings_hits/_misses/rows_scanned
-  /// may differ (the two backends probe indexes in different orders).
-  bool compiled_plans = true;
-  /// Buffer each round's head derivations through the vectorized sink
-  /// (chase/round.h VectorSink): candidates append raw to flat
-  /// per-predicate tuple buffers, duplicates collapse by sort-and-merge,
-  /// and frozen-containment is answered by one bulk
-  /// Structure::ContainsSorted pass per buffer — instead of one Contains
-  /// hash probe plus one dedup-set insert per derived occurrence. Applies
-  /// to kDelta and kParallel; kNaive keeps the per-binding hash sink so an
-  /// independent A/B reference survives (mirroring compiled_plans). The
-  /// result is byte-identical either way, including the dedup counters;
-  /// only the sink_* counters are populated exclusively by this path.
-  bool vectorized_sink = true;
+  ChaseEngine engine = ChaseEngine::kParallel;
+  /// Worker threads of the production engine (kNaive ignores it);
+  /// 0 = ThreadPool::DefaultThreads(). The result, bindings_tried
+  /// included, does not depend on this value, only the wall time does.
+  /// A resolved value of 1 runs each round inline, with no pool.
+  size_t threads = 1;
   /// Fault injection for fuzzer self-tests; kNone in all production paths.
   /// A FaultRegistry fire at faults::kChaseBug (resolved once at RunChase
   /// entry) overrides this when its action names a ChaseFault.
@@ -151,14 +144,14 @@ struct ChaseStats {
   size_t triggers_deduped = 0;
   /// Buffered datalog derivations dropped as duplicates within a round.
   size_t datalog_deduped = 0;
-  /// Vectorized-sink counters, all zero when vectorized_sink is off.
-  /// sink_candidates counts datalog head occurrences buffered (before any
-  /// dedup or containment check) and sink_contained the occurrences
-  /// dropped because the tuple was already in the frozen structure — both
-  /// are functions of the round's derivation multiset, identical across
-  /// engines and thread counts. sink_probes counts the distinct tuples
-  /// actually submitted to bulk ContainsSorted; like postings_hits it
-  /// depends on compaction and shard boundaries, so it is excluded from
+  /// Vectorized-sink counters of the production engine, all zero on
+  /// kNaive. sink_candidates counts datalog head occurrences buffered
+  /// (before any dedup or containment check) and sink_contained the
+  /// occurrences dropped because the tuple was already in the frozen
+  /// structure — both are functions of the round's derivation multiset,
+  /// identical at every thread count. sink_probes counts the distinct
+  /// tuples actually submitted to bulk ContainsSorted; like postings_hits
+  /// it depends on compaction and shard boundaries, so it is excluded from
   /// byte-identity comparisons.
   size_t sink_candidates = 0;
   size_t sink_contained = 0;

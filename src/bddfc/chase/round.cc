@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 
 #include "bddfc/eval/exec.h"
@@ -129,57 +130,6 @@ std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b) {
   }
   return key;
 }
-
-std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
-                                 size_t di, uint32_t begin, uint32_t end) {
-  const size_t k = rule.body.size();
-  std::vector<RowBand> bands(k);
-  for (size_t j = 0; j < k; ++j) {
-    if (j < di) {
-      bands[j] = {0, s.WatermarkRows(rule.body[j].pred)};
-    } else if (j == di) {
-      bands[j] = {begin, end};
-    } else {
-      bands[j] = RowBand::All();
-    }
-  }
-  return bands;
-}
-
-namespace {
-
-/// The sequential engines' buffer operations: plain containers, dedup
-/// counted on the way in.
-struct SerialSink {
-  const RoundInputs& in;
-  RoundBuffer* buf;
-  std::unordered_set<Atom, AtomHash> datalog_seen;
-  std::map<std::string, PendingExistential> triggers;
-  size_t fault_seq = 0;
-
-  bool BufferDatalog(Atom g) {
-    if (in.frozen.Contains(g)) return false;
-    if (!datalog_seen.insert(g).second) {
-      ++buf->stats.datalog_deduped;
-      return false;
-    }
-    buf->datalog.push_back(std::move(g));
-    return true;
-  }
-  bool ObliviousPreFilter(const std::string& key) {
-    return !in.fired->insert(key).second;
-  }
-  void BufferTrigger(std::string key, PendingExistential pe) {
-    auto [it, inserted] = triggers.try_emplace(std::move(key), std::move(pe));
-    if (!inserted) {
-      ++buf->stats.triggers_deduped;
-      if (TriggerLess(pe, it->second)) it->second = std::move(pe);
-    }
-  }
-  size_t FaultSeq() { return fault_seq++; }
-};
-
-}  // namespace
 
 DatalogSinkBuffers::DatalogSinkBuffers(const Structure& frozen,
                                        size_t compact_threshold,
@@ -335,23 +285,6 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
   if (drop_dup_groups_) pb->kept_dup = std::move(merged_dup);
 }
 
-void DatalogSinkBuffers::FinishInto(std::vector<Atom>* out) {
-  std::vector<size_t> order(bufs_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return bufs_[a].pred < bufs_[b].pred;
-  });
-  for (size_t bi : order) {
-    PredBuf& pb = bufs_[bi];
-    Compact(&pb);
-    for (size_t ti = 0; ti < pb.kept; ++ti) {
-      if (drop_dup_groups_ && pb.kept_dup[ti]) continue;
-      const TermId* t = pb.data.data() + ti * pb.arity;
-      out->emplace_back(pb.pred, std::vector<TermId>(t, t + pb.arity));
-    }
-  }
-}
-
 std::vector<DatalogSinkBuffers::Run> DatalogSinkBuffers::TakeRuns() {
   std::sort(bufs_.begin(), bufs_.end(),
             [](const PredBuf& a, const PredBuf& b) { return a.pred < b.pred; });
@@ -406,9 +339,20 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
       i = j;
       continue;
     }
+    if (j == i + 1) {
+      // A single run (every predicate of an inline round) is already
+      // sorted and distinct: nothing to collapse.
+      const DatalogSinkBuffers::Run& run = runs[i];
+      for (size_t t = 0; t < run.tuples; ++t) {
+        const TermId* tup = run.data.data() + t * arity;
+        out->emplace_back(pred, std::vector<TermId>(tup, tup + arity));
+      }
+      i = j;
+      continue;
+    }
     // Concatenate the runs of this predicate and sort an index over all
     // tuples (each run is already sorted; a global index sort keeps the
-    // merge simple and the group walk identical to the serial path).
+    // merge simple and the group walk identical to the compaction's).
     std::vector<TermId> flat;
     size_t total = 0;
     for (size_t r = i; r < j; ++r) {
@@ -460,52 +404,112 @@ void DedupTriggers(
   }
 }
 
-VectorSink::VectorSink(const RoundInputs& in, ChaseStats* stats,
-                       size_t compact_threshold,
-                       std::atomic<size_t>* shared_fault_seq,
-                       bool defer_oblivious)
-    : in_(in),
-      stats_(stats),
-      bufs_(in.frozen, compact_threshold,
-            in.fault == ChaseFault::kSinkDropDup),
-      shared_fault_seq_(shared_fault_seq),
-      defer_oblivious_(defer_oblivious) {}
+namespace {
 
-bool VectorSink::ObliviousPreFilter(const std::string& key) {
-  if (defer_oblivious_) return false;
-  return !in_.fired->insert(key).second;
+/// The reference round's sink: plain hash containers, with frozen
+/// containment probed and duplicates counted per occurrence.
+struct HashSink {
+  const Structure& frozen;
+  RoundBuffer* buf;
+  std::unordered_set<Atom, AtomHash> datalog_seen;
+  std::map<std::string, PendingExistential> triggers;
+
+  void BufferDatalog(Atom g) {
+    if (frozen.Contains(g)) return;
+    if (!datalog_seen.insert(g).second) {
+      ++buf->stats.datalog_deduped;
+      return;
+    }
+    buf->datalog.push_back(std::move(g));
+  }
+  void BufferTrigger(std::string key, PendingExistential pe) {
+    auto [it, inserted] = triggers.try_emplace(std::move(key), std::move(pe));
+    if (!inserted) {
+      ++buf->stats.triggers_deduped;
+      if (TriggerLess(pe, it->second)) it->second = std::move(pe);
+    }
+  }
+};
+
+/// The production round's sink: datalog candidates go through
+/// DatalogSinkBuffers, existential triggers append raw and dedup once at
+/// the round barrier. Satisfies the HandleBinding Sink interface, plus
+/// AppendDatalogSlot for block-at-a-time head grounding.
+class VectorSink {
+ public:
+  /// `stats` receives the sink counters at TakeDatalogRuns.
+  VectorSink(const RoundInputs& in, ChaseStats* stats)
+      : stats_(stats),
+        bufs_(in.frozen, kSinkCompactTuples,
+              in.fault == ChaseFault::kSinkDropDup) {}
+
+  void BufferDatalog(Atom g) { bufs_.AppendAtom(g); }
+  void BufferTrigger(std::string key, PendingExistential pe) {
+    triggers_.emplace_back(std::move(key), std::move(pe));
+  }
+  TermId* AppendDatalogSlot(PredId pred, size_t arity) {
+    return bufs_.Append(pred, arity);
+  }
+
+  /// Final compaction: folds the sink counters into `stats` and moves the
+  /// sorted per-predicate runs out.
+  std::vector<DatalogSinkBuffers::Run> TakeDatalogRuns() {
+    std::vector<DatalogSinkBuffers::Run> runs = bufs_.TakeRuns();
+    stats_->sink_candidates += bufs_.candidates();
+    stats_->sink_contained += bufs_.contained();
+    stats_->sink_probes += bufs_.probes();
+    stats_->datalog_deduped += bufs_.deduped();
+    return runs;
+  }
+  std::vector<std::pair<std::string, PendingExistential>> TakeRawTriggers() {
+    return std::move(triggers_);
+  }
+
+ private:
+  ChaseStats* stats_;
+  DatalogSinkBuffers bufs_;
+  std::vector<std::pair<std::string, PendingExistential>> triggers_;
+};
+
+/// Bands for evaluating `rule`'s body with delta anchor `di` confined to
+/// rows [begin, end) of its relation: atoms before the anchor stay on
+/// pre-round rows, atoms after it range over the full relation — the
+/// standard old/new split, with the anchor band narrowed to one chunk for
+/// sharded scans.
+std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
+                                 size_t di, uint32_t begin, uint32_t end) {
+  const size_t k = rule.body.size();
+  std::vector<RowBand> bands(k);
+  for (size_t j = 0; j < k; ++j) {
+    if (j < di) {
+      bands[j] = {0, s.WatermarkRows(rule.body[j].pred)};
+    } else if (j == di) {
+      bands[j] = {begin, end};
+    } else {
+      bands[j] = RowBand::All();
+    }
+  }
+  return bands;
 }
 
-size_t VectorSink::FaultSeq() {
-  return shared_fault_seq_ != nullptr
-             ? shared_fault_seq_->fetch_add(1, std::memory_order_relaxed)
-             : local_fault_seq_++;
-}
+/// Grounding template of one datalog head atom against a plan's slot
+/// layout: per position, a constant or the slot holding the variable's
+/// value. Lets block grounding resolve a head occurrence with `arity`
+/// array reads instead of per-variable Binding lookups.
+struct HeadTemplate {
+  struct Arg {
+    bool is_const = false;
+    TermId value = 0;   // constant value when is_const
+    uint32_t slot = 0;  // slot index otherwise
+  };
+  PredId pred = -1;
+  size_t arity = 0;
+  std::vector<Arg> args;
+};
 
-void VectorSink::FoldCounters() {
-  stats_->sink_candidates += bufs_.candidates();
-  stats_->sink_contained += bufs_.contained();
-  stats_->sink_probes += bufs_.probes();
-  stats_->datalog_deduped += bufs_.deduped();
-}
-
-void VectorSink::Finish(RoundBuffer* buf) {
-  obs::TraceSpan span("chase.sink");
-  // Fail-stop fault site: a fire latches the context, and the round-abort
-  // path in chase.cc discards this buffer as an incomplete round.
-  (void)in_.ctx->CheckFault(faults::kSinkMerge);
-  bufs_.FinishInto(&buf->datalog);
-  FoldCounters();
-  DedupTriggers(std::move(triggers_), &buf->triggers,
-                &stats_->triggers_deduped);
-}
-
-std::vector<DatalogSinkBuffers::Run> VectorSink::TakeDatalogRuns() {
-  std::vector<DatalogSinkBuffers::Run> runs = bufs_.TakeRuns();
-  FoldCounters();
-  return runs;
-}
-
+/// Builds the head templates of a datalog rule against `slot_vars` (the
+/// PlanSlotVars order of the body's plan). Datalog heads only use body
+/// variables, so every head variable resolves to a slot.
 std::vector<HeadTemplate> BuildHeadTemplates(
     const Rule& rule, const std::vector<TermId>& slot_vars) {
   std::vector<HeadTemplate> heads;
@@ -533,47 +537,79 @@ std::vector<HeadTemplate> BuildHeadTemplates(
   return heads;
 }
 
-void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
-                               const std::vector<RowBand>& bands,
-                               const Matcher& witness, VectorSink* sink,
-                               MatchStats* match_stats) {
-  const Rule& rule = in.theory.rules()[ri];
-  auto on_binding = [&](const Binding& b) {
-    return HandleBinding(in, ri, b, witness, *sink);
-  };
-  if (in.plans == nullptr) {
-    Matcher matcher(in.frozen, match_stats);
-    matcher.EnumerateBanded(rule.body, bands, {}, on_binding);
-    return;
+/// One (rule, delta anchor) pair of a production round.
+struct DeltaAnchor {
+  size_t ri;
+  size_t di;
+  PredId pred;  ///< the anchor relation: rule ri's body atom di
+};
+
+/// The (rule, delta anchor) pairs a production round enumerates, in
+/// (rule, anchor) order — the one selection both the inline and the
+/// sharded round use. Skipped: existential rules under datalog_only,
+/// anchors whose relation gained nothing last round, and anchors after a
+/// body atom with no pre-round rows (the old/new split leaves that atom
+/// an empty band, so no binding exists; the plan executor pins the anchor
+/// first and would scan its whole delta before finding out). The test
+/// reads only the structure, so the sharded task set stays a pure
+/// function of the workload. Before the first MarkRoundBoundary every
+/// watermark is 0, which leaves anchor 0 alone: round 1 is one full
+/// enumeration per rule.
+std::vector<DeltaAnchor> DeltaAnchors(const RoundInputs& in) {
+  std::vector<DeltaAnchor> out;
+  const Structure& s = in.frozen;
+  for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
+    const Rule& rule = in.theory.rules()[ri];
+    if (rule.IsExistential() && in.options.datalog_only) continue;
+    for (size_t di = 0; di < rule.body.size(); ++di) {
+      const PredId pred = rule.body[di].pred;
+      if (s.WatermarkRows(pred) < s.NumFacts(pred)) {
+        out.push_back({ri, di, pred});
+      }
+      if (s.WatermarkRows(pred) == 0) break;
+    }
   }
+  return out;
+}
+
+/// Enumerates anchor `a` with its delta confined to rows `chunk` into
+/// `sink`. Datalog rules ground their heads block-at-a-time straight from
+/// the executor's slot blocks (no Binding, no Atom per occurrence);
+/// existential rules take the per-binding HandleBinding path, because the
+/// witness probe and PatternKey need a Binding anyway.
+void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
+                     RowRange chunk, const Matcher& witness,
+                     VectorSink* sink, MatchStats* match_stats) {
   // Fail-stop fault site at the plan boundary: a fire latches the context
-  // and this anchor (and, via Exhausted, the rest of the round) is skipped;
-  // the round-abort path discards the partial buffer.
+  // and the round-abort path discards the partial buffer.
   if (!in.ctx->CheckFault(faults::kPlanCompile).ok()) return;
+  const Rule& rule = in.theory.rules()[a.ri];
+  const std::vector<RowBand> bands =
+      AnchorBands(in.frozen, rule, a.di, chunk.begin, chunk.end);
   const std::function<bool()> block_stop = [&in] {
     return in.ctx->ShouldStop("plan block");
   };
   if (rule.IsExistential()) {
-    // Existential rules keep the per-binding path: the witness-existence
-    // probe and PatternKey need a Binding anyway.
-    ExecuteBandedPlan(in.frozen, *in.plans, rule.body, di, bands, on_binding,
-                      match_stats, &block_stop);
+    ExecuteBandedPlan(
+        in.frozen, in.plans, rule.body, a.di, bands,
+        [&](const Binding& b) {
+          return HandleBinding(in, a.ri, b, witness, *sink);
+        },
+        match_stats, &block_stop);
     return;
   }
-  // Datalog rule on the compiled path: ground head blocks straight from
-  // the executor's slot blocks — no Binding, no Atom per occurrence.
   std::shared_ptr<const QueryPlan> plan =
-      in.plans->Get(in.frozen, rule.body, di);
-  const std::vector<TermId> slot_vars = PlanSlotVars(*plan, rule.body);
-  const std::vector<HeadTemplate> heads = BuildHeadTemplates(rule, slot_vars);
+      in.plans.Get(in.frozen, rule.body, a.di);
+  const std::vector<HeadTemplate> heads =
+      BuildHeadTemplates(rule, PlanSlotVars(*plan, rule.body));
   auto on_block = [&](const SlotBlock& blk) {
     for (size_t r = 0; r < blk.num_rows; ++r) {
       const TermId* slots = blk.rows + r * blk.width;
       for (const HeadTemplate& h : heads) {
         TermId* dst = sink->AppendDatalogSlot(h.pred, h.arity);
         for (size_t pos = 0; pos < h.arity; ++pos) {
-          const HeadTemplate::Arg& a = h.args[pos];
-          dst[pos] = a.is_const ? a.value : slots[a.slot];
+          const HeadTemplate::Arg& arg = h.args[pos];
+          dst[pos] = arg.is_const ? arg.value : slots[arg.slot];
         }
       }
     }
@@ -583,113 +619,94 @@ void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
                     &block_stop);
 }
 
-namespace {
-
-/// The delta round loop over the vectorized sink: same anchor rotation and
-/// skip rules as the hash path below, with per-(rule, anchor) enumeration
-/// delegated to EnumerateAnchorVectorized and one sink finalization at the
-/// end (which runs even after a governor trip — see VectorSink::Finish).
-void EnumerateRoundSequentialVectorized(const RoundInputs& in,
-                                        RoundBuffer* buf) {
-  Matcher witness(in.frozen);
-  VectorSink sink(in, &buf->stats);
-  for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
-    if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
-    const Rule& rule = in.theory.rules()[ri];
-    if (rule.IsExistential() && in.options.datalog_only) continue;
-    for (size_t di = 0; di < rule.body.size(); ++di) {
-      const PredId anchor_pred = rule.body[di].pred;
-      const uint32_t wm = in.frozen.WatermarkRows(anchor_pred);
-      if (wm >= in.frozen.NumFacts(anchor_pred)) continue;
-      bool empty_prefix = false;
-      for (size_t j = 0; j < di; ++j) {
-        if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
-          empty_prefix = true;
-          break;
-        }
-      }
-      if (empty_prefix) continue;
-      const std::vector<RowBand> bands =
-          AnchorBands(in.frozen, rule, di, wm, UINT32_MAX);
-      EnumerateAnchorVectorized(in, ri, di, bands, witness, &sink,
-                                &buf->stats.match);
+/// The production round. Inline (`pool` null): one sink and one witness
+/// matcher over each anchor's whole delta. Sharded: one pool task per
+/// (anchor, kChunkRows chunk), each with a private sink. Either way the
+/// round ends in one canonical merge of sorted runs and raw triggers,
+/// which runs even after a governor trip (the kTornExhaust self-test
+/// applies a torn round's buffered datalog).
+Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
+                           RoundBuffer* buf) {
+  std::vector<DatalogSinkBuffers::Run> runs;
+  std::vector<std::pair<std::string, PendingExistential>> raw_triggers;
+  Status barrier = Status::OK();
+  VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
+  if (pool == nullptr) {
+    Matcher witness(in.frozen);
+    for (const DeltaAnchor& a : DeltaAnchors(in)) {
+      if (in.ctx->Exhausted()) break;  // a trip skips the rest of the round
+      const RowRange delta{in.frozen.WatermarkRows(a.pred),
+                           static_cast<uint32_t>(in.frozen.NumFacts(a.pred))};
+      EnumerateAnchor(in, a, delta, witness, &sink, &buf->stats.match);
     }
+  } else {
+    std::mutex mu;
+    for (const DeltaAnchor& a : DeltaAnchors(in)) {
+      for (const RowRange& chunk : in.frozen.DeltaChunks(a.pred, kChunkRows)) {
+        // Shard by anchor predicate: one relation's scan homes on one
+        // worker (cache-warm postings) and a skewed relation's chunk
+        // backlog spreads by stealing.
+        pool->Submit(static_cast<size_t>(a.pred), [&, a, chunk]() -> Status {
+          // Fail-stop fault site: the trip latches on the context and
+          // ShouldStop drains the remaining tasks; returning OK keeps the
+          // pool's own status channel for real cancellation.
+          if (!in.ctx->CheckFault(faults::kPoolTask).ok()) {
+            return Status::OK();
+          }
+          obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
+          ChaseStats local;
+          Matcher witness(in.frozen);
+          VectorSink task_sink(in, &local);
+          EnumerateAnchor(in, a, chunk, witness, &task_sink, &local.match);
+          std::vector<DatalogSinkBuffers::Run> task_runs =
+              task_sink.TakeDatalogRuns();
+          auto task_triggers = task_sink.TakeRawTriggers();
+          span.set_detail("r" + std::to_string(a.ri) + " a" +
+                          std::to_string(a.di) + " +" +
+                          std::to_string(chunk.size()) + "@" +
+                          std::to_string(chunk.begin));
+          std::lock_guard<std::mutex> lock(mu);
+          buf->stats += local;
+          for (auto& run : task_runs) runs.push_back(std::move(run));
+          for (auto& kv : task_triggers) raw_triggers.push_back(std::move(kv));
+          return Status::OK();
+        });
+      }
+    }
+    barrier = pool->Wait();
   }
-  sink.Finish(buf);
+
+  obs::TraceSpan span(&in.ctx->tracer(), "chase.sink");
+  // Fail-stop fault site at the merge; a fire latches the context and the
+  // round-abort path in chase.cc discards the merged buffer.
+  (void)in.ctx->CheckFault(faults::kSinkMerge);
+  if (pool == nullptr) {
+    runs = sink.TakeDatalogRuns();
+    raw_triggers = sink.TakeRawTriggers();
+  }
+  MergeDatalogRuns(std::move(runs), in.fault == ChaseFault::kSinkDropDup,
+                   &buf->datalog, &buf->stats.datalog_deduped);
+  DedupTriggers(std::move(raw_triggers), &buf->triggers,
+                &buf->stats.triggers_deduped);
+  return barrier;
 }
 
-}  // namespace
-
-void EnumerateRoundSequential(const RoundInputs& in, bool delta,
-                              RoundBuffer* buf) {
-  if (delta && in.options.vectorized_sink) {
-    EnumerateRoundSequentialVectorized(in, buf);
-    return;
-  }
+/// The reference round: every rule body re-enumerated in full on the
+/// interpretive Matcher, into the per-binding hash sink.
+void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
   Matcher matcher(in.frozen, &buf->stats.match);
   // Witness-existence probes go through a stats-less matcher so
   // bindings_tried counts rule-body bindings only.
   Matcher witness(in.frozen);
-  SerialSink sink{in, buf, {}, {}, 0};
-
+  HashSink sink{in.frozen, buf, {}, {}};
   for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
     if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
-
-    auto on_binding = [&](const Binding& b) {
+    matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
       return HandleBinding(in, ri, b, witness, sink);
-    };
-
-    if (delta) {
-      // Semi-naive: rotate a delta anchor over the body; each binding that
-      // touches the delta is enumerated exactly once, with the anchor at
-      // its first delta atom. Before the first MarkRoundBoundary (round 1)
-      // all watermarks are 0, so only anchor 0 fires and it performs one
-      // full enumeration.
-      for (size_t di = 0; di < rule.body.size(); ++di) {
-        const PredId anchor_pred = rule.body[di].pred;
-        const uint32_t wm = in.frozen.WatermarkRows(anchor_pred);
-        if (wm >= in.frozen.NumFacts(anchor_pred)) {
-          continue;  // this relation gained nothing last round
-        }
-        // An anchor whose pre-watermark prefix is vacuous (some earlier
-        // body atom has watermark 0) contributes no bindings. The matcher
-        // discovers this for free — it enumerates in body order and the
-        // empty band kills the walk before reaching the anchor — but the
-        // plan executor pins the anchor first and would scan its whole
-        // delta before probing the empty band. Skip it up front, matching
-        // the parallel engine's shard-submission filter, so the effort
-        // counters agree across all three paths.
-        bool empty_prefix = false;
-        for (size_t j = 0; j < di; ++j) {
-          if (in.frozen.WatermarkRows(rule.body[j].pred) == 0) {
-            empty_prefix = true;
-            break;
-          }
-        }
-        if (empty_prefix) continue;
-        const std::vector<RowBand> bands =
-            AnchorBands(in.frozen, rule, di, wm, UINT32_MAX);
-        if (in.plans != nullptr) {
-          if (!in.ctx->CheckFault(faults::kPlanCompile).ok()) break;
-          // Compiled path: per-(body, anchor) plan from the run cache,
-          // vectorized banded execution. The binding *set* matches the
-          // interpreter's, which is all ApplyRound depends on.
-          const std::function<bool()> block_stop = [&in] {
-            return in.ctx->ShouldStop("plan block");
-          };
-          ExecuteBandedPlan(in.frozen, *in.plans, rule.body, di, bands,
-                            on_binding, &buf->stats.match, &block_stop);
-        } else {
-          matcher.EnumerateBanded(rule.body, bands, {}, on_binding);
-        }
-      }
-    } else {
-      matcher.Enumerate(rule.body, {}, on_binding);
-    }
+    });
   }
-
   // The sink's keep-min map already holds unique keys; move it out.
   buf->triggers.reserve(sink.triggers.size());
   for (auto& [key, pe] : sink.triggers) {
@@ -697,9 +714,33 @@ void EnumerateRoundSequential(const RoundInputs& in, bool delta,
   }
 }
 
+}  // namespace
+
+Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
+                      RoundBuffer* buf) {
+  Status barrier = Status::OK();
+  if (in.options.engine == ChaseEngine::kNaive) {
+    EnumerateNaiveRound(in, buf);
+  } else {
+    barrier = EnumerateDeltaRound(in, pool, buf);
+  }
+  if (in.options.oblivious) {
+    // Blind chase: each (rule, body binding) fires once over the whole
+    // run. A round enumerates each binding at most once, so its keys are
+    // unique and this drops exactly the triggers fired in earlier rounds.
+    auto fired_before = [&in](const auto& kv) {
+      return !in.fired->insert(kv.first).second;
+    };
+    buf->triggers.erase(std::remove_if(buf->triggers.begin(),
+                                       buf->triggers.end(), fired_before),
+                        buf->triggers.end());
+  }
+  return barrier;
+}
+
 size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out) {
   // Canonical application order (see the header): sorted datalog atoms
-  // first, then triggers in key order. Every engine funnels through this,
+  // first, then triggers in key order. Both engines funnel through this,
   // so row order and null naming are functions of the round's derivation
   // set alone.
   std::sort(buf->datalog.begin(), buf->datalog.end());

@@ -1,14 +1,14 @@
-// Internal round machinery shared by the chase engines (chase.cc,
-// parallel.cc): trigger canonicalization, per-binding buffering, and the
-// canonical round application that makes every engine's output
-// byte-identical.
+// Round machinery of the chase (chase.cc): trigger canonicalization,
+// per-binding buffering, the vectorized round sink, the two round
+// enumerations (production and reference) and the canonical round
+// application that makes every run byte-identical.
 //
 // Determinism design. Within a round, body bindings may be enumerated in
-// any order — the sequential engines follow the join order the matcher
-// picks, the parallel engine additionally splits delta anchors into row
-// chunks, which changes the matcher's dynamic atom selection and hence the
-// discovery order. Byte-identical results therefore cannot rely on
-// discovery order anywhere. Instead:
+// any order — the plan executor picks its own join order, the sharded
+// production round splits delta anchors into row chunks, and the
+// reference re-enumerates everything on the interpretive Matcher.
+// Byte-identical results therefore cannot rely on discovery order
+// anywhere. Instead:
 //
 //   * buffered datalog additions are a *set*; ApplyRound inserts them
 //     sorted by (predicate, argument tuple);
@@ -20,8 +20,18 @@
 //   * the dedup counters are occurrence counts minus distinct counts,
 //     which are order-independent too.
 //
-// The headers under chase/ expose this as an implementation detail, not
-// API: only chase.cc and parallel.cc include it.
+// Sharding. Above one thread, a production round runs one pool task per
+// (rule, delta anchor, chunk), where Structure::DeltaChunks splits the
+// anchor relation's delta into kChunkRows-row chunks. The task set depends
+// only on the structure, never on the thread count, and the chunks
+// partition the round's bindings exactly (each binding's anchor row lies
+// in exactly one chunk). Each task buffers into a private sink; the round
+// barrier merges the tasks' sorted runs in canonical order. So a sharded
+// round applies the same derivation set as the inline one, and
+// bindings_tried is the same sum at any thread count.
+//
+// The header is an implementation detail, not API: only chase.cc and the
+// sink tests include it.
 
 #ifndef BDDFC_CHASE_ROUND_H_
 #define BDDFC_CHASE_ROUND_H_
@@ -33,6 +43,8 @@
 #include <utility>
 #include <vector>
 
+#include "bddfc/base/status.h"
+#include "bddfc/base/thread_pool.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/eval/plan.h"
@@ -70,8 +82,8 @@ bool AddFactTracked(ChaseResult* out, PredId pred,
                     const std::vector<TermId>& args, int round);
 
 /// One round's buffered derivations, evaluated against the frozen
-/// Chase^{i-1} snapshot. Engines fill it (sequentially or from shard
-/// tasks); ApplyRound consumes it in canonical order.
+/// Chase^{i-1} snapshot. EnumerateRound fills it; ApplyRound consumes it
+/// in canonical order.
 struct RoundBuffer {
   /// Distinct head atoms not present in the frozen structure (unsorted).
   std::vector<Atom> datalog;
@@ -89,36 +101,35 @@ struct RoundInputs {
   const Structure& frozen;  ///< Chase^{i-1}; not mutated until ApplyRound
   const ChaseOptions& options;
   ExecutionContext* ctx;  ///< never null (RunChase installs a local one)
-  /// Oblivious-mode run-global (rule, body-binding) dedup. The sequential
-  /// engines filter against it during enumeration; the parallel engine at
-  /// the merge barrier (equivalent: a delta-driven round enumerates each
-  /// binding at most once, so within-round keys are unique).
+  /// Oblivious-mode run-global (rule, body-binding) keys already fired.
+  /// EnumerateRound filters the round's triggers against it once, after
+  /// enumeration, so no enumeration thread ever touches it.
   std::unordered_set<std::string>* fired;
-  /// Per-run compiled-plan cache (thread-safe); nullptr = evaluate rule
-  /// bodies through the interpretive Matcher instead. Witness-existence
-  /// probes always stay on the Matcher: their patterns are grounded per
-  /// binding (caching would never hit) and dominated by point lookups.
-  PlanCache* plans = nullptr;
+  /// Per-run compiled-plan cache (thread-safe) of the production engine.
+  /// Witness-existence probes stay on the Matcher: their patterns are
+  /// grounded per binding (caching would never hit) and dominated by
+  /// point lookups.
+  PlanCache& plans;
   /// The run's effective behavioral fault, resolved once at RunChase entry
   /// from options.fault or a FaultRegistry fire at faults::kChaseBug.
   /// Round code reads this, never options.fault.
   ChaseFault fault = ChaseFault::kNone;
+  /// kSkipTriggerDedup key suffixes, shared by every task of the round.
+  mutable std::atomic<size_t> fault_seq{0};
 };
 
 /// Serializes the oblivious-chase firing key of (rule `ri`, binding `b`).
 std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b);
 
-/// Per-binding buffering logic, shared verbatim by the sequential and
-/// parallel engines; `Sink` supplies the buffer operations:
+/// Per-binding buffering logic, shared by both round enumerations; `Sink`
+/// supplies the buffer operations:
 ///
-///   bool BufferDatalog(Atom g);            // false = duplicate (counted)
-///   bool ObliviousPreFilter(const std::string& key);  // true = skip now
+///   void BufferDatalog(Atom g);
 ///   void BufferTrigger(std::string key, PendingExistential pe);
-///   size_t FaultSeq();                     // kSkipTriggerDedup suffixes
 ///
-/// BufferDatalog owns the frozen-containment check: the hash sinks probe
-/// Contains eagerly per occurrence, the vectorized sink defers both the
-/// probe and the dedup to its sorted bulk pass.
+/// BufferDatalog owns the frozen-containment check: the reference's hash
+/// sink probes Contains eagerly per occurrence, the vectorized sink defers
+/// both the probe and the dedup to its sorted bulk pass.
 ///
 /// Returns false to stop the enumeration (governor trip).
 template <typename Sink>
@@ -153,16 +164,17 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
   for (const Atom& h : rule.head) pattern.push_back(ground(h));
   std::string key;
   if (in.options.oblivious) {
-    // Blind chase: one witness per (rule, body binding), ever.
+    // Blind chase: one witness per (rule, body binding), ever; keys fired
+    // in earlier rounds are dropped after enumeration.
     key = ObliviousKey(ri, rule, b);
-    if (sink.ObliviousPreFilter(key)) return true;
   } else {
     if (witness.Exists(pattern, {})) return true;
     key = PatternKey(pattern);
     if (in.fault == ChaseFault::kSkipTriggerDedup) {
       // Injected bug: make every key unique so same-pattern triggers stop
       // collapsing to one witness.
-      key += "#" + std::to_string(sink.FaultSeq());
+      key += "#" + std::to_string(
+                       in.fault_seq.fetch_add(1, std::memory_order_relaxed));
     }
   }
   PendingExistential pe;
@@ -173,24 +185,21 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
   return true;
 }
 
-/// Bands for evaluating `rule`'s body with delta anchor `di` confined to
-/// rows [begin, end) of its relation: atoms before the anchor stay on
-/// pre-round rows, atoms after it range over the full relation — the
-/// standard old/new split, with the anchor band narrowed to one chunk for
-/// sharded scans (the sequential engines pass the whole delta).
-std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
-                                 size_t di, uint32_t begin, uint32_t end);
+/// Rows per sharded anchor chunk. Fixed (never derived from the thread
+/// count) so the task decomposition — and with it every per-task stat —
+/// is a function of the workload alone.
+inline constexpr uint32_t kChunkRows = 1024;
 
 /// Default per-predicate raw-tail size (tuples) at which the vectorized
 /// sink compacts: sorts the tail, merges it into the kept prefix, and
 /// answers containment in one bulk pass. Large enough that typical rounds
-/// compact exactly once, at Finish; tests shrink it to exercise
+/// compact exactly once, at the end; tests shrink it to exercise
 /// mid-enumeration compactions.
 inline constexpr size_t kSinkCompactTuples = 1 << 16;
 
 /// Flat per-predicate candidate buffers with sort-dedup compaction and
 /// bulk containment — the datalog half of the vectorized round sink
-/// (DESIGN §2.13), shared by the chase engines and SaturateDatalog.
+/// (DESIGN §2.13).
 ///
 /// Append is the entire per-occurrence cost: bump a cursor and copy
 /// `arity` TermIds; no Atom allocation, no hash probe, no dedup-set
@@ -200,8 +209,9 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 /// k occurrences contributes k-1 to deduped() whether it collapses in one
 /// compaction, telescopes across several, or splits across parallel
 /// tasks), and the fresh distinct tuples go through one bulk
-/// Structure::ContainsSorted probe. The counters therefore match the hash
-/// sinks' exactly — the byte-identity contract extends to stats.
+/// Structure::ContainsSorted probe. The counters therefore match the
+/// reference's hash sink exactly — the byte-identity contract extends to
+/// stats.
 class DatalogSinkBuffers {
  public:
   /// `frozen` answers containment (Chase^{i-1}; must outlive the sink).
@@ -215,10 +225,6 @@ class DatalogSinkBuffers {
   TermId* Append(PredId pred, size_t arity);
   void AppendAtom(const Atom& g);
 
-  /// Final compaction, then emits every surviving tuple — sorted,
-  /// distinct, frozen-free — as Atoms appended to `out`.
-  void FinishInto(std::vector<Atom>* out);
-
   /// One predicate's surviving tuples as a flat sorted run (`tuples`
   /// entries of `arity` TermIds; arity-0 runs carry only the count).
   struct Run {
@@ -228,7 +234,7 @@ class DatalogSinkBuffers {
     std::vector<TermId> data;
   };
   /// Final compaction, then moves the per-predicate runs out (ascending
-  /// pred) — the parallel barrier merges runs across tasks.
+  /// pred) — the round barrier merges runs across tasks.
   std::vector<Run> TakeRuns();
 
   size_t candidates() const { return candidates_; }
@@ -246,7 +252,7 @@ class DatalogSinkBuffers {
     size_t kept = 0;
     size_t tail = 0;
     /// Parallel to the kept prefix, only under drop_dup_groups: tuple ever
-    /// had a duplicate occurrence (dropped at Finish/TakeRuns).
+    /// had a duplicate occurrence (dropped at TakeRuns).
     std::vector<char> kept_dup;
   };
 
@@ -264,7 +270,7 @@ class DatalogSinkBuffers {
   size_t deduped_ = 0;
 };
 
-/// Merges per-task sorted distinct runs (TakeRuns output, several tasks'
+/// Merges sorted distinct runs (TakeRuns output, one or several tasks'
 /// worth) into Atoms appended to `out`: cross-run duplicate groups
 /// collapse to one copy, counting the extra occurrences into *deduped —
 /// the +1-per-extra-run rule that makes the total dedup count shard-count
@@ -278,107 +284,22 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
 /// Sorts raw (key, candidate) trigger pairs, collapses each key to its
 /// TriggerLess-least candidate counting dropped occurrences into *tdedup,
 /// and appends the unique-key survivors to *out in key order — the same
-/// winner the hash sinks' keep-min maps pick, independent of arrival
+/// winner the reference's keep-min map picks, independent of arrival
 /// order.
 void DedupTriggers(
     std::vector<std::pair<std::string, PendingExistential>> raw,
     std::vector<std::pair<std::string, PendingExistential>>* out,
     size_t* tdedup);
 
-/// The vectorized round sink (ChaseOptions::vectorized_sink): datalog
-/// candidates go through DatalogSinkBuffers, existential triggers append
-/// raw and dedup once at the end. Satisfies the HandleBinding Sink
-/// interface, plus AppendDatalogSlot for block-at-a-time head grounding.
-class VectorSink {
- public:
-  /// `stats` receives the dedup/containment counters when the sink is
-  /// finalized. `shared_fault_seq` backs FaultSeq across the parallel
-  /// engine's tasks (nullptr = private counter); `defer_oblivious`
-  /// disables the in-enumeration fired-key filter (the parallel engine
-  /// filters at the merge barrier instead, where keys are unique within a
-  /// delta round).
-  VectorSink(const RoundInputs& in, ChaseStats* stats,
-             size_t compact_threshold = kSinkCompactTuples,
-             std::atomic<size_t>* shared_fault_seq = nullptr,
-             bool defer_oblivious = false);
-
-  bool BufferDatalog(Atom g) {
-    bufs_.AppendAtom(g);
-    return true;
-  }
-  bool ObliviousPreFilter(const std::string& key);
-  void BufferTrigger(std::string key, PendingExistential pe) {
-    triggers_.emplace_back(std::move(key), std::move(pe));
-  }
-  size_t FaultSeq();
-  TermId* AppendDatalogSlot(PredId pred, size_t arity) {
-    return bufs_.Append(pred, arity);
-  }
-
-  /// Serial engines: final-compacts, folds counters into `stats`, and
-  /// emits into `buf` exactly what the hash sinks would have — under a
-  /// "chase.sink" trace span. Runs even after a governor trip (the
-  /// kTornExhaust self-test applies a torn round's buffered datalog).
-  void Finish(RoundBuffer* buf);
-
-  /// Parallel task path: final-compacts, folds counters into `stats`, and
-  /// moves out the per-predicate runs; triggers come out raw via
-  /// TakeRawTriggers for the barrier's DedupTriggers pass.
-  std::vector<DatalogSinkBuffers::Run> TakeDatalogRuns();
-  std::vector<std::pair<std::string, PendingExistential>> TakeRawTriggers() {
-    return std::move(triggers_);
-  }
-
- private:
-  void FoldCounters();
-
-  const RoundInputs& in_;
-  ChaseStats* stats_;
-  DatalogSinkBuffers bufs_;
-  std::vector<std::pair<std::string, PendingExistential>> triggers_;
-  std::atomic<size_t>* shared_fault_seq_;
-  size_t local_fault_seq_ = 0;
-  bool defer_oblivious_;
-};
-
-/// Grounding template of one datalog head atom against a plan's slot
-/// layout: per position, a constant or the slot holding the variable's
-/// value. Lets block grounding resolve a head occurrence with `arity`
-/// array reads instead of per-variable Binding lookups.
-struct HeadTemplate {
-  struct Arg {
-    bool is_const = false;
-    TermId value = 0;   // constant value when is_const
-    uint32_t slot = 0;  // slot index otherwise
-  };
-  PredId pred = -1;
-  size_t arity = 0;
-  std::vector<Arg> args;
-};
-
-/// Builds the head templates of a datalog rule against `slot_vars` (the
-/// PlanSlotVars order of the body's plan). Datalog heads only use body
-/// variables, so every head variable resolves to a slot.
-std::vector<HeadTemplate> BuildHeadTemplates(
-    const Rule& rule, const std::vector<TermId>& slot_vars);
-
-/// Enumerates rule `ri` with delta anchor `di` over `bands` into the
-/// vectorized sink: datalog rules on the compiled path ground their heads
-/// block-at-a-time straight from the executor's slot blocks (no Binding,
-/// no Atom per occurrence); existential rules and the interpretive path
-/// fall back to per-binding HandleBinding. Shared by the sequential
-/// vectorized round and the parallel engine's shard tasks.
-void EnumerateAnchorVectorized(const RoundInputs& in, size_t ri, size_t di,
-                               const std::vector<RowBand>& bands,
-                               const Matcher& witness, VectorSink* sink,
-                               MatchStats* match_stats);
-
-/// Sequential enumeration of one round into `buf`: delta-anchored
-/// (ChaseEngine::kDelta) or full re-enumeration (kNaive). Delta rounds
-/// route through the vectorized sink when options.vectorized_sink is set;
-/// kNaive always uses the per-binding hash sink (the A/B reference).
-void EnumerateRoundSequential(const RoundInputs& in, bool delta,
-                              RoundBuffer* buf);
+/// Enumerates one round's derivations into `buf` on the engine
+/// options.engine selects. The production engine runs inline when `pool`
+/// is null and shards over it otherwise; kNaive ignores `pool`. Returns
+/// the pool's aggregated task status: non-OK means tasks were drained
+/// unrun (cancellation) and the round is incomplete — the caller must
+/// discard it even if the context has not latched a trip yet. Counters in
+/// buf->stats are summed across tasks; per-task wall times merge by max.
+Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
+                      RoundBuffer* buf);
 
 /// Applies a completed round's buffer in canonical order: datalog
 /// additions sorted by (pred, args), then triggers in key order, inventing

@@ -9,35 +9,6 @@
 #include "bddfc/obs/trace.h"
 
 namespace bddfc {
-namespace {
-
-/// One rung of the degradation ladder: a label for reports plus the
-/// option it turns off. Rungs apply cumulatively, most-likely-culprit
-/// first (the newest fast paths), and each preserves byte-identity.
-struct Rung {
-  const char* name;
-  void (*apply)(ChaseOptions*);
-};
-
-std::vector<Rung> BuildLadder(const ChaseOptions& options) {
-  std::vector<Rung> rungs;
-  const bool fast_paths = options.engine != ChaseEngine::kNaive;
-  if (fast_paths && options.compiled_plans) {
-    rungs.push_back({"plans-off",
-                     [](ChaseOptions* o) { o->compiled_plans = false; }});
-  }
-  if (fast_paths && options.vectorized_sink) {
-    rungs.push_back({"vsink-off",
-                     [](ChaseOptions* o) { o->vectorized_sink = false; }});
-  }
-  if (options.engine == ChaseEngine::kParallel) {
-    rungs.push_back(
-        {"serial", [](ChaseOptions* o) { o->engine = ChaseEngine::kDelta; }});
-  }
-  return rungs;
-}
-
-}  // namespace
 
 SupervisedChase RunChaseSupervised(const Theory& theory,
                                    const Structure& instance,
@@ -52,9 +23,7 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
                                        ? chase_options.context
                                        : &local_parent;
 
-  const std::vector<Rung> ladder = BuildLadder(chase_options);
   ChaseOptions attempt_options = chase_options;
-  size_t next_rung = 0;
 
   SupervisedChase out{ChaseResult(instance.signature_ptr()), 0, {}, false};
   // The run's registry, not the process-wide one: the per-retry Reset below
@@ -76,7 +45,7 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
 
     // Only kInternal (injected fault / paranoia trip) is retryable: a
     // budget exhaustion is a correct partial answer and a semantic error
-    // would fail identically on every rung.
+    // would fail identically on the reference.
     if (out.result.status.code() != StatusCode::kInternal) {
       out.recovered = attempt > 0;
       break;
@@ -101,12 +70,14 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
     // is published once, after the loop, so it survives this reset.
     if (metrics.enabled()) metrics.Reset();
 
+    // The one degradation: retry on the independent reference, which
+    // shares none of the production engine's pool, plans, sink or sorted
+    // indexes, so a fault in any of them cannot recur.
     std::string degraded;
-    if (next_rung < ladder.size()) {
-      ladder[next_rung].apply(&attempt_options);
-      degraded = ladder[next_rung].name;
+    if (attempt_options.engine != ChaseEngine::kNaive) {
+      attempt_options.engine = ChaseEngine::kNaive;
+      degraded = "reference";
       out.degradations.emplace_back(degraded);
-      ++next_rung;
     }
 
     obs::TraceSpan span(&parent->tracer(), "supervisor.retry");

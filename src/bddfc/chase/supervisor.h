@@ -1,14 +1,14 @@
-// Retrying chase supervisor with a graceful-degradation ladder
-// (DESIGN.md §2.14).
+// Retrying chase supervisor with one degradation rung (DESIGN.md §2.14).
 //
 // RunChaseSupervised runs RunChase under a parent ExecutionContext and,
 // when an attempt fails with kInternal (an injected FaultRegistry fault or
 // a paranoia invariant trip — never a budget exhaustion and never a
-// semantic error), retries it under progressively more conservative
-// configurations: compiled plans fall back to the interpretive Matcher,
-// the vectorized sink to the hash sink, the parallel engine to the serial
-// delta engine. Every engine configuration is byte-identical by contract,
-// so degrading never changes the answer — only the speed.
+// semantic error), retries it on the independent reference engine
+// (ChaseEngine::kNaive), recorded as the degradation "reference". The
+// reference shares none of the production engine's pool, compiled plans,
+// vectorized sink or sorted indexes, so a fault in any of them cannot
+// recur on the retry; and it is byte-identical to the production engine by
+// contract, so degrading never changes the answer — only the speed.
 //
 // Isolation per attempt:
 //   * each attempt runs under a fresh child context, so its fault latch
@@ -67,9 +67,8 @@ struct SupervisedChase {
   ChaseResult result;
   /// Attempts executed (1 = no retry was needed).
   size_t attempts = 0;
-  /// Degradation-ladder rungs applied, in order ("plans-off",
-  /// "vsink-off", "serial"). Empty when the original configuration
-  /// recovered on its own.
+  /// Degradations applied: {"reference"} once a retry ran on kNaive.
+  /// Empty when no retry was needed or the run was already on kNaive.
   std::vector<std::string> degradations;
   /// True when a retry (not the first attempt) produced the final OK or
   /// budget-exhausted result.

@@ -90,7 +90,7 @@ bool ExecutePlanBlocks(const Structure& s, const QueryPlan& plan,
                        MatchStats* stats = nullptr,
                        const std::function<bool()>* abort = nullptr);
 
-/// Cached banded enumeration for the delta engines: fetches (or compiles)
+/// Cached banded enumeration for the delta chase: fetches (or compiles)
 /// the plan for (atoms, anchor) from `cache` and executes it with `bands`.
 /// Returns false iff the abort hook cut execution short.
 bool ExecuteBandedPlan(const Structure& s, PlanCache& cache,

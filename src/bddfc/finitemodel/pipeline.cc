@@ -179,7 +179,7 @@ FiniteModelResult ConstructFiniteCounterModel(
     }();
 
     // An unrecovered kInternal (injected fault / paranoia violation that
-    // survived the whole retry ladder) ends the run with the best prefix:
+    // survived every retry) ends the run with the best prefix:
     // the chase's round-atomic contract makes it a complete prefix.
     if (chase.status.code() == StatusCode::kInternal) {
       result.status = chase.status;

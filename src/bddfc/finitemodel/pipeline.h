@@ -64,7 +64,7 @@ struct PipelineOptions {
   size_t max_saturation_rounds = 512;
   /// Runtime invariant checking (DESIGN.md §2.14), forwarded to every
   /// chase/saturation call. Violations surface as kInternal — the
-  /// supervisor retries them under the degradation ladder.
+  /// supervisor retries them on the reference engine.
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
   /// Retry budget of the chase supervisor: attempts after the first that
   /// a kInternal failure (injected fault, paranoia trip) may consume.

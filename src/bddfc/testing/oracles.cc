@@ -41,45 +41,30 @@ std::map<PredId, std::vector<int>> BirthRoundsByPredicate(
   return out;
 }
 
-// ---------------------------------------------------------------------------
-// chase-agreement: the delta and parallel round loops (restricted and
-// oblivious, compiled plans on and off, every thread count) must produce
-// chases identical to the naive baseline; fixpoints must satisfy the
-// theory.
-// ---------------------------------------------------------------------------
-
-/// Engine configurations under test against the kNaive baseline: the delta
-/// loop plus the parallel engine at each thread count of interest
-/// (threads=1 exercises the serial-route fallback), each with compiled
-/// plans on and off and the vectorized round sink on and off.
-struct EngineConfig {
-  ChaseEngine engine;
-  size_t threads;
-  bool plans;
-  bool vsink = true;
-};
-
-std::vector<EngineConfig> DeltaFamilyConfigs() {
-  std::vector<EngineConfig> out;
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      out.push_back({ChaseEngine::kDelta, 0, plans, vsink});
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        out.push_back({ChaseEngine::kParallel, threads, plans, vsink});
-      }
-    }
-  }
-  return out;
+/// Where two ExactChaseDumps first differ: the byte offset plus the
+/// differing line of each (clipped), e.g. a "status=..." or "pred 3:" line.
+std::string DumpDivergence(const std::string& got, const std::string& want) {
+  size_t at = 0;
+  while (at < got.size() && at < want.size() && got[at] == want[at]) ++at;
+  auto line_at = [at](const std::string& d) {
+    const size_t nl = at == 0 ? std::string::npos : d.rfind('\n', at - 1);
+    const size_t begin = nl == std::string::npos ? 0 : nl + 1;
+    const size_t end = d.find('\n', at);
+    std::string line = d.substr(
+        begin, end == std::string::npos ? std::string::npos : end - begin);
+    if (line.size() > 160) line = line.substr(0, 160) + "...";
+    return line;
+  };
+  return "first divergence at byte " + std::to_string(at) + ": '" +
+         line_at(got) + "' vs reference '" + line_at(want) + "'";
 }
 
-std::string ConfigLabel(const EngineConfig& ec) {
-  std::string s = ec.engine == ChaseEngine::kDelta
-                      ? std::string("delta")
-                      : "parallel t" + std::to_string(ec.threads);
-  s += ec.plans ? " plans" : " interp";
-  s += ec.vsink ? " vsink" : " hashsink";
-  return s;
-}
+// ---------------------------------------------------------------------------
+// chase-agreement: the production engine (restricted and oblivious, at 1,
+// 2, 4 and 8 threads) must reproduce the kNaive reference byte for byte,
+// with one bindings_tried at every thread count; the reference's
+// fixpoints must satisfy the theory.
+// ---------------------------------------------------------------------------
 
 class ChaseAgreementOracle : public Oracle {
  public:
@@ -87,75 +72,67 @@ class ChaseAgreementOracle : public Oracle {
 
   OracleOutcome Check(const Scenario& s,
                       const OracleConfig& config) const override {
+    // Every run rolls the shared signature back to this mark, so each one
+    // invents its nulls on the same raw TermIds and the dumps compare as
+    // plain bytes.
+    const Signature::Mark mark = s.sig->TakeMark();
+    struct Run {
+      std::string dump;
+      size_t bindings = 0;
+      std::string violation;  // the reference's fixpoint is not a model
+    };
+    auto run = [&](const ChaseOptions& opts) {
+      Run out;
+      {
+        ChaseResult r = RunChase(s.theory, s.instance, opts);
+        out.dump = ExactChaseDump(r);
+        out.bindings = r.stats.match.bindings_tried;
+        if (opts.engine == ChaseEngine::kNaive && !opts.oblivious &&
+            r.fixpoint_reached) {
+          if (auto v = CheckModel(r.structure, s.theory)) {
+            out.violation = v->ToString(*s.sig);
+          }
+        }
+      }
+      s.sig->RollbackTo(mark);
+      return out;
+    };
+
     for (bool oblivious : {false, true}) {
+      const std::string mode = oblivious ? "[oblivious" : "[restricted";
       ChaseOptions opts;
       opts.max_rounds = config.max_rounds;
       opts.max_facts = config.max_facts;
       opts.oblivious = oblivious;
-
       opts.engine = ChaseEngine::kNaive;
-      opts.fault = ChaseFault::kNone;
-      opts.paranoia = ParanoiaLevel::kOff;
-      ChaseResult naive = RunChase(s.theory, s.instance, opts);
+      const Run ref = run(opts);
+      if (!ref.violation.empty()) {
+        return OracleOutcome::Fail(mode + " naive] fixpoint is not a model: " +
+                                   ref.violation);
+      }
 
-      // The injected fault (the fuzzer's self-test) rides on the engines
-      // under test, never on the baseline. (kNaive keeps the hash sink, so
-      // the baseline is also immune to kSinkDropDup by construction.)
-      // Paranoia likewise guards only the engines under test: a corruption
-      // its checks catch becomes a kInternal status divergence here.
-      for (const EngineConfig& ec : DeltaFamilyConfigs()) {
-        opts.engine = ec.engine;
-        opts.fault = config.chase_fault;
-        opts.paranoia = config.paranoia;
-        opts.threads = ec.threads;
-        opts.compiled_plans = ec.plans;
-        opts.vectorized_sink = ec.vsink;
-        ChaseResult run = RunChase(s.theory, s.instance, opts);
-
-        std::string mode = std::string(oblivious ? "[oblivious " :
-                                                   "[restricted ") +
-                           ConfigLabel(ec) + "] ";
-        if (run.status.code() != naive.status.code()) {
-          return OracleOutcome::Fail(mode + Mismatch("status",
-                                                     run.status.ToString(),
-                                                     naive.status.ToString()));
+      // The injected fault (the fuzzer's self-test) and the paranoia checks
+      // ride on the production runs only: the reference shares none of
+      // their plans, sink or pool, so a corruption either one causes
+      // surfaces as a divergence from it.
+      opts.engine = ChaseEngine::kParallel;
+      opts.fault = config.chase_fault;
+      opts.paranoia = config.paranoia;
+      size_t t1_bindings = 0;
+      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+        opts.threads = threads;
+        const Run got = run(opts);
+        const std::string label =
+            mode + " t" + std::to_string(threads) + "] ";
+        if (got.dump != ref.dump) {
+          return OracleOutcome::Fail(label + "diverged from kNaive: " +
+                                     DumpDivergence(got.dump, ref.dump));
         }
-        if (run.structure.NumFacts() != naive.structure.NumFacts()) {
+        if (threads == 1) t1_bindings = got.bindings;
+        if (got.bindings != t1_bindings) {
           return OracleOutcome::Fail(
-              mode + Mismatch("facts", run.structure.NumFacts(),
-                              naive.structure.NumFacts()));
-        }
-        if (run.nulls_created != naive.nulls_created) {
-          return OracleOutcome::Fail(
-              mode + Mismatch("nulls", run.nulls_created,
-                              naive.nulls_created));
-        }
-        if (run.rounds_run != naive.rounds_run) {
-          return OracleOutcome::Fail(
-              mode + Mismatch("rounds", run.rounds_run, naive.rounds_run));
-        }
-        if (run.fixpoint_reached != naive.fixpoint_reached) {
-          return OracleOutcome::Fail(mode + Mismatch("fixpoint",
-                                                     run.fixpoint_reached,
-                                                     naive.fixpoint_reached));
-        }
-        if (run.facts_per_round != naive.facts_per_round) {
-          return OracleOutcome::Fail(mode +
-                                     std::string("facts_per_round diverged"));
-        }
-        if (BirthRoundsByPredicate(run) != BirthRoundsByPredicate(naive)) {
-          return OracleOutcome::Fail(
-              mode + std::string("per-predicate birth rounds diverged"));
-        }
-        // A reached fixpoint must actually be a model of the theory.
-        if (!oblivious && run.fixpoint_reached) {
-          for (const ChaseResult* r : {&run, &naive}) {
-            if (auto v = CheckModel(r->structure, s.theory)) {
-              return OracleOutcome::Fail(
-                  mode + std::string("fixpoint is not a model: ") +
-                  v->ToString(*s.sig));
-            }
-          }
+              label + Mismatch("bindings_tried vs t1", t1_bindings,
+                               got.bindings));
         }
       }
     }
@@ -452,33 +429,21 @@ class GovernorPrefixOracle : public Oracle {
     base.max_facts = config.max_facts;
     ChaseResult baseline = RunChase(s.theory, s.instance, base);
 
-    // Plans on/off changes where cooperative checks land (plan blocks vs
-    // interpreter strides), so the prefix contract is probed for both; the
-    // sink axis rides along because a cancellation that fires mid-round
-    // must discard the vectorized sink's buffered (incomplete) round too.
+    // The production engine inline and sharded: cooperative checks land
+    // in plan blocks on one thread and in queued shard tasks on four, and
+    // a trip at either must discard the buffered (incomplete) round.
     bool tripped_any = false;
-    for (const EngineConfig& ec :
-         {EngineConfig{ChaseEngine::kDelta, 0, true, true},
-          EngineConfig{ChaseEngine::kDelta, 0, true, false},
-          EngineConfig{ChaseEngine::kDelta, 0, false, true},
-          EngineConfig{ChaseEngine::kDelta, 0, false, false},
-          EngineConfig{ChaseEngine::kParallel, 4, true, true},
-          EngineConfig{ChaseEngine::kParallel, 4, true, false},
-          EngineConfig{ChaseEngine::kParallel, 4, false, true},
-          EngineConfig{ChaseEngine::kParallel, 4, false, false}}) {
+    for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t after : {size_t{1}, size_t{3}, size_t{7}}) {
       ExecutionContext ctx;
       ctx.InjectFaultAfterChecks(config.inject_fault, after);
       ChaseOptions opts = base;
       opts.context = &ctx;
-      opts.engine = ec.engine;
-      opts.threads = ec.threads;
-      opts.compiled_plans = ec.plans;
-      opts.vectorized_sink = ec.vsink;
+      opts.threads = threads;
       // kTornExhaust rides along so the torn-prefix path has a detector.
       opts.fault = config.chase_fault;
       ChaseResult run = RunChase(s.theory, s.instance, opts);
-      std::string t = "[" + ConfigLabel(ec) + "] after " +
+      std::string t = "[t" + std::to_string(threads) + "] after " +
                       std::to_string(after) + " checks: ";
 
       if (run.status.ok() ||
@@ -554,44 +519,6 @@ class GovernorPrefixOracle : public Oracle {
 // counts — to the fault-free run. Recovery is mandatory, not best-effort.
 // ---------------------------------------------------------------------------
 
-/// Byte-exact dump of everything the recovery contract covers. Mirrors
-/// chase_ab_test's ExactDump: raw TermIds (not names), so it only compares
-/// runs whose signatures interned identically — which the per-run
-/// CloneScenario below guarantees.
-std::string ExactChaseDump(const ChaseResult& r) {
-  std::string s;
-  s += "status=" + r.status.ToString() + " fixpoint=";
-  s += r.fixpoint_reached ? '1' : '0';
-  s += " rounds=" + std::to_string(r.rounds_run);
-  s += " nulls=" + std::to_string(r.nulls_created);
-  s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
-  s += " tdedup=" + std::to_string(r.stats.triggers_deduped);
-  s += " ddedup=" + std::to_string(r.stats.datalog_deduped);
-  s += "\nfacts_per_round:";
-  for (size_t n : r.facts_per_round) s += " " + std::to_string(n);
-  s += "\n";
-  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
-    s += "pred " + std::to_string(p) + ":";
-    for (const auto& row : r.structure.Rows(p)) {
-      s += " (";
-      for (TermId t : row) s += std::to_string(t) + ",";
-      s += ")";
-    }
-    s += "\n";
-  }
-  std::map<TermId, NullProvenance> prov(r.null_provenance.begin(),
-                                        r.null_provenance.end());
-  for (const auto& [null_id, np] : prov) {
-    s += "null " + std::to_string(null_id) + ": r" +
-         std::to_string(np.birth_round) + " rule" +
-         std::to_string(np.rule_index) + " head p" +
-         std::to_string(np.head_atom.pred) + "(";
-    for (TermId t : np.head_atom.args) s += std::to_string(t) + ",";
-    s += ")\n";
-  }
-  return s;
-}
-
 class ChaosRecoveryOracle : public Oracle {
  public:
   std::string_view name() const override { return "chaos-recovery"; }
@@ -601,7 +528,8 @@ class ChaosRecoveryOracle : public Oracle {
     if (config.chaos_plans == 0) {
       return OracleOutcome::Skip("chaos disabled (--chaos)");
     }
-    // The richest configuration — every degradation rung available.
+    // The sharded production engine: it reaches every recoverable fault
+    // site, and a retry degrades it to the reference.
     ChaseOptions opts;
     opts.max_rounds = config.max_rounds;
     opts.max_facts = config.max_facts;
@@ -664,12 +592,10 @@ class ChaosRecoveryOracle : public Oracle {
           }
         }
       }
-      size_t at = 0;
-      while (at < dump.size() && at < ref.size() && dump[at] == ref[at]) ++at;
       return OracleOutcome::Fail(
           "chaos plan (seed " + std::to_string(plan_seed) +
-          ") did not recover byte-identically (first divergence at byte " +
-          std::to_string(at) + ")\n--- minimized plan ---\n" + min.ToString() +
+          ") did not recover byte-identically (" + DumpDivergence(dump, ref) +
+          ")\n--- minimized plan ---\n" + min.ToString() +
           "--- fault-free ---\n" + ref + "--- chaos ---\n" + dump);
     }
     return OracleOutcome::Pass();
@@ -783,6 +709,47 @@ const Oracle* FindOracle(std::string_view name) {
     if (o->name() == name) return o;
   }
   return nullptr;
+}
+
+std::string ExactChaseDump(const ChaseResult& r) {
+  std::string s;
+  s += "status=" + r.status.ToString() + " fixpoint=";
+  s += r.fixpoint_reached ? '1' : '0';
+  s += " rounds=" + std::to_string(r.rounds_run);
+  s += " nulls=" + std::to_string(r.nulls_created);
+  s += " tdedup=" + std::to_string(r.stats.triggers_deduped);
+  s += " ddedup=" + std::to_string(r.stats.datalog_deduped);
+  s += "\nfacts_per_round:";
+  for (size_t n : r.facts_per_round) s += " " + std::to_string(n);
+  s += "\n";
+  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
+    s += "pred " + std::to_string(p) + ":";
+    for (const auto& row : r.structure.Rows(p)) {
+      s += " (";
+      for (TermId t : row) s += std::to_string(t) + ",";
+      s += ")";
+    }
+    s += "\n";
+  }
+  const std::map<TermId, NullProvenance> prov(r.null_provenance.begin(),
+                                              r.null_provenance.end());
+  for (const auto& [null_id, np] : prov) {
+    s += "null " + std::to_string(null_id) + ": r" +
+         std::to_string(np.birth_round) + " rule" +
+         std::to_string(np.rule_index) + " head p" +
+         std::to_string(np.head_atom.pred) + "(";
+    for (TermId t : np.head_atom.args) s += std::to_string(t) + ",";
+    s += ")\n";
+  }
+  std::map<std::pair<PredId, uint32_t>, int> births;
+  for (const auto& [handle, round] : r.fact_round) {
+    births[{handle.pred, handle.row}] = round;
+  }
+  for (const auto& [key, round] : births) {
+    s += "fact p" + std::to_string(key.first) + "#" +
+         std::to_string(key.second) + "=r" + std::to_string(round) + "\n";
+  }
+  return s;
 }
 
 }  // namespace bddfc

@@ -2,7 +2,8 @@
 //
 // Each oracle cross-checks two independent routes to the same semantic
 // answer on one scenario, using the paper's own constructions as ground
-// truth: chase-engine agreement (Chase is engine-independent), the Def. 2
+// truth: byte-level agreement of the production chase with the kNaive
+// reference (Chase is engine-independent), the Def. 2
 // equivalence Chase(D, T) ⊨ Φ ⇔ D ⊨ Φ′ on rewritable theories, rewriter
 // thread-count determinism, Parse ∘ Print identity, and independent
 // re-certification of Theorem-2 counter-models (M ⊨ D, T₀ and M ⊭ Q).
@@ -39,7 +40,7 @@ struct OracleConfig {
                          .max_hom_checks = 30000};
   /// Thread counts the determinism oracle compares against threads=1.
   std::vector<size_t> determinism_threads = {4};
-  /// Fault injected into the *delta* chase run of the chase-agreement
+  /// Fault injected into the production chase runs of the chase-agreement
   /// oracle (the fuzzer's self-test); kNone in normal operation.
   /// kTornExhaust instead targets the governor-prefix oracle: the governed
   /// chase applies a torn round on exhaustion, which that oracle must
@@ -51,8 +52,8 @@ struct OracleConfig {
   /// the uninterrupted baseline. kNone disables the oracle (skip).
   InjectedFault inject_fault = InjectedFault::kNone;
   /// Paranoia level (--paranoia) for the chase runs *under test* — never
-  /// the naive baseline, so an injected corruption the paranoia checks
-  /// catch surfaces as a status divergence against the immune baseline.
+  /// the kNaive reference, so an injected corruption the paranoia checks
+  /// catch surfaces as a status divergence against the immune reference.
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
   /// Chaos-recovery oracle (--chaos): random fault plans per scenario to
   /// run under the supervisor and compare byte-for-byte against the
@@ -97,6 +98,17 @@ class Oracle {
 
 /// All registered oracles, in a stable order.
 const std::vector<const Oracle*>& AllOracles();
+
+/// Byte-exact dump of a chase result: status, fixpoint flag, rounds, null
+/// count, both dedup counters, facts_per_round, every row with raw TermIds
+/// in append order, null provenance with head atoms, and every fact's
+/// birth round. The production engine at any thread count and the kNaive
+/// reference dump identically (DESIGN.md §2.3). bindings_tried is left out
+/// because the reference re-enumerates old bindings; thread sweeps compare
+/// it separately. Raw TermIds make two dumps comparable only when both
+/// runs interned their nulls from the same signature state (a fresh parse
+/// or CloneScenario per run, or a Signature mark rolled back in between).
+std::string ExactChaseDump(const ChaseResult& r);
 
 /// Looks up an oracle by name; nullptr when unknown.
 const Oracle* FindOracle(std::string_view name);

@@ -1,5 +1,5 @@
-// Tests for the base utilities: Status, Result, Interner, hashing, the
-// thread pool, and the striped concurrent tables.
+// Tests for the base utilities: Status, Result, Interner, hashing and the
+// thread pool.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 
 #include "bddfc/base/interner.h"
 #include "bddfc/base/status.h"
-#include "bddfc/base/striped_table.h"
 #include "bddfc/base/thread_pool.h"
 
 namespace bddfc {
@@ -254,75 +253,6 @@ TEST(ThreadPoolTest, ShardHintsSpreadAcrossQueuesDeterministically) {
   for (size_t i = 0; i < hits.size(); ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "task " << i;
   }
-}
-
-TEST(StripedSetTest, InsertReturnsTrueOnlyWhenAbsent) {
-  StripedSet<int> set;
-  EXPECT_TRUE(set.Insert(7));
-  EXPECT_FALSE(set.Insert(7));
-  EXPECT_TRUE(set.Insert(8));
-  EXPECT_EQ(set.Size(), 2u);
-  EXPECT_EQ(set.DrainSorted(), (std::vector<int>{7, 8}));
-  EXPECT_EQ(set.Size(), 0u);  // drain moves everything out
-}
-
-TEST(StripedSetTest, ConcurrentOverlappingInsertsDedupExactly) {
-  // 8 threads insert heavily overlapping ranges; the surviving key set
-  // and the number of successful (first) inserts must equal the distinct
-  // count — the property the parallel chase's dedup counters rely on.
-  StripedSet<int> set;
-  constexpr int kDistinct = 2000;
-  std::atomic<size_t> fresh{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&set, &fresh, t] {
-      for (int i = 0; i < kDistinct; ++i) {
-        // Every thread covers all keys, in a thread-dependent order.
-        int key = (i * 97 + t * 131) % kDistinct;
-        if (set.Insert(key)) fresh.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(fresh.load(), static_cast<size_t>(kDistinct));
-  std::vector<int> keys = set.DrainSorted();
-  ASSERT_EQ(keys.size(), static_cast<size_t>(kDistinct));
-  for (int i = 0; i < kDistinct; ++i) {
-    EXPECT_EQ(keys[static_cast<size_t>(i)], i);
-  }
-}
-
-TEST(StripedMapTest, InsertOrMinKeepsLeastValueRegardlessOfArrivalOrder) {
-  auto less = [](int a, int b) { return a < b; };
-  StripedMap<std::string, int> forward;
-  EXPECT_TRUE(forward.InsertOrMin("k", 5, less));
-  EXPECT_FALSE(forward.InsertOrMin("k", 3, less));
-  EXPECT_FALSE(forward.InsertOrMin("k", 9, less));
-  StripedMap<std::string, int> backward;
-  EXPECT_TRUE(backward.InsertOrMin("k", 9, less));
-  EXPECT_FALSE(backward.InsertOrMin("k", 3, less));
-  EXPECT_FALSE(backward.InsertOrMin("k", 5, less));
-  // Both arrival orders leave the Less-least value — the invariant that
-  // makes the parallel trigger merge order-independent.
-  auto f = forward.DrainSorted();
-  auto b = backward.DrainSorted();
-  ASSERT_EQ(f.size(), 1u);
-  EXPECT_EQ(f, b);
-  EXPECT_EQ(f[0].second, 3);
-}
-
-TEST(StripedMapTest, DrainSortedOrdersByKey) {
-  auto less = [](int a, int b) { return a < b; };
-  StripedMap<std::string, int> m;
-  for (const char* k : {"delta", "alpha", "charlie", "bravo"}) {
-    EXPECT_TRUE(m.InsertOrMin(k, 1, less));
-  }
-  std::vector<std::pair<std::string, int>> out = m.DrainSorted();
-  ASSERT_EQ(out.size(), 4u);
-  EXPECT_EQ(out[0].first, "alpha");
-  EXPECT_EQ(out[1].first, "bravo");
-  EXPECT_EQ(out[2].first, "charlie");
-  EXPECT_EQ(out[3].first, "delta");
 }
 
 TEST(ThreadPoolTest, ParallelForCoversTheRangeAndOrdersStatuses) {

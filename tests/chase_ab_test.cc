@@ -1,165 +1,57 @@
-// A/B equivalence suite: the delta-driven and parallel sharded chase
-// engines must produce the same result as the seed naive
-// full-re-enumeration loop — same facts, same per-round growth, same
-// nulls, same fixpoint verdict — on every workload generator family and
-// every paper-example program. The parallel engine is additionally held
-// to *byte identity* with kDelta (row order, raw TermIds, provenance) at
-// 1, 2, 4 and 8 threads — and, since the compiled join backend landed,
-// with query plans on and off: the interpretive Matcher (plans off) is
-// the reference, so the identity sweep cross-validates the plan executor
-// against it on every workload here.
+// A/B suite: the production chase engine must reproduce the independent
+// kNaive reference (interpretive Matcher, per-binding hash sink, full
+// re-enumeration) byte for byte — rows in append order with raw TermIds,
+// null provenance, birth rounds, facts_per_round, both dedup counters and
+// the status — on every workload generator family and every paper-example
+// program, restricted and oblivious, including budget-cut runs. The
+// production runs at 1, 2, 4 and 8 threads must additionally agree with
+// each other on bindings_tried, which the reference (re-enumerating old
+// bindings) does not share.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <functional>
-#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
 
 #include "bddfc/chase/chase.h"
-#include "bddfc/eval/match.h"
 #include "bddfc/parser/parser.h"
+#include "bddfc/testing/oracles.h"
 #include "bddfc/workload/generators.h"
 #include "bddfc/workload/paper_examples.h"
 
 namespace bddfc {
 namespace {
 
-/// Per-predicate multiset of fact birth rounds — a strong cheap invariant
-/// that is independent of row order and null naming.
-std::map<PredId, std::vector<int>> BirthRoundsByPredicate(
-    const ChaseResult& r) {
-  std::map<PredId, std::vector<int>> out;
-  for (const auto& [handle, round] : r.fact_round) {
-    out[handle.pred].push_back(round);
-  }
-  for (auto& [pred, rounds] : out) {
-    (void)pred;
-    std::sort(rounds.begin(), rounds.end());
-  }
-  return out;
-}
-
-/// Runs the delta and parallel engines against the naive baseline with
-/// identical options and asserts equivalence for each.
-/// `check_isomorphism` additionally requires homomorphisms both ways
-/// (exact up to null renaming); keep it off for large random structures
-/// where the whole-structure CQ gets expensive.
-void ExpectEnginesAgree(const Theory& theory, const Structure& instance,
-                        ChaseOptions options, bool check_isomorphism = true) {
+/// Runs kNaive and the production engine at 1/2/4/8 threads with
+/// otherwise identical options and asserts byte identity on the shared
+/// dump, plus one bindings_tried across the production runs. The
+/// signature is rolled back after every run, so each run invents its
+/// nulls on the same raw TermIds.
+void ExpectMatchesReference(const Theory& theory, const Structure& instance,
+                            ChaseOptions options) {
+  const Signature::Mark mark = instance.signature_ptr()->TakeMark();
+  auto run = [&](const ChaseOptions& o, size_t* bindings) {
+    std::string dump;
+    {
+      ChaseResult r = RunChase(theory, instance, o);
+      dump = ExactChaseDump(r);
+      if (bindings != nullptr) *bindings = r.stats.match.bindings_tried;
+    }
+    instance.signature_ptr()->RollbackTo(mark);
+    return dump;
+  };
   options.engine = ChaseEngine::kNaive;
-  ChaseResult naive = RunChase(theory, instance, options);
-
-  for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-    options.engine = engine;
-    options.threads = engine == ChaseEngine::kParallel ? 4 : 0;
-    ChaseResult got = RunChase(theory, instance, options);
-    const char* label =
-        engine == ChaseEngine::kParallel ? "parallel" : "delta";
-
-    EXPECT_EQ(got.structure.NumFacts(), naive.structure.NumFacts()) << label;
-    EXPECT_EQ(got.facts_per_round, naive.facts_per_round) << label;
-    EXPECT_EQ(got.nulls_created, naive.nulls_created) << label;
-    EXPECT_EQ(got.fixpoint_reached, naive.fixpoint_reached) << label;
-    EXPECT_EQ(got.rounds_run, naive.rounds_run) << label;
-    EXPECT_EQ(got.status.code(), naive.status.code()) << label;
-    EXPECT_EQ(BirthRoundsByPredicate(got), BirthRoundsByPredicate(naive))
-        << label;
-    if (check_isomorphism) {
-      EXPECT_TRUE(HasHomomorphism(got.structure, naive.structure)) << label;
-      EXPECT_TRUE(HasHomomorphism(naive.structure, got.structure)) << label;
-    }
-  }
-}
-
-/// Serializes everything the determinism contract covers: rows in append
-/// order with raw TermIds, per-round growth, null provenance and fact
-/// birth rounds. Two runs with equal dumps are byte-identical — same row
-/// order, same null *names*, not just isomorphic.
-std::string ExactDump(const ChaseResult& r) {
-  std::string s;
-  s += "status=" + r.status.ToString() + " fixpoint=";
-  s += r.fixpoint_reached ? '1' : '0';
-  s += " rounds=" + std::to_string(r.rounds_run);
-  s += " nulls=" + std::to_string(r.nulls_created);
-  s += " bindings=" + std::to_string(r.stats.match.bindings_tried);
-  s += " tdedup=" + std::to_string(r.stats.triggers_deduped);
-  s += " ddedup=" + std::to_string(r.stats.datalog_deduped);
-  s += "\nfacts_per_round:";
-  for (size_t n : r.facts_per_round) s += " " + std::to_string(n);
-  s += "\n";
-  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
-    s += "pred " + std::to_string(p) + ":";
-    for (const auto& row : r.structure.Rows(p)) {
-      s += " (";
-      for (TermId t : row) s += std::to_string(t) + ",";
-      s += ")";
-    }
-    s += "\n";
-  }
-  std::map<TermId, NullProvenance> prov(r.null_provenance.begin(),
-                                        r.null_provenance.end());
-  for (const auto& [null_id, np] : prov) {
-    s += "null " + std::to_string(null_id) + ": r" +
-         std::to_string(np.birth_round) + " rule" +
-         std::to_string(np.rule_index) + " head p" +
-         std::to_string(np.head_atom.pred) + "(";
-    for (TermId t : np.head_atom.args) s += std::to_string(t) + ",";
-    s += ")\n";
-  }
-  std::map<std::pair<PredId, uint32_t>, int> births;
-  for (const auto& [handle, round] : r.fact_round) {
-    births[{handle.pred, handle.row}] = round;
-  }
-  for (const auto& [key, round] : births) {
-    s += "fact p" + std::to_string(key.first) + "#" +
-         std::to_string(key.second) + "=r" + std::to_string(round) + "\n";
-  }
-  return s;
-}
-
-/// The delta-family engines' core contract: byte-identical output across
-/// kDelta/kParallel, every thread count, compiled plans on/off, and the
-/// vectorized round sink on/off. The reference run is kDelta on the
-/// interpretive Matcher with the per-binding hash sink (plans off, sink
-/// off), so every comparison against a plans-on run doubles as an A/B
-/// check of the plan executor, and every vsink-on run as an A/B check of
-/// the sort-dedup sink — dedup counters included (they are part of the
-/// dump). `make` must build a fresh Program per call — runs share a
-/// Signature otherwise, and the nulls the first run interns would shift
-/// the TermIds of the second.
-void ExpectByteIdentical(const std::function<Program()>& make,
-                         ChaseOptions options) {
-  options.engine = ChaseEngine::kDelta;
-  options.compiled_plans = false;
-  options.vectorized_sink = false;
-  Program ref_program = make();
-  const std::string ref =
-      ExactDump(RunChase(ref_program.theory, ref_program.instance, options));
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      {
-        Program p = make();
-        ChaseOptions o = options;
-        o.compiled_plans = plans;
-        o.vectorized_sink = vsink;
-        EXPECT_EQ(ExactDump(RunChase(p.theory, p.instance, o)), ref)
-            << "delta plans=" << plans << " vsink=" << vsink;
-      }
-      for (size_t threads : {1u, 2u, 4u, 8u}) {
-        Program p = make();
-        ChaseOptions o = options;
-        o.engine = ChaseEngine::kParallel;
-        o.threads = threads;
-        o.compiled_plans = plans;
-        o.vectorized_sink = vsink;
-        EXPECT_EQ(ExactDump(RunChase(p.theory, p.instance, o)), ref)
-            << "threads=" << threads << " plans=" << plans
-            << " vsink=" << vsink;
-      }
-    }
+  const std::string ref = run(options, nullptr);
+  options.engine = ChaseEngine::kParallel;
+  size_t t1_bindings = 0;
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    options.threads = threads;
+    size_t bindings = 0;
+    EXPECT_EQ(run(options, &bindings), ref) << "threads=" << threads;
+    if (threads == 1) t1_bindings = bindings;
+    EXPECT_EQ(bindings, t1_bindings) << "threads=" << threads;
   }
 }
 
@@ -169,63 +61,67 @@ ChaseOptions Depth(size_t rounds) {
   return o;
 }
 
+Program MustParse(const std::string& text) {
+  auto parsed = ParseProgram(text);
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  return std::move(parsed).value();
+}
+
 // ---------------------------------------------------------------------------
 // Paper-example programs (workload/paper_examples.cc).
 // ---------------------------------------------------------------------------
 
 TEST(ChaseAbTest, Example1) {
   Program p = Example1();  // diverges: compare bounded prefixes
-  ExpectEnginesAgree(p.theory, p.instance, Depth(6));
+  ExpectMatchesReference(p.theory, p.instance, Depth(6));
 }
 
 TEST(ChaseAbTest, RemarkThreeTheory) {
   Program p = RemarkThreeTheory();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(6));
+  ExpectMatchesReference(p.theory, p.instance, Depth(6));
 }
 
 TEST(ChaseAbTest, Example7) {
   Program p = Example7();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(6));
+  ExpectMatchesReference(p.theory, p.instance, Depth(6));
 }
 
 TEST(ChaseAbTest, Example9) {
   Program p = Example9();  // binary tree growth
-  ExpectEnginesAgree(p.theory, p.instance, Depth(5));
+  ExpectMatchesReference(p.theory, p.instance, Depth(5));
 }
 
 TEST(ChaseAbTest, Section54) {
   Program p = Section54();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(5));
+  ExpectMatchesReference(p.theory, p.instance, Depth(5));
 }
 
 TEST(ChaseAbTest, Section55) {
   Program p = Section55();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(5));
+  ExpectMatchesReference(p.theory, p.instance, Depth(5));
 }
 
 TEST(ChaseAbTest, GuardedSample) {
   Program p = GuardedSample();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(8));
+  ExpectMatchesReference(p.theory, p.instance, Depth(8));
 }
 
 TEST(ChaseAbTest, PaperExamplesOblivious) {
   for (Program p : {Example1(), Example7(), Example9(), Section55()}) {
     ChaseOptions o = Depth(4);
     o.oblivious = true;
-    ExpectEnginesAgree(p.theory, p.instance, o);
+    ExpectMatchesReference(p.theory, p.instance, o);
   }
 }
 
 TEST(ChaseAbTest, CyclicWitnessReuse) {
   // Witnesses pre-exist: the restricted chase must stop immediately under
   // both engines.
-  auto parsed = ParseProgram(R"(
+  Program p = MustParse(R"(
     e(X, Y) -> exists Z: e(Y, Z).
     e(a, b). e(b, a).
   )");
-  ASSERT_TRUE(parsed.ok());
-  Program& p = parsed.value();
-  ExpectEnginesAgree(p.theory, p.instance, Depth(8));
+  ExpectMatchesReference(p.theory, p.instance, Depth(8));
 }
 
 // ---------------------------------------------------------------------------
@@ -243,7 +139,7 @@ TEST_P(ChaseAbGenerators, RandomGraphTransitiveClosure) {
   ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
                              {Atom(e0, {x, z})}))
                   .ok());
-  ExpectEnginesAgree(t, d, Depth(64), /*check_isomorphism=*/false);
+  ExpectMatchesReference(t, d, Depth(64));
 }
 
 TEST_P(ChaseAbGenerators, RandomLinearTheory) {
@@ -256,7 +152,7 @@ TEST_P(ChaseAbGenerators, RandomLinearTheory) {
          c = sig->AddConstant("c");
   d.AddFact(p0, {a, b});
   d.AddFact(p1, {b, c});
-  ExpectEnginesAgree(t, d, Depth(6));
+  ExpectMatchesReference(t, d, Depth(6));
 }
 
 TEST_P(ChaseAbGenerators, RandomGuardedTheory) {
@@ -269,7 +165,7 @@ TEST_P(ChaseAbGenerators, RandomGuardedTheory) {
   TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
   d.AddFact(g2, {a, b});
   d.AddFact(g3, {b, a, a});
-  ExpectEnginesAgree(t, d, Depth(5));
+  ExpectMatchesReference(t, d, Depth(5));
 }
 
 TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheory) {
@@ -287,7 +183,7 @@ TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheory) {
     d.AddFact(b0, {consts[rng.Uniform(4)], consts[rng.Uniform(4)]});
   }
   // Weakly acyclic: both engines must reach the same fixpoint.
-  ExpectEnginesAgree(t, d, Depth(128));
+  ExpectMatchesReference(t, d, Depth(128));
 }
 
 TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheoryDatalogOnly) {
@@ -301,159 +197,133 @@ TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheoryDatalogOnly) {
   d.AddFact(b0, {b, a});
   ChaseOptions o = Depth(128);
   o.datalog_only = true;
-  ExpectEnginesAgree(t, d, o);
+  ExpectMatchesReference(t, d, o);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaseAbGenerators,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 9, 10));
 
 // ---------------------------------------------------------------------------
-// Parallel engine byte-identity: not just isomorphic — identical row
-// order, identical null TermIds, identical provenance at every thread
-// count (the determinism contract of chase/parallel.h).
+// Workloads that stress the sharded round: many rounds, heavy dedup, and
+// budget-cut prefixes (the round barrier makes a cut prefix deterministic).
 // ---------------------------------------------------------------------------
 
 TEST(ChaseParallelIdentity, PaperExamples) {
-  ExpectByteIdentical([] { return Example1(); }, Depth(6));
-  ExpectByteIdentical([] { return Example9(); }, Depth(5));
-  ExpectByteIdentical([] { return GuardedSample(); }, Depth(8));
-  ExpectByteIdentical([] { return Section54(); }, Depth(5));
+  for (const auto& [p, depth] :
+       {std::pair{Example1(), 6}, std::pair{Example9(), 5},
+        std::pair{GuardedSample(), 8}, std::pair{Section54(), 5}}) {
+    ExpectMatchesReference(p.theory, p.instance, Depth(depth));
+  }
 }
 
 TEST(ChaseParallelIdentity, ObliviousMode) {
   ChaseOptions o = Depth(4);
   o.oblivious = true;
-  ExpectByteIdentical([] { return Example7(); }, o);
-  ExpectByteIdentical([] { return Example1(); }, o);
+  for (Program p : {Example7(), Example1()}) {
+    ExpectMatchesReference(p.theory, p.instance, o);
+  }
 }
 
 TEST(ChaseParallelIdentity, DatalogTransitiveClosure) {
-  // Large enough that one relation spans multiple 1024-row chunks is
-  // impractical here; instead exercise many rounds and heavy dedup.
-  auto make = [] {
-    std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
-    for (int i = 0; i < 24; ++i) {
-      text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
-              ").\n";
-    }
-    auto r = ParseProgram(text);
-    EXPECT_TRUE(r.ok());
-    return std::move(r).value();
-  };
-  ExpectByteIdentical(make, Depth(64));
+  // Many rounds and heavy dedup on one relation.
+  std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
+  for (int i = 0; i < 24; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+            ").\n";
+  }
+  Program p = MustParse(text);
+  ExpectMatchesReference(p.theory, p.instance, Depth(64));
 }
 
 TEST(ChaseParallelIdentity, GeneratorWorkloads) {
   for (uint64_t seed : {3u, 7u, 11u}) {
-    ExpectByteIdentical(
-        [seed] {
-          auto sig = std::make_shared<Signature>();
-          Structure d = RandomGraph(sig, /*nodes=*/14, /*edges=*/30, seed);
-          PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
-          Program p(sig);
-          TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
-          EXPECT_TRUE(
-              p.theory
-                  .AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
-                                {Atom(e0, {x, z})}))
-                  .ok());
-          p.instance = std::move(d);
-          return p;
-        },
-        Depth(64));
-    ExpectByteIdentical(
-        [seed] {
-          auto sig = std::make_shared<Signature>();
-          Program p(sig);
-          p.theory = RandomGuardedTheory(sig, /*max_arity=*/3, /*rules=*/5,
-                                         seed);
-          PredId g2 = std::move(sig->FindPredicate("g2_0")).ValueOrDie();
-          PredId g3 = std::move(sig->FindPredicate("g3_0")).ValueOrDie();
-          TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
-          p.instance.AddFact(g2, {a, b});
-          p.instance.AddFact(g3, {b, a, a});
-          return p;
-        },
-        Depth(5));
-  }
-}
-
-TEST(ChaseParallelIdentity, DivergentRunCutByRoundBudget) {
-  // A budget-cut (non-fixpoint) run must be byte-identical too: the
-  // parallel engine's round barriers make the prefix deterministic.
-  ChaseOptions o = Depth(8);
-  ExpectByteIdentical([] { return Example1(); }, o);
-  ChaseOptions facts = Depth(64);
-  facts.max_facts = 100;
-  ExpectByteIdentical([] { return Example9(); }, facts);
-}
-
-// ---------------------------------------------------------------------------
-// Stats-merge regression (the parallel ChaseStats bugfix): per-round
-// times must merge max across shards, so the reported round times can
-// never exceed the measured wall clock of the whole run.
-// ---------------------------------------------------------------------------
-
-TEST(ChaseParallelStats, ReportedRoundTimesStayUnderMeasuredWallClock) {
-  for (bool vsink : {true, false}) {
-    for (size_t threads : {1u, 4u, 8u}) {
+    {
       auto sig = std::make_shared<Signature>();
-      Structure d = RandomGraph(sig, /*nodes=*/18, /*edges=*/48, /*seed=*/5);
+      Structure d = RandomGraph(sig, /*nodes=*/14, /*edges=*/30, seed);
       PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
       Theory t(sig);
       TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
       ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
                                  {Atom(e0, {x, z})}))
                       .ok());
-      ChaseOptions o;
-      o.max_rounds = 64;
-      o.engine = ChaseEngine::kParallel;
-      o.threads = threads;
-      o.vectorized_sink = vsink;
-
-      const auto wall_start = std::chrono::steady_clock::now();
-      ChaseResult r = RunChase(t, d, o);
-      const double wall_ms = std::chrono::duration<double, std::milli>(
-                                 std::chrono::steady_clock::now() - wall_start)
-                                 .count();
-
-      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-      EXPECT_TRUE(r.fixpoint_reached);
-      // Same stats shape as the sequential engines: one entry per executed
-      // round plus the final (empty) fixpoint round.
-      EXPECT_EQ(r.stats.round_ms.size(), r.rounds_run + 1)
-          << "threads=" << threads << " vsink=" << vsink;
-      // Rounds are disjoint sub-intervals of the run: with shard times
-      // max-merged their sum is bounded by the wall clock. A sum-merge
-      // would overshoot on any multi-core box. Small slack for clock
-      // granularity.
-      const double reported = std::accumulate(r.stats.round_ms.begin(),
-                                              r.stats.round_ms.end(), 0.0);
-      EXPECT_LE(reported, wall_ms + 0.5)
-          << "threads=" << threads << " vsink=" << vsink;
+      ExpectMatchesReference(t, d, Depth(64));
     }
+    {
+      auto sig = std::make_shared<Signature>();
+      Theory t = RandomGuardedTheory(sig, /*max_arity=*/3, /*rules=*/5, seed);
+      Structure d(sig);
+      PredId g2 = std::move(sig->FindPredicate("g2_0")).ValueOrDie();
+      PredId g3 = std::move(sig->FindPredicate("g3_0")).ValueOrDie();
+      TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
+      d.AddFact(g2, {a, b});
+      d.AddFact(g3, {b, a, a});
+      ExpectMatchesReference(t, d, Depth(5));
+    }
+  }
+}
+
+TEST(ChaseParallelIdentity, DivergentRunCutByRoundBudget) {
+  // A budget-cut (non-fixpoint) run must be byte-identical too.
+  Program ex1 = Example1();
+  ExpectMatchesReference(ex1.theory, ex1.instance, Depth(8));
+  ChaseOptions facts = Depth(64);
+  facts.max_facts = 100;
+  Program ex9 = Example9();
+  ExpectMatchesReference(ex9.theory, ex9.instance, facts);
+}
+
+// ---------------------------------------------------------------------------
+// Stats-merge regression (the sharded ChaseStats bugfix): per-round times
+// must merge max across shards, so the reported round times can never
+// exceed the measured wall clock of the whole run.
+// ---------------------------------------------------------------------------
+
+TEST(ChaseParallelStats, ReportedRoundTimesStayUnderMeasuredWallClock) {
+  for (size_t threads : {1u, 4u, 8u}) {
+    auto sig = std::make_shared<Signature>();
+    Structure d = RandomGraph(sig, /*nodes=*/18, /*edges=*/48, /*seed=*/5);
+    PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
+    Theory t(sig);
+    TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
+    ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
+                               {Atom(e0, {x, z})}))
+                    .ok());
+    ChaseOptions o;
+    o.max_rounds = 64;
+    o.threads = threads;
+
+    const auto wall_start = std::chrono::steady_clock::now();
+    ChaseResult r = RunChase(t, d, o);
+    const double wall_ms = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - wall_start)
+                               .count();
+
+    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+    EXPECT_TRUE(r.fixpoint_reached);
+    // One entry per executed round plus the final (empty) fixpoint round.
+    EXPECT_EQ(r.stats.round_ms.size(), r.rounds_run + 1)
+        << "threads=" << threads;
+    // Rounds are disjoint sub-intervals of the run, so their sum is
+    // bounded by the wall clock. Small slack for clock granularity.
+    const double reported = std::accumulate(r.stats.round_ms.begin(),
+                                            r.stats.round_ms.end(), 0.0);
+    EXPECT_LE(reported, wall_ms + 0.5) << "threads=" << threads;
   }
 }
 
 // ---------------------------------------------------------------------------
 // Vectorized-sink counter parity: the deterministic sink counters
 // (candidates buffered, occurrences dropped by bulk containment) must be
-// identical across engines, thread counts, and plan modes — only
-// sink_probes may vary (compaction boundaries move with sharding). With
-// the sink off they must all stay zero.
+// identical at every thread count — only sink_probes may vary (compaction
+// boundaries move with sharding). The reference's hash sink leaves them
+// all zero but agrees on the dedup counter.
 // ---------------------------------------------------------------------------
 
 TEST(ChaseSinkStats, SinkCountersAreEngineAndThreadInvariant) {
-  auto make_workload = [](SignaturePtr* sig_out) {
-    auto sig = std::make_shared<Signature>();
-    Structure d = RandomGraph(sig, /*nodes=*/16, /*edges=*/40, /*seed=*/11);
-    *sig_out = sig;
-    return d;
-  };
-  SignaturePtr ref_sig;
-  Structure ref_d = make_workload(&ref_sig);
-  PredId e0 = std::move(ref_sig->FindPredicate("e0")).ValueOrDie();
-  Theory t(ref_sig);
+  auto sig = std::make_shared<Signature>();
+  Structure d = RandomGraph(sig, /*nodes=*/16, /*edges=*/40, /*seed=*/11);
+  PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
+  Theory t(sig);
   TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
   ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
                              {Atom(e0, {x, z})}))
@@ -461,34 +331,30 @@ TEST(ChaseSinkStats, SinkCountersAreEngineAndThreadInvariant) {
   ChaseOptions base;
   base.max_rounds = 64;
 
-  ChaseResult ref = RunChase(t, ref_d, base);  // kDelta, vsink on (default)
+  ChaseResult ref = RunChase(t, d, base);  // production, one thread
   ASSERT_TRUE(ref.status.ok());
   EXPECT_GT(ref.stats.sink_candidates, 0u);
   // Conservation: every candidate is contained, deduped, or a new fact.
   EXPECT_EQ(ref.stats.sink_candidates - ref.stats.sink_contained -
                 ref.stats.datalog_deduped,
-            ref.structure.NumFacts() - ref_d.NumFacts());
+            ref.structure.NumFacts() - d.NumFacts());
 
-  for (bool plans : {true, false}) {
-    for (size_t threads : {1u, 2u, 4u, 8u}) {
-      ChaseOptions o = base;
-      o.engine = ChaseEngine::kParallel;
-      o.threads = threads;
-      o.compiled_plans = plans;
-      ChaseResult r = RunChase(t, ref_d, o);
-      ASSERT_TRUE(r.status.ok());
-      EXPECT_EQ(r.stats.sink_candidates, ref.stats.sink_candidates)
-          << "threads=" << threads << " plans=" << plans;
-      EXPECT_EQ(r.stats.sink_contained, ref.stats.sink_contained)
-          << "threads=" << threads << " plans=" << plans;
-      EXPECT_EQ(r.stats.datalog_deduped, ref.stats.datalog_deduped)
-          << "threads=" << threads << " plans=" << plans;
-    }
+  for (size_t threads : {2u, 4u, 8u}) {
+    ChaseOptions o = base;
+    o.threads = threads;
+    ChaseResult r = RunChase(t, d, o);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.stats.sink_candidates, ref.stats.sink_candidates)
+        << "threads=" << threads;
+    EXPECT_EQ(r.stats.sink_contained, ref.stats.sink_contained)
+        << "threads=" << threads;
+    EXPECT_EQ(r.stats.datalog_deduped, ref.stats.datalog_deduped)
+        << "threads=" << threads;
   }
 
-  ChaseOptions off = base;
-  off.vectorized_sink = false;
-  ChaseResult r = RunChase(t, ref_d, off);
+  ChaseOptions naive = base;
+  naive.engine = ChaseEngine::kNaive;
+  ChaseResult r = RunChase(t, d, naive);
   EXPECT_EQ(r.stats.sink_candidates, 0u);
   EXPECT_EQ(r.stats.sink_contained, 0u);
   EXPECT_EQ(r.stats.sink_probes, 0u);

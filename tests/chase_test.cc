@@ -3,10 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "bddfc/chase/chase.h"
-#include "bddfc/chase/seminaive.h"
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/parser/parser.h"
+#include "bddfc/testing/oracles.h"
 #include "bddfc/workload/generators.h"
 #include "bddfc/workload/paper_examples.h"
 
@@ -17,6 +17,13 @@ Program MustParse(const char* text) {
   auto r = ParseProgram(text);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
+}
+
+/// Datalog-only saturation (Lemma 5's mode of the chase).
+ChaseOptions Saturate() {
+  ChaseOptions o;
+  o.datalog_only = true;
+  return o;
 }
 
 TEST(ChaseTest, TerminatingChaseReachesFixpoint) {
@@ -199,8 +206,9 @@ TEST(ChaseTest, StatsRecordBindingsAndRoundTimes) {
 }
 
 TEST(ChaseTest, DeltaEngineEnumeratesFewerBindings) {
-  // Transitive closure of an 8-path: the naive loop re-enumerates every
-  // body binding each round, the delta engine only delta-anchored ones.
+  // Transitive closure of an 8-path: the naive reference re-enumerates
+  // every body binding each round, the production engine only
+  // delta-anchored ones.
   std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
   for (int i = 0; i < 8; ++i) {
     text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
@@ -237,10 +245,10 @@ TEST(SeminaiveTest, DeltaBindingsAreNotDoubleCounted) {
     e(X, Y), e(Y, Z) -> t(X, Z).
     e(a, b). e(b, c).
   )");
-  SaturateResult r = SaturateDatalog(p.theory, p.instance);
+  ChaseResult r = RunChase(p.theory, p.instance, Saturate());
   ASSERT_TRUE(r.status.ok());
-  EXPECT_EQ(r.facts_derived, 1u);   // t(a, c)
-  EXPECT_EQ(r.bindings_tried, 1u);  // the seed engine counted 2
+  EXPECT_EQ(r.structure.NumFacts() - p.instance.NumFacts(), 1u);  // t(a, c)
+  EXPECT_EQ(r.stats.match.bindings_tried, 1u);  // the seed engine counted 2
 }
 
 TEST(ChaseStatsTest, ShardMergeSumsCountersButMaxesTimesAndPeaks) {
@@ -277,9 +285,9 @@ TEST(ChaseStatsTest, ShardMergeSumsCountersButMaxesTimesAndPeaks) {
 }
 
 TEST(ChaseTest, ParallelEngineDedupsTriggersAndHonorsFaultInjection) {
-  // The striped trigger table must preserve the head-pattern dedup
-  // invariant, and the kSkipTriggerDedup fault must still break it (the
-  // fuzzer self-test depends on the fault reaching the parallel path).
+  // The sharded round's barrier merge must preserve the head-pattern
+  // dedup invariant, and the kSkipTriggerDedup fault must still break it
+  // (the fuzzer self-test depends on the fault reaching the sharded path).
   const char* text = R"(
     e(X, Y) -> exists U, V: p(Y, U), q(Y, V).
     f(X, Y) -> exists U, V: q(Y, V), p(Y, U).
@@ -312,19 +320,17 @@ TEST(SeminaiveTest, ClosureMatchesNaiveChase) {
             ").\n";
   }
   Program p = MustParse(text.c_str());
-  SaturateResult sn = SaturateDatalog(p.theory, p.instance);
-  ChaseOptions naive;
+  ChaseResult sn = RunChase(p.theory, p.instance, Saturate());
+  ChaseOptions naive = Saturate();
   naive.engine = ChaseEngine::kNaive;
   ChaseResult nr = RunChase(p.theory, p.instance, naive);
   ASSERT_TRUE(sn.status.ok());
-  EXPECT_EQ(sn.structure.NumFacts(), nr.structure.NumFacts());
-  EXPECT_TRUE(sn.structure.ContainsAllFactsOf(nr.structure));
-  EXPECT_TRUE(nr.structure.ContainsAllFactsOf(sn.structure));
+  EXPECT_EQ(ExactChaseDump(sn), ExactChaseDump(nr));
 }
 
 TEST(SeminaiveTest, ShardedSaturationMatchesSerialByteForByte) {
-  // The pool path buffers through a striped set and applies in sorted
-  // order — the closure must match the serial loop row-for-row (same
+  // The sharded round merges its tasks' sorted runs and applies in sorted
+  // order — the closure must match the inline round row-for-row (same
   // append order, same counters) at every thread count.
   std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\ne(h, c0).\n";
   for (int i = 0; i < 10; ++i) {
@@ -332,25 +338,18 @@ TEST(SeminaiveTest, ShardedSaturationMatchesSerialByteForByte) {
             ").\n";
   }
   Program p = MustParse(text.c_str());
-  SaturateOptions serial_opts;  // threads = 1
-  SaturateResult serial = SaturateDatalog(p.theory, p.instance, serial_opts);
+  ChaseResult serial = RunChase(p.theory, p.instance, Saturate());
   ASSERT_TRUE(serial.status.ok());
 
   for (size_t threads : {2u, 4u, 8u}) {
-    SaturateOptions opts;
+    ChaseOptions opts = Saturate();
     opts.threads = threads;
-    SaturateResult sharded = SaturateDatalog(p.theory, p.instance, opts);
+    ChaseResult sharded = RunChase(p.theory, p.instance, opts);
     ASSERT_TRUE(sharded.status.ok()) << "threads " << threads;
-    EXPECT_EQ(sharded.rounds_run, serial.rounds_run) << threads;
-    EXPECT_EQ(sharded.facts_derived, serial.facts_derived) << threads;
-    EXPECT_EQ(sharded.bindings_tried, serial.bindings_tried) << threads;
-    ASSERT_EQ(sharded.structure.NumStoredPredicates(),
-              serial.structure.NumStoredPredicates());
-    for (PredId pred = 0; pred < serial.structure.NumStoredPredicates();
-         ++pred) {
-      EXPECT_EQ(sharded.structure.Rows(pred), serial.structure.Rows(pred))
-          << "pred " << pred << " threads " << threads;
-    }
+    EXPECT_EQ(ExactChaseDump(sharded), ExactChaseDump(serial)) << threads;
+    EXPECT_EQ(sharded.stats.match.bindings_tried,
+              serial.stats.match.bindings_tried)
+        << threads;
   }
 }
 

@@ -84,6 +84,34 @@ TEST(CliExitCodeTest, UsageAndParseErrorsAreTwo) {
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --paranoia=bogus"), 2);
 }
 
+TEST(CliExitCodeTest, UnknownChaseFlagsAreUsageErrors) {
+  // Each of these once fell into the positional max_rounds slot, where
+  // strtoul made it 0: a silent zero-round run instead of an error.
+  std::string prog = WriteProgram("strict.dlg", kTerminating);
+  const std::string chase = "chase " + prog;
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --no-plans"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --no-vector-sink"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --chase-engine=delta"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --bogus-flag"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --threads=four"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --threads"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " 8 9"), 2);     // 2nd positional
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " eight"), 2);   // non-numeric
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " -3"), 2);      // negative
+}
+
+TEST(CliExitCodeTest, ThreadsEqualsFormRunsToTheFixpoint) {
+  // `--threads=4` used to be read as max_rounds=0 and exit 3 (rounds
+  // budget); it is now the thread count, and the chase reaches its
+  // fixpoint like `--threads 4` and the default single thread.
+  std::string prog = WriteProgram("threads.dlg", kTerminating);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --threads=4"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "chase " + prog + " --threads 4"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH,
+                      "chase " + prog + " 16 --chase-engine=naive"),
+            0);
+}
+
 TEST(CliExitCodeTest, NegativeSemanticOutcomeIsOne) {
   // The query e(X, Y) is certainly true: no counter-model exists.
   std::string certain = WriteProgram("certain.dlg",

@@ -10,7 +10,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
 #include <set>
 #include <string>
 
@@ -111,7 +110,7 @@ TEST(FuzzerTest, InjectedChaseDedupBugIsCaughtAndShrinks) {
 
 TEST(FuzzerTest, InjectedSinkDropDupBugIsCaughtAndShrinks) {
   // kSinkDropDup makes the vectorized sink drop every duplicate-derived
-  // tuple group. The kNaive baseline keeps the hash sink (immune by
+  // tuple group. The kNaive reference uses the hash sink (immune by
   // construction), so chase-agreement must flag the divergence — proof
   // that a silently broken sort-dedup sink cannot survive the oracles.
   FuzzOptions options;
@@ -214,35 +213,6 @@ TEST(CorpusTest, MissingOracleHeaderIsRejected) {
 // Chaos harness (DESIGN.md §2.14).
 // ---------------------------------------------------------------------------
 
-/// Byte-identity serialization of a chase result (raw TermIds, row order,
-/// per-round growth, null provenance) — the chaos recovery contract.
-std::string ExactChaseDump(const ChaseResult& r) {
-  std::string s;
-  s += "status=" + r.status.ToString() + " fixpoint=";
-  s += r.fixpoint_reached ? '1' : '0';
-  s += " rounds=" + std::to_string(r.rounds_run);
-  s += " nulls=" + std::to_string(r.nulls_created);
-  s += "\nfacts_per_round:";
-  for (size_t n : r.facts_per_round) s += " " + std::to_string(n);
-  s += "\n";
-  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
-    s += "pred " + std::to_string(p) + ":";
-    for (const auto& row : r.structure.Rows(p)) {
-      s += " (";
-      for (TermId t : row) s += std::to_string(t) + ",";
-      s += ")";
-    }
-    s += "\n";
-  }
-  std::map<TermId, NullProvenance> prov(r.null_provenance.begin(),
-                                        r.null_provenance.end());
-  for (const auto& [null_id, np] : prov) {
-    s += "null " + std::to_string(null_id) + ": r" +
-         std::to_string(np.birth_round) + "\n";
-  }
-  return s;
-}
-
 /// Chases a fresh clone of `s` (print+parse clones intern identically, so
 /// dumps are byte-comparable) under the supervisor, with an optional
 /// single armed fault. Reports whether the fault actually fired and how
@@ -254,10 +224,7 @@ std::string SupervisedDump(const Scenario& s, const FaultSpec* spec,
   ChaseOptions opts;
   opts.max_rounds = 24;
   opts.max_facts = 20000;
-  opts.engine = ChaseEngine::kParallel;
-  opts.threads = 4;
-  opts.compiled_plans = true;
-  opts.vectorized_sink = true;
+  opts.threads = 4;  // sharded: reaches every recoverable fault site
   ExecutionContext ctx;
   FaultRegistry reg;
   if (spec != nullptr) {
@@ -347,7 +314,6 @@ TEST(ParanoiaTest, CheapChecksTurnSinkCorruptionIntoInternalError) {
   auto silent = ParseProgram(kDup);
   ASSERT_TRUE(silent.ok());
   ChaseOptions opts;
-  opts.vectorized_sink = true;
   opts.fault = ChaseFault::kSinkDropDup;
   ChaseResult off =
       RunChase(silent.value().theory, silent.value().instance, opts);

@@ -6,13 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "bddfc/base/governor.h"
 #include "bddfc/base/thread_pool.h"
 #include "bddfc/base/timescale.h"
 #include "bddfc/chase/chase.h"
-#include "bddfc/chase/seminaive.h"
 #include "bddfc/finitemodel/pipeline.h"
 #include "bddfc/parser/parser.h"
 #include "bddfc/rewrite/rewriter.h"
@@ -154,6 +154,19 @@ TEST(ExecutionContextTest, ChildSeesParentTripButNotViceVersa) {
   EXPECT_TRUE(child2->Exhausted());
   EXPECT_EQ(child2->CheckPoint("child2").code(),
             StatusCode::kResourceExhausted);
+}
+
+TEST(ExecutionContextTest, LateChildDeadlineCountsFromWhenItIsSet) {
+  // A request context is a child of a long-lived server root. Its
+  // deadline must run from the moment it is set, not from the root's
+  // creation: a root older than the child's allowance must not leave the
+  // child born expired.
+  ExecutionContext parent;
+  std::this_thread::sleep_for(std::chrono::milliseconds(ScaledMs(60)));
+  std::unique_ptr<ExecutionContext> child = parent.CreateChild(0);
+  child->SetDeadlineAfterMs(ScaledMs(30));
+  EXPECT_GT(child->RemainingMs(), 0.0);
+  EXPECT_TRUE(child->CheckPoint("fresh request").ok());
 }
 
 TEST(ExecutionContextTest, ChildReportInheritsParentTrip) {
@@ -341,16 +354,19 @@ TEST(GovernedSaturateTest, InjectedFaultCutsClosureAtCompleteRound) {
   )");
   ExecutionContext ctx;
   ctx.InjectFaultAfterChecks(InjectedFault::kCancel, 1);
-  SaturateOptions opts;
+  ChaseOptions opts;
+  opts.datalog_only = true;
   opts.context = &ctx;
-  SaturateResult r = SaturateDatalog(p.theory, p.instance, opts);
+  ChaseResult r = RunChase(p.theory, p.instance, opts);
   ASSERT_EQ(r.status.code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(r.report.exhausted, ResourceKind::kCancelled);
+  EXPECT_EQ(r.structure.NumFacts(), r.facts_per_round.back());
   // The closure prefix is still closed under "no torn rounds": re-running
-  // saturation on the prefix with the same round budget reproduces it.
-  SaturateOptions replay;
+  // saturation with the same round budget reproduces it.
+  ChaseOptions replay;
+  replay.datalog_only = true;
   replay.max_rounds = r.rounds_run;
-  SaturateResult again = SaturateDatalog(p.theory, p.instance, replay);
+  ChaseResult again = RunChase(p.theory, p.instance, replay);
   EXPECT_EQ(again.structure.NumFacts(), r.structure.NumFacts());
 }
 

@@ -12,12 +12,14 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bddfc/base/faults.h"
+#include "bddfc/base/timescale.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/metrics.h"
@@ -414,6 +416,59 @@ TEST(ServeAdmissionTest, RequestDeadlineTripsTheCompile) {
   const Response r = server.Handle(Load("t1", kTheoryA));
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted);
+}
+
+TEST(ServeAdmissionTest, RequestDeadlineCountsFromTheRequest) {
+  // Regression: request deadlines used to count from server start, so
+  // every request failed once the server was older than
+  // request_deadline_ms.
+  ServerOptions options;
+  options.request_deadline_ms = ScaledMs(200);
+  ReasoningServer server(options);
+  std::this_thread::sleep_for(std::chrono::milliseconds(ScaledMs(300)));
+  const Response r = server.Handle(Load("t1", kTheoryA));
+  EXPECT_TRUE(r.ok()) << r.status.ToString();
+}
+
+TEST(ServeCacheTest, CompileThreadsShardTheChaseWithTheSameArtifact) {
+  // CompileOptions::threads (bddfc-serve --threads=N) reaches the chase:
+  // at four threads the compile's rounds run as chase.shard tasks, and the
+  // artifact — key, fact count, rounds, answers — equals the one-thread
+  // compile's.
+  auto shard_spans = [](ReasoningServer& server) {
+    const std::string trace =
+        server.GetSession("t1").tracer.ExportChromeJson();
+    const std::string needle = "\"name\":\"chase.shard\"";
+    size_t count = 0;
+    for (size_t pos = trace.find(needle); pos != std::string::npos;
+         pos = trace.find(needle, pos + needle.size())) {
+      ++count;
+    }
+    return count;
+  };
+  const std::vector<std::string> bodies = {"e(a, d)", "top(a)", "e(d, a)",
+                                           "e(a, X), e(X, d)"};
+  std::map<size_t, std::vector<std::string>> outputs;
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    ServerOptions options;
+    options.tracing = true;
+    options.compile.threads = threads;
+    ReasoningServer server(options);
+    const Response loaded = server.Handle(Load("t1", kTheoryA));
+    const uint64_t key = KeyOf(loaded);
+    outputs[threads].push_back(loaded.body);
+    for (const std::string& body : bodies) {
+      const Response r = server.Handle(Query("t1", key, body));
+      ASSERT_TRUE(r.ok()) << r.status.ToString();
+      outputs[threads].push_back(r.body);
+    }
+    if (threads == 1) {
+      EXPECT_EQ(shard_spans(server), 0u);
+    } else {
+      EXPECT_GT(shard_spans(server), 0u);
+    }
+  }
+  EXPECT_EQ(outputs[4], outputs[1]);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@
 // compaction threshold, split across any number of simulated shard
 // tasks, and at any index staleness. The end-to-end half locks the
 // keep-min winner of colliding derivations (null provenance, dedup
-// counters) to the hash sink's, byte for byte.
+// counters) to the kNaive reference's hash sink, byte for byte.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,6 @@
 #include <map>
 #include <random>
 #include <set>
-#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -21,9 +20,9 @@
 
 #include "bddfc/chase/chase.h"
 #include "bddfc/chase/round.h"
-#include "bddfc/chase/seminaive.h"
 #include "bddfc/core/structure.h"
 #include "bddfc/parser/parser.h"
+#include "bddfc/testing/oracles.h"
 
 namespace bddfc {
 namespace {
@@ -38,6 +37,16 @@ Program MustParse(const char* text) {
   auto r = ParseProgram(text);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
+}
+
+/// Final-compacts one sink and emits its surviving tuples as sorted
+/// Atoms — the round barrier's path for a single task.
+std::vector<Atom> Emit(DatalogSinkBuffers* sink, bool drop_dup_groups) {
+  std::vector<Atom> out;
+  size_t merge_deduped = 0;
+  MergeDatalogRuns(sink->TakeRuns(), drop_dup_groups, &out, &merge_deduped);
+  EXPECT_EQ(merge_deduped, 0u) << "one sink's runs are already distinct";
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -196,9 +205,10 @@ TEST(ContainsSortedTest, EmptyBatchAndArityZeroAndMissingRelation) {
 // DatalogSinkBuffers (sort-dedup + bulk containment) vs a hash reference.
 // ---------------------------------------------------------------------------
 
-/// What the hash sinks would compute for a run of occurrences against
-/// `frozen`: the emitted set plus the contained / deduped occurrence
-/// counts (the order-independent contract the counters must meet).
+/// What the reference's hash sink would compute for a run of occurrences
+/// against `frozen`: the emitted set plus the contained / deduped
+/// occurrence counts (the order-independent contract the counters must
+/// meet).
 struct HashReference {
   std::vector<Atom> emitted;  // sorted distinct, not in frozen
   size_t candidates = 0;
@@ -266,8 +276,7 @@ TEST(SinkBuffersTest, SortDedupMatchesHashDedupOnRandomRuns) {
 
       DatalogSinkBuffers sink(frozen, threshold, /*drop_dup_groups=*/false);
       for (const Atom& g : occs) sink.AppendAtom(g);
-      std::vector<Atom> got;
-      sink.FinishInto(&got);
+      std::vector<Atom> got = Emit(&sink, false);
 
       std::string label = "seed " + std::to_string(seed) + " threshold " +
                           std::to_string(threshold);
@@ -292,8 +301,7 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
   {  // All distinct: nothing deduped, nothing contained.
     DatalogSinkBuffers sink(frozen, 8, false);
     for (TermId c : consts) sink.AppendAtom(Atom(p, {c}));
-    std::vector<Atom> got;
-    sink.FinishInto(&got);
+    std::vector<Atom> got = Emit(&sink, false);
     EXPECT_EQ(got.size(), consts.size());
     EXPECT_EQ(sink.deduped(), 0u);
     EXPECT_EQ(sink.contained(), 0u);
@@ -302,22 +310,18 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
   {  // One tuple 50 times: one survivor, 49 deduped.
     DatalogSinkBuffers sink(frozen, 8, false);
     for (int i = 0; i < 50; ++i) sink.AppendAtom(Atom(p, {consts[0]}));
-    std::vector<Atom> got;
-    sink.FinishInto(&got);
+    std::vector<Atom> got = Emit(&sink, false);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], Atom(p, {consts[0]}));
     EXPECT_EQ(sink.deduped(), 49u);
   }
   {  // Empty round and a single tuple.
     DatalogSinkBuffers sink(frozen, 8, false);
-    std::vector<Atom> got;
-    sink.FinishInto(&got);
-    EXPECT_TRUE(got.empty());
+    EXPECT_TRUE(Emit(&sink, false).empty());
     EXPECT_EQ(sink.candidates(), 0u);
     DatalogSinkBuffers one(frozen, 8, false);
     one.AppendAtom(Atom(p, {consts[1]}));
-    one.FinishInto(&got);
-    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(Emit(&one, false).size(), 1u);
     EXPECT_EQ(one.deduped() + one.contained(), 0u);
   }
 }
@@ -376,8 +380,7 @@ TEST(SinkBuffersTest, DropDupGroupsFaultDropsExactlyTheDuplicatedTuples) {
   sink.AppendAtom(Atom(p, {once}));
   sink.AppendAtom(Atom(p, {twice}));
   sink.AppendAtom(Atom(p, {twice}));
-  std::vector<Atom> got;
-  sink.FinishInto(&got);
+  std::vector<Atom> got = Emit(&sink, true);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Atom(p, {once}));
 
@@ -439,55 +442,39 @@ TEST(DedupTriggersTest, KeepsTheTriggerLessLeastWinnerAtAnyArrivalOrder) {
 // End-to-end: colliding derivations, byte identity, counter parity.
 // ---------------------------------------------------------------------------
 
-/// Raw byte-identity dump: rows with raw TermIds in append order, growth
-/// curve, dedup counters, null provenance.
-std::string Dump(const ChaseResult& r) {
-  std::ostringstream os;
-  os << r.rounds_run << '|' << r.nulls_created << '|'
-     << r.stats.triggers_deduped << '|' << r.stats.datalog_deduped << '\n';
-  for (size_t n : r.facts_per_round) os << n << ',';
-  os << '\n';
-  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
-    for (const auto& row : r.structure.Rows(p)) {
-      os << p << ':';
-      for (TermId t : row) os << t << ' ';
-      os << '\n';
-    }
-  }
-  std::vector<TermId> nulls;
-  for (const auto& [t, prov] : r.null_provenance) nulls.push_back(t);
-  std::sort(nulls.begin(), nulls.end());
-  for (TermId t : nulls) {
-    const NullProvenance& prov = r.null_provenance.at(t);
-    os << t << "<-r" << prov.rule_index << "@" << prov.birth_round << '\n';
-  }
-  return os.str();
-}
+/// The engine configurations the end-to-end tests sweep: the production
+/// engine inline and sharded, and the kNaive reference with its hash sink.
+struct EngineCase {
+  ChaseEngine engine;
+  size_t threads;
+  const char* label;
+};
+constexpr EngineCase kEngineCases[] = {
+    {ChaseEngine::kParallel, 1, "production t1"},
+    {ChaseEngine::kParallel, 4, "production t4"},
+    {ChaseEngine::kNaive, 1, "naive"},
+};
 
 TEST(SinkEndToEndTest, CollidingExistentialsKeepTheSameWinnerEitherSink) {
   // Two rules demand the same head pattern in the same round; the keep-min
   // contract says rule 0 wins regardless of enumeration order — and the
-  // sort-merge sink must reproduce exactly the hash sinks' winner.
-  for (bool vsink : {true, false}) {
-    for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-      Program q = MustParse(R"(
-        a(X) -> exists Z: w(X, Z).
-        b(X) -> exists Z: w(X, Z).
-        a(c).
-        b(c).
-      )");
-      ChaseOptions opts;
-      opts.engine = engine;
-      opts.threads = engine == ChaseEngine::kParallel ? 4 : 0;
-      opts.vectorized_sink = vsink;
-      ChaseResult r = RunChase(q.theory, q.instance, opts);
-      ASSERT_TRUE(r.status.ok());
-      EXPECT_EQ(r.nulls_created, 1u);
-      EXPECT_EQ(r.stats.triggers_deduped, 1u);
-      ASSERT_EQ(r.null_provenance.size(), 1u);
-      EXPECT_EQ(r.null_provenance.begin()->second.rule_index, 0)
-          << (vsink ? "vsink" : "hashsink");
-    }
+  // sort-merge sink must reproduce exactly the hash sink's winner.
+  for (const EngineCase& ec : kEngineCases) {
+    Program q = MustParse(R"(
+      a(X) -> exists Z: w(X, Z).
+      b(X) -> exists Z: w(X, Z).
+      a(c).
+      b(c).
+    )");
+    ChaseOptions opts;
+    opts.engine = ec.engine;
+    opts.threads = ec.threads;
+    ChaseResult r = RunChase(q.theory, q.instance, opts);
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.nulls_created, 1u);
+    EXPECT_EQ(r.stats.triggers_deduped, 1u);
+    ASSERT_EQ(r.null_provenance.size(), 1u);
+    EXPECT_EQ(r.null_provenance.begin()->second.rule_index, 0) << ec.label;
   }
 }
 
@@ -498,13 +485,13 @@ TEST(SinkEndToEndTest, CollidingDatalogHeadsCountOneDedupEitherSink) {
     a(c).
     b(c).
   )");
-  for (bool vsink : {true, false}) {
+  for (const EngineCase& ec : kEngineCases) {
     ChaseOptions opts;
-    opts.vectorized_sink = vsink;
+    opts.engine = ec.engine;
+    opts.threads = ec.threads;
     ChaseResult r = RunChase(p.theory, p.instance, opts);
     ASSERT_TRUE(r.status.ok());
-    EXPECT_EQ(r.stats.datalog_deduped, 1u)
-        << (vsink ? "vsink" : "hashsink");
+    EXPECT_EQ(r.stats.datalog_deduped, 1u) << ec.label;
     PredId d = std::move(p.theory.sig().FindPredicate("d")).ValueOrDie();
     TermId c = std::move(p.theory.sig().FindConstant("c")).ValueOrDie();
     EXPECT_TRUE(r.structure.Contains(Atom(d, {c})));
@@ -528,33 +515,24 @@ TEST(SinkEndToEndTest, ByteIdenticalAcrossSinksOnMixedWorkload) {
   };
   Program ref_p = make();
   ChaseOptions base;
-  base.vectorized_sink = false;
+  base.engine = ChaseEngine::kNaive;
   ChaseResult ref = RunChase(ref_p.theory, ref_p.instance, base);
   ASSERT_TRUE(ref.status.ok());
-  std::string want = Dump(ref);
-  for (bool vsink : {true, false}) {
-    for (ChaseEngine engine : {ChaseEngine::kDelta, ChaseEngine::kParallel}) {
-      for (bool plans : {true, false}) {
-        Program p = make();
-        ChaseOptions opts;
-        opts.engine = engine;
-        opts.threads = engine == ChaseEngine::kParallel ? 4 : 0;
-        opts.compiled_plans = plans;
-        opts.vectorized_sink = vsink;
-        ChaseResult r = RunChase(p.theory, p.instance, opts);
-        EXPECT_EQ(Dump(r), want)
-            << (vsink ? "vsink" : "hashsink") << ' '
-            << (plans ? "plans" : "interp") << " engine "
-            << static_cast<int>(engine);
-      }
-    }
+  const std::string want = ExactChaseDump(ref);
+  for (const EngineCase& ec : kEngineCases) {
+    Program p = make();
+    ChaseOptions opts;
+    opts.engine = ec.engine;
+    opts.threads = ec.threads;
+    ChaseResult r = RunChase(p.theory, p.instance, opts);
+    EXPECT_EQ(ExactChaseDump(r), want) << ec.label;
   }
 }
 
 TEST(SinkEndToEndTest, SinkCountersAccountForEveryCandidate) {
   // Conservation law on a duplicate-heavy workload: every buffered
   // candidate is either contained in the frozen prefix, deduped, or a new
-  // fact. (Only the vectorized sink populates sink_*.)
+  // fact. (Only the production engine's vectorized sink populates sink_*.)
   Program p = MustParse(R"(
     e(X, Y), e(Y, Z) -> e(X, Z).
     e(c0, c1).
@@ -564,7 +542,6 @@ TEST(SinkEndToEndTest, SinkCountersAccountForEveryCandidate) {
     e(c4, c0).
   )");
   ChaseOptions opts;
-  opts.vectorized_sink = true;
   ChaseResult r = RunChase(p.theory, p.instance, opts);
   ASSERT_TRUE(r.status.ok());
   EXPECT_GT(r.stats.sink_candidates, 0u);
@@ -572,60 +549,48 @@ TEST(SinkEndToEndTest, SinkCountersAccountForEveryCandidate) {
                 r.stats.sink_contained - r.stats.datalog_deduped,
             r.structure.NumFacts() - p.instance.NumFacts());
 
-  opts.vectorized_sink = false;
-  ChaseResult off = RunChase(p.theory, p.instance, opts);
-  EXPECT_EQ(off.stats.sink_candidates, 0u);
-  EXPECT_EQ(off.stats.sink_contained, 0u);
-  EXPECT_EQ(off.stats.sink_probes, 0u);
-  // The deterministic halves of the counters agree with the hash run's
-  // facts — and the dedup counters are sink-independent.
-  EXPECT_EQ(off.stats.datalog_deduped, r.stats.datalog_deduped);
-  EXPECT_EQ(off.structure.NumFacts(), r.structure.NumFacts());
+  opts.engine = ChaseEngine::kNaive;
+  ChaseResult naive = RunChase(p.theory, p.instance, opts);
+  EXPECT_EQ(naive.stats.sink_candidates, 0u);
+  EXPECT_EQ(naive.stats.sink_contained, 0u);
+  EXPECT_EQ(naive.stats.sink_probes, 0u);
+  // The dedup counter is sink-independent.
+  EXPECT_EQ(naive.stats.datalog_deduped, r.stats.datalog_deduped);
+  EXPECT_EQ(naive.structure.NumFacts(), r.structure.NumFacts());
 }
 
 TEST(SinkEndToEndTest, SaturateClosureIsSinkAndThreadIndependent) {
-  Program p = MustParse(R"(
-    e(X, Y), e(Y, Z) -> e(X, Z).
-    e(X, Y) -> u(X).
-    e(c0, c1).
-    e(c1, c2).
-    e(c2, c0).
-    e(c2, c3).
-  )");
-  SaturateOptions base;
-  base.vectorized_sink = false;
-  SaturateResult ref = SaturateDatalog(p.theory, p.instance, base);
-  ASSERT_TRUE(ref.status.ok());
-  auto rows_of = [](const SaturateResult& r) {
-    std::ostringstream os;
-    for (PredId pr = 0; pr < r.structure.NumStoredPredicates(); ++pr) {
-      for (const auto& row : r.structure.Rows(pr)) {
-        os << pr << ':';
-        for (TermId t : row) os << t << ' ';
-        os << '\n';
-      }
-    }
-    return os.str();
+  // Datalog-only saturation (Lemma 5's mode): the production closure at
+  // every thread count is the reference's byte for byte, with one
+  // bindings_tried across thread counts.
+  auto make = [] {
+    return MustParse(R"(
+      e(X, Y), e(Y, Z) -> e(X, Z).
+      e(X, Y) -> u(X).
+      e(X, Y) -> exists Z: e(Y, Z).
+      e(c0, c1).
+      e(c1, c2).
+      e(c2, c0).
+      e(c2, c3).
+    )");
   };
-  std::string want = rows_of(ref);
-  for (bool vsink : {true, false}) {
-    for (bool plans : {true, false}) {
-      for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-        SaturateOptions opts;
-        opts.vectorized_sink = vsink;
-        opts.compiled_plans = plans;
-        opts.threads = threads;
-        SaturateResult r = SaturateDatalog(p.theory, p.instance, opts);
-        std::string label = std::string(vsink ? "vsink " : "hashsink ") +
-                            (plans ? "plans" : "interp") + " t" +
-                            std::to_string(threads);
-        ASSERT_TRUE(r.status.ok()) << label;
-        EXPECT_EQ(rows_of(r), want) << label;
-        EXPECT_EQ(r.rounds_run, ref.rounds_run) << label;
-        EXPECT_EQ(r.facts_derived, ref.facts_derived) << label;
-        EXPECT_EQ(r.bindings_tried, ref.bindings_tried) << label;
-      }
-    }
+  ChaseOptions opts;
+  opts.datalog_only = true;
+  opts.engine = ChaseEngine::kNaive;
+  Program ref_p = make();
+  ChaseResult ref = RunChase(ref_p.theory, ref_p.instance, opts);
+  ASSERT_TRUE(ref.status.ok());
+  ASSERT_EQ(ref.nulls_created, 0u);
+  const std::string want = ExactChaseDump(ref);
+  opts.engine = ChaseEngine::kParallel;
+  size_t t1_bindings = 0;
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    Program p = make();
+    opts.threads = threads;
+    ChaseResult r = RunChase(p.theory, p.instance, opts);
+    EXPECT_EQ(ExactChaseDump(r), want) << "t" << threads;
+    if (threads == 1) t1_bindings = r.stats.match.bindings_tried;
+    EXPECT_EQ(r.stats.match.bindings_tried, t1_bindings) << "t" << threads;
   }
 }
 

@@ -1,16 +1,15 @@
 // Tests for the retrying pipeline supervisor (DESIGN.md §2.14): recovery
 // from injected fail-stop faults must be byte-identical to the fault-free
-// run (including invented null TermIds, via signature rollback), the
-// degradation ladder must walk plans-off → vsink-off → serial in order,
-// an exhausted retry budget must still return a complete Chase^L prefix
-// under kInternal, backoff must stay inside the parent deadline, and
-// recovered runs must report clean metrics / phase notes (no
-// double-counted publications from failed attempts).
+// run (including invented null TermIds, via signature rollback), the one
+// degradation must move the retries to the kNaive reference, an exhausted
+// retry budget must still return a complete Chase^L prefix under
+// kInternal, backoff must stay inside the parent deadline, and recovered
+// runs must report clean metrics / phase notes (no double-counted
+// publications from failed attempts).
 
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <map>
 #include <string>
 #include <thread>
 
@@ -21,6 +20,7 @@
 #include "bddfc/chase/supervisor.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/parser/parser.h"
+#include "bddfc/testing/oracles.h"
 
 namespace bddfc {
 namespace {
@@ -40,44 +40,12 @@ Program Parse() {
   return std::move(parsed.value());
 }
 
-/// Richest configuration: every ladder rung below it is a real change.
+/// The sharded production engine: the reference rung below it shares none
+/// of its pool, plans, sink or sorted indexes.
 ChaseOptions RichOptions() {
   ChaseOptions o;
-  o.engine = ChaseEngine::kParallel;
   o.threads = 4;
-  o.compiled_plans = true;
-  o.vectorized_sink = true;
   return o;
-}
-
-/// Byte-identity serialization (mirrors chase_ab_test): row order, raw
-/// TermIds, null provenance, per-round growth.
-std::string Dump(const ChaseResult& r) {
-  std::string s;
-  s += "status=" + r.status.ToString() + " fixpoint=";
-  s += r.fixpoint_reached ? '1' : '0';
-  s += " rounds=" + std::to_string(r.rounds_run);
-  s += " nulls=" + std::to_string(r.nulls_created);
-  s += "\nfacts_per_round:";
-  for (size_t n : r.facts_per_round) s += " " + std::to_string(n);
-  s += "\n";
-  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
-    s += "pred " + std::to_string(p) + ":";
-    for (const auto& row : r.structure.Rows(p)) {
-      s += " (";
-      for (TermId t : row) s += std::to_string(t) + ",";
-      s += ")";
-    }
-    s += "\n";
-  }
-  std::map<TermId, NullProvenance> prov(r.null_provenance.begin(),
-                                        r.null_provenance.end());
-  for (const auto& [null_id, np] : prov) {
-    s += "null " + std::to_string(null_id) + ": r" +
-         std::to_string(np.birth_round) + " rule" +
-         std::to_string(np.rule_index) + "\n";
-  }
-  return s;
 }
 
 TEST(SupervisorTest, FaultFreeRunIsOneAttemptAndMatchesPlainChase) {
@@ -93,7 +61,7 @@ TEST(SupervisorTest, FaultFreeRunIsOneAttemptAndMatchesPlainChase) {
   EXPECT_EQ(s.attempts, 1u);
   EXPECT_FALSE(s.recovered);
   EXPECT_TRUE(s.degradations.empty());
-  EXPECT_EQ(Dump(s.result), Dump(plain));
+  EXPECT_EQ(ExactChaseDump(s.result), ExactChaseDump(plain));
 }
 
 TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
@@ -120,10 +88,9 @@ TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
   EXPECT_EQ(reg.FireCount(faults::kChaseRound), 1u);
   EXPECT_EQ(s.attempts, 2u);
   EXPECT_TRUE(s.recovered);
-  ASSERT_EQ(s.degradations.size(), 1u);
-  EXPECT_EQ(s.degradations[0], "plans-off");
+  EXPECT_EQ(s.degradations, std::vector<std::string>{"reference"});
   EXPECT_TRUE(s.result.status.ok());
-  EXPECT_EQ(Dump(s.result), Dump(plain));
+  EXPECT_EQ(ExactChaseDump(s.result), ExactChaseDump(plain));
   // The parent context stays clean: the fault tripped only child attempts.
   EXPECT_EQ(ctx.report().exhausted, ResourceKind::kNone);
   EXPECT_TRUE(ctx.report().open_phases.empty());
@@ -133,9 +100,10 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   Program a = Parse();
   ChaseResult plain = RunChase(a.theory, a.instance, RichOptions());
 
-  // Three fires: attempts 1-3 each trip at the first round boundary, so
-  // attempt 4 runs fully degraded (interpretive Matcher, hash sink,
-  // serial engine) and must still be byte-identical.
+  // Three fires: attempts 1-3 each trip at the first round boundary (the
+  // chase.round site is shared by both engines), so attempts 2-4 all run
+  // on the reference — recorded once — and attempt 4 must still be
+  // byte-identical.
   Program b = Parse();
   ExecutionContext ctx;
   FaultRegistry reg;
@@ -151,12 +119,56 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
 
   EXPECT_EQ(s.attempts, 4u);
   EXPECT_TRUE(s.recovered);
-  ASSERT_EQ(s.degradations.size(), 3u);
-  EXPECT_EQ(s.degradations[0], "plans-off");
-  EXPECT_EQ(s.degradations[1], "vsink-off");
-  EXPECT_EQ(s.degradations[2], "serial");
+  EXPECT_EQ(s.degradations, std::vector<std::string>{"reference"});
   EXPECT_TRUE(s.result.status.ok());
-  EXPECT_EQ(Dump(s.result), Dump(plain));
+  EXPECT_EQ(ExactChaseDump(s.result), ExactChaseDump(plain));
+
+  // A run that starts on the reference has nowhere further to degrade.
+  Program c = Parse();
+  FaultRegistry again;
+  again.Arm({.site = faults::kChaseRound,
+             .schedule = FaultSchedule::kAfterN,
+             .n = 0,
+             .max_fires = 1});
+  ExecutionContext ctx2;
+  ctx2.SetFaultRegistry(&again);
+  sup.context = &ctx2;
+  ChaseOptions naive;
+  naive.engine = ChaseEngine::kNaive;
+  SupervisedChase n = RunChaseSupervised(c.theory, c.instance, naive, sup);
+  EXPECT_TRUE(n.recovered);
+  EXPECT_TRUE(n.degradations.empty());
+  EXPECT_EQ(ExactChaseDump(n.result), ExactChaseDump(plain));
+}
+
+TEST(SupervisorTest, ReferenceRungHitsNoProductionFaultSite) {
+  // One rung suffices: the reference never reaches a fault site of the
+  // production machinery, so a fault armed there without a fire bound
+  // cannot recur after the first retry.
+  Program a = Parse();
+  ChaseResult plain = RunChase(a.theory, a.instance, RichOptions());
+  for (const char* site : {faults::kIndexRefresh, faults::kPlanCompile,
+                           faults::kSinkMerge, faults::kPoolTask}) {
+    Program b = Parse();
+    ExecutionContext ctx;
+    FaultRegistry reg;
+    reg.Arm({.site = site,
+             .schedule = FaultSchedule::kAfterN,
+             .n = 0,
+             .max_fires = 0});
+    ctx.SetFaultRegistry(&reg);
+    SupervisorOptions sup;
+    sup.context = &ctx;
+    sup.backoff_ms = 0.0;
+    SupervisedChase s =
+        RunChaseSupervised(b.theory, b.instance, RichOptions(), sup);
+    // Concurrent shard tasks may each fire before the first latch lands;
+    // what matters is that the one retry recovers.
+    EXPECT_GE(reg.FireCount(site), 1u) << site;
+    EXPECT_EQ(s.attempts, 2u) << site;
+    EXPECT_EQ(s.degradations, std::vector<std::string>{"reference"}) << site;
+    EXPECT_EQ(ExactChaseDump(s.result), ExactChaseDump(plain)) << site;
+  }
 }
 
 TEST(SupervisorTest, ExhaustedRetryBudgetReturnsCompletePrefix) {

@@ -1,26 +1,26 @@
 // bddfc command-line tool.
 //
 // Usage:
-//   bddfc chase    <program.dlg> [max_rounds] [--chase-engine=delta|naive|
-//                  parallel] [--threads N] [--no-plans] [--no-vector-sink]
+//   bddfc chase    <program.dlg> [max_rounds] [--chase-engine=parallel|naive]
+//                  [--threads N]
 //   bddfc rewrite  <program.dlg> [--threads N] [--no-prune]
 //   bddfc classify <program.dlg> [--threads N] [--no-prune]
 //   bddfc model    <program.dlg>            (Theorem 2 counter-model per query)
 //   bddfc search   <program.dlg> [extra]    (brute-force counter-model)
 //
-// chase runs the selected round engine; --chase-engine=parallel shards
-// each round's delta scans over --threads N workers (default: hardware
-// concurrency) with byte-identical output at any N. --no-plans evaluates
-// rule bodies through the interpretive matcher instead of compiled query
-// plans (the A/B reference path; output is byte-identical either way).
-// --no-vector-sink buffers each round's derivations through the
-// per-binding hash sink instead of the vectorized sort-dedup sink (also
-// byte-identical; the escape hatch for A/B timing and bug isolation).
-// rewrite rewrites each ?- query and prints the per-level RewriteStats;
-// classify prints class membership + the BDD probe. --threads N fans the
-// independent rewritings of the BDD probe over N workers (the output is
-// identical for any N); --no-prune disables homomorphic-subsumption
-// pruning (the pre-PR exploration, for A/B comparison).
+// chase runs the production engine (--chase-engine=parallel, the default)
+// on --threads N workers (default 1; 0 = hardware concurrency) with
+// byte-identical output at any N, or the independent reference
+// (--chase-engine=naive: interpretive matcher, hash sink, full
+// re-enumeration; same output, slower). rewrite rewrites each ?- query and
+// prints the per-level RewriteStats; classify prints class membership +
+// the BDD probe. --threads N fans the independent rewritings of the BDD
+// probe over N workers (the output is identical for any N); --no-prune
+// disables homomorphic-subsumption pruning (for A/B comparison).
+//
+// Flags are strict: an unknown flag, a second positional argument or a
+// non-numeric one is a usage error (exit 2), never a silently different
+// run. --threads takes its value as --threads=N or --threads N.
 //
 // Resource governance (all commands): --deadline-ms N bounds wall-clock
 // time, --mem-budget-mb N bounds accounted memory, and SIGINT (Ctrl-C)
@@ -30,8 +30,8 @@
 //
 // Robustness (chase/model): --paranoia=off|cheap|full promotes the
 // chase's test-only invariants to runtime checks (DESIGN.md §2.14);
-// a violation is retried by the supervisor under progressively more
-// conservative engine configurations before surfacing as an error.
+// a violation is retried by the supervisor on the reference engine
+// before surfacing as an error.
 //
 // Observability (all commands, off by default — see obs/):
 //   --trace-out=FILE    record stage/round/level spans and write Chrome
@@ -50,8 +50,10 @@
 // The program file uses the Datalog± syntax of parser/parser.h: facts,
 // rules (with optional 'exists V:' clauses) and '?-' queries.
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -85,14 +87,25 @@ int Usage() {
   std::fprintf(stderr,
                "usage: bddfc <chase|rewrite|classify|model|search> "
                "<program.dlg> [arg] [--threads N] [--no-prune]\n"
-               "             [--chase-engine=delta|naive|parallel] "
-               "[--no-plans] [--no-vector-sink]\n"
+               "             [--chase-engine=parallel|naive]\n"
                "             [--deadline-ms N] [--mem-budget-mb N]\n"
                "             [--paranoia=off|cheap|full]\n"
                "             [--trace-out=FILE] [--metrics-out=FILE]\n"
                "exit codes: 0 ok, 1 negative outcome, 2 usage/parse error, "
                "3 resource exhausted\n");
   return kExitUsage;
+}
+
+/// Parses a non-negative decimal count; false on anything else (empty,
+/// signed, trailing junk, out of range).
+bool ParseCount(const char* text, size_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
 /// Writes the trace and/or metrics exports requested by --trace-out /
@@ -155,17 +168,14 @@ int ExitFor(const Status& status, int ok_code = kExitOk) {
 }
 
 int CmdChase(Program& p, size_t max_rounds, ChaseEngine engine,
-             size_t threads, bool compiled_plans, bool vectorized_sink,
-             ParanoiaLevel paranoia, ExecutionContext* ctx) {
+             size_t threads, ParanoiaLevel paranoia, ExecutionContext* ctx) {
   ChaseOptions opts;
   opts.max_rounds = max_rounds;
   opts.engine = engine;
   opts.threads = threads;
-  opts.compiled_plans = compiled_plans;
-  opts.vectorized_sink = vectorized_sink;
   opts.paranoia = paranoia;
   // Supervised: a paranoia trip (or injected fault, under a test harness)
-  // is retried on the degradation ladder before surfacing as an error.
+  // is retried on the reference engine before surfacing as an error.
   SupervisorOptions sup;
   sup.context = ctx;
   SupervisedChase s = RunChaseSupervised(p.theory, p.instance, opts, sup);
@@ -345,10 +355,8 @@ int main(int argc, char** argv) {
   const char* cmd = argv[1];
   // Flags shared by rewrite/classify; positional extras stay for the rest.
   RewriteOptions ropts;
-  ChaseEngine chase_engine = ChaseEngine::kDelta;
-  size_t chase_threads = 0;
-  bool chase_plans = true;
-  bool chase_vsink = true;
+  ChaseEngine chase_engine = ChaseEngine::kParallel;
+  size_t chase_threads = 1;
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
   const char* positional = nullptr;
   double deadline_ms = -1;
@@ -356,14 +364,18 @@ int main(int argc, char** argv) {
   const char* trace_out = nullptr;
   const char* metrics_out = nullptr;
   for (int i = 3; i < argc; ++i) {
+    const char* threads_value = nullptr;
     if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      ropts.threads = std::strtoul(argv[++i], nullptr, 10);
-      chase_threads = ropts.threads;
+      threads_value = argv[++i];
+    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
+      threads_value = argv[i] + 10;
+    }
+    if (threads_value != nullptr) {
+      if (!ParseCount(threads_value, &chase_threads)) return Usage();
+      ropts.threads = chase_threads;
     } else if (std::strncmp(argv[i], "--chase-engine=", 15) == 0) {
       const char* name = argv[i] + 15;
-      if (std::strcmp(name, "delta") == 0) {
-        chase_engine = ChaseEngine::kDelta;
-      } else if (std::strcmp(name, "naive") == 0) {
+      if (std::strcmp(name, "naive") == 0) {
         chase_engine = ChaseEngine::kNaive;
       } else if (std::strcmp(name, "parallel") == 0) {
         chase_engine = ChaseEngine::kParallel;
@@ -372,10 +384,6 @@ int main(int argc, char** argv) {
       }
     } else if (std::strcmp(argv[i], "--no-prune") == 0) {
       ropts.prune_subsumed = false;
-    } else if (std::strcmp(argv[i], "--no-plans") == 0) {
-      chase_plans = false;
-    } else if (std::strcmp(argv[i], "--no-vector-sink") == 0) {
-      chase_vsink = false;
     } else if (std::strncmp(argv[i], "--paranoia=", 11) == 0) {
       if (!ParanoiaLevelFromName(argv[i] + 11, &paranoia)) return Usage();
     } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
@@ -392,9 +400,17 @@ int main(int argc, char** argv) {
       char* end = nullptr;
       mem_budget_mb = std::strtod(argv[++i], &end);
       if (end == argv[i] || *end != '\0' || mem_budget_mb < 0) return Usage();
+    } else if (std::strncmp(argv[i], "--", 2) == 0 || positional != nullptr) {
+      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
+      return Usage();
     } else {
       positional = argv[i];
     }
+  }
+  size_t positional_count = 0;
+  if (positional != nullptr && !ParseCount(positional, &positional_count)) {
+    std::fprintf(stderr, "error: '%s' is not a count\n", positional);
+    return Usage();
   }
 
   // One governed context for the whole command; SIGINT flips its token.
@@ -416,11 +432,8 @@ int main(int argc, char** argv) {
 
   int rc;
   if (std::strcmp(cmd, "chase") == 0) {
-    rc = CmdChase(p,
-                  positional != nullptr ? std::strtoul(positional, nullptr, 10)
-                                        : 32,
-                  chase_engine, chase_threads, chase_plans, chase_vsink,
-                  paranoia, &ctx);
+    rc = CmdChase(p, positional != nullptr ? positional_count : 32,
+                  chase_engine, chase_threads, paranoia, &ctx);
   } else if (std::strcmp(cmd, "rewrite") == 0) {
     rc = CmdRewrite(p, ropts);
   } else if (std::strcmp(cmd, "classify") == 0) {
@@ -428,7 +441,9 @@ int main(int argc, char** argv) {
   } else if (std::strcmp(cmd, "model") == 0) {
     rc = CmdModel(p, paranoia, &ctx);
   } else if (std::strcmp(cmd, "search") == 0) {
-    rc = CmdSearch(p, positional != nullptr ? std::atoi(positional) : 1,
+    rc = CmdSearch(p,
+                   positional != nullptr ? static_cast<int>(positional_count)
+                                         : 1,
                    &ctx);
   } else {
     return Usage();

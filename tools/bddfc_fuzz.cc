@@ -22,7 +22,7 @@
 // cooperative checks and asserts the interrupted run is prefix-consistent
 // with the uninterrupted one. --inject-bug deliberately breaks an engine
 // invariant — the fuzzer's own self-test: the campaign must then fail and
-// minimize. chase-dedup breaks trigger dedup in the delta chase;
+// minimize. chase-dedup breaks trigger dedup in the production chase;
 // torn-exhaust makes a governed exhaustion apply a torn half-round, which
 // governor-prefix (run with --inject-fault) must catch. sink-drop-dup
 // makes the vectorized sink drop every duplicate-derived tuple group
@@ -32,7 +32,8 @@
 // fault plans (base/faults.h RandomFaultPlan) run under the retrying
 // supervisor and must end byte-identical to the fault-free run; failing
 // plans are ddmin-minimized. --paranoia promotes the chase's test-only
-// invariants to runtime checks on the engines under test.
+// invariants to runtime checks on the production runs (never on the
+// kNaive reference).
 //
 // Exit status: 0 = clean, 1 = oracle failures, 2 = usage error.
 
