@@ -1,8 +1,11 @@
 // E7 — End-to-end Theorem 2 pipeline: certified counter-model size,
-// attempts and chase depth versus the database size, on the Example 7
-// theory with D a path of named constants. Expected shape: model size grows
-// linearly with |D| plus a constant-size cycle tail (hue period), and the
-// pipeline certifies at the first depth whose prefix wraps the hue period.
+// attempts, chase depth and wall time versus the database size, on the
+// Example 7 theory with D a path of named constants. Expected shape: model
+// size grows linearly with |D| plus a constant-size cycle tail (hue
+// period), and the pipeline certifies at the first depth whose prefix wraps
+// the hue period.
+
+#include <chrono>
 
 #include "bench_common.h"
 
@@ -26,23 +29,27 @@ Program Example7WithPath(int path_len) {
 
 void PrintTable() {
   bddfc_bench::Banner("E7", "Theorem 2 pipeline vs |D| (Example 7 theory)");
-  std::printf("%-6s %-12s %-10s %-10s %-8s %-8s\n", "|D|", "model size",
-              "attempts", "depth", "n", "status");
-  for (int d : {1, 2, 4, 8, 16}) {
+  std::printf("%-6s %-12s %-10s %-10s %-8s %-8s %-10s\n", "|D|",
+              "model size", "attempts", "depth", "n", "status", "wall ms");
+  for (int d : {1, 2, 4, 8, 16, 64, 256}) {
     Program p = Example7WithPath(d);
     ConjunctiveQuery q =
         std::move(ParseQuery("e(X, X)", p.theory.signature_ptr().get()))
             .ValueOrDie();
     PipelineOptions opts;
     opts.max_chase_depth = 64;
+    auto t0 = std::chrono::steady_clock::now();
     FiniteModelResult r =
         ConstructFiniteCounterModel(p.theory, p.instance, q, opts);
-    std::printf("%-6d %-12s %-10zu %-10zu %-8d %-8s\n", d,
+    double ms = std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    std::printf("%-6d %-12s %-10zu %-10zu %-8d %-8s %-10.1f\n", d,
                 r.status.ok()
                     ? std::to_string(r.model.Domain().size()).c_str()
                     : "-",
                 r.attempts.size(), r.chase_depth_used, r.n_used,
-                r.status.ok() ? "ok" : StatusCodeName(r.status.code()));
+                r.status.ok() ? "ok" : StatusCodeName(r.status.code()), ms);
   }
 }
 

@@ -134,7 +134,8 @@ void Tracer::Record(char phase, const char* name, uint64_t span_id,
   e.phase = phase;
   e.name = name;
   size_t n = std::min(detail.size(), sizeof(e.detail) - 1);
-  std::memcpy(e.detail, detail.data(), n);
+  // An empty detail may have a null data(), which memcpy must not see.
+  if (n != 0) std::memcpy(e.detail, detail.data(), n);
   e.detail[n] = '\0';
   if (++next_ == ring_.size()) next_ = 0;
   // The workload between two events evicts the ring, so the next slot is

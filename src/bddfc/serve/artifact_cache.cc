@@ -165,6 +165,15 @@ ArtifactCache::Outcome ArtifactCache::GetOrCompile(
   bool is_leader = false;
   {
     std::lock_guard<std::mutex> lock(inflight_mu_);
+    // Re-check under the lock (order: inflight_mu_, then cache_mu_). A
+    // leader admits before it erases its in-flight slot, so a request that
+    // missed above just before the admit, and got here just after the
+    // erase, finds the artifact instead of compiling it a second time.
+    if (std::shared_ptr<Artifact> cached = Find(key)) {
+      out.artifact = std::move(cached);
+      out.hit = true;
+      return out;
+    }
     auto it = inflight_.find(key);
     if (it == inflight_.end()) {
       flight = std::make_shared<Inflight>();
@@ -233,6 +242,13 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   artifact->chase =
       RunChase(artifact->program.theory, artifact->program.instance,
                chase_opts);
+  // The chase charged its facts to the request context, which rolls up to
+  // the server accountant. An admitted artifact is accounted by the cache
+  // (artifact->bytes below), so the request's charge goes back on every
+  // exit, as the pipeline does with its chase prefixes.
+  if (ctx != nullptr) {
+    ctx->memory().Release(artifact->chase.structure.ApproxAccountedBytes());
+  }
   if (!artifact->chase.status.ok()) {
     out.status = artifact->chase.status;
     return out;

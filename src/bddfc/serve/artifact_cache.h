@@ -25,7 +25,10 @@
 //
 // Memory: each admitted artifact charges its estimated bytes to the
 // server accountant and releases them on eviction, so the LRU and the
-// server-wide memory budget govern the same pool.
+// server-wide memory budget govern the same pool. A compile's chase
+// charges the request context while it runs and releases that charge on
+// every exit, so between requests the server accountant holds exactly
+// charged_bytes().
 
 #ifndef BDDFC_SERVE_ARTIFACT_CACHE_H_
 #define BDDFC_SERVE_ARTIFACT_CACHE_H_
@@ -177,6 +180,7 @@ class ArtifactCache {
   std::unordered_map<uint64_t, Entry> entries_;
   uint64_t tick_ = 0;
 
+  /// Taken before cache_mu_ when both are held (GetOrCompile's re-check).
   std::mutex inflight_mu_;
   std::unordered_map<uint64_t, std::shared_ptr<Inflight>> inflight_;
 };

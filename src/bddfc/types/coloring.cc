@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <unordered_map>
 
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/classes/vtdag.h"
@@ -12,8 +13,11 @@ namespace bddfc {
 namespace {
 
 /// Canonical encoding of C ↾ (P(e) ∪ C_con) with e and its parent
-/// anonymized ("E"/"P") and constants by name. Equal strings <=> isomorphic
-/// restrictions (with the P-roles distinguished).
+/// anonymized ("@E"/"@P") and constants by id. Equal strings <=> isomorphic
+/// restrictions (with the P-roles distinguished). Deliberately brute force
+/// — every fact of C, constant-only atoms included — and sharing no code
+/// with NaturalColoring's keys: it is the reference they are checked
+/// against.
 std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
   auto name = [&](TermId t) -> std::string {
     if (t == e) return "@E";
@@ -38,6 +42,31 @@ std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
   return out;
 }
 
+/// LocalIsoKey's encoding of one atom, appended to `atoms`; an atom that
+/// mentions a null other than e and its parent leaves the restriction.
+void AddLocalAtom(const Signature& sig, PredId p,
+                  const std::vector<TermId>& row, TermId e, TermId parent,
+                  std::vector<std::string>* atoms) {
+  std::string s = std::to_string(p) + "(";
+  for (TermId t : row) {
+    if (t == e) {
+      s += "@E,";
+    } else if (t == parent) {
+      s += "@P,";
+    } else if (!sig.IsNull(t)) {
+      s += "c" + std::to_string(t) + ",";
+    } else {
+      return;
+    }
+  }
+  atoms->push_back(s + ")");
+}
+
+TermId ParentOf(const SkeletonAnalysis& forest, TermId e) {
+  auto it = forest.parent.find(e);
+  return it == forest.parent.end() ? -1 : it->second;
+}
+
 }  // namespace
 
 Result<Coloring> NaturalColoring(const Structure& c, int m) {
@@ -46,12 +75,29 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
     return Status::FailedPrecondition(
         "natural coloring requires the nulls of C to form a forest");
   }
+  const Signature& sig = c.sig();
 
   Coloring out(c.signature_ptr());
   c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
     out.colored.AddFact(p, row);
   });
   for (TermId e : c.Domain()) out.colored.AddDomainElement(e);
+
+  // Incident index: the non-color facts each null occurs in, once per fact.
+  // A lightness key reads only the lists of e and its parent, so the whole
+  // stage is one pass over the facts plus O(deg e + deg parent) per element.
+  std::vector<std::vector<FactHandle>> incident(sig.num_constants());
+  for (PredId p = 0; p < c.NumStoredPredicates(); ++p) {
+    if (sig.IsColor(p)) continue;
+    const auto& rows = c.Rows(p);
+    for (uint32_t r = 0; r < rows.size(); ++r) {
+      for (auto it = rows[r].begin(); it != rows[r].end(); ++it) {
+        if (sig.IsNull(*it) && std::find(rows[r].begin(), it, *it) == it) {
+          incident[*it].push_back({p, r});
+        }
+      }
+    }
+  }
 
   // Lightness table: canonical local-iso string -> id.
   std::map<std::string, int> lightness_of;
@@ -61,18 +107,34 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
 
   for (TermId e : c.Domain()) {
     int hue;
-    TermId parent = -1;
     std::string iso_key;
-    if (!c.sig().IsNull(e)) {
+    if (!sig.IsNull(e)) {
       // Constants: P(e) = {e}; their name makes the local type unique.
       hue = 0;
       iso_key = "const:" + std::to_string(e);
     } else {
       auto dit = forest.depth.find(e);
       hue = 1 + (dit == forest.depth.end() ? 0 : dit->second % hue_period);
-      auto pit = forest.parent.find(e);
-      if (pit != forest.parent.end()) parent = pit->second;
-      iso_key = LocalIsoKey(c, e, parent);
+      // LocalIsoKey restricted to the facts around e and its parent; a
+      // fact that mentions both is taken once. The constant-only atoms are
+      // left out: they are the same for every null, and a rendered
+      // null-touching atom always contains "@E" or "@P", so two keys are
+      // equal exactly when the full keys are.
+      TermId parent = ParentOf(forest, e);
+      std::vector<std::string> atoms;
+      for (FactHandle h : incident[e]) {
+        AddLocalAtom(sig, h.pred, c.Tuple(h), e, parent, &atoms);
+      }
+      if (parent != -1) {
+        for (FactHandle h : incident[parent]) {
+          const std::vector<TermId>& row = c.Tuple(h);
+          if (std::find(row.begin(), row.end(), e) == row.end()) {
+            AddLocalAtom(sig, h.pred, row, e, parent, &atoms);
+          }
+        }
+      }
+      std::sort(atoms.begin(), atoms.end());
+      for (const auto& a : atoms) iso_key += a + ";";
     }
     auto [lit, lnew] =
         lightness_of.emplace(iso_key, static_cast<int>(lightness_of.size()));
@@ -91,11 +153,25 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
   }
   out.num_lightnesses = static_cast<int>(lightness_of.size());
 
-  for (PredId p = 0; p < c.sig().num_predicates(); ++p) {
-    if (!c.sig().IsColor(p)) out.base_predicates.push_back(p);
+  for (PredId p = 0; p < sig.num_predicates(); ++p) {
+    if (!sig.IsColor(p)) out.base_predicates.push_back(p);
   }
   // Exclude colors added concurrently by this very call (already excluded:
   // the loop above ran over the pre-coloring predicate count).
+  return out;
+}
+
+std::vector<int> ReferenceLightnesses(const Structure& c) {
+  SkeletonAnalysis forest = AnalyzeSkeleton(c);
+  std::unordered_map<std::string, int> ids;
+  std::vector<int> out;
+  for (TermId e : c.Domain()) {
+    std::string key = c.sig().IsNull(e)
+                          ? LocalIsoKey(c, e, ParentOf(forest, e))
+                          : "const:" + std::to_string(e);
+    auto it = ids.emplace(std::move(key), static_cast<int>(ids.size())).first;
+    out.push_back(it->second);
+  }
   return out;
 }
 
@@ -115,19 +191,13 @@ bool IsNaturalColoring(const Coloring& coloring, const Structure& c, int m) {
     }
   }
   // Condition 2: same color => isomorphic C ↾ (P(e) ∪ C_con).
-  SkeletonAnalysis forest = AnalyzeSkeleton(c);
-  std::map<PredId, std::string> seen;
-  for (TermId e : c.Domain()) {
-    auto it = coloring.color_of.find(e);
+  std::vector<int> lightness = ReferenceLightnesses(c);
+  std::map<PredId, int> seen;
+  for (size_t i = 0; i < c.Domain().size(); ++i) {
+    auto it = coloring.color_of.find(c.Domain()[i]);
     if (it == coloring.color_of.end()) return false;
-    TermId parent = -1;
-    auto pit = forest.parent.find(e);
-    if (pit != forest.parent.end()) parent = pit->second;
-    std::string key = c.sig().IsNull(e)
-                          ? LocalIsoKey(c, e, parent)
-                          : "const:" + std::to_string(e);
-    auto [sit, inserted] = seen.emplace(it->second, key);
-    if (!inserted && sit->second != key) return false;
+    auto [sit, inserted] = seen.emplace(it->second, lightness[i]);
+    if (!inserted && sit->second != lightness[i]) return false;
   }
   return true;
 }

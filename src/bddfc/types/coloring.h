@@ -5,7 +5,8 @@
 // the lightness l records the isomorphism type of C ↾ (P(e) ∪ C_con). For
 // forests — the shape of every skeleton by Lemma 3 — hue = depth mod (m+2)
 // realizes Def. 14's first condition, and the lightness is computed from a
-// canonical encoding of the local atoms around (e, parent(e), constants).
+// canonical encoding of the local atoms around (e, parent(e), constants),
+// read off a per-null index of incident facts in one linear pass.
 
 #ifndef BDDFC_TYPES_COLORING_H_
 #define BDDFC_TYPES_COLORING_H_
@@ -40,9 +41,17 @@ struct Coloring {
 Result<Coloring> NaturalColoring(const Structure& c, int m);
 
 /// Checks Def. 14 on an arbitrary coloring: distinct hues within each
-/// P_m(e), and isomorphic C ↾ (P(e) ∪ C_con) for same-colored elements.
-/// Used by tests; NaturalColoring's output satisfies it by construction.
+/// P_m(e), and isomorphic C ↾ (P(e) ∪ C_con) for same-colored elements
+/// (judged by ReferenceLightnesses). Used by tests; NaturalColoring's
+/// output satisfies it by construction.
 bool IsNaturalColoring(const Coloring& coloring, const Structure& c, int m);
+
+/// The reference lightness of each element of c.Domain(), in order: the
+/// isomorphism type of C ↾ (P(e) ∪ C_con), numbered by first appearance.
+/// Brute force — one scan of every fact of `c` per element, so O(|domain| ·
+/// |facts|) — and independent of NaturalColoring's incident index, which
+/// must assign exactly these lightness ids. For checks and tests only.
+std::vector<int> ReferenceLightnesses(const Structure& c);
 
 }  // namespace bddfc
 

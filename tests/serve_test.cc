@@ -196,6 +196,35 @@ TEST(ServeCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   EXPECT_EQ(r.status.code(), StatusCode::kNotFound);
 }
 
+TEST(ServeCacheTest, AccountantHoldsOnlyCachedArtifactBytes) {
+  // Regression: a compile's chase charged every fact to the request
+  // context, which rolls up to the server accountant, and nothing released
+  // it, so the server's used bytes grew with every compile until it shed
+  // every request. Once the requests are done, only the cache's charge for
+  // the admitted artifact may remain, whatever was compiled and evicted.
+  ServerOptions options;
+  options.cache_capacity = 1;
+  options.compile.max_rounds = 16;
+  ReasoningServer server(options);
+  for (int len = 3; len <= 8; ++len) {
+    std::string theory = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
+    for (int i = 0; i < len; ++i) {
+      theory += "e(n" + std::to_string(i) + ", n" + std::to_string(i + 1) +
+                ").\n";
+    }
+    KeyOf(server.Handle(Load("t1", theory)));
+  }
+  const Response diverged = server.Handle(
+      Load("t1", "e(a, b).\ne(X, Y) -> exists Z: e(Y, Z).\n"));
+  EXPECT_EQ(diverged.status.code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(Counter(server, "bddfc.serve.compiles"), 6u);
+  EXPECT_EQ(Counter(server, "bddfc.serve.load_failures"), 1u);
+  EXPECT_EQ(Counter(server, "bddfc.serve.evictions"), 5u);
+  EXPECT_EQ(server.cache().size(), 1u);
+  EXPECT_GT(server.cache().charged_bytes(), 0u);
+  EXPECT_EQ(server.memory().used(), server.cache().charged_bytes());
+}
+
 TEST(ServeCacheTest, ConcurrentLoadsSingleFlight) {
   ReasoningServer server{ServerOptions{}};
   constexpr int kThreads = 8;

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "bddfc/chase/chase.h"
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
+#include "bddfc/reductions/reductions.h"
 #include "bddfc/types/coloring.h"
 #include "bddfc/types/conservativity.h"
 #include "bddfc/types/ptype.h"
@@ -192,6 +198,29 @@ TEST(QuotientTest, ChainQuotientHasExample3Shape) {
   EXPECT_TRUE(Satisfies(q.structure, loop));
 }
 
+// NaturalColoring's lightness ids must be exactly the brute-force
+// reference numbering (first appearance over Domain()), and its hues
+// 0 for constants, 1 + depth mod (m+2) for nulls.
+void ExpectColoringMatchesReference(const Structure& c, int m) {
+  auto col = NaturalColoring(c, m);
+  ASSERT_TRUE(col.ok()) << col.status().ToString();
+  const Signature& sig = col.value().colored.sig();
+  const SkeletonAnalysis forest = AnalyzeSkeleton(c);
+  const std::vector<int> expected = ReferenceLightnesses(c);
+  ASSERT_EQ(expected.size(), c.Domain().size());
+  int num_lightnesses = 0;
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const TermId e = c.Domain()[i];
+    const PredicateInfo& color = sig.predicate(col.value().color_of.at(e));
+    EXPECT_EQ(color.lightness, expected[i]) << "element " << e;
+    const int hue = sig.IsNull(e) ? 1 + forest.depth.at(e) % (m + 2) : 0;
+    EXPECT_EQ(color.hue, hue) << "element " << e;
+    num_lightnesses = std::max(num_lightnesses, expected[i] + 1);
+  }
+  EXPECT_EQ(col.value().num_lightnesses, num_lightnesses);
+  EXPECT_TRUE(IsNaturalColoring(col.value(), c, m));
+}
+
 TEST(ColoringTest, NaturalColoringExistsForForests) {
   auto sig = std::make_shared<Signature>();
   Structure chain = MakeChain(sig, 12);
@@ -202,6 +231,7 @@ TEST(ColoringTest, NaturalColoringExistsForForests) {
   EXPECT_TRUE(IsNaturalColoring(col.value(), chain, 2));
   // Hues cycle with period m+2 = 4 (plus reserve hue 0 for constants).
   EXPECT_LE(col.value().num_hues, 5);
+  ExpectColoringMatchesReference(chain, 2);
 }
 
 TEST(ColoringTest, NaturalColoringRejectsNonForest) {
@@ -227,6 +257,133 @@ TEST(ColoringTest, TreeColoringSeparatesAncestors) {
   auto col = NaturalColoring(tree, 2);
   ASSERT_TRUE(col.ok());
   EXPECT_TRUE(IsNaturalColoring(col.value(), tree, 2));
+  ExpectColoringMatchesReference(tree, 2);
+}
+
+TEST(ColoringTest, LightnessesMatchReferenceWithConstantContext) {
+  // A forest whose nulls carry atoms to named constants, next to
+  // constant-only facts (the context every key shares), a ternary atom
+  // over e, its parent and a constant, and one that reaches the
+  // grandparent and so leaves the restriction.
+  auto sig = std::make_shared<Signature>();
+  PredId e = std::move(sig->AddPredicate("e", 2)).ValueOrDie();
+  PredId r = std::move(sig->AddPredicate("r", 2)).ValueOrDie();
+  PredId u = std::move(sig->AddPredicate("u", 1)).ValueOrDie();
+  PredId t = std::move(sig->AddPredicate("t", 3)).ValueOrDie();
+  PredId z = std::move(sig->AddPredicate("z", 0)).ValueOrDie();
+  TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
+  std::vector<TermId> n;
+  for (int i = 0; i < 9; ++i) n.push_back(sig->AddNull());
+  Structure s(sig);
+  s.AddFact(e, {a, b});
+  s.AddFact(u, {a});
+  s.AddFact(z, {});
+  // Tree 1: a -> n0 -> n1 -> n2, n1 -> n3.
+  s.AddFact(e, {a, n[0]});
+  s.AddFact(e, {n[0], n[1]});
+  s.AddFact(e, {n[1], n[2]});
+  s.AddFact(e, {n[1], n[3]});
+  s.AddFact(r, {n[1], b});
+  s.AddFact(r, {n[2], a});
+  s.AddFact(r, {n[3], a});
+  s.AddFact(t, {n[1], n[2], a});
+  s.AddFact(t, {n[0], n[1], n[2]});
+  s.AddFact(u, {n[2]});
+  // Tree 2 repeats tree 1's first levels under b, so lightnesses repeat.
+  s.AddFact(e, {b, n[4]});
+  s.AddFact(e, {n[4], n[5]});
+  s.AddFact(e, {n[5], n[6]});
+  s.AddFact(r, {n[5], b});
+  s.AddFact(r, {n[6], a});
+  // A root with no parent and an isolated null known only as an element.
+  s.AddFact(r, {n[7], a});
+  s.AddDomainElement(n[8]);
+  ExpectColoringMatchesReference(s, 1);
+  ExpectColoringMatchesReference(s, 3);
+}
+
+TEST(ColoringTest, LightnessesMatchReferenceWithSelfLoopAndParentEdges) {
+  // x has a self-loop, two parallel edges from its parent p, and atoms
+  // back to p. Binary null-to-null atoms back to p would close a cycle,
+  // so the reverse direction is carried by ternary atoms; they mention x
+  // and p (one of them x twice) and must each count once. Sibling y
+  // repeats x's shape; w differs only in the direction of one atom.
+  auto sig = std::make_shared<Signature>();
+  PredId e = std::move(sig->AddPredicate("e", 2)).ValueOrDie();
+  PredId r = std::move(sig->AddPredicate("r", 2)).ValueOrDie();
+  PredId t = std::move(sig->AddPredicate("t", 3)).ValueOrDie();
+  TermId c = sig->AddConstant("c");
+  TermId p = sig->AddNull(), x = sig->AddNull();
+  TermId y = sig->AddNull(), w = sig->AddNull();
+  Structure s(sig);
+  s.AddFact(e, {c, p});
+  for (TermId k : {x, y, w}) {
+    s.AddFact(e, {p, k});
+    s.AddFact(r, {p, k});
+    s.AddFact(e, {k, k});
+  }
+  for (TermId k : {x, y}) {
+    s.AddFact(t, {k, p, k});
+    s.AddFact(t, {p, k, c});
+  }
+  s.AddFact(t, {w, p, w});
+  s.AddFact(t, {w, p, c});
+  ExpectColoringMatchesReference(s, 1);
+  auto col = NaturalColoring(s, 1);
+  ASSERT_TRUE(col.ok());
+  EXPECT_EQ(col.value().color_of.at(x), col.value().color_of.at(y));
+  EXPECT_NE(col.value().color_of.at(x), col.value().color_of.at(w));
+}
+
+TEST(ColoringTest, LightnessesMatchReferenceOnExample7Skeletons) {
+  // The skeletons the Theorem 2 pipeline colors on Example 7 over a path
+  // of named constants, at the depths its doubling schedule visits.
+  std::string text =
+      "e(X, Y) -> exists Z: e(Y, Z).\n"
+      "e(X, Y), e(X1, Y) -> r(X, X1).\n";
+  for (int i = 0; i < 32; ++i) {
+    text += "e(d" + std::to_string(i) + ", d" + std::to_string(i + 1) + ").\n";
+  }
+  Program p = std::move(ParseProgram(text)).ValueOrDie();
+  ConjunctiveQuery q =
+      std::move(ParseQuery("e(X, X)", p.theory.signature_ptr().get()))
+          .ValueOrDie();
+  auto hidden = HideQuery(p.theory, q);
+  ASSERT_TRUE(hidden.ok());
+  auto single = SingleHeadify(hidden.value().theory);
+  ASSERT_TRUE(single.ok());
+  auto normal = NormalizeSpade5(single.value());
+  ASSERT_TRUE(normal.ok());
+  for (size_t depth : {8, 16, 32}) {
+    ChaseOptions opts;
+    opts.max_rounds = depth;
+    ChaseResult chase = RunChase(normal.value(), p.instance, opts);
+    Skeleton skeleton = SkeletonOf(normal.value(), p.instance, chase);
+    SCOPED_TRACE("depth " + std::to_string(depth));
+    ExpectColoringMatchesReference(skeleton.structure, 2);
+  }
+}
+
+TEST(ColoringTest, CheckerRejectsOneColorForDifferentReferenceTypes) {
+  // Not vacuous: recoloring an element with the color of one whose
+  // reference lightness differs (a chain's start vs. its interior, same
+  // hue) breaks condition 2.
+  auto sig = std::make_shared<Signature>();
+  std::vector<TermId> elems;
+  Structure chain = MakeChain(sig, 12, &elems);
+  auto col = NaturalColoring(chain, 2);
+  ASSERT_TRUE(col.ok());
+  Coloring bad = std::move(col).value();
+  const std::vector<int> reference = ReferenceLightnesses(chain);
+  const auto index = [&](TermId t) {
+    return std::find(chain.Domain().begin(), chain.Domain().end(), t) -
+           chain.Domain().begin();
+  };
+  // elems[0] and elems[4] share depth mod 4, so only the lightness differs.
+  ASSERT_NE(reference[index(elems[0])], reference[index(elems[4])]);
+  ASSERT_TRUE(IsNaturalColoring(bad, chain, 2));
+  bad.color_of[elems[0]] = bad.color_of.at(elems[4]);
+  EXPECT_FALSE(IsNaturalColoring(bad, chain, 2));
 }
 
 TEST(ConservativityTest, UncoloredChainQuotientIsNotConservative) {
