@@ -40,10 +40,11 @@ void ThreadPool::Submit(std::function<Status()> task) {
 
 void ThreadPool::Submit(size_t shard_hint, std::function<Status()> task) {
   const uint64_t parent = obs::Tracer::CurrentSpanId();
+  obs::Tracer* const tracer = obs::Tracer::CurrentTracer();
   {
     std::unique_lock<std::mutex> lock(mu_);
     queues_[shard_hint % num_threads_].push_back(
-        {next_index_++, parent, std::move(task)});
+        {next_index_++, parent, tracer, std::move(task)});
     statuses_.emplace_back();  // slot for this task's Status
     ++queued_;
     ++in_flight_;
@@ -84,8 +85,9 @@ bool ThreadPool::RunOneLocked(std::unique_lock<std::mutex>& lock,
   lock.unlock();
   Status st;
   {
-    // Re-parent the task's spans under the span that submitted it.
-    obs::TraceSpan span("pool.task", qt.parent_span);
+    // Re-parent the task's spans under the span that submitted it, in
+    // that span's ring.
+    obs::TraceSpan span(qt.tracer, "pool.task", qt.parent_span);
     st = qt.fn();
   }
   lock.lock();

@@ -56,11 +56,11 @@ class ThreadPool {
 
   /// Enqueues a task on the next queue round-robin. The returned Status is
   /// recorded under the task's submission index for deterministic
-  /// aggregation in Wait(). When tracing is enabled, the submitting
-  /// thread's innermost span id is captured here and the task runs under a
-  /// "pool.task" span parented to it, so a fan-out's per-task spans nest
-  /// under the span that submitted them even though they execute on worker
-  /// threads.
+  /// aggregation in Wait(). The submitting thread's innermost span id and
+  /// its tracer are captured here and the task runs under a "pool.task"
+  /// span parented to it in that tracer, so a fan-out's per-task spans nest
+  /// under the span that submitted them, in the same ring, even though
+  /// they execute on worker threads.
   void Submit(std::function<Status()> task);
 
   /// Like Submit, but homes the task on queue `shard_hint % num_threads`:
@@ -98,6 +98,7 @@ class ThreadPool {
   struct QueuedTask {
     size_t index;
     uint64_t parent_span;  // submitting thread's span id (0 = none)
+    obs::Tracer* tracer;   // that span's tracer (null = none)
     std::function<Status()> fn;
   };
   std::vector<std::deque<QueuedTask>> queues_;  // one per worker

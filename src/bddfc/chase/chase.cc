@@ -193,9 +193,9 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     obs::TraceSpan round_span(&ctx->tracer(), "chase.round");
 
     // Round boundaries are the single-threaded point of the run: extend
-    // the sorted per-position indexes (read by the plans and the sink's
-    // bulk containment) over the previous round's additions before any
-    // (possibly parallel) scan starts reading them.
+    // the tuple-ordered indexes (read by the sink's bulk containment) over
+    // the previous round's additions before any (possibly parallel) task
+    // starts reading them.
     if (production) {
       Status fs = ctx->CheckFault(faults::kIndexRefresh);
       if (!fs.ok()) {

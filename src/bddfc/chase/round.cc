@@ -35,6 +35,48 @@ std::string SerializeRenumbered(const std::vector<Atom>& pattern) {
   return s;
 }
 
+/// Sorts `n` flat tuples of `arity` TermIds at `data` into ascending
+/// lexicographic order, in place: an LSD radix sort over 8-bit digits,
+/// last position first, that skips every digit on which all tuples agree.
+/// Stable, comparator-free, O(n * arity), one code path for every arity.
+/// The TermIds must be ground (non-negative), so the unsigned digit order
+/// is the signed order. `scratch` is resized to n * arity and reused.
+void SortTuples(TermId* data, size_t n, size_t arity,
+                std::vector<TermId>* scratch) {
+  if (n < 2 || arity == 0) return;
+  constexpr size_t kDigits = sizeof(TermId);  // 8-bit digits per position
+  // One read pass fills every digit's histogram: counts[(pos, digit), b].
+  std::vector<uint32_t> counts(arity * kDigits * 256, 0);
+  for (const TermId* t = data; t != data + n * arity; t += arity) {
+    for (size_t pos = 0; pos < arity; ++pos) {
+      assert(t[pos] >= 0 && "SortTuples needs ground TermIds");
+      const uint32_t v = static_cast<uint32_t>(t[pos]);
+      uint32_t* c = counts.data() + pos * kDigits * 256;
+      for (size_t d = 0; d < kDigits; ++d) ++c[d * 256 + ((v >> (8 * d)) & 255)];
+    }
+  }
+  scratch->resize(n * arity);
+  TermId* src = data;
+  TermId* dst = scratch->data();
+  for (size_t pos = arity; pos-- > 0;) {
+    for (size_t d = 0; d < kDigits; ++d) {
+      uint32_t* c = counts.data() + (pos * kDigits + d) * 256;
+      const size_t shift = 8 * d;
+      auto digit = [&](const TermId* t) {
+        return (static_cast<uint32_t>(t[pos]) >> shift) & 255;
+      };
+      if (c[digit(src)] == n) continue;  // every tuple shares this digit
+      uint32_t at = 0;
+      for (size_t b = 0; b < 256; ++b) at += std::exchange(c[b], at);
+      for (const TermId* t = src; t != src + n * arity; t += arity) {
+        std::copy_n(t, arity, dst + static_cast<size_t>(c[digit(t)]++) * arity);
+      }
+      std::swap(src, dst);
+    }
+  }
+  if (src != data) std::copy_n(src, n * arity, data);
+}
+
 }  // namespace
 
 /// Canonical key of a head pattern, invariant under existential-variable
@@ -192,8 +234,13 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
     return;
   }
 
+  obs::TraceSpan span("chase.compact");
+  if (span.id() != 0) {
+    span.set_detail("p" + std::to_string(pb->pred) + " +" +
+                    std::to_string(pb->tail));
+  }
   const TermId* base = pb->data.data();
-  const TermId* tail = base + pb->kept * arity;
+  TermId* const tail = pb->data.data() + pb->kept * arity;
   auto tup_less = [arity](const TermId* a, const TermId* b) {
     return std::lexicographical_compare(a, a + arity, b, b + arity);
   };
@@ -201,14 +248,7 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
     return std::equal(a, a + arity, b);
   };
 
-  // Sort the raw tail by tuple value (index sort; tuples stay in place).
-  std::vector<uint32_t> ord(pb->tail);
-  for (uint32_t i = 0; i < pb->tail; ++i) ord[i] = i;
-  std::sort(ord.begin(), ord.end(), [&](uint32_t a, uint32_t b) {
-    const TermId* ta = tail + static_cast<size_t>(a) * arity;
-    const TermId* tb = tail + static_cast<size_t>(b) * arity;
-    return tup_less(ta, tb) || (!tup_less(tb, ta) && a < b);
-  });
+  SortTuples(tail, pb->tail, arity, &sort_scratch_);
 
   // Pass 1: walk the sorted tail groups against the kept prefix with a
   // monotone cursor. Groups equal to a kept tuple collapse immediately
@@ -217,13 +257,10 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
   std::vector<TermId> fresh;
   std::vector<uint32_t> fresh_count;
   size_t pi = 0;
-  for (size_t gi = 0; gi < ord.size();) {
-    const TermId* t = tail + static_cast<size_t>(ord[gi]) * arity;
+  for (size_t gi = 0; gi < pb->tail;) {
+    const TermId* t = tail + gi * arity;
     size_t ge = gi + 1;
-    while (ge < ord.size() &&
-           tup_eq(t, tail + static_cast<size_t>(ord[ge]) * arity)) {
-      ++ge;
-    }
+    while (ge < pb->tail && tup_eq(t, tail + ge * arity)) ++ge;
     const size_t k = ge - gi;
     while (pi < pb->kept && tup_less(base + pi * arity, t)) ++pi;
     if (pi < pb->kept && tup_eq(base + pi * arity, t)) {
@@ -322,6 +359,7 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
   std::sort(runs.begin(), runs.end(),
             [](const DatalogSinkBuffers::Run& a,
                const DatalogSinkBuffers::Run& b) { return a.pred < b.pred; });
+  std::vector<TermId> scratch;
   for (size_t i = 0; i < runs.size();) {
     size_t j = i + 1;
     while (j < runs.size() && runs[j].pred == runs[i].pred) ++j;
@@ -350,31 +388,19 @@ void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
       i = j;
       continue;
     }
-    // Concatenate the runs of this predicate and sort an index over all
-    // tuples (each run is already sorted; a global index sort keeps the
-    // merge simple and the group walk identical to the compaction's).
+    // Concatenate the runs of this predicate and sort the tuples by value
+    // (the group walk is then the compaction's).
     std::vector<TermId> flat;
     size_t total = 0;
     for (size_t r = i; r < j; ++r) {
       flat.insert(flat.end(), runs[r].data.begin(), runs[r].data.end());
       total += runs[r].tuples;
     }
-    auto tup_less = [arity](const TermId* a, const TermId* b) {
-      return std::lexicographical_compare(a, a + arity, b, b + arity);
-    };
-    std::vector<uint32_t> ord(total);
-    for (uint32_t t = 0; t < total; ++t) ord[t] = t;
-    std::sort(ord.begin(), ord.end(), [&](uint32_t a, uint32_t b) {
-      const TermId* ta = flat.data() + static_cast<size_t>(a) * arity;
-      const TermId* tb = flat.data() + static_cast<size_t>(b) * arity;
-      return tup_less(ta, tb) || (!tup_less(tb, ta) && a < b);
-    });
-    for (size_t gi = 0; gi < ord.size();) {
-      const TermId* t = flat.data() + static_cast<size_t>(ord[gi]) * arity;
+    SortTuples(flat.data(), total, arity, &scratch);
+    for (size_t gi = 0; gi < total;) {
+      const TermId* t = flat.data() + gi * arity;
       size_t ge = gi + 1;
-      while (ge < ord.size() &&
-             std::equal(t, t + arity,
-                        flat.data() + static_cast<size_t>(ord[ge]) * arity)) {
+      while (ge < total && std::equal(t, t + arity, flat.data() + ge * arity)) {
         ++ge;
       }
       *deduped += ge - gi - 1;

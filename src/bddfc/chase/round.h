@@ -204,12 +204,12 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 /// Append is the entire per-occurrence cost: bump a cursor and copy
 /// `arity` TermIds; no Atom allocation, no hash probe, no dedup-set
 /// insert. Compact() restores the invariant that the buffer's prefix is
-/// sorted, distinct, and absent from `frozen`: the raw tail is sorted,
-/// duplicate groups collapse with order-independent counting (a group of
-/// k occurrences contributes k-1 to deduped() whether it collapses in one
-/// compaction, telescopes across several, or splits across parallel
-/// tasks), and the fresh distinct tuples go through one bulk
-/// Structure::ContainsSorted probe. The counters therefore match the
+/// sorted, distinct, and absent from `frozen`: the raw tail is sorted in
+/// place by value, duplicate groups collapse with order-independent
+/// counting (a group of k occurrences contributes k-1 to deduped() whether
+/// it collapses in one compaction, telescopes across several, or splits
+/// across parallel tasks), and the fresh distinct tuples go through one
+/// bulk Structure::ContainsSorted probe. The counters therefore match the
 /// reference's hash sink exactly — the byte-identity contract extends to
 /// stats.
 class DatalogSinkBuffers {
@@ -264,6 +264,7 @@ class DatalogSinkBuffers {
   const bool drop_dup_groups_;
   std::vector<int32_t> pred_slot_;  // pred -> index into bufs_, or -1
   std::vector<PredBuf> bufs_;      // first-appearance order
+  std::vector<TermId> sort_scratch_;  // Compact's tuple-sort buffer
   size_t candidates_ = 0;
   size_t contained_ = 0;
   size_t probes_ = 0;
@@ -271,7 +272,8 @@ class DatalogSinkBuffers {
 };
 
 /// Merges sorted distinct runs (TakeRuns output, one or several tasks'
-/// worth) into Atoms appended to `out`: cross-run duplicate groups
+/// worth) into Atoms appended to `out`: a predicate's runs are
+/// concatenated and sorted by value, and cross-run duplicate groups
 /// collapse to one copy, counting the extra occurrences into *deduped —
 /// the +1-per-extra-run rule that makes the total dedup count shard-count
 /// independent. Under `drop_dup_groups` (kSinkDropDup) cross-run

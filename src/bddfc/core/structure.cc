@@ -117,24 +117,6 @@ uint32_t Structure::IndexedRows(PredId pred) const {
   return rel == nullptr ? 0 : rel->sorted_rows;
 }
 
-std::pair<const uint32_t*, const uint32_t*> Structure::SortedEqualRange(
-    PredId pred, int pos, TermId value) const {
-  const Relation* rel = FindRelation(pred);
-  if (rel == nullptr || pos < 0 ||
-      pos >= static_cast<int>(rel->sorted.size())) {
-    return {nullptr, nullptr};
-  }
-  const std::vector<uint32_t>& idx = rel->sorted[pos];
-  const std::vector<TermId>& col = rel->cols[pos];
-  auto lo = std::lower_bound(
-      idx.begin(), idx.end(), value,
-      [&col](uint32_t r, TermId v) { return col[r] < v; });
-  auto hi = std::upper_bound(
-      lo, idx.end(), value,
-      [&col](TermId v, uint32_t r) { return v < col[r]; });
-  return {idx.data() + (lo - idx.begin()), idx.data() + (hi - idx.begin())};
-}
-
 size_t Structure::DistinctValues(PredId pred, int pos) const {
   const Relation* rel = FindRelation(pred);
   if (rel == nullptr || pos < 0 ||
@@ -150,82 +132,40 @@ size_t Structure::ContainsSorted(PredId pred, size_t arity,
   contained->assign(count, 0);
   const Relation* rel = FindRelation(pred);
   if (rel == nullptr || rel->rows.empty()) return 0;
+  assert(static_cast<int>(arity) == rel->arity);
 
-  size_t found = 0;
-  auto hash_probe = [&](const TermId* t, std::vector<TermId>* key) {
-    key->assign(t, t + arity);
-    return rel->lookup.find(*key) != rel->lookup.end();
-  };
-
-  // No first column to gallop on, or no sorted prefix at all: the hash
-  // table is the only index that can answer.
-  if (arity == 0 || rel->sorted_rows == 0 || rel->sorted.empty()) {
-    std::vector<TermId> key;
-    for (size_t i = 0; i < count; ++i) {
-      if (hash_probe(tuples + i * arity, &key)) {
-        (*contained)[i] = 1;
-        ++found;
-      }
+  // Indexed row `r` vs tuple `t`, compared through the column mirrors.
+  auto row_less = [&](uint32_t r, const TermId* t) {
+    for (size_t pos = 0; pos < arity; ++pos) {
+      if (rel->cols[pos][r] != t[pos]) return rel->cols[pos][r] < t[pos];
     }
-    return found;
-  }
-
-  // A value slice wider than this is cheaper to settle with one hash
-  // lookup than with a linear scan of the slice's rows.
-  constexpr size_t kMaxSliceScan = 32;
-  const std::vector<uint32_t>& idx = rel->sorted[0];
-  const std::vector<TermId>& col0 = rel->cols[0];
+    return false;
+  };
+  const std::vector<uint32_t>& idx = rel->sorted;
   const bool stale = rel->sorted_rows != rel->rows.size();
   std::vector<TermId> key;
-  size_t cursor = 0;  // first index entry with col0 >= current tuple's v0
+  size_t found = 0;
+  size_t cursor = 0;  // first index entry not below the current tuple
   for (size_t i = 0; i < count; ++i) {
     const TermId* t = tuples + i * arity;
-    const TermId v0 = t[0];
-    // Gallop from the cursor: [lo, hi) brackets the lower bound of v0.
+    // Gallop from the cursor: [lo, hi) brackets the lower bound of t.
     size_t lo = cursor;
     size_t hi = cursor;
-    size_t step = 1;
-    while (hi < idx.size() && col0[idx[hi]] < v0) {
+    for (size_t step = 1; hi < idx.size() && row_less(idx[hi], t); step <<= 1) {
       lo = hi + 1;
       hi += step;
-      step <<= 1;
     }
-    hi = hi < idx.size() ? hi : idx.size();
     cursor = static_cast<size_t>(
-        std::lower_bound(idx.begin() + lo, idx.begin() + hi, v0,
-                         [&col0](uint32_t r, TermId v) { return col0[r] < v; }) -
+        std::lower_bound(idx.begin() + lo,
+                         idx.begin() + std::min(hi, idx.size()), t, row_less) -
         idx.begin());
-    // Scan the equal-value slice, verifying the remaining positions against
-    // the column mirrors. `decided` means the slice answered definitively
-    // for the sorted prefix; a too-wide slice leaves it false.
-    bool present = false;
-    bool decided = false;
-    size_t scanned = 0;
-    for (size_t j = cursor; j < idx.size(); ++j) {
-      const uint32_t r = idx[j];
-      if (col0[r] != v0) {
-        decided = true;  // slice exhausted without a match
-        break;
-      }
-      if (++scanned > kMaxSliceScan) break;
-      bool match = true;
-      for (size_t pos = 1; pos < arity; ++pos) {
-        if (rel->cols[pos][r] != t[pos]) {
-          match = false;
-          break;
-        }
-      }
-      if (match) {
-        present = true;
-        decided = true;
-        break;
-      }
-    }
-    if (!present && (!decided || stale)) {
-      // Wide slice, slice running off the index end, or absent from the
-      // sorted prefix while unindexed tail rows exist: one exact-tuple
-      // hash lookup settles it.
-      present = hash_probe(t, &key);
+    bool present = cursor < idx.size() &&
+                   std::equal(t, t + arity, rel->rows[idx[cursor]].begin());
+    if (!present && stale) {
+      // Absent from the indexed prefix while unindexed rows exist: one
+      // exact-tuple hash lookup settles it.
+      key.assign(t, t + arity);
+      present = rel->lookup.count(key) != 0;
     }
     if (present) {
       (*contained)[i] = 1;
@@ -239,20 +179,18 @@ void Structure::RefreshIndexes() {
   for (Relation& rel : relations_) {
     const uint32_t n = static_cast<uint32_t>(rel.rows.size());
     if (rel.sorted_rows == n) continue;
-    if (rel.sorted.empty()) rel.sorted.resize(std::max(rel.arity, 1));
-    for (int pos = 0; pos < rel.arity; ++pos) {
-      std::vector<uint32_t>& idx = rel.sorted[pos];
-      const std::vector<TermId>& col = rel.cols[pos];
-      const size_t old = idx.size();
-      idx.reserve(n);
-      for (uint32_t r = rel.sorted_rows; r < n; ++r) idx.push_back(r);
-      auto by_value_then_row = [&col](uint32_t a, uint32_t b) {
-        return col[a] != col[b] ? col[a] < col[b] : a < b;
-      };
-      std::sort(idx.begin() + old, idx.end(), by_value_then_row);
-      std::inplace_merge(idx.begin(), idx.begin() + old, idx.end(),
-                         by_value_then_row);
-    }
+    auto tuple_less = [&rel](uint32_t a, uint32_t b) {
+      for (int pos = 0; pos < rel.arity; ++pos) {
+        const std::vector<TermId>& col = rel.cols[pos];
+        if (col[a] != col[b]) return col[a] < col[b];
+      }
+      return false;
+    };
+    std::vector<uint32_t>& idx = rel.sorted;
+    const size_t old = idx.size();
+    for (uint32_t r = rel.sorted_rows; r < n; ++r) idx.push_back(r);
+    std::sort(idx.begin() + old, idx.end(), tuple_less);
+    std::inplace_merge(idx.begin(), idx.begin() + old, idx.end(), tuple_less);
     rel.sorted_rows = n;
   }
 }

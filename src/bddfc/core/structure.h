@@ -6,19 +6,17 @@
 // append-only, which matches the chase's access pattern (facts are never
 // deleted; new rounds only add).
 //
-// Two index families serve the two evaluation backends:
+// Beyond the exact-tuple hash lookup, a relation keeps:
 //
 //   * hash postings (by_pos) — maintained eagerly inside AddFact, always
-//     current, used by the interpretive Matcher and as the plan executor's
-//     fallback;
-//   * columnar storage plus per-(predicate, position) sorted row indexes —
-//     the column mirror is appended eagerly (contiguous per-position value
-//     arrays for block-at-a-time scans), the sorted indexes are built on
-//     the first RefreshIndexes() call and extended incrementally by
-//     subsequent calls. RefreshIndexes is NOT thread-safe against readers:
-//     engines call it only at round boundaries, the single-threaded point
-//     of a chase, and the executor falls back to hash postings whenever
-//     IndexedRows lags the row count.
+//     current, probed by the interpretive Matcher and the plan executor;
+//   * a columnar mirror — appended eagerly, contiguous per-position value
+//     arrays for block-at-a-time scans;
+//   * one sorted index — row ids in whole-tuple order, built on the first
+//     RefreshIndexes() call and extended incrementally by later calls,
+//     read only by the round sink's bulk containment (ContainsSorted).
+//     RefreshIndexes is NOT thread-safe against readers: engines call it
+//     only at round boundaries, the single-threaded point of a chase.
 
 #ifndef BDDFC_CORE_STRUCTURE_H_
 #define BDDFC_CORE_STRUCTURE_H_
@@ -101,8 +99,10 @@ class Structure {
 
   /// Estimated heap footprint of one stored fact of the given arity: the
   /// row vector, the dedup-map entry (key copy + node), one posting per
-  /// position, the columnar mirror, and one sorted-index entry per
-  /// position. An accounting estimate, not an allocator measurement.
+  /// position, the columnar mirror and the sorted-index entry. An
+  /// accounting estimate, not an allocator measurement: it was sized when
+  /// every position had a sorted index and keeps that value, because every
+  /// governor trip point is calibrated against it.
   static size_t ApproxFactBytes(size_t arity) {
     return 96 + arity * (3 * sizeof(TermId) + 2 * sizeof(uint32_t) + 16);
   }
@@ -147,18 +147,10 @@ class Structure {
   /// range. Invalidation matches Rows().
   const std::vector<TermId>* Column(PredId pred, int pos) const;
 
-  /// Number of rows of `pred` covered by the sorted per-position indexes —
-  /// equal to NumFacts(pred) right after RefreshIndexes(), smaller (stale)
-  /// once facts were added since. 0 before the first refresh.
+  /// Number of rows of `pred` covered by the sorted index — equal to
+  /// NumFacts(pred) right after RefreshIndexes(), smaller (stale) once
+  /// facts were added since. 0 before the first refresh.
   uint32_t IndexedRows(PredId pred) const;
-
-  /// Rows of `pred` whose argument `pos` equals `value`, as a [begin, end)
-  /// slice of the sorted index, ascending by row id. Covers only the first
-  /// IndexedRows(pred) rows; callers must check IndexedRows against their
-  /// band's upper bound and fall back to Postings() when the index is
-  /// stale. Returns an empty slice when no indexed row matches.
-  std::pair<const uint32_t*, const uint32_t*> SortedEqualRange(
-      PredId pred, int pos, TermId value) const;
 
   /// Number of distinct values at (pred, pos) — the selectivity estimate
   /// plan compilation divides row counts by.
@@ -169,23 +161,19 @@ class Structure {
   /// tuples of `arity` TermIds each, flat and sorted ascending (duplicates
   /// allowed). Sets (*contained)[i] to 1/0 per tuple and returns how many
   /// were present. Instead of `count` independent hash probes, a single
-  /// cursor gallops forward through the position-0 sorted (value, row)
-  /// index — the batch is sorted, so first-column values never move
-  /// backwards — and the equal-value slice is verified against the column
-  /// mirrors. Wide slices and rows past the index watermark fall back to
-  /// the exact-tuple hash lookup, so the answer is correct at any index
-  /// staleness (including never-refreshed); fresh indexes only make it
-  /// faster.
+  /// cursor gallops forward through the tuple-ordered index in step with
+  /// the sorted batch, which answers exactly for the indexed rows. Only a
+  /// tuple absent from them while rows past the index watermark exist
+  /// takes the exact-tuple hash lookup, so the answer is correct at any
+  /// index staleness (including never-refreshed).
   size_t ContainsSorted(PredId pred, size_t arity, const TermId* tuples,
                         size_t count, std::vector<char>* contained) const;
 
-  /// Builds (first call) or incrementally extends (later calls) the sorted
-  /// per-(predicate, position) row indexes: new rows are sorted by
-  /// (value, row) and merged into the existing runs. Not thread-safe
-  /// against concurrent readers — call only at round boundaries or before
-  /// handing the structure to parallel scans. Structures that are only
-  /// ever read through the interpretive Matcher never need to call this
-  /// (the executor falls back to hash postings).
+  /// Builds (first call) or incrementally extends (later calls) each
+  /// relation's sorted index: new rows are sorted by tuple and merged into
+  /// the existing run. Not thread-safe against concurrent readers — call
+  /// only at round boundaries or before handing the structure to parallel
+  /// scans. Without it ContainsSorted answers through the hash lookup.
   void RefreshIndexes();
 
   /// The tuple of a fact handle.
@@ -272,9 +260,9 @@ class Structure {
     std::vector<std::unordered_map<TermId, std::vector<uint32_t>>> by_pos;
     /// Columnar mirror: cols[pos][row] == rows[row][pos].
     std::vector<std::vector<TermId>> cols;
-    /// Per-position row ids sorted by (value, row); covers rows
-    /// [0, sorted_rows). Built/extended by RefreshIndexes only.
-    std::vector<std::vector<uint32_t>> sorted;
+    /// Row ids in tuple order (rows are distinct, so the order is total);
+    /// covers rows [0, sorted_rows). Built/extended by RefreshIndexes only.
+    std::vector<uint32_t> sorted;
     uint32_t sorted_rows = 0;
   };
 

@@ -15,7 +15,7 @@ namespace {
 constexpr size_t kBlockBudgetTerms = 16384;
 
 /// Per-step execution context resolved once per ExecutePlan call: column
-/// pointers, the clamped band, and whether the sorted index covers it.
+/// pointers and the clamped band.
 struct StepCtx {
   std::vector<const TermId*> cols;
   uint32_t lo = 0;

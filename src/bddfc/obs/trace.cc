@@ -35,21 +35,32 @@ uint32_t ThisThreadTraceId() {
   return tid;
 }
 
-/// Per-thread stack of open span ids; the top is CurrentSpanId(). Fixed
-/// depth so pushing never allocates; spans past the cap simply don't
-/// become "current" (their events still record with the right parent).
+/// Per-thread stack of open spans and the tracers they record to; the top
+/// is CurrentSpanId() / CurrentTracer(). Fixed depth so pushing never
+/// allocates; spans past the cap simply don't become "current" (their
+/// events still record with the right parent).
 constexpr size_t kMaxSpanDepth = 128;
 thread_local uint64_t tls_span_stack[kMaxSpanDepth];
+thread_local Tracer* tls_tracer_stack[kMaxSpanDepth];
 thread_local size_t tls_span_depth = 0;
 
-bool PushSpan(uint64_t id) {
+bool PushSpan(uint64_t id, Tracer* tracer) {
   if (tls_span_depth >= kMaxSpanDepth) return false;
+  tls_tracer_stack[tls_span_depth] = tracer;
   tls_span_stack[tls_span_depth++] = id;
   return true;
 }
 
 void PopSpan() {
   if (tls_span_depth > 0) --tls_span_depth;
+}
+
+/// Where a span records: `tracer` if given, else the innermost open
+/// span's tracer, else the process-wide one.
+Tracer& RouteSpan(Tracer* tracer) {
+  if (tracer != nullptr) return *tracer;
+  Tracer* inner = Tracer::CurrentTracer();
+  return inner != nullptr ? *inner : Tracer::Global();
 }
 
 void JsonEscapeInto(std::string* out, std::string_view s) {
@@ -81,6 +92,10 @@ Tracer& Tracer::Global() {
 
 uint64_t Tracer::CurrentSpanId() {
   return tls_span_depth == 0 ? 0 : tls_span_stack[tls_span_depth - 1];
+}
+
+Tracer* Tracer::CurrentTracer() {
+  return tls_span_depth == 0 ? nullptr : tls_tracer_stack[tls_span_depth - 1];
 }
 
 void Tracer::Enable(size_t capacity_events) {
@@ -241,20 +256,17 @@ std::string Tracer::ExportChromeJson() const {
   return out;
 }
 
-TraceSpan::TraceSpan(const char* name) {
-  if (!Tracer::Global().enabled()) return;
-  Open(Tracer::Global(), name, Tracer::CurrentSpanId());
-}
-
-TraceSpan::TraceSpan(const char* name, uint64_t explicit_parent) {
-  if (!Tracer::Global().enabled()) return;
-  Open(Tracer::Global(), name, explicit_parent);
-}
-
 TraceSpan::TraceSpan(Tracer* tracer, const char* name) {
-  Tracer& t = tracer != nullptr ? *tracer : Tracer::Global();
+  Tracer& t = RouteSpan(tracer);
   if (!t.enabled()) return;
   Open(t, name, Tracer::CurrentSpanId());
+}
+
+TraceSpan::TraceSpan(Tracer* tracer, const char* name,
+                     uint64_t explicit_parent) {
+  Tracer& t = RouteSpan(tracer);
+  if (!t.enabled()) return;
+  Open(t, name, explicit_parent);
 }
 
 void TraceSpan::Open(Tracer& tracer, const char* name, uint64_t parent) {
@@ -263,7 +275,7 @@ void TraceSpan::Open(Tracer& tracer, const char* name, uint64_t parent) {
   parent_ = parent;
   id_ = tracer.Begin(name, parent);
   active_ = true;
-  pushed_ = PushSpan(id_);
+  pushed_ = PushSpan(id_, &tracer);
 }
 
 TraceSpan::~TraceSpan() {

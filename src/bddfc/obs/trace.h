@@ -14,11 +14,19 @@
 // under the ProbeBdd/ComputeKappa span that submitted them even though
 // they run on other threads.
 //
+// Routing: a span opened with an explicit tracer records there. A span
+// opened without one records to the tracer of the innermost span open on
+// its thread, and to Tracer::Global() only at top level — so a library
+// layer that knows no tracer (the plan executor, the round sink) lands in
+// the ring of the run that called it. Pool tasks carry the submitter's
+// tracer along with its span id.
+//
 // Cost model: when tracing is disabled (the default), constructing a
-// span is one relaxed atomic load and nothing else — no allocation, no
-// clock read. When enabled, Begin/End take a mutex, read steady_clock
-// and write one fixed-size slot in the preallocated ring; span names
-// must be string literals (the recorder stores the pointer). The ring
+// span is one relaxed atomic load (after a thread-local read that picks
+// the tracer) and nothing else — no allocation, no clock read. When
+// enabled, Begin/End take a mutex, read steady_clock and write one
+// fixed-size slot in the preallocated ring; span names must be string
+// literals (the recorder stores the pointer). The ring
 // overwrites its oldest events when full; the exporter repairs the
 // resulting orphans (an 'E' whose 'B' was overwritten is dropped, a 'B'
 // still open at export gets a synthetic 'E'), so the exported JSON is
@@ -80,6 +88,9 @@ class Tracer {
   /// The innermost span currently open on this thread (0 = none). What
   /// the ThreadPool captures at Submit() to re-parent task spans.
   static uint64_t CurrentSpanId();
+  /// The tracer that span records to (null = no span open): where a span
+  /// without an explicit tracer records.
+  static Tracer* CurrentTracer();
 
   /// Spans overwritten or repaired is visible here: how many events the
   /// ring dropped by wrapping since Enable/Reset.
@@ -114,17 +125,17 @@ class Tracer {
 
 /// RAII span. Construct with a string literal name; optionally
 /// set_detail() before destruction (recorded on the 'E' event). The
-/// (name, parent) form re-parents the span under an explicit span id
-/// captured on another thread. The (tracer, name) form records to an
-/// explicit tracer — a per-session ring instead of the process-wide one
-/// (null falls back to Global()); span ids are process-unique across
-/// tracers, so parent links stay coherent even if nested spans land in
-/// different rings.
+/// (tracer, name) form records to an explicit tracer — a per-session ring
+/// instead of the process-wide one; a null tracer, like the (name) form,
+/// follows the routing rule above. The (tracer, name, parent) form also
+/// re-parents the span under a span id captured on another thread. Span
+/// ids are process-unique across tracers, so parent links stay coherent
+/// even if nested spans land in different rings.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name);
-  TraceSpan(const char* name, uint64_t explicit_parent);
+  explicit TraceSpan(const char* name) : TraceSpan(nullptr, name) {}
   TraceSpan(Tracer* tracer, const char* name);
+  TraceSpan(Tracer* tracer, const char* name, uint64_t explicit_parent);
   ~TraceSpan();
 
   TraceSpan(const TraceSpan&) = delete;

@@ -286,6 +286,38 @@ TEST_F(ObsTest, ThreadPoolTasksParentUnderTheSubmittingSpan) {
   EXPECT_EQ(tasks, 8u);
 }
 
+TEST_F(ObsTest, NestedSpansWithoutATracerRecordToTheirParentsRing) {
+  // A span opened without a tracer follows the innermost open span's
+  // tracer — on its own thread and, through the pool, on workers — and
+  // falls back to Global() only at top level.
+  Tracer::Global().Enable(1 << 10);
+  Tracer session;
+  session.Enable(1 << 10);
+  {
+    TraceSpan outer(&session, "session.outer");
+    EXPECT_EQ(Tracer::CurrentTracer(), &session);
+    TraceSpan inner("nested.inner");
+    ThreadPool pool(2);
+    pool.Submit([] {
+      TraceSpan in_task("nested.task");
+      return Status::OK();
+    });
+    EXPECT_TRUE(pool.Wait().ok());
+  }
+  EXPECT_EQ(Tracer::CurrentTracer(), nullptr);
+  { TraceSpan top("top.level"); }
+
+  const std::string in_session = session.ExportChromeJson();
+  const std::string in_global = Tracer::Global().ExportChromeJson();
+  for (const char* name : {"nested.inner", "pool.task", "nested.task"}) {
+    const std::string needle = "\"name\":\"" + std::string(name) + "\"";
+    EXPECT_NE(in_session.find(needle), std::string::npos) << name;
+    EXPECT_EQ(in_global.find(needle), std::string::npos) << name;
+  }
+  EXPECT_NE(in_global.find("\"name\":\"top.level\""), std::string::npos);
+  EXPECT_EQ(in_session.find("\"name\":\"top.level\""), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Engine integration: canonical publication and stage spans.
 // ---------------------------------------------------------------------------

@@ -463,11 +463,12 @@ TEST(ServeCacheTest, CompileThreadsShardTheChaseWithTheSameArtifact) {
   // CompileOptions::threads (bddfc-serve --threads=N) reaches the chase:
   // at four threads the compile's rounds run as chase.shard tasks, and the
   // artifact — key, fact count, rounds, answers — equals the one-thread
-  // compile's.
-  auto shard_spans = [](ReasoningServer& server) {
+  // compile's. The spans of the layers below the chase (plan.exec,
+  // pool.task) land in the session's trace too.
+  auto spans = [](ReasoningServer& server, const std::string& name) {
     const std::string trace =
         server.GetSession("t1").tracer.ExportChromeJson();
-    const std::string needle = "\"name\":\"chase.shard\"";
+    const std::string needle = "\"name\":\"" + name + "\"";
     size_t count = 0;
     for (size_t pos = trace.find(needle); pos != std::string::npos;
          pos = trace.find(needle, pos + needle.size())) {
@@ -491,10 +492,12 @@ TEST(ServeCacheTest, CompileThreadsShardTheChaseWithTheSameArtifact) {
       ASSERT_TRUE(r.ok()) << r.status.ToString();
       outputs[threads].push_back(r.body);
     }
+    EXPECT_GT(spans(server, "plan.exec"), 0u) << threads << " threads";
     if (threads == 1) {
-      EXPECT_EQ(shard_spans(server), 0u);
+      EXPECT_EQ(spans(server, "chase.shard"), 0u);
     } else {
-      EXPECT_GT(shard_spans(server), 0u);
+      EXPECT_GT(spans(server, "chase.shard"), 0u);
+      EXPECT_GT(spans(server, "pool.task"), 0u);
     }
   }
   EXPECT_EQ(outputs[4], outputs[1]);

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <random>
 #include <set>
@@ -116,7 +117,7 @@ struct ProbeCase {
 
 TEST(ContainsSortedTest, AgreesWithPerRowContainsOnRandomStructures) {
   for (uint32_t seed = 1; seed <= 8; ++seed) {
-    for (size_t arity : {size_t{1}, size_t{2}, size_t{3}}) {
+    for (size_t arity : {size_t{1}, size_t{2}, size_t{3}, size_t{4}}) {
       ProbeCase pc(arity, /*facts=*/120, /*domain=*/12, /*queries=*/150,
                    seed * 17 + static_cast<uint32_t>(arity));
       pc.ExpectAgree("never-refreshed");  // all-hash fallback path
@@ -153,9 +154,9 @@ TEST(ContainsSortedTest, StaysCorrectOnStaleIndexes) {
   }
 }
 
-TEST(ContainsSortedTest, WideEqualValueSlicesUseTheHashFallback) {
-  // > kMaxSliceScan rows share one first-column value: the slice scan must
-  // hand off to the hash probe without wrong answers.
+TEST(ContainsSortedTest, WideEqualValueSlicesAnswerExactly) {
+  // 100 rows share one first-column value: the tuple-ordered index must
+  // answer every probe into the wide slice exactly.
   auto sig = std::make_shared<Signature>();
   Structure s(sig);
   PredId p = std::move(sig->AddPredicate("p", 2)).ValueOrDie();
@@ -230,11 +231,25 @@ struct HashReference {
   }
 };
 
-/// Random occurrence run over two predicates; `dup_bias` > 1 draws from a
-/// small tuple pool so duplicate groups are common.
+/// Predicates p1..p4 of arities 1 to 4, the ones RandomOccurrences draws
+/// from.
+std::vector<PredId> SinkPredicates(Signature* sig) {
+  std::vector<PredId> preds;
+  for (int arity = 1; arity <= 4; ++arity) {
+    preds.push_back(
+        std::move(sig->AddPredicate("p" + std::to_string(arity), arity))
+            .ValueOrDie());
+  }
+  return preds;
+}
+
+/// Random occurrence run over `preds`, drawn from a small tuple pool so
+/// duplicate groups are common. Positions 0-1 of arity-3+ tuples draw
+/// from two constants, so those tuples tie on the leading positions and
+/// differ only later.
 std::vector<Atom> RandomOccurrences(Structure* frozen, SignaturePtr sig,
-                                    PredId p2, PredId p1, size_t n,
-                                    size_t pool, uint32_t seed) {
+                                    const std::vector<PredId>& preds,
+                                    size_t n, size_t pool, uint32_t seed) {
   std::mt19937 rng(seed);
   std::vector<TermId> consts;
   for (size_t i = 0; i < 10; ++i) {
@@ -242,14 +257,13 @@ std::vector<Atom> RandomOccurrences(Structure* frozen, SignaturePtr sig,
   }
   std::vector<Atom> pool_atoms;
   for (size_t i = 0; i < pool; ++i) {
-    if (rng() % 2 == 0) {
-      pool_atoms.emplace_back(
-          p2, std::vector<TermId>{consts[rng() % consts.size()],
-                                  consts[rng() % consts.size()]});
-    } else {
-      pool_atoms.emplace_back(
-          p1, std::vector<TermId>{consts[rng() % consts.size()]});
+    const PredId pred = preds[rng() % preds.size()];
+    const size_t arity = static_cast<size_t>(sig->arity(pred));
+    std::vector<TermId> args(arity);
+    for (size_t pos = 0; pos < arity; ++pos) {
+      args[pos] = consts[rng() % (arity >= 3 && pos < 2 ? 2 : consts.size())];
     }
+    pool_atoms.emplace_back(pred, std::move(args));
     // A third of the pool pre-exists in the frozen structure.
     if (rng() % 3 == 0) frozen->AddFact(pool_atoms.back());
   }
@@ -267,10 +281,9 @@ TEST(SinkBuffersTest, SortDedupMatchesHashDedupOnRandomRuns) {
     for (size_t threshold : {size_t{1}, size_t{2}, size_t{7}, size_t{1024}}) {
       auto sig = std::make_shared<Signature>();
       Structure frozen(sig);
-      PredId p2 = std::move(sig->AddPredicate("p2", 2)).ValueOrDie();
-      PredId p1 = std::move(sig->AddPredicate("p1", 1)).ValueOrDie();
-      std::vector<Atom> occs = RandomOccurrences(
-          &frozen, sig, p2, p1, /*n=*/200, /*pool=*/40, seed * 31);
+      std::vector<Atom> occs =
+          RandomOccurrences(&frozen, sig, SinkPredicates(sig.get()),
+                            /*n=*/300, /*pool=*/60, seed * 31);
       frozen.RefreshIndexes();
       HashReference want(frozen, occs);
 
@@ -332,10 +345,8 @@ TEST(SinkBuffersTest, ShardedMergeMatchesSingleSinkExactly) {
   // must be independent of the split.
   auto sig = std::make_shared<Signature>();
   Structure frozen(sig);
-  PredId p2 = std::move(sig->AddPredicate("p2", 2)).ValueOrDie();
-  PredId p1 = std::move(sig->AddPredicate("p1", 1)).ValueOrDie();
-  std::vector<Atom> occs =
-      RandomOccurrences(&frozen, sig, p2, p1, 240, 30, 12345);
+  std::vector<Atom> occs = RandomOccurrences(
+      &frozen, sig, SinkPredicates(sig.get()), 360, 45, 12345);
   frozen.RefreshIndexes();
   HashReference want(frozen, occs);
 
@@ -363,6 +374,54 @@ TEST(SinkBuffersTest, ShardedMergeMatchesSingleSinkExactly) {
     EXPECT_EQ(task_candidates, want.candidates) << label;
     EXPECT_EQ(task_contained, want.contained) << label;
     EXPECT_EQ(task_deduped + merge_deduped, want.deduped) << label;
+  }
+}
+
+TEST(SinkBuffersTest, SortsRawTermIdsOnEveryDigitBoundary) {
+  // Raw TermIds on every 8-bit digit boundary of the 31-bit range, each
+  // tuple twice in a shuffled run, over an empty frozen structure. Inline
+  // (one task) and through the barrier's merge (three tasks), the output
+  // must be std::sort's order and the dedup count the hash reference's.
+  const std::vector<TermId> values = {0,       255,     256,      65535,
+                                      65536,   1 << 24, INT32_MAX};
+  auto sig = std::make_shared<Signature>();
+  Structure frozen(sig);
+  PredId q2 = std::move(sig->AddPredicate("q2", 2)).ValueOrDie();
+  PredId q3 = std::move(sig->AddPredicate("q3", 3)).ValueOrDie();
+  std::vector<Atom> occs;
+  for (TermId a : values) {
+    for (TermId b : values) {
+      occs.emplace_back(q2, std::vector<TermId>{b, a});
+      for (TermId c : values) occs.emplace_back(q3, std::vector<TermId>{c, b, a});
+    }
+  }
+  std::vector<Atom> want = occs;
+  std::sort(want.begin(), want.end());
+  occs.insert(occs.end(), want.begin(), want.end());
+  std::shuffle(occs.begin(), occs.end(), std::mt19937(5));
+  HashReference ref(frozen, occs);
+  ASSERT_EQ(ref.emitted, want);
+
+  for (size_t tasks : {size_t{1}, size_t{3}}) {
+    for (size_t threshold : {size_t{1}, size_t{7}, size_t{1024}}) {
+      std::vector<DatalogSinkBuffers::Run> runs;
+      size_t deduped = 0;
+      for (size_t t = 0; t < tasks; ++t) {
+        DatalogSinkBuffers sink(frozen, threshold, false);
+        for (size_t i = t; i < occs.size(); i += tasks) {
+          sink.AppendAtom(occs[i]);
+        }
+        for (auto& run : sink.TakeRuns()) runs.push_back(std::move(run));
+        deduped += sink.deduped();
+        EXPECT_EQ(sink.contained(), 0u);
+      }
+      std::vector<Atom> got;
+      MergeDatalogRuns(std::move(runs), false, &got, &deduped);
+      const std::string label = std::to_string(tasks) + " tasks threshold " +
+                                std::to_string(threshold);
+      EXPECT_EQ(got, want) << label;
+      EXPECT_EQ(deduped, ref.deduped) << label;
+    }
   }
 }
 
