@@ -84,7 +84,6 @@ void ChaseStats::PublishTo(const char* prefix,
   publish(resolve(prefix));
 }
 
-using chase_internal::AddFactTracked;
 using chase_internal::ApplyRound;
 using chase_internal::EnumerateRound;
 using chase_internal::RoundBuffer;
@@ -150,12 +149,24 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     }
   };
 
-  // Round 0: copy the instance, tagging every fact with round 0.
-  instance.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
-    AddFactTracked(&out, p, row, 0);
-  });
+  // Records every relation's row count at a round boundary; the records
+  // are what FactRound derives birth rounds from.
+  auto record_round_rows = [&out] {
+    std::vector<uint32_t>& rows =
+        out.round_rows.emplace_back(out.structure.NumStoredPredicates());
+    for (size_t p = 0; p < rows.size(); ++p) {
+      rows[p] = static_cast<uint32_t>(
+          out.structure.NumFacts(static_cast<PredId>(p)));
+    }
+  };
+
+  // Round 0: copy the instance.
+  for (PredId p = 0; p < instance.NumStoredPredicates(); ++p) {
+    for (TupleRef row : instance.Rows(p)) out.structure.AddFact(p, row);
+  }
   for (TermId c : instance.Domain()) out.structure.AddDomainElement(c);
   out.facts_per_round.push_back(out.structure.NumFacts());
+  record_round_rows();
 
   // Oblivious mode: remember fired (rule, body-binding) pairs so each
   // trigger fires exactly once over the whole run (the blind chase creates
@@ -203,17 +214,20 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
         finalize();
         return out;
       }
-      out.structure.RefreshIndexes();
+      {
+        obs::TraceSpan refresh_span(&ctx->tracer(), "chase.refresh");
+        out.structure.RefreshIndexes();
+      }
       if (paranoia != ParanoiaLevel::kOff) {
         // Index watermark freshness: every scan this round assumes the
         // sorted indexes cover every stored row.
         for (PredId p = 0; p < out.structure.NumStoredPredicates(); ++p) {
-          if (out.structure.IndexedRows(p) != out.structure.Rows(p).size()) {
+          if (out.structure.IndexedRows(p) != out.structure.NumFacts(p)) {
             out.status = ctx->RecordInvariantViolation(
                 "paranoia: stale sorted index for pred " + std::to_string(p) +
                 " after refresh (" +
                 std::to_string(out.structure.IndexedRows(p)) + " of " +
-                std::to_string(out.structure.Rows(p).size()) +
+                std::to_string(out.structure.NumFacts(p)) +
                 " rows covered) at round " + std::to_string(round));
             finalize();
             return out;
@@ -246,12 +260,12 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
       // The governor tripped mid-enumeration: the buffered additions are
       // an incomplete round. Discard them so the structure stays the
       // Chase^{round-1} prefix (unless the torn-exhaust fault is injected,
-      // which applies them to give the prefix oracle a bug to catch).
+      // which applies them to give the prefix oracle a bug to catch; their
+      // rows lie past the last round record, so FactRound reports them
+      // as born in this unfinished round).
       if (fault == ChaseFault::kTornExhaust) {
         std::sort(buf.datalog.begin(), buf.datalog.end());
-        for (const Atom& g : buf.datalog) {
-          AddFactTracked(&out, g.pred, g.args, static_cast<int>(round));
-        }
+        for (const Atom& g : buf.datalog) out.structure.AddFact(g);
       }
       Status abort_status = ctx->CheckPoint("chase round abort");
       out.status = !abort_status.ok() ? std::move(abort_status)
@@ -340,11 +354,16 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
 
     // Record the round boundary *before* applying this round's additions:
     // the rows inserted below form the delta of the next round.
-    out.structure.MarkRoundBoundary();
-    const size_t added = ApplyRound(&buf, round, &out);
+    size_t added = 0;
+    {
+      obs::TraceSpan apply_span(&ctx->tracer(), "chase.apply");
+      out.structure.MarkRoundBoundary();
+      added = ApplyRound(&buf, round, &out);
+    }
 
     out.rounds_run = round;
     out.facts_per_round.push_back(out.structure.NumFacts());
+    record_round_rows();
     out.stats.round_ms.push_back(elapsed_ms());
 
     if (added == 0) {
@@ -372,21 +391,28 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   return out;
 }
 
+int ChaseResult::FactRound(FactHandle h) const {
+  auto rows_at = [&h](const std::vector<uint32_t>& rows) {
+    return static_cast<size_t>(h.pred) < rows.size() ? rows[h.pred] : 0u;
+  };
+  // Row counts never shrink from one round to the next: the records not
+  // yet holding the row form a prefix.
+  auto born = std::partition_point(
+      round_rows.begin(), round_rows.end(),
+      [&](const std::vector<uint32_t>& rows) { return rows_at(rows) <= h.row; });
+  return born == round_rows.end()
+             ? static_cast<int>(rounds_run) + 1
+             : static_cast<int>(born - round_rows.begin());
+}
+
 std::vector<std::vector<Atom>> ChaseResult::FactsByRound() const {
   std::vector<std::vector<Atom>> out;
-  if (structure.NumFacts() == 0) return out;
-  int max_round = 0;
-  for (const auto& [handle, round] : fact_round) {
-    (void)handle;
-    max_round = std::max(max_round, round);
-  }
-  out.resize(static_cast<size_t>(max_round) + 1);
   for (PredId p = 0; p < structure.NumStoredPredicates(); ++p) {
-    const auto& rows = structure.Rows(p);
+    const RowsView rows = structure.Rows(p);
     for (uint32_t row = 0; row < rows.size(); ++row) {
-      auto it = fact_round.find(FactHandle{p, row});
-      int round = it == fact_round.end() ? 0 : it->second;
-      out[static_cast<size_t>(round)].emplace_back(p, rows[row]);
+      const size_t round = static_cast<size_t>(FactRound({p, row}));
+      if (round >= out.size()) out.resize(round + 1);
+      out[round].emplace_back(p, rows[row]);
     }
   }
   return out;

@@ -214,8 +214,12 @@ struct ChaseResult {
   bool fixpoint_reached = false;
   size_t rounds_run = 0;
   size_t nulls_created = 0;
-  /// Birth round per fact (round 0 = the facts of D).
-  std::unordered_map<FactHandle, int, FactHandleHash> fact_round;
+  /// Per-relation row counts after round 0 and after each applied round:
+  /// entry i holds NumFacts(p) of Chase^i at index p (a relation past the
+  /// end of an entry had no rows yet). Chase^{i+1} only appends to
+  /// Chase^i, so these boundaries fix every fact's birth round (FactRound)
+  /// without a per-fact record.
+  std::vector<std::vector<uint32_t>> round_rows;
   /// Provenance per invented null.
   std::unordered_map<TermId, NullProvenance> null_provenance;
   /// |Chase^i| after each round i (index 0 = |D|); for growth experiments.
@@ -238,10 +242,16 @@ struct ChaseResult {
     return it == null_provenance.end() ? 0 : it->second.birth_round;
   }
 
+  /// Birth round of a stored fact (round 0 = the facts of D): the first
+  /// round whose recorded row count of its relation exceeds its row, by
+  /// binary search over round_rows. Rows past the last record were applied
+  /// by a round that did not complete (the torn-exhaust fault) and report
+  /// rounds_run + 1.
+  int FactRound(FactHandle h) const;
+
   /// Facts grouped by birth round: entry i holds the ground atoms first
   /// derived in round i (entry 0 = the facts of D), append-ordered within
-  /// each relation. Built via fact handles, so it stays valid however the
-  /// structure's row storage reallocates. Empty when the structure is.
+  /// each relation. Empty when the structure is.
   std::vector<std::vector<Atom>> FactsByRound() const;
 };
 

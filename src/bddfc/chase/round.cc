@@ -149,14 +149,6 @@ std::string PatternKey(const std::vector<Atom>& pattern) {
   return best;
 }
 
-bool AddFactTracked(ChaseResult* out, PredId pred,
-                    const std::vector<TermId>& args, int round) {
-  uint32_t row = static_cast<uint32_t>(out->structure.NumFacts(pred));
-  if (!out->structure.AddFact(pred, args)) return false;
-  out->fact_round.emplace(FactHandle{pred, row}, round);
-  return true;
-}
-
 std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b) {
   std::string key = std::to_string(ri);
   for (const Atom& a : rule.body) {
@@ -775,9 +767,7 @@ size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out) {
 
   size_t added = 0;
   for (const Atom& g : buf->datalog) {
-    if (AddFactTracked(out, g.pred, g.args, static_cast<int>(round))) {
-      ++added;
-    }
+    if (out->structure.AddFact(g)) ++added;
   }
   for (auto& [key, pe] : buf->triggers) {
     (void)key;
@@ -792,9 +782,7 @@ size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out) {
       for (TermId& t : g.args) {
         if (IsVar(t)) t = witness.at(t);
       }
-      if (AddFactTracked(out, g.pred, g.args, static_cast<int>(round))) {
-        ++added;
-      }
+      if (out->structure.AddFact(g)) ++added;
       // Record provenance on each fresh null (one shared head atom each).
       for (auto [v, null_id] : witness) {
         (void)v;

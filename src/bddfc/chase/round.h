@@ -77,10 +77,6 @@ inline bool TriggerLess(const PendingExistential& a,
 /// renaming and atom reordering. Defined in round.cc.
 std::string PatternKey(const std::vector<Atom>& pattern);
 
-/// Adds a fact to `out` and records its birth round. Returns true when new.
-bool AddFactTracked(ChaseResult* out, PredId pred,
-                    const std::vector<TermId>& args, int round);
-
 /// One round's buffered derivations, evaluated against the frozen
 /// Chase^{i-1} snapshot. EnumerateRound fills it; ApplyRound consumes it
 /// in canonical order.

@@ -11,11 +11,11 @@ Skeleton SkeletonOf(const Theory& theory, const Structure& instance,
   out.tgps = theory.TgpCandidates();
 
   // Atoms of D.
-  instance.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  instance.ForEachFact([&](PredId p, TupleRef row) {
     out.structure.AddFact(p, row);
   });
   // TGP atoms of the chase.
-  chase.structure.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  chase.structure.ForEachFact([&](PredId p, TupleRef row) {
     if (out.tgps.count(p)) out.structure.AddFact(p, row);
   });
   // Every chase element belongs to S (Def. 12), even if it carries only
@@ -44,7 +44,7 @@ SkeletonAnalysis AnalyzeSkeleton(const Structure& s) {
     if (sig.IsNull(e)) nulls.push_back(e);
   }
 
-  s.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  s.ForEachFact([&](PredId p, TupleRef row) {
     for (TermId t : row) {
       if (sig.IsNull(t)) ++degree[t];
     }

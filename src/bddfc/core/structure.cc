@@ -6,56 +6,109 @@
 namespace bddfc {
 
 namespace {
-const std::vector<std::vector<TermId>> kEmptyRows;
+
+/// Free slot of both open-addressing tables; equal to kNoRow, so a probe
+/// of the tuple table yields FindRow's answer directly.
+constexpr uint32_t kEmptySlot = Structure::kNoRow;
+constexpr size_t kMinSlots = 8;
+
+/// Final mixer of a 64-bit hash (murmur3's fmix64). TermIds are dense, so
+/// an identity hash would lay runs of keys into runs of slots and make
+/// linear probes long; this spreads them.
+uint64_t Mix(uint64_t h) {
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h;
+}
+
+uint64_t HashTuple(const TermId* t, size_t n) {
+  uint64_t h = n;
+  for (size_t i = 0; i < n; ++i) {
+    h = (h ^ static_cast<uint32_t>(t[i])) * 0x9e3779b97f4a7c15ULL;
+  }
+  return Mix(h);
+}
+
+uint64_t HashValue(TermId v) { return Mix(static_cast<uint32_t>(v)); }
+
+/// The probing routine of both tables: linear probing over a non-empty
+/// power-of-two table of ids. Returns the slot holding the id `same`
+/// accepts, or the free slot where the probe ended (load <= 1/2, so one
+/// exists).
+template <typename Same>
+size_t Probe(const std::vector<uint32_t>& slots, uint64_t hash, Same same) {
+  const size_t mask = slots.size() - 1;
+  size_t i = static_cast<size_t>(hash) & mask;
+  while (slots[i] != kEmptySlot && !same(slots[i])) i = (i + 1) & mask;
+  return i;
+}
+
+/// Makes room for one more id in a table holding ids [0, count): doubles
+/// it and reinserts them when the next insert would push the load past
+/// 1/2. Both tables hold dense ids (row ids, posting-list ids).
+template <typename HashOf>
+void ReserveSlot(std::vector<uint32_t>* slots, size_t count, HashOf hash_of) {
+  if (2 * (count + 1) <= slots->size()) return;
+  slots->assign(std::max(kMinSlots, 2 * slots->size()), kEmptySlot);
+  for (uint32_t id = 0; id < count; ++id) {
+    (*slots)[Probe(*slots, hash_of(id), [](uint32_t) { return false; })] = id;
+  }
+}
+
 }  // namespace
 
-Structure::Relation& Structure::GetRelation(PredId pred) {
+bool Structure::AddFact(PredId pred, const TermId* args, size_t n) {
+  assert(pred >= 0 && pred < sig_->num_predicates());
   if (static_cast<size_t>(pred) >= relations_.size()) {
     relations_.resize(pred + 1);
   }
   Relation& rel = relations_[pred];
-  if (rel.by_pos.empty()) {
+  if (rel.tuple_slots.empty()) {  // first fact: fix the layout
     rel.arity = sig_->arity(pred);
-    rel.by_pos.resize(std::max(rel.arity, 1));
-    rel.cols.resize(std::max(rel.arity, 1));
+    rel.postings.resize(rel.arity);
   }
-  return rel;
-}
+  assert(static_cast<int>(n) == rel.arity);
+  if (static_cast<int>(n) != rel.arity) return false;
 
-const Structure::Relation* Structure::FindRelation(PredId pred) const {
-  if (pred < 0 || static_cast<size_t>(pred) >= relations_.size()) {
-    return nullptr;
-  }
-  return &relations_[pred];
-}
-
-bool Structure::AddFact(PredId pred, const std::vector<TermId>& args) {
-  assert(pred >= 0 && pred < sig_->num_predicates());
-  assert(static_cast<int>(args.size()) == sig_->arity(pred));
-  Relation& rel = GetRelation(pred);
-  auto [it, inserted] =
-      rel.lookup.emplace(args, static_cast<uint32_t>(rel.rows.size()));
-  if (!inserted) return false;
-  uint32_t row = it->second;
-  rel.rows.push_back(args);
-  for (int pos = 0; pos < rel.arity; ++pos) {
-    assert(IsConst(args[pos]));
-    rel.by_pos[pos][args[pos]].push_back(row);
-    rel.cols[pos].push_back(args[pos]);
-    AddDomainElement(args[pos]);
+  ReserveSlot(&rel.tuple_slots, rel.rows, [&rel](uint32_t r) {
+    return HashTuple(rel.Row(r), rel.arity);
+  });
+  const size_t slot =
+      Probe(rel.tuple_slots, HashTuple(args, n),
+            [&](uint32_t r) { return std::equal(args, args + n, rel.Row(r)); });
+  if (rel.tuple_slots[slot] != kEmptySlot) return false;
+  // New, so `args` cannot alias this arena: appending is safe.
+  const uint32_t row = rel.rows++;
+  rel.tuple_slots[slot] = row;
+  rel.data.insert(rel.data.end(), args, args + n);
+  for (size_t pos = 0; pos < n; ++pos) {
+    const TermId v = args[pos];
+    assert(IsConst(v));
+    PostingIndex& ix = rel.postings[pos];
+    ReserveSlot(&ix.slots, ix.values.size(),
+                [&ix](uint32_t id) { return HashValue(ix.values[id]); });
+    const size_t vslot = Probe(ix.slots, HashValue(v),
+                               [&ix, v](uint32_t id) { return ix.values[id] == v; });
+    if (ix.slots[vslot] == kEmptySlot) {
+      ix.slots[vslot] = static_cast<uint32_t>(ix.values.size());
+      ix.values.push_back(v);
+      ix.lists.emplace_back();
+    }
+    ix.lists[ix.slots[vslot]].push_back(row);
+    AddDomainElement(v);
   }
   ++num_facts_;
-  if (accountant_ != nullptr) {
-    accountant_->Charge(ApproxFactBytes(args.size()));
-  }
+  if (accountant_ != nullptr) accountant_->Charge(ApproxFactBytes(n));
   return true;
 }
 
 size_t Structure::ApproxAccountedBytes() const {
   size_t bytes = 0;
   for (const Relation& rel : relations_) {
-    bytes += rel.rows.size() *
-             ApproxFactBytes(static_cast<size_t>(std::max(rel.arity, 0)));
+    bytes += rel.rows * ApproxFactBytes(static_cast<size_t>(rel.arity));
   }
   return bytes;
 }
@@ -71,23 +124,23 @@ void Structure::AddDomainElement(TermId c) {
   }
 }
 
-bool Structure::Contains(PredId pred, const std::vector<TermId>& args) const {
+uint32_t Structure::FindRow(PredId pred, TupleRef args) const {
   const Relation* rel = FindRelation(pred);
-  if (rel == nullptr) return false;
-  return rel->lookup.find(args) != rel->lookup.end();
+  if (rel == nullptr || rel->tuple_slots.empty() ||
+      args.size() != static_cast<size_t>(rel->arity)) {
+    return kNoRow;
+  }
+  return rel->tuple_slots[Probe(
+      rel->tuple_slots, HashTuple(args.data(), args.size()), [&](uint32_t r) {
+        return std::equal(args.begin(), args.end(), rel->Row(r));
+      })];
 }
 
-uint32_t Structure::FindRow(PredId pred,
-                            const std::vector<TermId>& args) const {
+RowsView Structure::Rows(PredId pred) const {
   const Relation* rel = FindRelation(pred);
-  if (rel == nullptr) return kNoRow;
-  auto it = rel->lookup.find(args);
-  return it == rel->lookup.end() ? kNoRow : it->second;
-}
-
-const std::vector<std::vector<TermId>>& Structure::Rows(PredId pred) const {
-  const Relation* rel = FindRelation(pred);
-  return rel == nullptr ? kEmptyRows : rel->rows;
+  if (rel == nullptr) return RowsView();
+  return RowsView(rel->data.data(), static_cast<size_t>(rel->arity),
+                  rel->rows);
 }
 
 PredId Structure::NumStoredPredicates() const {
@@ -97,19 +150,15 @@ PredId Structure::NumStoredPredicates() const {
 const std::vector<uint32_t>* Structure::Postings(PredId pred, int pos,
                                                  TermId value) const {
   const Relation* rel = FindRelation(pred);
-  if (rel == nullptr || pos >= static_cast<int>(rel->by_pos.size())) {
+  if (rel == nullptr || pos < 0 ||
+      pos >= static_cast<int>(rel->postings.size())) {
     return nullptr;
   }
-  auto it = rel->by_pos[pos].find(value);
-  return it == rel->by_pos[pos].end() ? nullptr : &it->second;
-}
-
-const std::vector<TermId>* Structure::Column(PredId pred, int pos) const {
-  const Relation* rel = FindRelation(pred);
-  if (rel == nullptr || pos < 0 || pos >= static_cast<int>(rel->cols.size())) {
-    return nullptr;
-  }
-  return &rel->cols[pos];
+  const PostingIndex& ix = rel->postings[pos];
+  const uint32_t id = ix.slots[Probe(
+      ix.slots, HashValue(value),
+      [&ix, value](uint32_t i) { return ix.values[i] == value; })];
+  return id == kEmptySlot ? nullptr : &ix.lists[id];
 }
 
 uint32_t Structure::IndexedRows(PredId pred) const {
@@ -120,10 +169,10 @@ uint32_t Structure::IndexedRows(PredId pred) const {
 size_t Structure::DistinctValues(PredId pred, int pos) const {
   const Relation* rel = FindRelation(pred);
   if (rel == nullptr || pos < 0 ||
-      pos >= static_cast<int>(rel->by_pos.size())) {
+      pos >= static_cast<int>(rel->postings.size())) {
     return 0;
   }
-  return rel->by_pos[pos].size();
+  return rel->postings[pos].values.size();
 }
 
 size_t Structure::ContainsSorted(PredId pred, size_t arity,
@@ -131,19 +180,20 @@ size_t Structure::ContainsSorted(PredId pred, size_t arity,
                                  std::vector<char>* contained) const {
   contained->assign(count, 0);
   const Relation* rel = FindRelation(pred);
-  if (rel == nullptr || rel->rows.empty()) return 0;
+  if (rel == nullptr || rel->rows == 0) return 0;
   assert(static_cast<int>(arity) == rel->arity);
+  if (static_cast<int>(arity) != rel->arity) return 0;
 
-  // Indexed row `r` vs tuple `t`, compared through the column mirrors.
+  // Indexed row `r` vs tuple `t`, compared in the arena.
   auto row_less = [&](uint32_t r, const TermId* t) {
+    const TermId* row = rel->Row(r);
     for (size_t pos = 0; pos < arity; ++pos) {
-      if (rel->cols[pos][r] != t[pos]) return rel->cols[pos][r] < t[pos];
+      if (row[pos] != t[pos]) return row[pos] < t[pos];
     }
     return false;
   };
   const std::vector<uint32_t>& idx = rel->sorted;
-  const bool stale = rel->sorted_rows != rel->rows.size();
-  std::vector<TermId> key;
+  const bool stale = rel->sorted_rows != rel->rows;
   size_t found = 0;
   size_t cursor = 0;  // first index entry not below the current tuple
   for (size_t i = 0; i < count; ++i) {
@@ -160,12 +210,11 @@ size_t Structure::ContainsSorted(PredId pred, size_t arity,
                          idx.begin() + std::min(hi, idx.size()), t, row_less) -
         idx.begin());
     bool present = cursor < idx.size() &&
-                   std::equal(t, t + arity, rel->rows[idx[cursor]].begin());
+                   std::equal(t, t + arity, rel->Row(idx[cursor]));
     if (!present && stale) {
       // Absent from the indexed prefix while unindexed rows exist: one
       // exact-tuple hash lookup settles it.
-      key.assign(t, t + arity);
-      present = rel->lookup.count(key) != 0;
+      present = FindRow(pred, TupleRef(t, arity)) != kNoRow;
     }
     if (present) {
       (*contained)[i] = 1;
@@ -177,12 +226,13 @@ size_t Structure::ContainsSorted(PredId pred, size_t arity,
 
 void Structure::RefreshIndexes() {
   for (Relation& rel : relations_) {
-    const uint32_t n = static_cast<uint32_t>(rel.rows.size());
+    const uint32_t n = rel.rows;
     if (rel.sorted_rows == n) continue;
     auto tuple_less = [&rel](uint32_t a, uint32_t b) {
+      const TermId* x = rel.Row(a);
+      const TermId* y = rel.Row(b);
       for (int pos = 0; pos < rel.arity; ++pos) {
-        const std::vector<TermId>& col = rel.cols[pos];
-        if (col[a] != col[b]) return col[a] < col[b];
+        if (x[pos] != y[pos]) return x[pos] < y[pos];
       }
       return false;
     };
@@ -198,7 +248,7 @@ void Structure::RefreshIndexes() {
 void Structure::MarkRoundBoundary() {
   watermark_.resize(relations_.size());
   for (size_t p = 0; p < relations_.size(); ++p) {
-    watermark_[p] = static_cast<uint32_t>(relations_[p].rows.size());
+    watermark_[p] = relations_[p].rows;
   }
   facts_at_watermark_ = num_facts_;
 }
@@ -218,16 +268,16 @@ std::vector<RowRange> Structure::DeltaChunks(PredId pred,
 }
 
 void Structure::ForEachFact(
-    const std::function<void(PredId, const std::vector<TermId>&)>& fn) const {
-  for (PredId p = 0; p < static_cast<PredId>(relations_.size()); ++p) {
-    for (const auto& row : relations_[p].rows) fn(p, row);
+    const std::function<void(PredId, TupleRef)>& fn) const {
+  for (PredId p = 0; p < NumStoredPredicates(); ++p) {
+    for (TupleRef row : Rows(p)) fn(p, row);
   }
 }
 
 Structure Structure::RestrictToPredicates(
     const std::unordered_set<PredId>& preds) const {
   Structure out(sig_);
-  ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  ForEachFact([&](PredId p, TupleRef row) {
     if (preds.count(p)) out.AddFact(p, row);
   });
   return out;
@@ -236,7 +286,7 @@ Structure Structure::RestrictToPredicates(
 Structure Structure::RestrictToElements(
     const std::unordered_set<TermId>& elements) const {
   Structure out(sig_);
-  ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  ForEachFact([&](PredId p, TupleRef row) {
     bool inside = std::all_of(row.begin(), row.end(), [&](TermId t) {
       return elements.count(t) > 0;
     });
@@ -247,7 +297,7 @@ Structure Structure::RestrictToElements(
 
 bool Structure::ContainsAllFactsOf(const Structure& other) const {
   bool all = true;
-  other.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  other.ForEachFact([&](PredId p, TupleRef row) {
     if (!Contains(p, row)) all = false;
   });
   return all;
@@ -255,7 +305,7 @@ bool Structure::ContainsAllFactsOf(const Structure& other) const {
 
 std::string Structure::ToString() const {
   std::vector<std::string> lines;
-  ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  ForEachFact([&](PredId p, TupleRef row) {
     lines.push_back(Atom(p, row).ToString(*sig_));
   });
   std::sort(lines.begin(), lines.end());

@@ -6,31 +6,46 @@
 // append-only, which matches the chase's access pattern (facts are never
 // deleted; new rounds only add).
 //
-// Beyond the exact-tuple hash lookup, a relation keeps:
+// Each relation stores every tuple once, in one row-major arena of TermIds:
+// row r occupies [r * arity, (r + 1) * arity). Beside the arena it keeps:
 //
-//   * hash postings (by_pos) — maintained eagerly inside AddFact, always
-//     current, probed by the interpretive Matcher and the plan executor;
-//   * a columnar mirror — appended eagerly, contiguous per-position value
-//     arrays for block-at-a-time scans;
+//   * an exact-tuple table — open addressing over row ids (no key
+//     copies), probed with a hash of the tuple read from the arena;
+//   * postings — per position, an open-addressing value index into a
+//     vector of posting lists (ascending row ids), maintained inside
+//     AddFact, always current, probed by the interpretive Matcher and the
+//     plan executor;
 //   * one sorted index — row ids in whole-tuple order, built on the first
 //     RefreshIndexes() call and extended incrementally by later calls,
 //     read only by the round sink's bulk containment (ContainsSorted).
 //     RefreshIndexes is NOT thread-safe against readers: engines call it
 //     only at round boundaries, the single-threaded point of a chase.
+//
+// Both hash tables share one probing routine (linear probing, power-of-two
+// capacity, load at most 1/2). Rows are read through views of the arena —
+// TupleRef for one tuple, RowsView for a relation. A view, a Postings()
+// pointer, and anything derived from them are invalidated by AddFact on
+// the same predicate (the arena or a list may reallocate). Adding facts to
+// other predicates leaves them valid, even when the relation table grows:
+// a relation moves without copying its arena.
 
 #ifndef BDDFC_CORE_STRUCTURE_H_
 #define BDDFC_CORE_STRUCTURE_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <initializer_list>
+#include <iterator>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "bddfc/base/governor.h"
-#include "bddfc/base/interner.h"
 #include "bddfc/core/atom.h"
 #include "bddfc/core/signature.h"
 #include "bddfc/core/term.h"
@@ -59,12 +74,84 @@ struct FactHandle {
   }
 };
 
-struct FactHandleHash {
-  size_t operator()(const FactHandle& h) const {
-    size_t seed = std::hash<int32_t>()(h.pred);
-    HashCombine(seed, std::hash<uint32_t>()(h.row));
-    return seed;
+/// One ground tuple: a view of contiguous TermIds — a stored row of a
+/// relation's arena, or any caller buffer (a std::vector converts
+/// implicitly). Compares by value. The conversion back to std::vector
+/// copies; it is kept so code that binds a row to a
+/// `const std::vector<TermId>&` still compiles.
+class TupleRef : public std::span<const TermId> {
+ public:
+  using std::span<const TermId>::span;
+
+  operator std::vector<TermId>() const { return {begin(), end()}; }
+
+  friend bool operator==(TupleRef a, TupleRef b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
+};
+
+/// The rows of one relation, append-ordered: size() tuples of arity()
+/// TermIds read row-major from the relation's arena. Indexing and
+/// iteration yield TupleRefs. Invalidated by AddFact on the same
+/// predicate (see the file comment).
+class RowsView {
+ public:
+  class iterator {
+   public:
+    using iterator_category = std::input_iterator_tag;
+    using value_type = TupleRef;
+    using difference_type = std::ptrdiff_t;
+    using pointer = void;
+    using reference = TupleRef;
+
+    iterator() = default;
+    iterator(const TermId* data, size_t arity, size_t row)
+        : data_(data), arity_(arity), row_(row) {}
+
+    TupleRef operator*() const {
+      return TupleRef(data_ + row_ * arity_, arity_);
+    }
+    iterator& operator++() {
+      ++row_;
+      return *this;
+    }
+    iterator operator++(int) {
+      iterator old = *this;
+      ++row_;
+      return old;
+    }
+    bool operator==(const iterator& o) const { return row_ == o.row_; }
+
+   private:
+    const TermId* data_ = nullptr;
+    size_t arity_ = 0;
+    size_t row_ = 0;
+  };
+
+  RowsView() = default;
+  RowsView(const TermId* data, size_t arity, size_t rows)
+      : data_(data), arity_(arity), rows_(rows) {}
+
+  size_t size() const { return rows_; }
+  bool empty() const { return rows_ == 0; }
+  size_t arity() const { return arity_; }
+  /// The arena: row r starts at data() + r * arity().
+  const TermId* data() const { return data_; }
+  TupleRef operator[](size_t r) const {
+    return TupleRef(data_ + r * arity_, arity_);
+  }
+  iterator begin() const { return iterator(data_, arity_, 0); }
+  iterator end() const { return iterator(data_, arity_, rows_); }
+
+  /// Equal rows in equal order.
+  friend bool operator==(const RowsView& a, const RowsView& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  const TermId* data_ = nullptr;
+  size_t arity_ = 0;
+  size_t rows_ = 0;
 };
 
 /// A finite relational structure over a shared Signature.
@@ -76,10 +163,17 @@ class Structure {
   const Signature& sig() const { return *sig_; }
   Signature& mutable_sig() { return *sig_; }
 
-  /// Inserts a ground fact; returns true iff it was new.
-  /// Preconditions: all args are constants known to the signature and the
-  /// arity matches (checked by assert in debug builds).
-  bool AddFact(PredId pred, const std::vector<TermId>& args);
+  /// Inserts a ground fact of `n` arguments; returns true iff it was new.
+  /// Preconditions: all args are constants known to the signature and `n`
+  /// equals the arity (checked by assert in debug builds; a tuple of the
+  /// wrong length is never stored).
+  bool AddFact(PredId pred, const TermId* args, size_t n);
+  bool AddFact(PredId pred, TupleRef args) {
+    return AddFact(pred, args.data(), args.size());
+  }
+  bool AddFact(PredId pred, std::initializer_list<TermId> args) {
+    return AddFact(pred, args.begin(), args.size());
+  }
   bool AddFact(const Atom& ground_atom) {
     return AddFact(ground_atom.pred, ground_atom.args);
   }
@@ -97,12 +191,14 @@ class Structure {
   }
   MemoryAccountant* accountant() const { return accountant_; }
 
-  /// Estimated heap footprint of one stored fact of the given arity: the
-  /// row vector, the dedup-map entry (key copy + node), one posting per
-  /// position, the columnar mirror and the sorted-index entry. An
-  /// accounting estimate, not an allocator measurement: it was sized when
-  /// every position had a sorted index and keeps that value, because every
-  /// governor trip point is calibrated against it.
+  /// Accounted heap footprint of one stored fact of the given arity. An
+  /// accounting estimate, not an allocator measurement: it was sized for
+  /// an earlier layout that stored each fact five times, and keeps that
+  /// value because every governor trip point and the serve cache's charge
+  /// are calibrated against it. It overstates the current layout, which
+  /// holds a fact as one arena row, a slot of the exact-tuple table, one
+  /// posting per position (plus the value-index entry of a new value) and
+  /// one sorted-index entry.
   static size_t ApproxFactBytes(size_t arity) {
     return 96 + arity * (3 * sizeof(TermId) + 2 * sizeof(uint32_t) + 16);
   }
@@ -113,8 +209,14 @@ class Structure {
   /// allowance to the budget.
   size_t ApproxAccountedBytes() const;
 
-  /// True iff the ground fact is present.
-  bool Contains(PredId pred, const std::vector<TermId>& args) const;
+  /// True iff the ground fact is present. A tuple whose length differs
+  /// from the relation's arity is absent.
+  bool Contains(PredId pred, TupleRef args) const {
+    return FindRow(pred, args) != kNoRow;
+  }
+  bool Contains(PredId pred, std::initializer_list<TermId> args) const {
+    return Contains(pred, TupleRef(args.begin(), args.size()));
+  }
   bool Contains(const Atom& ground_atom) const {
     return Contains(ground_atom.pred, ground_atom.args);
   }
@@ -122,30 +224,22 @@ class Structure {
   /// Row id of the exact ground tuple, or kNoRow when absent. One hash
   /// lookup — the plan executor's fast path for fully-bound steps (e.g.
   /// closing a cycle), where probing per-position postings would be wasted
-  /// work. The id is also the tuple's position in Rows()/Column(), so
-  /// band checks are a comparison.
+  /// work. The id is also the tuple's position in Rows(), so band checks
+  /// are a comparison.
   static constexpr uint32_t kNoRow = UINT32_MAX;
-  uint32_t FindRow(PredId pred, const std::vector<TermId>& args) const;
+  uint32_t FindRow(PredId pred, TupleRef args) const;
 
   /// All rows of `pred` (each row is one ground tuple), append-ordered.
-  ///
-  /// The returned reference is invalidated by AddFact on a predicate not
-  /// stored yet (the relation table may reallocate). Callers that hold a
-  /// reference across insertions — the chase holds one inside match
-  /// callbacks — must buffer additions and apply them between rounds.
-  const std::vector<std::vector<TermId>>& Rows(PredId pred) const;
+  /// Invalidated by AddFact on `pred` — callers that scan while deriving
+  /// (the chase does, inside match callbacks) must buffer additions and
+  /// apply them between rounds.
+  RowsView Rows(PredId pred) const;
 
   /// Posting list of rows of `pred` whose argument `pos` equals `value`,
-  /// or nullptr when empty.
+  /// ascending, or nullptr when empty (including for a position outside
+  /// [0, arity)). Invalidated by AddFact on `pred`.
   const std::vector<uint32_t>* Postings(PredId pred, int pos,
                                         TermId value) const;
-
-  /// Columnar view of argument position `pos` of `pred`: element r equals
-  /// Rows(pred)[r][pos], stored contiguously so block-at-a-time scans read
-  /// one flat array per position instead of chasing a heap pointer per
-  /// row. Returns nullptr when the relation is absent or `pos` is out of
-  /// range. Invalidation matches Rows().
-  const std::vector<TermId>* Column(PredId pred, int pos) const;
 
   /// Number of rows of `pred` covered by the sorted index — equal to
   /// NumFacts(pred) right after RefreshIndexes(), smaller (stale) once
@@ -162,10 +256,10 @@ class Structure {
   /// allowed). Sets (*contained)[i] to 1/0 per tuple and returns how many
   /// were present. Instead of `count` independent hash probes, a single
   /// cursor gallops forward through the tuple-ordered index in step with
-  /// the sorted batch, which answers exactly for the indexed rows. Only a
-  /// tuple absent from them while rows past the index watermark exist
-  /// takes the exact-tuple hash lookup, so the answer is correct at any
-  /// index staleness (including never-refreshed).
+  /// the sorted batch, comparing against arena rows, which answers exactly
+  /// for the indexed rows. Only a tuple absent from them while rows past
+  /// the index watermark exist takes the exact-tuple hash lookup, so the
+  /// answer is correct at any index staleness (including never-refreshed).
   size_t ContainsSorted(PredId pred, size_t arity, const TermId* tuples,
                         size_t count, std::vector<char>* contained) const;
 
@@ -176,14 +270,15 @@ class Structure {
   /// scans. Without it ContainsSorted answers through the hash lookup.
   void RefreshIndexes();
 
-  /// The tuple of a fact handle.
-  const std::vector<TermId>& Tuple(FactHandle h) const {
-    return Rows(h.pred)[h.row];
-  }
+  /// The tuple of a fact handle (a view; see Rows() for invalidation).
+  TupleRef Tuple(FactHandle h) const { return Rows(h.pred)[h.row]; }
 
   /// Number of stored facts (all predicates).
   size_t NumFacts() const { return num_facts_; }
-  size_t NumFacts(PredId pred) const { return Rows(pred).size(); }
+  size_t NumFacts(PredId pred) const {
+    const Relation* rel = FindRelation(pred);
+    return rel == nullptr ? 0 : rel->rows;
+  }
 
   /// Upper bound (exclusive) on PredIds with stored rows. May exceed the
   /// signature's predicate count: facts can be added for predicates interned
@@ -227,9 +322,9 @@ class Structure {
   std::vector<RowRange> DeltaChunks(PredId pred,
                                     uint32_t max_chunk_rows) const;
 
-  /// Calls fn(pred, tuple) for every stored fact.
-  void ForEachFact(
-      const std::function<void(PredId, const std::vector<TermId>&)>& fn) const;
+  /// Calls fn(pred, tuple) for every stored fact, predicate by predicate,
+  /// rows append-ordered.
+  void ForEachFact(const std::function<void(PredId, TupleRef)>& fn) const;
 
   /// C ↾ P: the substructure over exactly the predicates in `preds`
   /// (same signature object).
@@ -246,28 +341,42 @@ class Structure {
   std::string ToString() const;
 
  private:
-  struct TupleHash {
-    size_t operator()(const std::vector<TermId>& v) const {
-      return HashRange(v.begin(), v.end());
-    }
+  /// Per-position postings: an open-addressing value index (`slots`, list
+  /// ids) into `values` (list id -> its value) and `lists` (list id ->
+  /// ascending row ids). DistinctValues is values.size().
+  struct PostingIndex {
+    std::vector<uint32_t> slots;
+    std::vector<TermId> values;
+    std::vector<std::vector<uint32_t>> lists;
   };
 
   struct Relation {
     int arity = 0;
-    std::vector<std::vector<TermId>> rows;
-    std::unordered_map<std::vector<TermId>, uint32_t, TupleHash> lookup;
-    /// by_pos[pos][value] -> row indexes.
-    std::vector<std::unordered_map<TermId, std::vector<uint32_t>>> by_pos;
-    /// Columnar mirror: cols[pos][row] == rows[row][pos].
-    std::vector<std::vector<TermId>> cols;
+    uint32_t rows = 0;
+    /// Row-major arena: row r is data[r * arity, (r + 1) * arity).
+    std::vector<TermId> data;
+    /// Exact-tuple table: open addressing over row ids; empty until the
+    /// first fact (which also fixes `arity` and sizes `postings`).
+    std::vector<uint32_t> tuple_slots;
+    std::vector<PostingIndex> postings;  // one per position
     /// Row ids in tuple order (rows are distinct, so the order is total);
     /// covers rows [0, sorted_rows). Built/extended by RefreshIndexes only.
     std::vector<uint32_t> sorted;
     uint32_t sorted_rows = 0;
-  };
 
-  Relation& GetRelation(PredId pred);
-  const Relation* FindRelation(PredId pred) const;
+    const TermId* Row(uint32_t r) const {
+      return data.data() + static_cast<size_t>(r) * arity;
+    }
+  };
+  // Views hold arena pointers across the relation table's growth, which
+  // stays true only while relations move instead of being copied.
+  static_assert(std::is_nothrow_move_constructible_v<Relation>);
+
+  const Relation* FindRelation(PredId pred) const {
+    return pred >= 0 && static_cast<size_t>(pred) < relations_.size()
+               ? &relations_[pred]
+               : nullptr;
+  }
 
   SignaturePtr sig_;
   std::vector<Relation> relations_;  // indexed by PredId; grown lazily

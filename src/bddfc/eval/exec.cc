@@ -14,10 +14,13 @@ namespace {
 /// block so one block stays around a cache-friendly 64 KiB.
 constexpr size_t kBlockBudgetTerms = 16384;
 
-/// Per-step execution context resolved once per ExecutePlan call: column
-/// pointers and the clamped band.
+/// Per-step execution context resolved once per ExecutePlan call: the
+/// relation's arena and the clamped band.
 struct StepCtx {
-  std::vector<const TermId*> cols;
+  /// Row-major arena of the step's relation: row r's value at position
+  /// pos is rows[r * arity + pos].
+  const TermId* rows = nullptr;
+  size_t arity = 0;
   uint32_t lo = 0;
   uint32_t hi = 0;
   /// Band covers the whole relation: candidate slices need no clamping.
@@ -87,11 +90,13 @@ struct Executor {
       sc.lo = band.begin;
       sc.hi = std::min<uint32_t>(band.end, n);
       sc.full_band = sc.lo == 0 && sc.hi == n;
-      sc.cols.resize(st.args.size(), nullptr);
+      const RowsView rows = s.Rows(st.pred);
+      sc.rows = rows.data();
+      sc.arity = rows.arity();
+      // A tuple of another length is never stored: no row can match.
+      if (sc.arity != st.args.size()) sc.hi = sc.lo;
       sc.bound_local.assign(st.args.size(), 0);
       for (size_t pos = 0; pos < st.args.size(); ++pos) {
-        const std::vector<TermId>* col = s.Column(st.pred, static_cast<int>(pos));
-        sc.cols[pos] = col != nullptr ? col->data() : nullptr;
         const PlanArg& a = st.args[pos];
         if (a.kind == PlanArg::kNew) {
           sc.new_slots.push_back(a.slot);
@@ -162,9 +167,10 @@ struct Executor {
   bool VerifyRow(const PlanStep& st, const StepCtx& sc, const TermId* slots,
                  uint32_t row) {
     if (stats != nullptr) ++stats->rows_scanned;
+    const TermId* values = sc.rows + static_cast<size_t>(row) * sc.arity;
     for (size_t pos = 0; pos < st.args.size(); ++pos) {
       const PlanArg& a = st.args[pos];
-      const TermId rv = sc.cols[pos][row];
+      const TermId rv = values[pos];
       switch (a.kind) {
         case PlanArg::kConst:
           if (a.value != rv) return false;
@@ -218,7 +224,7 @@ struct Executor {
       const TermId* slots = in + r * width;
 
       // Fully-bound step: one exact-tuple lookup decides it. The found
-      // row id is its position in the columns, so the band check is a
+      // row id is its position in the arena, so the band check is a
       // comparison — no postings probe, no scan.
       if (sc.exists_check) {
         key_buf.clear();

@@ -1,4 +1,5 @@
-// Vectorized plan execution: block-at-a-time joins over columnar storage.
+// Vectorized plan execution: block-at-a-time joins over the fact store's
+// row-major arenas.
 //
 // The executor runs a QueryPlan as a pipeline of steps. Intermediate
 // bindings live in flat slot-value blocks (row-major, num_slots entries
@@ -10,13 +11,14 @@
 // its output block, and recurses per *block*, not per row. Compared
 // to the interpretive Matcher this removes the per-call SelectAtom scan,
 // the per-argument hash-map ResolveTerm lookups, and the per-variable
-// Binding mutations from the innermost loop. Candidate rows are verified
-// against the columns before anything is copied (rejects never touch the
-// block), and the one Binding handed to the callback is reused across
-// matches — its values are patched through stable element pointers, so
-// emitting a match performs zero hash operations. PlanCountMatches goes
-// further: no Binding at all, and the final step counts matches straight
-// from its candidate ranges when the probe is the only constraint.
+// Binding mutations from the innermost loop. Candidate rows are read from
+// the relation's arena with stride arity and verified before anything is
+// copied (rejects never touch the block), and the one Binding handed to
+// the callback is reused across matches — its values are patched through
+// stable element pointers, so emitting a match performs zero hash
+// operations. PlanCountMatches goes further: no Binding at all, and the
+// final step counts matches straight from its candidate ranges when the
+// probe is the only constraint.
 //
 // Counter semantics (shared with the Matcher — see MatchStats):
 //   * postings_hits  — one per atom instantiation that proceeded through a

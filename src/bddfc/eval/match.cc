@@ -30,7 +30,7 @@ struct SearchState {
 
   /// Width of atom i's band once clamped to its relation (its row count).
   size_t BandWidth(size_t i) const {
-    size_t n = s.Rows(atoms[i].pred).size();
+    size_t n = s.NumFacts(atoms[i].pred);
     size_t hi = std::min<size_t>(bands[i].end, n);
     size_t lo = bands[i].begin;
     return lo < hi ? hi - lo : 0;
@@ -73,8 +73,7 @@ struct SearchState {
 
   /// Tries to unify atom `a`'s pattern with a stored row; on success binds
   /// newly bound variables and records them in `newly_bound`.
-  bool TryRow(const Atom& a, const std::vector<TermId>& row,
-              std::vector<TermId>* newly_bound) {
+  bool TryRow(const Atom& a, TupleRef row, std::vector<TermId>* newly_bound) {
     for (size_t i = 0; i < a.args.size(); ++i) {
       TermId t = ResolveTerm(a.args[i]);
       if (IsConst(t)) {
@@ -106,7 +105,7 @@ struct SearchState {
     }
     SelectAtom(depth);
     const Atom& a = atoms[depth];
-    const auto& rows = s.Rows(a.pred);
+    const RowsView rows = s.Rows(a.pred);
     const uint32_t lo = bands[depth].begin;
     const uint32_t hi =
         std::min<uint32_t>(bands[depth].end, static_cast<uint32_t>(rows.size()));
@@ -226,7 +225,7 @@ ConjunctiveQuery StructureToQuery(const Structure& s) {
   std::unordered_map<TermId, TermId> null_to_var;
   int32_t next_var = 0;
   ConjunctiveQuery q;
-  s.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  s.ForEachFact([&](PredId p, TupleRef row) {
     Atom a;
     a.pred = p;
     a.args.reserve(row.size());

@@ -107,7 +107,7 @@ ModelSearchResult FindFiniteModel(const Theory& theory,
         return result;
       }
       Structure candidate(sig);
-      instance.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+      instance.ForEachFact([&](PredId p, TupleRef row) {
         candidate.AddFact(p, row);
       });
       for (TermId e : domain) candidate.AddDomainElement(e);

@@ -24,7 +24,7 @@ namespace {
 /// (drops colors, hidden-query and normalization auxiliaries).
 Structure ProjectToOriginal(const Structure& s, int num_original) {
   Structure out(s.signature_ptr());
-  s.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  s.ForEachFact([&](PredId p, TupleRef row) {
     if (p < num_original) out.AddFact(p, row);
   });
   for (TermId e : s.Domain()) out.AddDomainElement(e);

@@ -103,7 +103,7 @@ std::string ToProgramText(const Theory& theory, const Structure* instance,
     // internal id numbering differs between a signature and its reparse, so
     // a canonical order is what makes Print ∘ Parse ∘ Print a fixpoint.
     std::vector<std::string> fact_lines;
-    instance->ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+    instance->ForEachFact([&](PredId p, TupleRef row) {
       VarNamer namer;
       fact_lines.push_back(AtomText(Atom(p, row), sig, &namer) + ".\n");
     });

@@ -344,7 +344,7 @@ Structure TernarizeInstance(const TernaryReduction& reduction,
                             const Structure& instance) {
   Structure out(instance.signature_ptr());
   Signature& sig = out.mutable_sig();
-  instance.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  instance.ForEachFact([&](PredId p, TupleRef row) {
     auto it = reduction.chains.find(p);
     if (it == reduction.chains.end()) {
       out.AddFact(p, row);

@@ -488,7 +488,7 @@ int DerivationDepth(const Theory& theory, const Structure& instance,
     const Signature& from = instance.sig();
     Signature& to = *theory.signature_ptr();
     bool ok = true;
-    instance.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+    instance.ForEachFact([&](PredId p, TupleRef row) {
       Result<PredId> tp =
           to.AddPredicate(from.PredicateName(p), from.arity(p));
       if (!tp.ok()) {

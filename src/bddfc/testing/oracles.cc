@@ -31,11 +31,13 @@ std::string Mismatch(const char* what, const T& a, const T& b) {
 std::map<PredId, std::vector<int>> BirthRoundsByPredicate(
     const ChaseResult& r) {
   std::map<PredId, std::vector<int>> out;
-  for (const auto& [handle, round] : r.fact_round) {
-    out[handle.pred].push_back(round);
-  }
-  for (auto& [pred, rounds] : out) {
-    (void)pred;
+  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
+    const uint32_t n = static_cast<uint32_t>(r.structure.NumFacts(p));
+    if (n == 0) continue;
+    std::vector<int>& rounds = out[p];
+    for (uint32_t row = 0; row < n; ++row) {
+      rounds.push_back(r.FactRound({p, row}));
+    }
     std::sort(rounds.begin(), rounds.end());
   }
   return out;
@@ -741,13 +743,12 @@ std::string ExactChaseDump(const ChaseResult& r) {
     for (TermId t : np.head_atom.args) s += std::to_string(t) + ",";
     s += ")\n";
   }
-  std::map<std::pair<PredId, uint32_t>, int> births;
-  for (const auto& [handle, round] : r.fact_round) {
-    births[{handle.pred, handle.row}] = round;
-  }
-  for (const auto& [key, round] : births) {
-    s += "fact p" + std::to_string(key.first) + "#" +
-         std::to_string(key.second) + "=r" + std::to_string(round) + "\n";
+  for (PredId p = 0; p < r.structure.NumStoredPredicates(); ++p) {
+    const uint32_t n = static_cast<uint32_t>(r.structure.NumFacts(p));
+    for (uint32_t row = 0; row < n; ++row) {
+      s += "fact p" + std::to_string(p) + "#" + std::to_string(row) + "=r" +
+           std::to_string(r.FactRound({p, row})) + "\n";
+    }
   }
   return s;
 }

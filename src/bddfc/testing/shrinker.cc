@@ -19,7 +19,7 @@ struct Parts {
 Parts Decompose(const Scenario& s) {
   Parts p;
   p.rules = s.theory.rules();
-  s.instance.ForEachFact([&](PredId pred, const std::vector<TermId>& row) {
+  s.instance.ForEachFact([&](PredId pred, TupleRef row) {
     p.facts.push_back(Atom(pred, row));
   });
   p.queries = s.queries;

@@ -26,7 +26,7 @@ std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
     return "";  // outside P(e) ∪ C_con
   };
   std::vector<std::string> atoms;
-  c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  c.ForEachFact([&](PredId p, TupleRef row) {
     if (c.sig().IsColor(p)) return;
     std::string s = std::to_string(p) + "(";
     for (TermId t : row) {
@@ -44,9 +44,8 @@ std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
 
 /// LocalIsoKey's encoding of one atom, appended to `atoms`; an atom that
 /// mentions a null other than e and its parent leaves the restriction.
-void AddLocalAtom(const Signature& sig, PredId p,
-                  const std::vector<TermId>& row, TermId e, TermId parent,
-                  std::vector<std::string>* atoms) {
+void AddLocalAtom(const Signature& sig, PredId p, TupleRef row, TermId e,
+                  TermId parent, std::vector<std::string>* atoms) {
   std::string s = std::to_string(p) + "(";
   for (TermId t : row) {
     if (t == e) {
@@ -78,7 +77,7 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
   const Signature& sig = c.sig();
 
   Coloring out(c.signature_ptr());
-  c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  c.ForEachFact([&](PredId p, TupleRef row) {
     out.colored.AddFact(p, row);
   });
   for (TermId e : c.Domain()) out.colored.AddDomainElement(e);
@@ -89,10 +88,11 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
   std::vector<std::vector<FactHandle>> incident(sig.num_constants());
   for (PredId p = 0; p < c.NumStoredPredicates(); ++p) {
     if (sig.IsColor(p)) continue;
-    const auto& rows = c.Rows(p);
+    const RowsView rows = c.Rows(p);
     for (uint32_t r = 0; r < rows.size(); ++r) {
-      for (auto it = rows[r].begin(); it != rows[r].end(); ++it) {
-        if (sig.IsNull(*it) && std::find(rows[r].begin(), it, *it) == it) {
+      const TupleRef row = rows[r];
+      for (auto it = row.begin(); it != row.end(); ++it) {
+        if (sig.IsNull(*it) && std::find(row.begin(), it, *it) == it) {
           incident[*it].push_back({p, r});
         }
       }
@@ -127,7 +127,7 @@ Result<Coloring> NaturalColoring(const Structure& c, int m) {
       }
       if (parent != -1) {
         for (FactHandle h : incident[parent]) {
-          const std::vector<TermId>& row = c.Tuple(h);
+          const TupleRef row = c.Tuple(h);
           if (std::find(row.begin(), row.end(), e) == row.end()) {
             AddLocalAtom(sig, h.pred, row, e, parent, &atoms);
           }

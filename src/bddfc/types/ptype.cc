@@ -48,17 +48,18 @@ struct TypeOracle::Impl {
     }
     for (PredId p = 0; p < a.sig().num_predicates(); ++p) {
       if (!in_theta[p]) continue;
-      const auto& rows = a.Rows(p);
+      const RowsView rows = a.Rows(p);
       for (uint32_t r = 0; r < rows.size(); ++r) {
         bool has_null = false;
-        std::unordered_set<TermId> elems(rows[r].begin(), rows[r].end());
+        const TupleRef row = rows[r];
+        std::unordered_set<TermId> elems(row.begin(), row.end());
         for (TermId t : elems) {
           if (a.sig().IsNull(t)) {
             incident[t].emplace_back(p, r);
             has_null = true;
           }
         }
-        if (!has_null && !b.Contains(p, rows[r])) const_only_ok = false;
+        if (!has_null && !b.Contains(p, row)) const_only_ok = false;
       }
     }
     for (TermId e : a.Domain()) {
@@ -94,7 +95,7 @@ struct TypeOracle::Impl {
       if (it == incident.end()) continue;
       for (auto [pred, row] : it->second) {
         if (!seen_rows.insert((int64_t(pred) << 32) | row).second) continue;
-        const std::vector<TermId>& args = a.Rows(pred)[row];
+        const TupleRef args = a.Tuple({pred, row});
         Atom atom;
         atom.pred = pred;
         atom.args.reserve(args.size());
@@ -284,7 +285,7 @@ struct BallCanon {
 
   BallCanon(const Structure& s, const std::vector<char>& theta)
       : c(s), in_theta(theta) {
-    c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+    c.ForEachFact([&](PredId p, TupleRef row) {
       if (!in_theta[p]) return;
       std::string pname = std::to_string(p);
       if (row.size() == 1) {

@@ -30,7 +30,7 @@ Quotient BuildQuotient(const Structure& c, const TypePartition& partition) {
   }
 
   // Relations: images of C's facts under the projection (joint witnesses).
-  c.ForEachFact([&](PredId p, const std::vector<TermId>& row) {
+  c.ForEachFact([&](PredId p, TupleRef row) {
     std::vector<TermId> image;
     image.reserve(row.size());
     for (TermId t : row) {

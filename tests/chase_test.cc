@@ -123,6 +123,62 @@ TEST(ChaseTest, ChaseLevelsAreRecorded) {
   EXPECT_EQ(rounds, (std::vector<int>{1, 2, 3, 4, 5}));
 }
 
+/// FactsByRound must partition the structure, and entry r must hold
+/// exactly the facts whose derived birth round (FactRound) is r.
+void ExpectFactsByRoundPartitions(const ChaseResult& res) {
+  std::vector<std::vector<Atom>> by_round = res.FactsByRound();
+  size_t total = 0;
+  for (size_t r = 0; r < by_round.size(); ++r) {
+    total += by_round[r].size();
+    for (const Atom& a : by_round[r]) {
+      const uint32_t row = res.structure.FindRow(a.pred, a.args);
+      ASSERT_NE(row, Structure::kNoRow);
+      EXPECT_EQ(res.FactRound({a.pred, row}), static_cast<int>(r));
+    }
+  }
+  EXPECT_EQ(total, res.structure.NumFacts());
+}
+
+/// Nonlinear transitive closure over the path c0 -> c1 -> ... -> c{n-1}.
+Program TcPath(int n) {
+  std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\n";
+  for (int i = 0; i + 1 < n; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+            ").\n";
+  }
+  return MustParse(text.c_str());
+}
+
+/// The distance law of TcPath: e(ci, cj) is born in round ceil(log2(j-i)),
+/// since round r joins two facts of distance at most 2^(r-1) each.
+int TcBirthRound(const Signature& sig, TupleRef row) {
+  const int d = std::stoi(sig.ConstantName(row[1]).substr(1)) -
+                std::stoi(sig.ConstantName(row[0]).substr(1));
+  int r = 0;
+  while ((1 << r) < d) ++r;
+  return r;
+}
+
+/// Facts of TcPath(n) at a distance in [lo, hi]: n - d per distance d.
+size_t TcPairs(size_t n, size_t lo, size_t hi) {
+  size_t pairs = 0;
+  for (size_t d = lo; d <= hi && d < n; ++d) pairs += n - d;
+  return pairs;
+}
+
+/// Number of facts whose FactRound is `round`; expects every fact of the
+/// TcPath run `res` to follow the distance law.
+size_t ExpectDistanceLaw(const ChaseResult& res, PredId e, int round) {
+  size_t at_round = 0;
+  const RowsView rows = res.structure.Rows(e);
+  for (uint32_t r = 0; r < rows.size(); ++r) {
+    const int born = res.FactRound({e, r});
+    EXPECT_EQ(born, TcBirthRound(res.structure.sig(), rows[r])) << "row " << r;
+    if (born == round) ++at_round;
+  }
+  return at_round;
+}
+
 TEST(ChaseTest, FactsByRoundPartitionsAllFacts) {
   // Alternating e/u derivations: e facts land in even rounds, u facts in
   // odd ones, and the per-round groups must partition the final structure
@@ -135,12 +191,9 @@ TEST(ChaseTest, FactsByRoundPartitionsAllFacts) {
   ChaseOptions opts;
   opts.max_rounds = 4;
   ChaseResult res = RunChase(p.theory, p.instance, opts);
+  ExpectFactsByRoundPartitions(res);
   std::vector<std::vector<Atom>> by_round = res.FactsByRound();
   ASSERT_EQ(by_round.size(), 5u);
-
-  size_t total = 0;
-  for (const auto& round : by_round) total += round.size();
-  EXPECT_EQ(total, res.structure.NumFacts());
 
   PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
   PredId u = std::move(p.theory.sig().FindPredicate("u")).ValueOrDie();
@@ -150,6 +203,66 @@ TEST(ChaseTest, FactsByRoundPartitionsAllFacts) {
     ASSERT_EQ(by_round[r].size(), 1u) << "round " << r;
     EXPECT_EQ(by_round[r][0].pred, r % 2 == 1 ? e : u) << "round " << r;
   }
+
+  // The transitive-closure runs of DerivedBirthRoundsFollowTheDistanceLaw:
+  // to a fixpoint, cut by max_rounds, and torn mid-round.
+  for (size_t max_rounds : {size_t{100}, size_t{3}}) {
+    Program tc = TcPath(40);
+    ChaseOptions o;
+    o.max_rounds = max_rounds;
+    ExpectFactsByRoundPartitions(RunChase(tc.theory, tc.instance, o));
+  }
+}
+
+TEST(ChaseTest, DerivedBirthRoundsFollowTheDistanceLaw) {
+  // Read straight from FactRound, not through ExactChaseDump (which now
+  // renders the same derivation).
+  {
+    Program p = TcPath(40);
+    PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
+    ChaseResult res = RunChase(p.theory, p.instance);
+    ASSERT_TRUE(res.fixpoint_reached);
+    EXPECT_EQ(res.rounds_run, 6u);  // ceil(log2(39))
+    EXPECT_EQ(res.structure.NumFacts(), 39u * 40u / 2u);
+    EXPECT_EQ(ExpectDistanceLaw(res, e, 6), TcPairs(40, 33, 39));
+    EXPECT_EQ(res.round_rows.size(), res.rounds_run + 1);
+  }
+  {
+    // Cut by max_rounds: only distances up to 2^3 exist, each in its round.
+    Program p = TcPath(40);
+    PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
+    ChaseOptions opts;
+    opts.max_rounds = 3;
+    ChaseResult res = RunChase(p.theory, p.instance, opts);
+    ASSERT_FALSE(res.status.ok());
+    ASSERT_EQ(res.rounds_run, 3u);
+    EXPECT_EQ(ExpectDistanceLaw(res, e, 3), TcPairs(40, 5, 8));
+    EXPECT_EQ(ExpectDistanceLaw(res, e, 4), 0u);
+  }
+  // kTornExhaust applies a tripped round's partial buffer: its rows lie
+  // past the last round record and report rounds_run + 1 — still their
+  // distance-law round. Scan trip points until one lands mid-round (the
+  // reference engine probes the governor per binding, so most do).
+  bool torn = false;
+  for (size_t after = 1; after <= 64 && !torn; ++after) {
+    Program p = TcPath(40);
+    PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
+    ExecutionContext ctx;
+    ctx.InjectFaultAfterChecks(InjectedFault::kCancel, after);
+    ChaseOptions opts;
+    opts.context = &ctx;
+    opts.engine = ChaseEngine::kNaive;
+    opts.fault = ChaseFault::kTornExhaust;
+    ChaseResult res = RunChase(p.theory, p.instance, opts);
+    if (res.structure.NumFacts() == res.facts_per_round.back()) continue;
+    torn = true;
+    const int torn_round = static_cast<int>(res.rounds_run) + 1;
+    EXPECT_EQ(ExpectDistanceLaw(res, e, torn_round),
+              res.structure.NumFacts() - res.facts_per_round.back())
+        << "trip after " << after << " checks";
+    ExpectFactsByRoundPartitions(res);
+  }
+  EXPECT_TRUE(torn) << "no trip point landed mid-round";
 }
 
 TEST(ChaseTest, WithinRoundTriggersAreDeduplicated) {

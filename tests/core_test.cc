@@ -3,6 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <set>
+#include <thread>
+#include <tuple>
+#include <vector>
+
 #include "bddfc/core/query.h"
 #include "bddfc/core/rule.h"
 #include "bddfc/core/signature.h"
@@ -202,6 +210,245 @@ TEST_F(StructureTest, WatermarkTracksRoundBoundaries) {
   EXPECT_EQ(s.WatermarkRows(e_), 2u);
   EXPECT_EQ(s.NumFactsAtWatermark(), 3u);
   EXPECT_EQ(s.WatermarkRows(static_cast<PredId>(99)), 0u);
+}
+
+TEST_F(StructureTest, PostingsRejectNegativePosition) {
+  Structure s(sig_);
+  s.AddFact(e_, {a_, b_});
+  EXPECT_EQ(s.Postings(e_, -1, a_), nullptr);
+  EXPECT_EQ(s.Postings(e_, 2, a_), nullptr);
+  EXPECT_EQ(s.DistinctValues(e_, -1), 0u);
+}
+
+// Store differential suite: random AddFact sequences over arities 0 to 4
+// against a std::map/std::set reference model. Value pools are small
+// enough that most draws repeat a stored tuple, and large enough that the
+// exact-tuple table and every value index double several times.
+class StructureDifferentialTest : public ::testing::Test {
+ protected:
+  /// Append-ordered rows, their ids, and the postings and domain they
+  /// imply — what the store must answer, computed the obvious way.
+  struct Model {
+    std::map<PredId, std::vector<std::vector<TermId>>> rows;
+    std::map<std::pair<PredId, std::vector<TermId>>, uint32_t> row_of;
+    std::map<std::tuple<PredId, int, TermId>, std::vector<uint32_t>> postings;
+    std::vector<TermId> domain;
+    std::set<TermId> in_domain;
+
+    bool Add(PredId p, const std::vector<TermId>& t) {
+      std::vector<std::vector<TermId>>& rel = rows[p];
+      const uint32_t row = static_cast<uint32_t>(rel.size());
+      if (!row_of.emplace(std::make_pair(p, t), row).second) return false;
+      rel.push_back(t);
+      for (size_t pos = 0; pos < t.size(); ++pos) {
+        postings[{p, static_cast<int>(pos), t[pos]}].push_back(row);
+        if (in_domain.insert(t[pos]).second) domain.push_back(t[pos]);
+      }
+      return true;
+    }
+  };
+
+  void SetUp() override {
+    sig_ = std::make_shared<Signature>();
+    for (int k = 0; k <= 4; ++k) {
+      preds_.push_back(
+          std::move(sig_->AddPredicate("p" + std::to_string(k), k))
+              .ValueOrDie());
+    }
+    for (int i = 0; i < 240; ++i) {
+      consts_.push_back(sig_->AddConstant("c" + std::to_string(i)));
+    }
+  }
+
+  /// A random tuple of arity k over the first `pool` constants.
+  std::vector<TermId> Draw(int k, size_t pool) {
+    std::vector<TermId> t(static_cast<size_t>(k));
+    for (TermId& v : t) v = consts_[rng_() % pool];
+    return t;
+  }
+
+  /// Pool per arity: every value of arity 1, about 3.6k tuples of arity
+  /// 2, more distinct tuples than draws for arities 3 and 4.
+  static size_t Pool(int k) {
+    static constexpr size_t kPools[] = {1, 240, 60, 24, 12};
+    return kPools[k];
+  }
+
+  void ExpectMatches(const Structure& s, const Model& m) {
+    for (int k = 0; k <= 4; ++k) {
+      const PredId p = preds_[k];
+      const auto it = m.rows.find(p);
+      const std::vector<std::vector<TermId>> none;
+      const std::vector<std::vector<TermId>>& want =
+          it == m.rows.end() ? none : it->second;
+      ASSERT_EQ(s.NumFacts(p), want.size()) << "arity " << k;
+      const RowsView rows = s.Rows(p);
+      ASSERT_EQ(rows.size(), want.size());
+      uint32_t r = 0;
+      for (TupleRef row : rows) {
+        ASSERT_EQ(row, want[r]) << "arity " << k << " row " << r;
+        ASSERT_EQ(s.Tuple({p, r}), want[r]);
+        ASSERT_EQ(s.FindRow(p, want[r]), r);
+        ASSERT_TRUE(s.Contains(p, want[r]));
+        ++r;
+      }
+      // Absent keys (random draws the model lacks) and keys of the wrong
+      // length, which must never be compared past their end.
+      for (int i = 0; i < 200; ++i) {
+        const std::vector<TermId> t = Draw(k, consts_.size());
+        const auto found = m.row_of.find({p, t});
+        const uint32_t expect =
+            found == m.row_of.end() ? Structure::kNoRow : found->second;
+        ASSERT_EQ(s.FindRow(p, t), expect);
+        ASSERT_EQ(s.Contains(p, t), expect != Structure::kNoRow);
+      }
+      std::vector<TermId> longer = Draw(k, Pool(k));
+      longer.push_back(consts_[0]);
+      EXPECT_EQ(s.FindRow(p, longer), Structure::kNoRow);
+      EXPECT_FALSE(s.Contains(p, longer));
+      if (k > 0 && !want.empty()) {
+        const std::vector<TermId> shorter(want[0].begin(), want[0].end() - 1);
+        EXPECT_EQ(s.FindRow(p, shorter), Structure::kNoRow);
+        EXPECT_FALSE(s.Contains(p, shorter));
+      }
+      EXPECT_EQ(s.Postings(p, -1, consts_[0]), nullptr);
+      EXPECT_EQ(s.Postings(p, k, consts_[0]), nullptr);
+    }
+    // Postings: exact and ascending for every stored (pred, pos, value),
+    // absent for every other value; DistinctValues counts them.
+    std::map<std::pair<PredId, int>, size_t> distinct;
+    for (const auto& [key, list] : m.postings) {
+      const auto& [p, pos, v] = key;
+      ++distinct[{p, pos}];
+      const std::vector<uint32_t>* got = s.Postings(p, pos, v);
+      ASSERT_NE(got, nullptr);
+      EXPECT_EQ(*got, list);
+      EXPECT_TRUE(std::is_sorted(got->begin(), got->end()));
+    }
+    for (int k = 1; k <= 4; ++k) {
+      for (int pos = 0; pos < k; ++pos) {
+        EXPECT_EQ(s.DistinctValues(preds_[k], pos), (distinct[{preds_[k], pos}]));
+        for (TermId v : consts_) {
+          if (m.postings.count({preds_[k], pos, v}) == 0) {
+            ASSERT_EQ(s.Postings(preds_[k], pos, v), nullptr);
+          }
+        }
+      }
+    }
+    size_t total = 0;
+    for (const auto& [p, rows] : m.rows) total += rows.size();
+    EXPECT_EQ(s.NumFacts(), total);
+    EXPECT_EQ(s.Domain(), m.domain);
+  }
+
+  SignaturePtr sig_;
+  std::vector<PredId> preds_;  // preds_[k] has arity k
+  std::vector<TermId> consts_;
+  std::mt19937 rng_{20260417};
+};
+
+TEST_F(StructureDifferentialTest, RandomAddFactsMatchTheReferenceModel) {
+  Structure s(sig_);
+  Model m;
+  for (int i = 1; i <= 60000; ++i) {
+    const int k = static_cast<int>(rng_() % 5);
+    const std::vector<TermId> t = Draw(k, Pool(k));
+    ASSERT_EQ(s.AddFact(preds_[k], t), m.Add(preds_[k], t)) << "draw " << i;
+    if (i % 10000 == 0) {
+      ExpectMatches(s, m);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(s.NumFacts(), 15000u);
+  EXPECT_LT(s.NumFacts(), 60000u / 2);  // most draws repeated a tuple
+
+  // Views of every relation survive facts added to a new predicate whose
+  // id forces the relation table to reallocate.
+  std::vector<RowsView> views;
+  std::vector<TupleRef> firsts;
+  for (PredId p : preds_) {
+    views.push_back(s.Rows(p));
+    firsts.push_back(s.Tuple({p, 0}));
+  }
+  PredId late = -1;
+  for (int i = 0; i < 100; ++i) {
+    late = std::move(sig_->AddPredicate("q" + std::to_string(i), 2))
+               .ValueOrDie();
+  }
+  ASSERT_TRUE(s.AddFact(late, {consts_[1], consts_[2]}));
+  ASSERT_TRUE(m.Add(late, {consts_[1], consts_[2]}));
+  for (size_t k = 0; k < preds_.size(); ++k) {
+    const std::vector<std::vector<TermId>>& want = m.rows[preds_[k]];
+    ASSERT_EQ(views[k].size(), want.size());
+    EXPECT_TRUE(std::equal(views[k].begin(), views[k].end(), want.begin()));
+    EXPECT_EQ(firsts[k], want[0]);
+    EXPECT_TRUE(views[k] == s.Rows(preds_[k]));
+  }
+  ExpectMatches(s, m);
+  EXPECT_EQ(s.NumFacts(late), 1u);
+}
+
+TEST_F(StructureDifferentialTest, ConcurrentConstReadersAgreeWithOneThread) {
+  // One refreshed structure with a few rows past its sorted index (so
+  // ContainsSorted takes both its merge and its hash paths), then frozen:
+  // const methods must share no hidden mutable state.
+  Structure s(sig_);
+  for (int i = 0; i < 6000; ++i) {
+    const int k = 2 + static_cast<int>(rng_() % 2);
+    s.AddFact(preds_[k], Draw(k, Pool(k)));
+  }
+  s.RefreshIndexes();
+  for (int i = 0; i < 50; ++i) s.AddFact(preds_[3], Draw(3, Pool(3)));
+
+  std::vector<std::vector<TermId>> keys;
+  for (int i = 0; i < 400; ++i) keys.push_back(Draw(2, Pool(2)));
+  std::vector<TermId> batch;  // sorted arity-3 tuples, flat
+  std::vector<std::vector<TermId>> batch_tuples;
+  for (int i = 0; i < 400; ++i) batch_tuples.push_back(Draw(3, Pool(3)));
+  std::sort(batch_tuples.begin(), batch_tuples.end());
+  for (const auto& t : batch_tuples) batch.insert(batch.end(), t.begin(), t.end());
+
+  struct Answers {
+    std::vector<uint32_t> rows_found;
+    std::vector<std::vector<uint32_t>> postings;
+    std::vector<char> contained;
+    std::vector<TermId> flat_rows;
+    bool operator==(const Answers&) const = default;
+  };
+  auto answer = [&] {
+    Answers a;
+    for (const auto& k : keys) a.rows_found.push_back(s.FindRow(preds_[2], k));
+    for (int pos = 0; pos < 3; ++pos) {
+      for (size_t c = 0; c < Pool(3); ++c) {
+        const std::vector<uint32_t>* p = s.Postings(preds_[3], pos, consts_[c]);
+        a.postings.push_back(p == nullptr ? std::vector<uint32_t>{} : *p);
+      }
+    }
+    s.ContainsSorted(preds_[3], 3, batch.data(), batch_tuples.size(),
+                     &a.contained);
+    for (int k = 2; k <= 3; ++k) {
+      for (TupleRef row : s.Rows(preds_[k])) {
+        a.flat_rows.insert(a.flat_rows.end(), row.begin(), row.end());
+      }
+    }
+    return a;
+  };
+  const Answers single = answer();
+  ASSERT_EQ(single.rows_found.size(), keys.size());
+  ASSERT_GT(std::count(single.contained.begin(), single.contained.end(), 1), 0);
+
+  constexpr int kThreads = 4;
+  std::vector<int> mismatches(kThreads, 0);
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      for (int rep = 0; rep < 20; ++rep) {
+        if (!(answer() == single)) ++mismatches[t];
+      }
+    });
+  }
+  for (std::thread& r : readers) r.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(mismatches[t], 0) << t;
 }
 
 TEST(SubstitutionTest, BindAndResolveChains) {
