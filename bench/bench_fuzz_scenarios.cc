@@ -40,7 +40,8 @@ void PrintTable() {
   FuzzOptions opts;
   opts.seed = 1;
   opts.runs = 50;
-  opts.config.chase_fault = ChaseFault::kSkipTriggerDedup;
+  opts.config.faults.faults.push_back(
+      {.site = faults::kChaseBug, .action = faults::kBugChaseDedup});
   opts.oracle = "chase-agreement";
   FuzzReport report = RunFuzzer(opts);
   if (!report.failures.empty()) {
@@ -85,7 +86,8 @@ BENCHMARK(BM_OracleCheck)->DenseRange(0, 4);
 void BM_ShrinkInjectedFault(benchmark::State& state) {
   // The first seed-1 scenario the injected chase-dedup fault fails on.
   OracleConfig config;
-  config.chase_fault = ChaseFault::kSkipTriggerDedup;
+  config.faults.faults.push_back(
+      {.site = faults::kChaseBug, .action = faults::kBugChaseDedup});
   const Oracle* oracle = FindOracle("chase-agreement");
   Scenario failing;
   bool found = false;

@@ -135,11 +135,6 @@ std::vector<std::string> FaultRegistry::ArmedSites() const {
   return out;
 }
 
-FaultRegistry& FaultRegistry::Global() {
-  static FaultRegistry* registry = new FaultRegistry();
-  return *registry;
-}
-
 const std::vector<std::string>& AllFaultSites() {
   static const std::vector<std::string>* sites = new std::vector<std::string>{
       faults::kChaseAlloc,   faults::kChaseBug,   faults::kChaseRound,
@@ -196,18 +191,6 @@ FaultPlan RandomFaultPlan(uint64_t seed,
     plan.faults.push_back(std::move(spec));
   }
   return plan;
-}
-
-const char* ParanoiaLevelName(ParanoiaLevel level) {
-  switch (level) {
-    case ParanoiaLevel::kOff:
-      return "off";
-    case ParanoiaLevel::kCheap:
-      return "cheap";
-    case ParanoiaLevel::kFull:
-      return "full";
-  }
-  return "?";
 }
 
 bool ParanoiaLevelFromName(std::string_view name, ParanoiaLevel* out) {

@@ -1,12 +1,14 @@
 // Chaos-engineering substrate (DESIGN.md §2.14): one registry of named,
 // site-addressed fault points shared by every subsystem.
 //
-// The repo grew three ad-hoc fault mechanisms — the governor's
-// InjectFaultAfterChecks, the chase's ChaseFault behavioral knob, and the
-// fuzzer's --inject-bug flag. The FaultRegistry is the substrate under all
-// of them: code at a fault site calls Hit("site") (usually via
-// ExecutionContext::CheckFault so a fire becomes a governed kInternal
-// trip), and tests arm deterministic seeded schedules against any site.
+// The FaultRegistry is the only way a fault enters a run: tests, the
+// fuzzer and serving sessions arm seeded FaultSpecs on a registry attached
+// to the run's ExecutionContext (the parser takes one directly). Code at a
+// fault site calls Hit("site"), usually via ExecutionContext::CheckFault,
+// so a fire becomes a governed kInternal trip. Two sites read the fire's
+// action instead (named below): a kGovernorCheck action trips that
+// resource, a kChaseBug action breaks that chase invariant for the
+// fuzzer's self-test.
 //
 // Cost model: a disarmed registry is one relaxed atomic load per guarded
 // site — callers check enabled() (or rely on CheckFault doing so) before
@@ -35,9 +37,10 @@
 
 namespace bddfc {
 
-/// Canonical fault-site names. Sites are plain strings so downstream code
-/// can add sites without touching this header, but the known ones live
-/// here so plans, tests and docs agree on spelling.
+/// Canonical fault-site and action names. Sites are plain strings so
+/// downstream code can add sites without touching this header, but the
+/// known ones live here so plans, flags, corpus headers, tests and docs
+/// agree on spelling.
 namespace faults {
 inline constexpr const char kGovernorCheck[] = "governor.check";
 inline constexpr const char kChaseRound[] = "chase.round";
@@ -47,15 +50,28 @@ inline constexpr const char kPlanCompile[] = "plan.compile";
 inline constexpr const char kSinkMerge[] = "sink.merge";
 inline constexpr const char kPoolTask[] = "pool.task";
 inline constexpr const char kParserParse[] = "parser.parse";
-/// Behavioral site: a fire does not fail-stop but selects a ChaseFault by
-/// action name ("skip-trigger-dedup", "sink-drop-dup", "torn-exhaust"),
-/// resolved once at RunChase entry.
+/// Behavioral site: hit once at RunChase entry; a fire does not fail-stop
+/// but breaks the chase invariant its action names, for the differential
+/// fuzzer's self-test. Never armed outside that self-test.
 inline constexpr const char kChaseBug[] = "chase.bug";
+
+/// kChaseBug actions, spelled as bddfc_fuzz --inject-bug spells them:
+/// skip the per-round trigger dedup (every trigger invents witnesses);
+/// apply a governor-tripped round's buffered additions (a torn prefix);
+/// drop every tuple the production sink derives twice in a round.
+inline constexpr const char kBugChaseDedup[] = "chase-dedup";
+inline constexpr const char kBugTornExhaust[] = "torn-exhaust";
+inline constexpr const char kBugSinkDropDup[] = "sink-drop-dup";
+/// kGovernorCheck actions, spelled as bddfc_fuzz --inject-fault and the
+/// corpus '% fault:' header spell them: the fire trips that resource.
+inline constexpr const char kTripDeadline[] = "deadline";
+inline constexpr const char kTripOom[] = "oom";
+inline constexpr const char kTripCancel[] = "cancel";
 }  // namespace faults
 
 /// When a fault fires relative to the per-site hit counter.
 enum class FaultSchedule {
-  kAfterN,       ///< fires on every hit with index > n (legacy governor shape)
+  kAfterN,       ///< fires on every hit with index > n
   kEveryN,       ///< fires on hits n, 2n, 3n, ...
   kProbability,  ///< fires on each hit with probability p (seeded stream)
 };
@@ -69,9 +85,8 @@ struct FaultSpec {
   uint64_t seed = 0;       ///< stream seed for kProbability
   uint64_t max_fires = 0;  ///< stop firing after this many (0 = unlimited)
   /// Empty = fail-stop (the site aborts with kInternal). Non-empty names a
-  /// behavioral fault the site interprets (e.g. a ChaseFault name for
-  /// faults::kChaseBug, or "deadline"/"oom"/"cancel" for
-  /// faults::kGovernorCheck compatibility trips).
+  /// behavioral fault the site interprets: a faults::kBug* action at
+  /// faults::kChaseBug, a faults::kTrip* action at faults::kGovernorCheck.
   std::string action;
 
   /// "site sched=after-n n=2 max-fires=1" style one-liner.
@@ -125,11 +140,6 @@ class FaultRegistry {
   /// Sites with at least one armed fault, sorted.
   std::vector<std::string> ArmedSites() const;
 
-  /// Process-wide instance for sites with no ExecutionContext in reach
-  /// (the parser). Everything else should use a per-run registry attached
-  /// via ExecutionContext::SetFaultRegistry.
-  static FaultRegistry& Global();
-
  private:
   struct Armed {
     FaultSpec spec;
@@ -168,9 +178,8 @@ enum class ParanoiaLevel {
   kFull,
 };
 
-/// "off" / "cheap" / "full".
-const char* ParanoiaLevelName(ParanoiaLevel level);
-/// Parses a level name; returns false (and leaves *out alone) on unknown.
+/// Parses a level name ("off", "cheap", "full", the --paranoia values);
+/// returns false (and leaves *out alone) on unknown.
 bool ParanoiaLevelFromName(std::string_view name, ParanoiaLevel* out);
 
 }  // namespace bddfc

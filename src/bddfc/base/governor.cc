@@ -25,21 +25,11 @@ const char* ResourceKindName(ResourceKind kind) {
   return "?";
 }
 
-const char* InjectedFaultName(InjectedFault fault) {
-  switch (fault) {
-    case InjectedFault::kNone: return "none";
-    case InjectedFault::kDeadline: return "deadline";
-    case InjectedFault::kOom: return "oom";
-    case InjectedFault::kCancel: return "cancel";
-  }
-  return "?";
-}
-
-InjectedFault InjectedFaultFromName(std::string_view name) {
-  if (name == "deadline") return InjectedFault::kDeadline;
-  if (name == "oom") return InjectedFault::kOom;
-  if (name == "cancel") return InjectedFault::kCancel;
-  return InjectedFault::kNone;
+ResourceKind GovernorCheckTrip(std::string_view action) {
+  if (action == faults::kTripDeadline) return ResourceKind::kDeadline;
+  if (action == faults::kTripOom) return ResourceKind::kMemory;
+  if (action == faults::kTripCancel) return ResourceKind::kCancelled;
+  return ResourceKind::kFault;
 }
 
 void MemoryAccountant::Charge(size_t bytes) {
@@ -135,27 +125,8 @@ Status ExecutionContext::RecordExhaustion(ResourceKind kind,
   return Trip(kind, std::move(detail));
 }
 
-void ExecutionContext::InjectFaultAfterChecks(InjectedFault fault,
-                                              size_t after_checks) {
-  if (fault == InjectedFault::kNone) return;
-  ExecutionContext* r = root();
-  r->inject_after_checks_ = after_checks;
-  if (r->faults_ == nullptr) {
-    if (r->owned_faults_ == nullptr) {
-      r->owned_faults_ = std::make_unique<FaultRegistry>();
-    }
-    r->faults_ = r->owned_faults_.get();
-  }
-  FaultSpec spec;
-  spec.site = faults::kGovernorCheck;
-  spec.schedule = FaultSchedule::kAfterN;
-  spec.n = after_checks;
-  spec.action = InjectedFaultName(fault);
-  r->faults_->Arm(std::move(spec));
-}
-
 Status ExecutionContext::CheckFault(const char* site) {
-  FaultRegistry* reg = resolved_faults();
+  FaultRegistry* reg = fault_registry();
   if (reg == nullptr || !reg->enabled()) return Status::OK();
   FaultFire fire = reg->Hit(site);
   if (!fire.fired) return Status::OK();
@@ -171,9 +142,7 @@ Status ExecutionContext::RecordInvariantViolation(std::string detail) {
 }
 
 Status ExecutionContext::CheckPoint(const char* where) {
-  ExecutionContext* r = root();
-  size_t check =
-      r->checks_.fetch_add(1, std::memory_order_relaxed) + 1;
+  root()->checks_.fetch_add(1, std::memory_order_relaxed);
 
   // Latched trip (here or in an ancestor): fail fast with its status.
   for (ExecutionContext* c = this; c != nullptr; c = c->parent_) {
@@ -182,32 +151,16 @@ Status ExecutionContext::CheckPoint(const char* where) {
       return Status(c->code_, c->detail_);
     }
   }
-  (void)check;
 
-  // Registry faults at the governor's own site. Legacy
-  // InjectFaultAfterChecks arms an after-N schedule here whose action
-  // names the resource to fake; a bare (empty-action) fire is a chaos
-  // fail-stop and becomes a kFault → kInternal trip.
-  if (FaultRegistry* freg = resolved_faults();
+  // Registry faults at the governor's own site: an action naming a
+  // resource fakes that trip; any other fire (a chaos plan's empty
+  // action) is a fail-stop kFault → kInternal trip.
+  if (FaultRegistry* freg = fault_registry();
       freg != nullptr && freg->enabled()) {
     FaultFire fire = freg->Hit(faults::kGovernorCheck);
     if (fire.fired) {
-      std::string at = "injected fault after " +
-                       std::to_string(r->inject_after_checks_) +
-                       " checks at " + where;
-      switch (InjectedFaultFromName(fire.action)) {
-        case InjectedFault::kDeadline:
-          return Trip(ResourceKind::kDeadline,
-                      "deadline exceeded (" + at + ")");
-        case InjectedFault::kOom:
-          return Trip(ResourceKind::kMemory,
-                      "memory budget exceeded (" + at + ")");
-        case InjectedFault::kCancel:
-          return Trip(ResourceKind::kCancelled, "cancelled (" + at + ")");
-        case InjectedFault::kNone:
-          return Trip(ResourceKind::kFault,
-                      std::string("injected fault at ") + where);
-      }
+      return Trip(GovernorCheckTrip(fire.action),
+                  std::string("injected fault at ") + where);
     }
   }
 

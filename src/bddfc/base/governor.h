@@ -26,9 +26,11 @@
 // interrupted run is prefix-consistent with an uninterrupted one.
 //
 // Determinism: wall-clock and memory trips are inherently timing
-// dependent, so tests and the fuzz oracles use InjectFaultAfterChecks to
-// make the context report a chosen exhaustion after a fixed number of
-// checks — exercising the exact same early-exit paths deterministically.
+// dependent, so tests and the fuzz oracles attach a FaultRegistry with an
+// after-N faults::kGovernorCheck spec whose action names a resource
+// (base/faults.h): the context then reports that exhaustion after a fixed
+// number of checks — exercising the exact same early-exit paths
+// deterministically.
 
 #ifndef BDDFC_BASE_GOVERNOR_H_
 #define BDDFC_BASE_GOVERNOR_H_
@@ -159,21 +161,13 @@ struct ResourceReport {
   std::string ToString() const;
 };
 
-/// Deterministic fault injection: after `after_checks` cooperative checks
-/// the context behaves as if the chosen resource ran out. Used by
-/// governor_test and the fuzzer's governor-prefix oracle to exercise the
-/// interruption paths without real clocks or allocation pressure.
-enum class InjectedFault { kNone, kDeadline, kOom, kCancel };
-
-/// Stable lowercase name ("deadline", "oom", "cancel", "none") — the
-/// spelling used by --inject-fault= flags and corpus '% fault:' headers.
-const char* InjectedFaultName(InjectedFault fault);
-
-/// Inverse of InjectedFaultName; kNone when the name is unknown or "none".
-InjectedFault InjectedFaultFromName(std::string_view name);
+/// The trip a faults::kGovernorCheck fire with `action` causes: kDeadline,
+/// kMemory or kCancelled for the faults::kTrip* actions, and a fail-stop
+/// kFault for any other (a chaos plan's empty action included).
+ResourceKind GovernorCheckTrip(std::string_view action);
 
 /// The execution contract one logical request runs under. Configure
-/// (deadline, memory limit, fault injection) before handing it to
+/// (deadline, memory limit, fault registry) before handing it to
 /// engines; the checking side is thread-safe, so one context can govern a
 /// fan-out over the ThreadPool. The first resource trip latches: every
 /// subsequent CheckPoint/ShouldStop fails immediately, which is what
@@ -209,49 +203,50 @@ class ExecutionContext {
   CancelToken cancel_token() const { return cancel_; }
   void RequestCancel() { cancel_.Cancel(); }
 
-  /// Legacy deterministic fault injection, now a veneer over the fault
-  /// registry: arms an after-N schedule at faults::kGovernorCheck whose
-  /// action names the resource to fake, on the attached registry (or a
-  /// lazily created context-owned one). kNone is a no-op.
-  void InjectFaultAfterChecks(InjectedFault fault, size_t after_checks);
-
-  /// Attaches a fault registry for this context and its descendants
-  /// (resolution walks the parent chain: the nearest attachment wins, so
-  /// per-request children of a shared server root can carry their own
-  /// session registry without clobbering siblings). The registry must
-  /// outlive the run; pass nullptr to detach this level.
+  /// Attaches the fault registry the fault sites of this context and its
+  /// descendants consult — the only way a fault enters a run. The nearest
+  /// attachment up the parent chain wins, so requests under one server
+  /// root carry their own session's registry. The registry must outlive
+  /// the run; pass nullptr to detach this level.
   void SetFaultRegistry(FaultRegistry* registry) { faults_ = registry; }
-  /// The nearest attached (or context-owned) registry up the parent
-  /// chain; nullptr when chaos is off.
-  FaultRegistry* fault_registry() { return resolved_faults(); }
+  /// The nearest attached registry up the parent chain; nullptr when
+  /// chaos is off.
+  FaultRegistry* fault_registry() const {
+    for (const ExecutionContext* c = this; c != nullptr; c = c->parent_) {
+      if (c->faults_ != nullptr) return c->faults_;
+    }
+    return nullptr;
+  }
 
   /// Attaches the session/run-scoped observability destinations
   /// (DESIGN.md §2.15) to this context and its descendants. Like
   /// SetFaultRegistry, resolution is nearest-ancestor-wins — the serving
   /// layer hangs every request off one server root, each with its own
-  /// RunContext, and the root itself carries none. A RunContext carrying
-  /// a fault registry also becomes this subtree's CheckFault registry.
-  /// The RunContext and everything it points at must outlive the run;
-  /// pass nullptr to detach and fall back to the process-wide singletons.
-  void SetRunContext(const RunContext* rc) {
-    run_ctx_ = rc;
-    if (rc != nullptr && rc->faults != nullptr) faults_ = rc->faults;
+  /// RunContext, and the root itself carries none. The RunContext and
+  /// everything it points at must outlive the run; pass nullptr to detach
+  /// and fall back to the process-wide singletons.
+  void SetRunContext(const RunContext* rc) { run_ctx_ = rc; }
+  /// The nearest attached RunContext up the parent chain (nullptr = none).
+  const RunContext* run_context() const {
+    for (const ExecutionContext* c = this; c != nullptr; c = c->parent_) {
+      if (c->run_ctx_ != nullptr) return c->run_ctx_;
+    }
+    return nullptr;
   }
-  const RunContext* run_context() const { return resolved_run_context(); }
 
   /// The metrics registry this run publishes into: the nearest attached
   /// RunContext's, else the process-wide registry. Engines resolve their
   /// publication target through this instead of MetricsRegistry::Global()
   /// so concurrent sessions never interleave counters.
   obs::MetricsRegistry& metrics_registry() const {
-    const RunContext* rc = resolved_run_context();
+    const RunContext* rc = run_context();
     return rc != nullptr ? rc->metrics_or_global()
                          : obs::MetricsRegistry::Global();
   }
 
   /// The tracer this run's phase and run-level spans record to.
   obs::Tracer& tracer() const {
-    const RunContext* rc = resolved_run_context();
+    const RunContext* rc = run_context();
     return rc != nullptr ? rc->tracer_or_global() : obs::Tracer::Global();
   }
 
@@ -263,9 +258,11 @@ class ExecutionContext {
 
   // -- cooperative checking (run time, any thread) -------------------------
 
-  /// The full check: cancellation, deadline, memory watermark, injected
-  /// faults. OK, or ResourceExhausted with the trip recorded (first trip
-  /// wins; later calls return the recorded trip). Call at round/level/
+  /// The full check: cancellation, deadline, memory watermark, and a
+  /// faults::kGovernorCheck fire (which trips the resource its action
+  /// names, or fails stop as kFault → kInternal). OK, or the trip's
+  /// status with the trip recorded (first trip wins; later calls return
+  /// the recorded trip). Call at round/level/
   /// frontier boundaries — cost is one steady_clock read when a deadline
   /// is set, a few relaxed loads otherwise.
   Status CheckPoint(const char* where);
@@ -313,36 +310,21 @@ class ExecutionContext {
   ResourceReport report() const;
 
   /// Cooperative checks performed (shared with children: a child's checks
-  /// count on the root, so "after N checks" fault injection is well
-  /// defined across a phase-split pipeline).
+  /// count on the root). Each check hits faults::kGovernorCheck once, so
+  /// an after-N spec there is well defined across a phase-split pipeline.
   size_t cancel_checks() const {
     return root()->checks_.load(std::memory_order_relaxed);
   }
 
  private:
-  /// Child constructor: shares the parent's cancel token, deadline, check
-  /// counter and injected faults; owns a child accountant.
+  /// Child constructor: shares the parent's cancel token, deadline and
+  /// check counter, and resolves the parent's fault registry; owns a
+  /// child accountant.
   ExecutionContext(ExecutionContext* parent, size_t memory_limit_bytes);
 
   ExecutionContext* root() { return parent_ == nullptr ? this : root_; }
   const ExecutionContext* root() const {
     return parent_ == nullptr ? this : root_;
-  }
-
-  /// Nearest fault registry up the parent chain (nullptr = none attached).
-  FaultRegistry* resolved_faults() const {
-    for (const ExecutionContext* c = this; c != nullptr; c = c->parent_) {
-      if (c->faults_ != nullptr) return c->faults_;
-    }
-    return nullptr;
-  }
-
-  /// Nearest RunContext up the parent chain (nullptr = none attached).
-  const RunContext* resolved_run_context() const {
-    for (const ExecutionContext* c = this; c != nullptr; c = c->parent_) {
-      if (c->run_ctx_ != nullptr) return c->run_ctx_;
-    }
-    return nullptr;
   }
 
   /// Latches (kind, detail) as the first trip if none is recorded yet and
@@ -353,9 +335,7 @@ class ExecutionContext {
   std::chrono::steady_clock::time_point deadline_{};
   MemoryAccountant memory_;
   CancelToken cancel_;
-  size_t inject_after_checks_ = 0;  // legacy message formatting only
   FaultRegistry* faults_ = nullptr;  // nearest-ancestor resolution
-  std::unique_ptr<FaultRegistry> owned_faults_;  // lazy legacy-veneer owner
   const RunContext* run_ctx_ = nullptr;  // nearest-ancestor resolution
   ExecutionContext* parent_ = nullptr;  // trips in ancestors are visible
   ExecutionContext* root_ = nullptr;    // topmost ancestor (nullptr = self)

@@ -1,29 +1,29 @@
-// Per-session observability and fault state (DESIGN.md §2.15).
+// Per-session observability destinations (DESIGN.md §2.15).
 //
-// Until the serving layer, MetricsRegistry::Global(), Tracer::Global() and
-// FaultRegistry::Global() were process-lifetime singletons threaded
-// implicitly through every engine. That is correct for a one-shot CLI and
-// wrong for a multi-tenant daemon: two concurrent requests interleave
-// their counters in one registry, a supervisor retry's registry reset
-// wipes counters owned by other in-flight requests, and a chaos plan
-// armed for one tenant fires in another's parse.
+// MetricsRegistry::Global() and Tracer::Global() are process-lifetime
+// singletons. That is correct for a one-shot CLI and wrong for a
+// multi-tenant daemon: two concurrent requests would interleave their
+// counters in one registry, and a supervisor retry's registry reset would
+// wipe counters owned by other in-flight requests.
 //
-// A RunContext makes the destination explicit: it bundles the registry,
-// tracer and fault registry ONE logical run publishes into. Engines reach
+// A RunContext makes the destination explicit: it bundles the metrics
+// registry and tracer ONE logical run publishes into. Engines reach
 // it through the ExecutionContext they already take
 // (ExecutionContext::SetRunContext / metrics_registry() / tracer()), so
 // the refactor threads no new parameters through the engine APIs. A null
 // field — and a null RunContext, the default — resolves to the process
 // globals, which keeps the CLI tools and existing tests byte-identical.
 //
+// Faults are not part of it: a run's FaultRegistry attaches to its
+// ExecutionContext directly (ExecutionContext::SetFaultRegistry).
+//
 // Ownership: a RunContext does not own what it points at. The session (or
-// test) that builds it keeps the registries alive for the duration of
-// every run that references it.
+// test) that builds it keeps the registry and tracer alive for the
+// duration of every run that references it.
 
 #ifndef BDDFC_BASE_RUN_CONTEXT_H_
 #define BDDFC_BASE_RUN_CONTEXT_H_
 
-#include "bddfc/base/faults.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
 
@@ -37,10 +37,6 @@ struct RunContext {
   obs::MetricsRegistry* metrics = nullptr;
   /// Tracer the run's phase / run-level spans record to (null = global).
   obs::Tracer* tracer = nullptr;
-  /// Fault registry chaos plans for this run are armed on (null = none;
-  /// the governor's CheckFault then only sees a registry attached via
-  /// ExecutionContext::SetFaultRegistry or the legacy veneer).
-  FaultRegistry* faults = nullptr;
 
   obs::MetricsRegistry& metrics_or_global() const {
     return metrics != nullptr ? *metrics : obs::MetricsRegistry::Global();

@@ -14,23 +14,6 @@
 
 namespace bddfc {
 
-const char* ChaseFaultName(ChaseFault fault) {
-  switch (fault) {
-    case ChaseFault::kNone: return "none";
-    case ChaseFault::kSkipTriggerDedup: return "skip-trigger-dedup";
-    case ChaseFault::kTornExhaust: return "torn-exhaust";
-    case ChaseFault::kSinkDropDup: return "sink-drop-dup";
-  }
-  return "?";
-}
-
-ChaseFault ChaseFaultFromName(std::string_view name) {
-  if (name == "skip-trigger-dedup") return ChaseFault::kSkipTriggerDedup;
-  if (name == "torn-exhaust") return ChaseFault::kTornExhaust;
-  if (name == "sink-drop-dup") return ChaseFault::kSinkDropDup;
-  return ChaseFault::kNone;
-}
-
 void ChaseStats::PublishTo(const char* prefix,
                            obs::MetricsRegistry& reg) const {
   if (!reg.enabled()) return;
@@ -88,6 +71,7 @@ using chase_internal::ApplyRound;
 using chase_internal::EnumerateRound;
 using chase_internal::RoundBuffer;
 using chase_internal::RoundInputs;
+using chase_internal::SelfTestBug;
 
 ChaseResult RunChase(const Theory& theory, const Structure& instance,
                      const ChaseOptions& options) {
@@ -107,17 +91,20 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   const bool governed = options.context != nullptr;
   if (governed) out.structure.SetAccountant(&ctx->memory());
 
-  // Resolve the effective behavioral fault once per run: the options knob,
-  // or a registry fire at the chase.bug site whose action names one.
-  ChaseFault fault = options.fault;
-  if (FaultRegistry* freg = ctx->fault_registry();
-      freg != nullptr && freg->enabled()) {
-    FaultFire fire = freg->Hit(faults::kChaseBug);
-    if (fire.fired) {
-      ChaseFault named = ChaseFaultFromName(fire.action);
-      if (named != ChaseFault::kNone) fault = named;
+  // The run's self-test bug: the one a faults::kChaseBug fire names (the
+  // site is hit once per run, so an after-N spec counts RunChase calls).
+  const SelfTestBug bug = [ctx] {
+    FaultRegistry* freg = ctx->fault_registry();
+    const std::string action = freg != nullptr && freg->enabled()
+                                   ? freg->Hit(faults::kChaseBug).action
+                                   : "";
+    if (action == faults::kBugChaseDedup) {
+      return SelfTestBug::kSkipTriggerDedup;
     }
-  }
+    if (action == faults::kBugTornExhaust) return SelfTestBug::kTornExhaust;
+    if (action == faults::kBugSinkDropDup) return SelfTestBug::kSinkDropDup;
+    return SelfTestBug::kNone;
+  }();
   const ParanoiaLevel paranoia = options.paranoia;
 
   // Detaches the run-scoped accountant and snapshots the resource report;
@@ -241,7 +228,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // buffer is applied, so every engine sees one frozen instance.
     RoundBuffer buf;
     RoundInputs inputs{theory, out.structure, options, ctx,
-                       &fired,  plan_cache,    fault};
+                       &fired,  plan_cache,    bug};
     Status barrier = EnumerateRound(inputs, pool.get(), &buf);
 
     auto elapsed_ms = [&round_start] {
@@ -263,7 +250,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
       // which applies them to give the prefix oracle a bug to catch; their
       // rows lie past the last round record, so FactRound reports them
       // as born in this unfinished round).
-      if (fault == ChaseFault::kTornExhaust) {
+      if (bug == SelfTestBug::kTornExhaust) {
         std::sort(buf.datalog.begin(), buf.datalog.end());
         for (const Atom& g : buf.datalog) out.structure.AddFact(g);
       }

@@ -35,6 +35,11 @@
 // same result byte for byte: rows with raw TermIds, null provenance, birth
 // rounds, facts_per_round and the dedup counters. Only bindings_tried
 // differs (the reference re-enumerates old bindings).
+//
+// Faults enter a run only through the FaultRegistry attached to
+// ChaseOptions::context (base/faults.h). Besides its fail-stop sites,
+// RunChase hits faults::kChaseBug once at entry: a fire whose action names
+// a self-test bug breaks that invariant for the whole run.
 
 #ifndef BDDFC_CHASE_CHASE_H_
 #define BDDFC_CHASE_CHASE_H_
@@ -64,38 +69,6 @@ enum class ChaseEngine {
   kNaive,
 };
 
-/// Deliberate engine faults for the differential fuzzer's self-test
-/// (tools/bddfc_fuzz --inject-bug): break one invariant so the oracles must
-/// detect a real divergence and the shrinker must minimize it. Always kNone
-/// outside that self-test.
-enum class ChaseFault {
-  kNone,
-  /// Skip the per-round canonicalized head-pattern dedup of existential
-  /// triggers: every trigger invents its own witnesses (the pre-PR-1
-  /// duplicate-witness bug, reintroduced on demand).
-  kSkipTriggerDedup,
-  /// Break the governed-interruption contract: when the governor trips
-  /// mid-round, apply the round's buffered datalog additions anyway
-  /// instead of discarding them, leaving a torn (non-prefix) structure.
-  /// Exists so the governor-prefix oracle has a real bug to catch.
-  kTornExhaust,
-  /// Break the vectorized sink's sort-dedup merge: any candidate tuple
-  /// derived more than once in a round is dropped entirely instead of
-  /// collapsed to one copy, so facts with multiple derivations go missing.
-  /// Inactive on kNaive, whose hash sink has no sort-dedup merge — the
-  /// point is proving the differential oracles see through the batched
-  /// path specifically.
-  kSinkDropDup,
-};
-
-/// Stable lowercase name ("none", "skip-trigger-dedup", "torn-exhaust",
-/// "sink-drop-dup") — the spelling used by --inject-bug= flags and by the
-/// fault registry's faults::kChaseBug actions.
-const char* ChaseFaultName(ChaseFault fault);
-
-/// Inverse of ChaseFaultName; kNone when the name is unknown or "none".
-ChaseFault ChaseFaultFromName(std::string_view name);
-
 /// Budgets and variants for a chase run.
 struct ChaseOptions {
   /// Maximum number of rounds (Chase^i levels) to run.
@@ -115,10 +88,6 @@ struct ChaseOptions {
   /// included, does not depend on this value, only the wall time does.
   /// A resolved value of 1 runs each round inline, with no pool.
   size_t threads = 1;
-  /// Fault injection for fuzzer self-tests; kNone in all production paths.
-  /// A FaultRegistry fire at faults::kChaseBug (resolved once at RunChase
-  /// entry) overrides this when its action names a ChaseFault.
-  ChaseFault fault = ChaseFault::kNone;
   /// Runtime invariant checking (DESIGN.md §2.14): kCheap adds O(1)
   /// per-round identity checks (sink counters, index freshness,
   /// round-prefix consistency on trips), kFull re-verifies round buffers

@@ -459,7 +459,7 @@ class VectorSink {
   VectorSink(const RoundInputs& in, ChaseStats* stats)
       : stats_(stats),
         bufs_(in.frozen, kSinkCompactTuples,
-              in.fault == ChaseFault::kSinkDropDup) {}
+              in.bug == SelfTestBug::kSinkDropDup) {}
 
   void BufferDatalog(Atom g) { bufs_.AppendAtom(g); }
   void BufferTrigger(std::string key, PendingExistential pe) {
@@ -702,7 +702,7 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
     runs = sink.TakeDatalogRuns();
     raw_triggers = sink.TakeRawTriggers();
   }
-  MergeDatalogRuns(std::move(runs), in.fault == ChaseFault::kSinkDropDup,
+  MergeDatalogRuns(std::move(runs), in.bug == SelfTestBug::kSinkDropDup,
                    &buf->datalog, &buf->stats.datalog_deduped);
   DedupTriggers(std::move(raw_triggers), &buf->triggers,
                 &buf->stats.triggers_deduped);

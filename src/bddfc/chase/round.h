@@ -77,6 +77,15 @@ inline bool TriggerLess(const PendingExistential& a,
 /// renaming and atom reordering. Defined in round.cc.
 std::string PatternKey(const std::vector<Atom>& pattern);
 
+/// The self-test bug a run carries (faults.h: the faults::kBug* actions of
+/// faults::kChaseBug). kNone outside the differential fuzzer's self-test.
+enum class SelfTestBug {
+  kNone,
+  kSkipTriggerDedup,  ///< faults::kBugChaseDedup
+  kTornExhaust,       ///< faults::kBugTornExhaust
+  kSinkDropDup,       ///< faults::kBugSinkDropDup (production sink only)
+};
+
 /// One round's buffered derivations, evaluated against the frozen
 /// Chase^{i-1} snapshot. EnumerateRound fills it; ApplyRound consumes it
 /// in canonical order.
@@ -106,12 +115,11 @@ struct RoundInputs {
   /// grounded per binding (caching would never hit) and dominated by
   /// point lookups.
   PlanCache& plans;
-  /// The run's effective behavioral fault, resolved once at RunChase entry
-  /// from options.fault or a FaultRegistry fire at faults::kChaseBug.
-  /// Round code reads this, never options.fault.
-  ChaseFault fault = ChaseFault::kNone;
+  /// The run's self-test bug, resolved once at RunChase entry from a
+  /// FaultRegistry fire at faults::kChaseBug.
+  SelfTestBug bug = SelfTestBug::kNone;
   /// kSkipTriggerDedup key suffixes, shared by every task of the round.
-  mutable std::atomic<size_t> fault_seq{0};
+  mutable std::atomic<size_t> bug_seq{0};
 };
 
 /// Serializes the oblivious-chase firing key of (rule `ri`, binding `b`).
@@ -166,11 +174,11 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
   } else {
     if (witness.Exists(pattern, {})) return true;
     key = PatternKey(pattern);
-    if (in.fault == ChaseFault::kSkipTriggerDedup) {
+    if (in.bug == SelfTestBug::kSkipTriggerDedup) {
       // Injected bug: make every key unique so same-pattern triggers stop
       // collapsing to one witness.
       key += "#" + std::to_string(
-                       in.fault_seq.fetch_add(1, std::memory_order_relaxed));
+                       in.bug_seq.fetch_add(1, std::memory_order_relaxed));
     }
   }
   PendingExistential pe;

@@ -1,9 +1,6 @@
 #include "bddfc/chase/supervisor.h"
 
-#include <algorithm>
-#include <chrono>
 #include <memory>
-#include <thread>
 
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
@@ -51,14 +48,7 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
       break;
     }
     if (attempt >= sup_options.max_retries || parent->Exhausted()) break;
-    double backoff = std::min(
-        sup_options.backoff_ms * static_cast<double>(uint64_t{1} << attempt),
-        sup_options.max_backoff_ms);
-    if (parent->has_deadline()) {
-      const double remaining = parent->RemainingMs();
-      if (remaining <= 0) break;
-      backoff = std::min(backoff, remaining / 4.0);
-    }
+    if (parent->has_deadline() && parent->RemainingMs() <= 0) break;
 
     // Discard the failed attempt before rolling the signature back: the
     // result's structure references the ids being forgotten.
@@ -83,14 +73,9 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
     obs::TraceSpan span(&parent->tracer(), "supervisor.retry");
     std::string note = "attempt " + std::to_string(attempt + 2) +
                        (degraded.empty() ? std::string()
-                                         : ", degraded: " + degraded) +
-                       ", backoff " + std::to_string(backoff) + "ms";
+                                         : ", degraded: " + degraded);
     span.set_detail(note);
     parent->NotePhase("supervisor.retry", std::move(note));
-    if (backoff > 0) {
-      std::this_thread::sleep_for(
-          std::chrono::duration<double, std::milli>(backoff));
-    }
   }
 
   if (metrics.enabled()) {

@@ -1,9 +1,10 @@
 // Retrying chase supervisor with one degradation rung (DESIGN.md §2.14).
 //
 // RunChaseSupervised runs RunChase under a parent ExecutionContext and,
-// when an attempt fails with kInternal (an injected FaultRegistry fault or
-// a paranoia invariant trip — never a budget exhaustion and never a
-// semantic error), retries it on the independent reference engine
+// when an attempt fails with kInternal (a fail-stop fault from the
+// FaultRegistry attached to the parent context, or a paranoia invariant
+// trip — never a budget exhaustion and never a semantic error), retries it
+// on the independent reference engine
 // (ChaseEngine::kNaive), recorded as the degradation "reference". The
 // reference shares none of the production engine's pool, compiled plans,
 // vectorized sink or sorted indexes, so a fault in any of them cannot
@@ -24,12 +25,11 @@
 //     supervisor's own bddfc.supervisor.* series) and a retry in one
 //     session never wipes another session's numbers.
 //
-// Backoff is carved out of the parent's *remaining* deadline (never more
-// than a quarter of it per retry), so a supervised run respects the
-// original --deadline-ms exactly like an unsupervised one. When the retry
-// budget or the deadline is exhausted, the last attempt's result — a
-// complete-prefix partial, per the chase's round-atomic contract — is
-// returned as-is.
+// Retries do not back off (a retry re-runs a deterministic in-process
+// failure, so waiting buys nothing) and stop once the parent's deadline
+// has passed. When the retry budget or the deadline is exhausted, the last
+// attempt's result — a complete-prefix partial, per the chase's
+// round-atomic contract — is returned as-is.
 
 #ifndef BDDFC_CHASE_SUPERVISOR_H_
 #define BDDFC_CHASE_SUPERVISOR_H_
@@ -52,11 +52,6 @@ struct SupervisorOptions {
   /// The default covers the worst bounded chaos plan: three specs at two
   /// fires each, one fire consumed per failed attempt.
   size_t max_retries = 6;
-  /// Exponential backoff base and cap, in milliseconds of wall sleep
-  /// before each retry. The effective backoff is additionally capped at a
-  /// quarter of the remaining deadline.
-  double backoff_ms = 1.0;
-  double max_backoff_ms = 50.0;
   /// Byte budget of each attempt's child accountant (0 = uncapped child;
   /// the parent's limit still governs).
   size_t child_memory_limit = 0;

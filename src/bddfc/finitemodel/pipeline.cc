@@ -165,7 +165,6 @@ FiniteModelResult ConstructFiniteCounterModel(
       copts.paranoia = options.paranoia;
       SupervisorOptions sup;
       sup.context = ctx;
-      sup.max_retries = options.supervisor_max_retries;
       sup.child_memory_limit = chase_mem;
       SupervisedChase s = RunChaseSupervised(t, instance, copts, sup);
       scope.set_progress("depth " + std::to_string(depth) + ", " +
@@ -319,7 +318,6 @@ FiniteModelResult ConstructFiniteCounterModel(
         sat.paranoia = options.paranoia;
         SupervisorOptions sup;
         sup.context = ctx;
-        sup.max_retries = options.supervisor_max_retries;
         SupervisedChase s = RunChaseSupervised(t, quotient.structure, sat, sup);
         scope.set_progress(std::to_string(s.result.structure.NumFacts()) +
                            " facts");

@@ -66,10 +66,6 @@ struct PipelineOptions {
   /// chase/saturation call. Violations surface as kInternal — the
   /// supervisor retries them on the reference engine.
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
-  /// Retry budget of the chase supervisor: attempts after the first that
-  /// a kInternal failure (injected fault, paranoia trip) may consume.
-  /// 0 = fail on the first kInternal (attempts still run isolated).
-  size_t supervisor_max_retries = 6;
   /// Resource governor (not owned; may be null). The pipeline carves the
   /// byte budget into phase sub-accounts (chase half, rewriter a quarter,
   /// the rest shared), runs every engine call under a child context so the

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+
+#include "bddfc/obs/trace.h"
 
 namespace bddfc::obs {
 
@@ -161,6 +164,27 @@ std::string MetricsSnapshot::ToJson() const {
   }
   out += "}}";
   return out;
+}
+
+bool WriteArtifact(const std::string& path, const std::string& text) {
+  std::ofstream out(path);
+  out << text;
+  out.close();  // flushes, so a full disk fails here too
+  if (out) return true;
+  std::fprintf(stderr, "error: cannot write '%s'\n", path.c_str());
+  return false;
+}
+
+bool WriteProcessExports(const std::string& trace_out,
+                         const std::string& metrics_out) {
+  const bool trace_ok =
+      trace_out.empty() ||
+      WriteArtifact(trace_out, Tracer::Global().ExportChromeJson() + "\n");
+  return (metrics_out.empty() ||
+          WriteArtifact(metrics_out,
+                        MetricsRegistry::Global().Snapshot().ToJson() +
+                            "\n")) &&
+         trace_ok;
 }
 
 }  // namespace bddfc::obs

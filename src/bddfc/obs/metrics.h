@@ -187,6 +187,17 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
 };
 
+/// Writes `text` to the file at `path`. On failure names the path on
+/// stderr and returns false, so a tool can fail instead of leaving CI a
+/// missing artifact behind a zero exit.
+bool WriteArtifact(const std::string& path, const std::string& text);
+
+/// Writes a one-shot tool's --trace-out / --metrics-out artifacts:
+/// Tracer::Global()'s Chrome JSON and MetricsRegistry::Global()'s
+/// snapshot, skipping an empty path. False when any write failed.
+bool WriteProcessExports(const std::string& trace_out,
+                         const std::string& metrics_out);
+
 }  // namespace bddfc::obs
 
 #endif  // BDDFC_OBS_METRICS_H_

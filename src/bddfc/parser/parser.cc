@@ -311,16 +311,12 @@ class Parser {
 
 Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
                              FaultRegistry* faults) {
-  // Chaos site (fail-stop; the CLI surfaces kInternal as an ordinary
-  // error). Sessions pass their own registry; standalone callers fall back
-  // to the process-global one. One relaxed load when chaos is off.
-  if (FaultRegistry& reg =
-          faults != nullptr ? *faults : FaultRegistry::Global();
-      reg.enabled()) {
-    FaultFire fire = reg.Hit(faults::kParserParse);
-    if (fire.fired) {
-      return Status(StatusCode::kInternal, "injected fault at parser.parse");
-    }
+  // Chaos site (fail-stop; callers surface kInternal as an ordinary
+  // error). Sessions pass their own registry; without one there is no
+  // site. One relaxed load when chaos is off.
+  if (faults != nullptr && faults->enabled() &&
+      faults->Hit(faults::kParserParse).fired) {
+    return Status(StatusCode::kInternal, "injected fault at parser.parse");
   }
   if (sig == nullptr) sig = std::make_shared<Signature>();
   BDDFC_ASSIGN_OR_RETURN(std::vector<Token> toks, Lexer(text).Run());

@@ -77,8 +77,9 @@ Response ReasoningServer::Handle(const Request& request) {
 
   // The request's execution contract: a child of the server root (bytes
   // carve out of the server budget; a latched trip stays on the child),
-  // a request deadline, and a RunContext pointing engines at the
-  // request-scoped registry, the session ring and the session's faults.
+  // a request deadline, a RunContext pointing engines at the
+  // request-scoped registry and the session ring, and the session's
+  // fault registry.
   obs::MetricsRegistry req_metrics;
   req_metrics.set_enabled(true);
   std::unique_ptr<ExecutionContext> ctx =
@@ -92,8 +93,8 @@ Response ReasoningServer::Handle(const Request& request) {
   RunContext rc;
   rc.metrics = &req_metrics;
   rc.tracer = &session.tracer;
-  rc.faults = &session.faults;
   ctx->SetRunContext(&rc);
+  ctx->SetFaultRegistry(&session.faults);
 
   const auto start = std::chrono::steady_clock::now();
   Response response = Dispatch(request, session, ctx.get(), req_metrics);

@@ -12,8 +12,8 @@
 //   3. runs under its own ExecutionContext: a child of the server root
 //      (its accountant carves the request's allowance out of the
 //      server-wide budget) with a request deadline, carrying a RunContext
-//      that points engines at a request-scoped MetricsRegistry, the
-//      session's trace ring and the session's fault registry;
+//      that points engines at a request-scoped MetricsRegistry and the
+//      session's trace ring, with the session's fault registry attached;
 //   4. dispatches: LOAD compiles/fetches an artifact (artifact_cache.h),
 //      QUERY/REWRITE evaluate against a cached artifact under its mutex;
 //   5. folds the request registry's snapshot into the session's

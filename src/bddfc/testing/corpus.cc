@@ -127,18 +127,11 @@ OracleOutcome ReplayCorpusEntry(const CorpusEntry& entry,
     return OracleOutcome::Fail("corpus program does not parse: " +
                                scenario.status().ToString());
   }
-  // A '% fault:' header arms the governor's deterministic fault injection
-  // so interruption oracles (governor-prefix) exercise their trip path on
-  // replay instead of skipping.
+  // A '% fault:' header arms the governor-prefix oracle's interruption
+  // (a faults::kGovernorCheck action) so it exercises its trip path on
+  // replay instead of skipping; the oracle rejects an unknown action.
   OracleConfig replay_config = config;
-  if (!entry.fault.empty()) {
-    InjectedFault fault = InjectedFaultFromName(entry.fault);
-    if (fault == InjectedFault::kNone) {
-      return OracleOutcome::Fail("unknown '% fault:' value '" + entry.fault +
-                                 "'");
-    }
-    replay_config.inject_fault = fault;
-  }
+  if (!entry.fault.empty()) replay_config.interruption = entry.fault;
   // Likewise '% chaos:' re-arms the recorded fault-plan count (and seed
   // stream) so chaos-recovery entries replay their supervised recovery
   // instead of skipping under the default chaos-off config.

@@ -35,7 +35,8 @@ struct CorpusEntry {
   std::string oracle;   ///< oracle name (must resolve via FindOracle)
   std::string family;   ///< generator family the scenario came from
   uint64_t seed = 0;    ///< originating fuzzer scenario seed (0 = crafted)
-  std::string fault;    ///< injected fault to arm on replay ("", "deadline",
+  std::string fault;    ///< governor-prefix interruption to arm on replay
+                        ///< ("", or a faults::kTrip* action: "deadline",
                         ///< "oom", "cancel") — governor-prefix entries only
   size_t chaos = 0;     ///< fault plans to arm on replay (chaos-recovery
                         ///< entries only; 0 = none)

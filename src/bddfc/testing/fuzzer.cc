@@ -55,16 +55,20 @@ FuzzReport RunFuzzer(const FuzzOptions& options) {
     for (const Oracle* oracle : oracles) {
       OracleOutcome outcome = oracle->Check(scenario, options.config);
       const std::string name(oracle->name());
+      OracleTally& tally = report.by_oracle[name];
       switch (outcome.kind) {
         case OracleOutcome::Kind::kPass:
           ++report.checks_passed;
-          ++report.passes_by_oracle[name];
+          ++tally.passed;
           break;
         case OracleOutcome::Kind::kSkip:
           ++report.checks_skipped;
-          ++report.skips_by_oracle[name];
+          ++tally.skipped;
+          ++tally.skip_reasons[outcome.detail.substr(
+              0, outcome.detail.find(':'))];
           break;
         case OracleOutcome::Kind::kFail: {
+          ++tally.failed;
           Log(options, "FAIL " + name + " seed=" +
                            std::to_string(scenario_seed) + " family=" +
                            scenario.family + ": " + outcome.detail);
@@ -92,9 +96,7 @@ FuzzReport RunFuzzer(const FuzzOptions& options) {
           entry.oracle = name;
           entry.family = scenario.family;
           entry.seed = scenario_seed;
-          if (options.config.inject_fault != InjectedFault::kNone) {
-            entry.fault = InjectedFaultName(options.config.inject_fault);
-          }
+          entry.fault = options.config.interruption;
           if (options.config.chaos_plans != 0) {
             entry.chaos = options.config.chaos_plans;
             entry.chaos_seed = options.config.chaos_seed;

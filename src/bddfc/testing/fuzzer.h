@@ -34,8 +34,8 @@ struct FuzzOptions {
   size_t shrink_max_attempts = 4000;
   /// Stop after this many distinct failures (0 = never stop early).
   size_t max_failures = 1;
-  /// Budgets handed to every oracle (including the injected chase fault
-  /// for self-tests).
+  /// Budgets handed to every oracle (including the faults the self-tests
+  /// arm on the runs under test).
   OracleConfig config;
   /// Progress callback sink: one line per event, empty = silent.
   void (*log)(const std::string& line) = nullptr;
@@ -52,16 +52,23 @@ struct FuzzFailure {
   ShrinkStats shrink_stats;
 };
 
+/// One oracle's outcomes over a campaign.
+struct OracleTally {
+  size_t passed = 0;
+  size_t skipped = 0;
+  size_t failed = 0;
+  /// Skips per reason: the skip detail up to its first ':'.
+  std::map<std::string, size_t> skip_reasons;
+};
+
 /// Aggregate result of a campaign.
 struct FuzzReport {
   size_t runs_executed = 0;
   size_t checks_passed = 0;
   size_t checks_skipped = 0;
   bool time_budget_hit = false;
-  /// Per-oracle pass/skip counters (diagnosing a silent oracle that only
-  /// ever skips).
-  std::map<std::string, size_t> passes_by_oracle;
-  std::map<std::string, size_t> skips_by_oracle;
+  /// Tallies of every oracle that ran (diagnosing one that only skips).
+  std::map<std::string, OracleTally> by_oracle;
   std::map<std::string, size_t> runs_by_family;
   std::vector<FuzzFailure> failures;
 

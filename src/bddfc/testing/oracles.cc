@@ -83,9 +83,17 @@ class ChaseAgreementOracle : public Oracle {
       size_t bindings = 0;
       std::string violation;  // the reference's fixpoint is not a model
     };
-    auto run = [&](const ChaseOptions& opts) {
+    auto run = [&](ChaseOptions opts) {
       Run out;
       {
+        // A run under test gets the configured faults on a fresh registry.
+        FaultRegistry reg;
+        ExecutionContext ctx;
+        if (opts.engine != ChaseEngine::kNaive) {
+          reg.ArmPlan(config.faults);
+          ctx.SetFaultRegistry(&reg);
+          opts.context = &ctx;
+        }
         ChaseResult r = RunChase(s.theory, s.instance, opts);
         out.dump = ExactChaseDump(r);
         out.bindings = r.stats.match.bindings_tried;
@@ -113,12 +121,11 @@ class ChaseAgreementOracle : public Oracle {
                                    ref.violation);
       }
 
-      // The injected fault (the fuzzer's self-test) and the paranoia checks
-      // ride on the production runs only: the reference shares none of
-      // their plans, sink or pool, so a corruption either one causes
+      // The configured faults (the fuzzer's self-test) and the paranoia
+      // checks ride on the production runs only: the reference shares none
+      // of their plans, sink or pool, so a corruption either one causes
       // surfaces as a divergence from it.
       opts.engine = ChaseEngine::kParallel;
-      opts.fault = config.chase_fault;
       opts.paranoia = config.paranoia;
       size_t t1_bindings = 0;
       for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
@@ -415,15 +422,13 @@ class GovernorPrefixOracle : public Oracle {
 
   OracleOutcome Check(const Scenario& s,
                       const OracleConfig& config) const override {
-    if (config.inject_fault == InjectedFault::kNone) {
+    if (config.interruption.empty()) {
       return OracleOutcome::Skip("no fault injected (--inject-fault)");
     }
-    ResourceKind expected = ResourceKind::kNone;
-    switch (config.inject_fault) {
-      case InjectedFault::kDeadline: expected = ResourceKind::kDeadline; break;
-      case InjectedFault::kOom:      expected = ResourceKind::kMemory;   break;
-      case InjectedFault::kCancel:   expected = ResourceKind::kCancelled; break;
-      case InjectedFault::kNone:     break;
+    const ResourceKind expected = GovernorCheckTrip(config.interruption);
+    if (expected == ResourceKind::kFault) {
+      return OracleOutcome::Fail("unknown interruption '" +
+                                 config.interruption + "'");
     }
 
     ChaseOptions base;
@@ -437,13 +442,18 @@ class GovernorPrefixOracle : public Oracle {
     bool tripped_any = false;
     for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t after : {size_t{1}, size_t{3}, size_t{7}}) {
+      // The configured faults ride along (torn-exhaust gives the
+      // torn-prefix path a detector).
+      FaultRegistry reg;
+      reg.ArmPlan(config.faults);
+      reg.Arm({.site = faults::kGovernorCheck,
+               .n = after,
+               .action = config.interruption});
       ExecutionContext ctx;
-      ctx.InjectFaultAfterChecks(config.inject_fault, after);
+      ctx.SetFaultRegistry(&reg);
       ChaseOptions opts = base;
       opts.context = &ctx;
       opts.threads = threads;
-      // kTornExhaust rides along so the torn-prefix path has a detector.
-      opts.fault = config.chase_fault;
       ChaseResult run = RunChase(s.theory, s.instance, opts);
       std::string t = "[t" + std::to_string(threads) + "] after " +
                       std::to_string(after) + " checks: ";

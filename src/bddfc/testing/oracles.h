@@ -40,17 +40,15 @@ struct OracleConfig {
                          .max_hom_checks = 30000};
   /// Thread counts the determinism oracle compares against threads=1.
   std::vector<size_t> determinism_threads = {4};
-  /// Fault injected into the production chase runs of the chase-agreement
-  /// oracle (the fuzzer's self-test); kNone in normal operation.
-  /// kTornExhaust instead targets the governor-prefix oracle: the governed
-  /// chase applies a torn round on exhaustion, which that oracle must
-  /// flag as a prefix-consistency violation.
-  ChaseFault chase_fault = ChaseFault::kNone;
-  /// Deterministic governor fault for the governor-prefix oracle
-  /// (--inject-fault): each interrupted chase run injects this exhaustion
-  /// after a fixed number of cooperative checks and is compared against
-  /// the uninterrupted baseline. kNone disables the oracle (skip).
-  InjectedFault inject_fault = InjectedFault::kNone;
+  /// Faults armed on a fresh registry for every chase run under test (the
+  /// production runs of chase-agreement, the interrupted runs of
+  /// governor-prefix; never a reference or baseline run). The fuzzer's
+  /// --inject-bug self-test arms one faults::kChaseBug spec here.
+  FaultPlan faults;
+  /// governor-prefix's interruption (--inject-fault): the
+  /// faults::kGovernorCheck action its interrupted runs arm after a few
+  /// checks. Empty disables the oracle (skip).
+  std::string interruption;
   /// Paranoia level (--paranoia) for the chase runs *under test* — never
   /// the kNaive reference, so an injected corruption the paranoia checks
   /// catch surfaces as a status divergence against the immune reference.

@@ -247,12 +247,16 @@ TEST(ChaseTest, DerivedBirthRoundsFollowTheDistanceLaw) {
   for (size_t after = 1; after <= 64 && !torn; ++after) {
     Program p = TcPath(40);
     PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
+    FaultRegistry reg;
+    reg.Arm({.site = faults::kChaseBug, .action = faults::kBugTornExhaust});
+    reg.Arm({.site = faults::kGovernorCheck,
+             .n = after,
+             .action = faults::kTripCancel});
     ExecutionContext ctx;
-    ctx.InjectFaultAfterChecks(InjectedFault::kCancel, after);
+    ctx.SetFaultRegistry(&reg);
     ChaseOptions opts;
     opts.context = &ctx;
     opts.engine = ChaseEngine::kNaive;
-    opts.fault = ChaseFault::kTornExhaust;
     ChaseResult res = RunChase(p.theory, p.instance, opts);
     if (res.structure.NumFacts() == res.facts_per_round.back()) continue;
     torn = true;
@@ -419,8 +423,12 @@ TEST(ChaseTest, ParallelEngineDedupsTriggersAndHonorsFaultInjection) {
   }
   {
     Program p = MustParse(text);
+    FaultRegistry reg;
+    reg.Arm({.site = faults::kChaseBug, .action = faults::kBugChaseDedup});
+    ExecutionContext ctx;
+    ctx.SetFaultRegistry(&reg);
     ChaseOptions faulty = opts;
-    faulty.fault = ChaseFault::kSkipTriggerDedup;
+    faulty.context = &ctx;
     ChaseResult res = RunChase(p.theory, p.instance, faulty);
     EXPECT_EQ(res.nulls_created, 4u);  // one witness pair per trigger
   }

@@ -3,10 +3,13 @@
 //   0  success                      2  usage / parse error
 //   1  negative semantic outcome    3  resource exhausted
 //
-// and of the fuzzer's 0/1/2 contract plus its fault-injection flags. The
-// test executes the real binaries (paths injected by CMake) and inspects
-// the process exit status, so it covers argument parsing, the governor
-// wiring and the report printing that unit tests cannot reach.
+// and of the other four tools: the fuzzer's 0/1/2 contract plus its
+// fault-injection flags and output paths, and the strict flag parsing
+// (base/flags.h) of bddfc_fuzz, bddfc_loadgen, bddfc_serve and
+// trace_check. The test executes the real binaries (paths injected by
+// CMake) and inspects the process exit status and output, so it covers
+// argument parsing, the governor wiring and the report printing that unit
+// tests cannot reach.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +54,81 @@ std::string WriteProgram(const std::string& name, const std::string& text) {
   std::ofstream out(path);
   out << text;
   return path.string();
+}
+
+std::string ReadFile(const fs::path& path) {
+  std::ifstream in(path);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Starts `args[0]` with `args` as its argv, its stdout and stderr sent
+/// to the given files (or discarded when empty).
+pid_t Spawn(std::vector<std::string> args, const std::string& out_path = "",
+            const std::string& err_path = "") {
+  std::vector<char*> argv;
+  for (std::string& s : args) argv.push_back(s.data());
+  argv.push_back(nullptr);
+  // A discarded stream goes to /dev/null, so a full pipe can never block
+  // the child.
+  posix_spawn_file_actions_t actions;
+  posix_spawn_file_actions_init(&actions);
+  posix_spawn_file_actions_addopen(
+      &actions, 1, out_path.empty() ? "/dev/null" : out_path.c_str(),
+      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawn_file_actions_addopen(
+      &actions, 2, err_path.empty() ? "/dev/null" : err_path.c_str(),
+      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  pid_t pid = -1;
+  const int rc = posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(),
+                             environ);
+  posix_spawn_file_actions_destroy(&actions);
+  return rc == 0 ? pid : -1;
+}
+
+/// Waits up to `timeout_ms` for `pid` to exit and returns its exit code;
+/// kills it and returns -1 on a timeout or a death by signal.
+int WaitExit(pid_t pid, int timeout_ms) {
+  const auto deadline = std::chrono::steady_clock::now() +
+                        std::chrono::milliseconds(timeout_ms);
+  int status = 0;
+  pid_t done = 0;
+  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done == 0) {
+    kill(pid, SIGKILL);
+    waitpid(pid, &status, 0);
+    return -1;
+  }
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+/// Runs `binary` with the space-separated `args`, keeping its stdout and
+/// stderr; returns its exit code, or -1 when it dies on a signal or runs
+/// past a minute (scaled), as an endless campaign would.
+int RunCaptured(const std::string& binary, const std::string& args,
+                std::string* out, std::string* err) {
+  // ctest runs the tests of this binary as parallel processes that share
+  // the scratch dir: name the capture files per process and call.
+  static int calls = 0;
+  const fs::path dir = fs::current_path() / "exit_code_scratch";
+  fs::create_directories(dir);
+  const std::string stem = "captured." + std::to_string(getpid()) + "." +
+                           std::to_string(calls++);
+  const fs::path out_path = dir / (stem + ".out");
+  const fs::path err_path = dir / (stem + ".err");
+  std::vector<std::string> argv = {binary};
+  std::istringstream words(args);
+  for (std::string w; words >> w;) argv.push_back(w);
+  const pid_t pid = Spawn(argv, out_path.string(), err_path.string());
+  const int rc = pid > 0 ? WaitExit(pid, ScaledMs(60000)) : -1;
+  *out = ReadFile(out_path);
+  *err = ReadFile(err_path);
+  fs::remove(out_path);
+  fs::remove(err_path);
+  return rc;
 }
 
 const char* kInfiniteTc =
@@ -147,46 +226,17 @@ TEST(CliExitCodeTest, ResourceExhaustionIsThree) {
 // cooperative drain may take; delays scale under sanitizers (timescale.h).
 void ExpectSignalDrainsAsExhausted(int sig, const std::string& prog_name) {
   std::string tc = WriteProgram(prog_name, kInfiniteTc);
-  std::string cli = BDDFC_CLI_PATH;
-  std::vector<std::string> arg_strings = {cli, "chase", tc, "1000000"};
-  std::vector<char*> argv;
-  for (std::string& s : arg_strings) argv.push_back(s.data());
-  argv.push_back(nullptr);
-  // Discard the child's output so a full pipe can never block the drain.
-  posix_spawn_file_actions_t actions;
-  posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(&actions, 1, "/dev/null", O_WRONLY, 0);
-  posix_spawn_file_actions_addopen(&actions, 2, "/dev/null", O_WRONLY, 0);
-  pid_t pid = -1;
-  ASSERT_EQ(posix_spawn(&pid, cli.c_str(), &actions, nullptr, argv.data(),
-                        environ),
-            0);
-  posix_spawn_file_actions_destroy(&actions);
+  const pid_t pid = Spawn({BDDFC_CLI_PATH, "chase", tc, "1000000"});
+  ASSERT_GT(pid, 0);
 
   // Let it get into the chase, then signal it.
   std::this_thread::sleep_for(std::chrono::milliseconds(ScaledMs(100)));
   ASSERT_EQ(kill(pid, sig), 0);
 
-  // The cooperative drain happens at the next round boundary; poll with a
-  // generous scaled timeout rather than blocking forever on a hang.
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(ScaledMs(10000));
-  int status = 0;
-  pid_t done = 0;
-  while ((done = waitpid(pid, &status, WNOHANG)) == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  if (done == 0) {
-    kill(pid, SIGKILL);
-    waitpid(pid, &status, 0);
-    FAIL() << "CLI did not drain within the scaled timeout after signal "
-           << sig;
-  }
-  ASSERT_TRUE(WIFEXITED(status))
-      << "CLI died on signal " << sig
-      << " instead of draining cooperatively";
-  EXPECT_EQ(WEXITSTATUS(status), 3);
+  // The cooperative drain happens at the next round boundary; wait with a
+  // generous scaled timeout rather than blocking forever on a hang. -1
+  // means a hang (killed) or a death on the signal instead of a drain.
+  EXPECT_EQ(WaitExit(pid, ScaledMs(10000)), 3) << "after signal " << sig;
 }
 
 TEST(CliExitCodeTest, SigintCancelsCooperativelyAsExhausted) {
@@ -268,6 +318,180 @@ TEST(FuzzExitCodeTest, ChaosAndParanoiaFlags) {
                 "--runs=60 --seed=1 --oracle=chase-agreement "
                 "--inject-bug=sink-drop-dup --paranoia=cheap --no-shrink"),
             1);
+}
+
+TEST(CliExitCodeTest, ValuedFlagsTakeEitherSpelling) {
+  // `--deadline-ms=N` and `--paranoia VALUE` used to be usage errors; every
+  // valued flag now takes both spellings with the same meaning.
+  std::string prog = WriteProgram("spellings.dlg", kTerminating);
+  const std::string chase = "chase " + prog;
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --deadline-ms=5000"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --deadline-ms 5000"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --paranoia cheap"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --paranoia=cheap"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --mem-budget-mb=64"), 0);
+  // A budget whose byte count overflows, and an empty value.
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --mem-budget-mb=1e300"), 2);
+  EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, chase + " --trace-out="), 2);
+}
+
+/// A usage error: exit 2 with the offending flag named on stderr.
+struct BadFlag {
+  std::string args;
+  const char* flag;
+};
+
+void ExpectUsageErrors(const char* binary, const std::vector<BadFlag>& cases) {
+  for (const BadFlag& c : cases) {
+    std::string out, err;
+    EXPECT_EQ(RunCaptured(binary, c.args, &out, &err), 2) << c.args;
+    EXPECT_NE(err.find(c.flag), std::string::npos)
+        << c.args << ": stderr does not name " << c.flag << ":\n"
+        << err;
+  }
+}
+
+TEST(FuzzExitCodeTest, BadFlagValuesAreUsageErrors) {
+  // Each of these used to run a different campaign and exit 0: "abc" read
+  // as 0 runs, "5x" as 5, and --chaos=x silently disabled the chaos oracle.
+  ExpectUsageErrors(BDDFC_FUZZ_PATH,
+                    {{"--runs=abc", "--runs"},
+                     {"--runs=5x", "--runs"},
+                     {"--seed=abc --runs=1", "--seed"},
+                     {"--max-failures=z --runs=1", "--max-failures"},
+                     {"--chaos=x --oracle=chaos-recovery --runs=1", "--chaos"},
+                     {"--runs=-1", "--runs"},
+                     {"--runs=18446744073709551616", "--runs"},
+                     {"--runs", "--runs"},
+                     {"--oracle= --runs=1", "--oracle"},
+                     {"--replay=", "--replay"},
+                     {"--time-budget=2.5x --runs=1", "--time-budget"},
+                     {"--no-shrink=1 --runs=1", "--no-shrink"},
+                     {"stray --runs=1", "stray"}});
+  // The space spelling of a valued flag runs the same campaign.
+  EXPECT_EQ(RunBinary(BDDFC_FUZZ_PATH, "--runs 2 --seed=1"), 0);
+}
+
+TEST(FuzzExitCodeTest, UnwritableOutputsAreNamedAfterTheReport) {
+  // An unwritable artifact path used to exit 0 with nothing written.
+  std::string out, err;
+  EXPECT_EQ(RunCaptured(BDDFC_FUZZ_PATH,
+                        "--runs=1 --trace-out=/nonexistent/t.json", &out,
+                        &err),
+            2);
+  EXPECT_NE(err.find("/nonexistent/t.json"), std::string::npos) << err;
+  EXPECT_NE(out.find("runs=1 "), std::string::npos) << out;
+  EXPECT_EQ(RunCaptured(BDDFC_FUZZ_PATH,
+                        "--runs=1 --metrics-out=/nonexistent/m.json", &out,
+                        &err),
+            2);
+  EXPECT_NE(err.find("/nonexistent/m.json"), std::string::npos) << err;
+
+  // A corpus directory that cannot be created used to abort the process
+  // (an uncaught filesystem_error) before the report was printed. The
+  // failing campaign keeps its exit 1, prints its report and reproducer,
+  // and names the path.
+  const std::string blocker = WriteProgram("not_a_directory", "a file\n");
+  const std::string failing =
+      "--runs=50 --oracle=chase-agreement --inject-bug=chase-dedup "
+      "--no-shrink --corpus-out=";
+  EXPECT_EQ(RunCaptured(BDDFC_FUZZ_PATH, failing + blocker + "/corpus", &out,
+                        &err),
+            1);
+  EXPECT_NE(out.find("FAIL oracle=chase-agreement"), std::string::npos)
+      << out;
+  EXPECT_NE(out.find("--- minimized reproducer ---"), std::string::npos);
+  EXPECT_EQ(out.find("wrote "), std::string::npos) << out;
+  EXPECT_NE(err.find(blocker + "/corpus"), std::string::npos) << err;
+
+  // A writable directory gets the reproducer, announced once written.
+  const fs::path corpus = fs::current_path() / "exit_code_scratch" / "corpus";
+  fs::remove_all(corpus);
+  EXPECT_EQ(RunCaptured(BDDFC_FUZZ_PATH, failing + corpus.string(), &out,
+                        &err),
+            1);
+  EXPECT_NE(out.find("wrote " + corpus.string() + "/chase-agreement-"),
+            std::string::npos)
+      << out;
+  EXPECT_FALSE(fs::is_empty(corpus));
+}
+
+TEST(LoadgenExitCodeTest, BadFlagValuesAreUsageErrors) {
+  // The first three used to run and exit 0 (strtoull stopped at the junk
+  // or wrapped the sign); the bad port was dialed modulo 65536.
+  ExpectUsageErrors(
+      BDDFC_LOADGEN_PATH,
+      {{"--requests=10x --tenants=2 --workers=2", "--requests"},
+       {"--tenants=2x --workers=2 --requests=10", "--tenants"},
+       {"--seed=-1 --tenants=2 --workers=2 --requests=10", "--seed"},
+       {"--connect=127.0.0.1:99999", "--connect"},
+       {"--connect=127.0.0.1", "--connect"},
+       {"--connect=:80", "--connect"},
+       {"--workers=0", "--workers"},
+       {"--json=", "--json"},
+       {"--bogus", "--bogus"}});
+  // The space spelling of a valued flag runs the same job.
+  EXPECT_EQ(RunBinary(BDDFC_LOADGEN_PATH,
+                      "--tenants 2 --workers 2 --requests 10 --seed 3"),
+            0);
+}
+
+TEST(ServeExitCodeTest, BadFlagValuesExitBeforeServing) {
+  // A daemon that starts instead of exiting is killed at the timeout and
+  // reads as -1: the MiB-to-bytes shift of the first one used to wrap, and
+  // the daemon served with a bogus budget.
+  const std::vector<std::vector<std::string>> cases = {
+      {"--memory-limit-mb=99999999999999"},
+      {"--port=65536"},
+      {"--port", "-1"},
+      {"--cache-capacity=0"},
+      {"--threads=0"},
+      {"--deadline-ms=5x"},
+      {"--trace-out="},
+      {"--bogus"}};
+  for (const std::vector<std::string>& args : cases) {
+    std::vector<std::string> argv = {BDDFC_SERVE_PATH};
+    argv.insert(argv.end(), args.begin(), args.end());
+    const pid_t pid = Spawn(argv);
+    ASSERT_GT(pid, 0);
+    EXPECT_EQ(WaitExit(pid, ScaledMs(5000)), 2) << args[0];
+  }
+  std::string out, err;
+  EXPECT_EQ(RunCaptured(BDDFC_SERVE_PATH, "--memory-limit-mb=99999999999999",
+                        &out, &err),
+            2);
+  EXPECT_NE(err.find("--memory-limit-mb"), std::string::npos) << err;
+}
+
+TEST(ServeExitCodeTest, PortTakesTheSpaceSpelling) {
+  // `--port 0` used to be a usage error; it now binds an ephemeral port
+  // like `--port=0`, and SIGTERM drains the daemon to exit 0.
+  const pid_t pid = Spawn({BDDFC_SERVE_PATH, "--port", "0"});
+  ASSERT_GT(pid, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(ScaledMs(300)));
+  ASSERT_EQ(kill(pid, SIGTERM), 0);
+  EXPECT_EQ(WaitExit(pid, ScaledMs(10000)), 0);
+}
+
+TEST(TraceCheckExitCodeTest, RequireTakesEitherSpellingAndRepeats) {
+  const std::string trace = WriteProgram(
+      "tiny_trace.json",
+      "{\"traceEvents\":["
+      "{\"name\":\"a\",\"ph\":\"B\",\"ts\":1,\"tid\":1},"
+      "{\"name\":\"a\",\"ph\":\"E\",\"ts\":2,\"tid\":1}]}\n");
+  EXPECT_EQ(RunBinary(BDDFC_TRACE_CHECK_PATH, trace + " --require a"), 0);
+  EXPECT_EQ(RunBinary(BDDFC_TRACE_CHECK_PATH,
+                      trace + " --require=a --require a"),
+            0);
+  EXPECT_EQ(RunBinary(BDDFC_TRACE_CHECK_PATH,
+                      trace + " --require=a --require b"),
+            1);
+  ExpectUsageErrors(BDDFC_TRACE_CHECK_PATH,
+                    {{trace + " --require", "--require"},
+                     {trace + " --require=", "--require"},
+                     {trace + " --bogus", "--bogus"},
+                     {"--bogus " + trace, "--bogus"},
+                     {trace + " " + trace, trace.c_str()}});
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Unit tests of the chaos substrate (base/faults.h): schedule semantics,
 // fire bounds, hit/fire accounting, random-plan determinism and the
-// governor's registry integration (CheckFault, InjectFaultAfterChecks as
-// a veneer, RecordInvariantViolation).
+// governor's registry integration (CheckFault, the governor.check trip
+// actions, RecordInvariantViolation).
 
 #include "bddfc/base/faults.h"
 
@@ -179,10 +179,13 @@ TEST(RandomFaultPlanTest, SiteRestrictionIsHonored) {
 }
 
 TEST(ParanoiaLevelTest, NamesRoundTrip) {
-  for (ParanoiaLevel level :
-       {ParanoiaLevel::kOff, ParanoiaLevel::kCheap, ParanoiaLevel::kFull}) {
+  const std::pair<const char*, ParanoiaLevel> levels[] = {
+      {"off", ParanoiaLevel::kOff},
+      {"cheap", ParanoiaLevel::kCheap},
+      {"full", ParanoiaLevel::kFull}};
+  for (const auto& [name, level] : levels) {
     ParanoiaLevel parsed = ParanoiaLevel::kOff;
-    EXPECT_TRUE(ParanoiaLevelFromName(ParanoiaLevelName(level), &parsed));
+    EXPECT_TRUE(ParanoiaLevelFromName(name, &parsed)) << name;
     EXPECT_EQ(parsed, level);
   }
   ParanoiaLevel out = ParanoiaLevel::kFull;
@@ -208,19 +211,31 @@ TEST(GovernorFaultTest, CheckFaultTripsOnlyTheCheckingContext) {
   EXPECT_TRUE(retry->CheckFault(faults::kChaseRound).ok());
 }
 
-TEST(GovernorFaultTest, LegacyInjectFaultIsARegistryVeneer) {
-  // InjectFaultAfterChecks must behave exactly as before the registry:
-  // the chosen exhaustion after N checks, with the legacy message shape.
-  ExecutionContext ctx;
-  ctx.InjectFaultAfterChecks(InjectedFault::kDeadline, 2);
-  EXPECT_TRUE(ctx.CheckPoint("one").ok());
-  EXPECT_TRUE(ctx.CheckPoint("two").ok());
-  Status st = ctx.CheckPoint("three");
-  EXPECT_EQ(st.code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(st.message().find("injected fault after 2 checks"),
-            std::string::npos)
-      << st.ToString();
-  EXPECT_EQ(ctx.report().exhausted, ResourceKind::kDeadline);
+TEST(GovernorFaultTest, GovernorCheckActionsTripTheNamedResource) {
+  // Each governor.check action fakes its resource's exhaustion after N
+  // checks, naming the check where it fired.
+  const struct {
+    const char* action;
+    ResourceKind kind;
+  } cases[] = {{faults::kTripDeadline, ResourceKind::kDeadline},
+               {faults::kTripOom, ResourceKind::kMemory},
+               {faults::kTripCancel, ResourceKind::kCancelled}};
+  for (const auto& c : cases) {
+    FaultRegistry reg;
+    reg.Arm({.site = faults::kGovernorCheck, .n = 2, .action = c.action});
+    ExecutionContext ctx;
+    ctx.SetFaultRegistry(&reg);
+    EXPECT_TRUE(ctx.CheckPoint("one").ok()) << c.action;
+    EXPECT_TRUE(ctx.CheckPoint("two").ok()) << c.action;
+    Status st = ctx.CheckPoint("three");
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << c.action;
+    EXPECT_NE(st.message().find("injected fault at three"), std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(ctx.report().exhausted, c.kind);
+    EXPECT_EQ(GovernorCheckTrip(c.action), c.kind);
+  }
+  // Any other action is a fail-stop, like the empty one.
+  EXPECT_EQ(GovernorCheckTrip("no-such-action"), ResourceKind::kFault);
 }
 
 TEST(GovernorFaultTest, EmptyActionAtGovernorCheckIsFailStop) {
@@ -235,9 +250,11 @@ TEST(GovernorFaultTest, EmptyActionAtGovernorCheckIsFailStop) {
 }
 
 TEST(GovernorFaultTest, InvariantViolationIsNeverMasked) {
+  FaultRegistry reg;
+  reg.Arm({.site = faults::kGovernorCheck, .action = faults::kTripCancel});
   ExecutionContext ctx;
+  ctx.SetFaultRegistry(&reg);
   // An earlier governed trip latches first...
-  ctx.InjectFaultAfterChecks(InjectedFault::kCancel, 0);
   EXPECT_EQ(ctx.CheckPoint("warmup").code(), StatusCode::kResourceExhausted);
   // ...but a corruption found while unwinding still reports as kInternal
   // with its own detail: data corruption must outrank budget exhaustion.

@@ -28,6 +28,12 @@
 namespace bddfc {
 namespace {
 
+/// The fuzzer's --inject-bug self-test as oracle faults: one chase.bug spec
+/// whose action names the bug, firing on every run under test.
+FaultPlan ChaseBug(const char* action) {
+  return FaultPlan{{FaultSpec{.site = faults::kChaseBug, .action = action}}};
+}
+
 TEST(ScenarioTest, GenerationIsDeterministic) {
   for (uint64_t seed : {1ull, 42ull, 987654321ull}) {
     Scenario a = GenerateScenario(seed);
@@ -84,7 +90,7 @@ TEST(FuzzerTest, InjectedChaseDedupBugIsCaughtAndShrinks) {
   options.seed = 1;
   options.runs = 50;
   options.oracle = "chase-agreement";
-  options.config.chase_fault = ChaseFault::kSkipTriggerDedup;
+  options.config.faults = ChaseBug(faults::kBugChaseDedup);
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.ok()) << "the injected bug went undetected over "
                             << report.runs_executed << " runs";
@@ -100,7 +106,7 @@ TEST(FuzzerTest, InjectedChaseDedupBugIsCaughtAndShrinks) {
   Result<CorpusEntry> entry = ParseCorpusText(f.corpus_text);
   ASSERT_TRUE(entry.ok()) << entry.status().ToString();
   OracleConfig faulty;
-  faulty.chase_fault = ChaseFault::kSkipTriggerDedup;
+  faulty.faults = ChaseBug(faults::kBugChaseDedup);
   EXPECT_TRUE(ReplayCorpusEntry(entry.value(), faulty).failed());
   // ...and passes once the fault is gone (the bug is in the engine knob,
   // not the scenario).
@@ -117,7 +123,7 @@ TEST(FuzzerTest, InjectedSinkDropDupBugIsCaughtAndShrinks) {
   options.seed = 1;
   options.runs = 80;
   options.oracle = "chase-agreement";
-  options.config.chase_fault = ChaseFault::kSinkDropDup;
+  options.config.faults = ChaseBug(faults::kBugSinkDropDup);
   FuzzReport report = RunFuzzer(options);
   ASSERT_FALSE(report.ok()) << "the injected sink bug went undetected over "
                             << report.runs_executed << " runs";
@@ -130,7 +136,7 @@ TEST(FuzzerTest, InjectedSinkDropDupBugIsCaughtAndShrinks) {
   Result<CorpusEntry> entry = ParseCorpusText(f.corpus_text);
   ASSERT_TRUE(entry.ok()) << entry.status().ToString();
   OracleConfig faulty;
-  faulty.chase_fault = ChaseFault::kSinkDropDup;
+  faulty.faults = ChaseBug(faults::kBugSinkDropDup);
   EXPECT_TRUE(ReplayCorpusEntry(entry.value(), faulty).failed());
   OracleOutcome healthy = ReplayCorpusEntry(entry.value(), OracleConfig{});
   EXPECT_FALSE(healthy.failed()) << healthy.detail;
@@ -141,7 +147,7 @@ TEST(FuzzerTest, ShrinkingIsDeterministic) {
   options.seed = 1;
   options.runs = 50;
   options.oracle = "chase-agreement";
-  options.config.chase_fault = ChaseFault::kSkipTriggerDedup;
+  options.config.faults = ChaseBug(faults::kBugChaseDedup);
   FuzzReport a = RunFuzzer(options);
   FuzzReport b = RunFuzzer(options);
   ASSERT_FALSE(a.ok());
@@ -156,12 +162,36 @@ TEST(FuzzerTest, MaxFailuresZeroCollectsEverything) {
   options.seed = 1;
   options.runs = 12;
   options.oracle = "chase-agreement";
-  options.config.chase_fault = ChaseFault::kSkipTriggerDedup;
+  options.config.faults = ChaseBug(faults::kBugChaseDedup);
   options.max_failures = 0;
   options.shrink = false;
   FuzzReport report = RunFuzzer(options);
   EXPECT_EQ(report.runs_executed, 12u);
   EXPECT_GE(report.failures.size(), 2u);
+}
+
+TEST(FuzzerTest, SkipReasonsAccountForEverySkip) {
+  FuzzOptions options;
+  options.seed = 7;
+  options.runs = 10;
+  FuzzReport report = RunFuzzer(options);
+  ASSERT_TRUE(report.ok());
+  size_t skipped = 0;
+  for (const auto& [name, tally] : report.by_oracle) {
+    size_t by_reason = 0;
+    for (const auto& [reason, n] : tally.skip_reasons) by_reason += n;
+    EXPECT_EQ(by_reason, tally.skipped) << name;
+    EXPECT_EQ(tally.passed + tally.skipped + tally.failed, options.runs)
+        << name;
+    skipped += tally.skipped;
+  }
+  EXPECT_EQ(skipped, report.checks_skipped);
+  // Without --inject-fault, governor-prefix skips every run for one reason.
+  const OracleTally& governor = report.by_oracle.at("governor-prefix");
+  EXPECT_EQ(governor.skipped, options.runs);
+  ASSERT_EQ(governor.skip_reasons.size(), 1u);
+  EXPECT_EQ(governor.skip_reasons.begin()->first,
+            "no fault injected (--inject-fault)");
 }
 
 TEST(FuzzerTest, UnknownOracleReportsFailure) {
@@ -233,7 +263,6 @@ std::string SupervisedDump(const Scenario& s, const FaultSpec* spec,
   }
   SupervisorOptions sup;
   sup.context = &ctx;
-  sup.backoff_ms = 0.0;
   SupervisedChase got = RunChaseSupervised(clone.value().theory,
                                            clone.value().instance, opts, sup);
   if (fired != nullptr) {
@@ -313,14 +342,21 @@ TEST(ParanoiaTest, CheapChecksTurnSinkCorruptionIntoInternalError) {
   constexpr char kDup[] = "e(a, b). e(c, b). e(X, Y) -> t(Y).";
   auto silent = ParseProgram(kDup);
   ASSERT_TRUE(silent.ok());
+  FaultRegistry reg;
+  reg.ArmPlan(ChaseBug(faults::kBugSinkDropDup));
+  ExecutionContext off_ctx;
+  off_ctx.SetFaultRegistry(&reg);
   ChaseOptions opts;
-  opts.fault = ChaseFault::kSinkDropDup;
+  opts.context = &off_ctx;
   ChaseResult off =
       RunChase(silent.value().theory, silent.value().instance, opts);
   EXPECT_TRUE(off.status.ok()) << off.status.ToString();
 
   auto caught = ParseProgram(kDup);
   ASSERT_TRUE(caught.ok());
+  ExecutionContext on_ctx;
+  on_ctx.SetFaultRegistry(&reg);
+  opts.context = &on_ctx;
   opts.paranoia = ParanoiaLevel::kCheap;
   ChaseResult on =
       RunChase(caught.value().theory, caught.value().instance, opts);

@@ -27,6 +27,14 @@ Program MustParse(const char* text) {
   return std::move(r).value();
 }
 
+/// Arms `action` (a faults::kGovernorCheck action) after `after` checks on
+/// `reg` and attaches `reg` to `ctx`, which then trips that resource.
+void InterruptAfter(ExecutionContext& ctx, FaultRegistry& reg,
+                    const char* action, uint64_t after) {
+  reg.Arm({.site = faults::kGovernorCheck, .n = after, .action = action});
+  ctx.SetFaultRegistry(&reg);
+}
+
 // A theory whose chase never terminates: transitive closure plus an
 // existential successor rule growing an infinite e-chain.
 constexpr const char* kInfiniteTc = R"(
@@ -127,8 +135,9 @@ TEST(ExecutionContextTest, CancellationTrips) {
 }
 
 TEST(ExecutionContextTest, InjectedFaultFiresAfterExactCheckCount) {
+  FaultRegistry reg;
   ExecutionContext ctx;
-  ctx.InjectFaultAfterChecks(InjectedFault::kOom, 2);
+  InterruptAfter(ctx, reg, faults::kTripOom, 2);
   EXPECT_TRUE(ctx.CheckPoint("1").ok());
   EXPECT_TRUE(ctx.CheckPoint("2").ok());
   EXPECT_EQ(ctx.CheckPoint("3").code(), StatusCode::kResourceExhausted);
@@ -234,20 +243,21 @@ TEST(ThreadPoolGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
 // ---------------------------------------------------------------------------
 
 struct FaultCase {
-  InjectedFault fault;
+  const char* action;  ///< a faults::kGovernorCheck action
   ResourceKind kind;
 };
 const FaultCase kFaults[] = {
-    {InjectedFault::kDeadline, ResourceKind::kDeadline},
-    {InjectedFault::kOom, ResourceKind::kMemory},
-    {InjectedFault::kCancel, ResourceKind::kCancelled},
+    {faults::kTripDeadline, ResourceKind::kDeadline},
+    {faults::kTripOom, ResourceKind::kMemory},
+    {faults::kTripCancel, ResourceKind::kCancelled},
 };
 
 TEST(GovernedChaseTest, InjectedFaultsCutAtLastCompleteRound) {
   for (const FaultCase& fc : kFaults) {
     Program p = MustParse(kInfiniteTc);
+    FaultRegistry reg;
     ExecutionContext ctx;
-    ctx.InjectFaultAfterChecks(fc.fault, 3);
+    InterruptAfter(ctx, reg, fc.action, 3);
     ChaseOptions opts;
     opts.max_rounds = 64;
     opts.context = &ctx;
@@ -283,8 +293,9 @@ TEST(GovernedChaseTest, InterruptedPrefixIsByteIdenticalToUnbudgetedRun) {
   // to the interrupted run's completed rounds: the structures must print
   // byte-identically.
   Program governed_p = MustParse(kInfiniteTc);
+  FaultRegistry reg;
   ExecutionContext ctx;
-  ctx.InjectFaultAfterChecks(InjectedFault::kDeadline, 5);
+  InterruptAfter(ctx, reg, faults::kTripDeadline, 5);
   ChaseOptions gopts;
   gopts.max_rounds = 64;
   gopts.context = &ctx;
@@ -306,8 +317,9 @@ TEST(GovernedChaseTest, InterruptedPrefixIsByteIdenticalToUnbudgetedRun) {
 TEST(GovernedChaseTest, NaiveEngineHonorsTheSameContract) {
   for (const FaultCase& fc : kFaults) {
     Program p = MustParse(kInfiniteTc);
+    FaultRegistry reg;
     ExecutionContext ctx;
-    ctx.InjectFaultAfterChecks(fc.fault, 3);
+    InterruptAfter(ctx, reg, fc.action, 3);
     ChaseOptions opts;
     opts.engine = ChaseEngine::kNaive;
     opts.max_rounds = 64;
@@ -352,8 +364,9 @@ TEST(GovernedSaturateTest, InjectedFaultCutsClosureAtCompleteRound) {
     e(X, Y), e(Y, Z) -> e(X, Z).
     e(a1, a2). e(a2, a3). e(a3, a4). e(a4, a5). e(a5, a6). e(a6, a7).
   )");
+  FaultRegistry reg;
   ExecutionContext ctx;
-  ctx.InjectFaultAfterChecks(InjectedFault::kCancel, 1);
+  InterruptAfter(ctx, reg, faults::kTripCancel, 1);
   ChaseOptions opts;
   opts.datalog_only = true;
   opts.context = &ctx;
@@ -378,8 +391,9 @@ TEST(GovernedRewriteTest, InjectedFaultsTruncateAtLastCompleteLevel) {
   for (const FaultCase& fc : kFaults) {
     Program p = MustParse(kDivergingRewrite);
     ASSERT_FALSE(p.queries.empty());
+    FaultRegistry reg;
     ExecutionContext ctx;
-    ctx.InjectFaultAfterChecks(fc.fault, 3);
+    InterruptAfter(ctx, reg, fc.action, 3);
     RewriteOptions opts;
     opts.max_depth = 64;
     opts.max_queries = 100000;
@@ -487,8 +501,9 @@ TEST(PhaseScopeTest, MidPhaseTripShowsOpenThenNotesAborted) {
   // A report taken while a tripped phase is still unwinding must list the
   // phase as open; once the scope closes the note says "aborted" — the
   // stale/missing-entry failure mode of the old NotePhase-at-end pattern.
+  FaultRegistry reg;
   ExecutionContext ctx;
-  ctx.InjectFaultAfterChecks(InjectedFault::kCancel, 0);
+  InterruptAfter(ctx, reg, faults::kTripCancel, 0);
   {
     PhaseScope scope(&ctx, "doomed");
     EXPECT_FALSE(ctx.CheckPoint("test").ok());
@@ -516,8 +531,9 @@ TEST(GovernedPipelineTest, InjectedFaultsAbortWithPartialChasePrefix) {
   for (const FaultCase& fc : kFaults) {
     Program p = MustParse(kInfiniteTc);
     ASSERT_FALSE(p.queries.empty());
+    FaultRegistry reg;
     ExecutionContext ctx;
-    ctx.InjectFaultAfterChecks(fc.fault, 4);
+    InterruptAfter(ctx, reg, fc.action, 4);
     PipelineOptions opts;
     opts.m_override = 2;  // skip the kappa rewriting: reach the chase phase
     opts.context = &ctx;
@@ -575,19 +591,22 @@ TEST(GovernedPipelineTest, UngovernedRunsAreUnaffected) {
 
 TEST(RunContextTest, ResolutionIsNearestAncestorWins) {
   // The serving layer hangs every request off one shared server root,
-  // each request child carrying its own RunContext. Resolution must pick
-  // the nearest attachment up the parent chain — siblings never clobber
-  // each other, and an unattached child falls through to its ancestor's.
+  // each request child carrying its own RunContext and fault registry.
+  // Resolution must pick the nearest attachment up the parent chain —
+  // siblings never clobber each other, and an unattached child falls
+  // through to its ancestor's.
   obs::MetricsRegistry root_reg, child_reg;
   obs::Tracer root_tracer, child_tracer;
   FaultRegistry root_faults, child_faults;
-  RunContext root_rc{&root_reg, &root_tracer, &root_faults};
-  RunContext child_rc{&child_reg, &child_tracer, &child_faults};
+  RunContext root_rc{&root_reg, &root_tracer};
+  RunContext child_rc{&child_reg, &child_tracer};
 
   ExecutionContext root;
   root.SetRunContext(&root_rc);
+  root.SetFaultRegistry(&root_faults);
   std::unique_ptr<ExecutionContext> with_own = root.CreateChild(0);
   with_own->SetRunContext(&child_rc);
+  with_own->SetFaultRegistry(&child_faults);
   std::unique_ptr<ExecutionContext> plain = root.CreateChild(0);
   std::unique_ptr<ExecutionContext> grandchild = with_own->CreateChild(0);
 

@@ -3,7 +3,7 @@
 // run (including invented null TermIds, via signature rollback), the one
 // degradation must move the retries to the kNaive reference, an exhausted
 // retry budget must still return a complete Chase^L prefix under
-// kInternal, backoff must stay inside the parent deadline, and recovered
+// kInternal, retries must stop at the parent deadline, and recovered
 // runs must report clean metrics / phase notes (no double-counted
 // publications from failed attempts).
 
@@ -82,7 +82,6 @@ TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
-  sup.backoff_ms = 0.0;
   SupervisedChase s = RunChaseSupervised(b.theory, b.instance, RichOptions(), sup);
 
   EXPECT_EQ(reg.FireCount(faults::kChaseRound), 1u);
@@ -114,7 +113,6 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
-  sup.backoff_ms = 0.0;
   SupervisedChase s = RunChaseSupervised(b.theory, b.instance, RichOptions(), sup);
 
   EXPECT_EQ(s.attempts, 4u);
@@ -159,8 +157,7 @@ TEST(SupervisorTest, ReferenceRungHitsNoProductionFaultSite) {
     ctx.SetFaultRegistry(&reg);
     SupervisorOptions sup;
     sup.context = &ctx;
-    sup.backoff_ms = 0.0;
-    SupervisedChase s =
+      SupervisedChase s =
         RunChaseSupervised(b.theory, b.instance, RichOptions(), sup);
     // Concurrent shard tasks may each fire before the first latch lands;
     // what matters is that the one retry recovers.
@@ -189,7 +186,6 @@ TEST(SupervisorTest, ExhaustedRetryBudgetReturnsCompletePrefix) {
   SupervisorOptions sup;
   sup.context = &ctx;
   sup.max_retries = 2;
-  sup.backoff_ms = 0.0;
   SupervisedChase s = RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
 
   EXPECT_EQ(s.attempts, 3u);
@@ -203,12 +199,11 @@ TEST(SupervisorTest, ExhaustedRetryBudgetReturnsCompletePrefix) {
   EXPECT_EQ(s.result.structure.NumFacts(), 3u);
 }
 
-TEST(SupervisorTest, RetryBackoffStaysInsideTheParentDeadline) {
-  // A fault that fires at every round boundary forever, a huge retry
-  // budget, and aggressive backoff growth: the only thing that may stop
-  // the loop is the deadline, and backoff is carved from the remaining
-  // budget (remaining/4 cap), so the whole supervised run must end within
-  // a small multiple of the deadline instead of sleeping past it.
+TEST(SupervisorTest, RetriesStopAtTheParentDeadline) {
+  // A fault that fires at every round boundary forever and a huge retry
+  // budget: the only thing that may stop the loop is the deadline, so the
+  // whole supervised run must end within a small multiple of it instead
+  // of retrying past it.
   const int deadline_ms = ScaledMs(300);
   Program p = Parse();
   ExecutionContext ctx;
@@ -222,8 +217,6 @@ TEST(SupervisorTest, RetryBackoffStaysInsideTheParentDeadline) {
   SupervisorOptions sup;
   sup.context = &ctx;
   sup.max_retries = 1000000;
-  sup.backoff_ms = 50.0;
-  sup.max_backoff_ms = 1e9;
 
   auto t0 = std::chrono::steady_clock::now();
   SupervisedChase s = RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
@@ -234,7 +227,7 @@ TEST(SupervisorTest, RetryBackoffStaysInsideTheParentDeadline) {
   EXPECT_GT(s.attempts, 1u);
   EXPECT_FALSE(s.result.status.ok());
   EXPECT_LT(elapsed_ms, 3.0 * deadline_ms)
-      << "supervisor slept past the deadline";
+      << "supervisor retried past the deadline";
 }
 
 TEST(SupervisorTest, RecoveredRunPublishesCleanMetricsAndPhases) {
@@ -257,7 +250,6 @@ TEST(SupervisorTest, RecoveredRunPublishesCleanMetricsAndPhases) {
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
-  sup.backoff_ms = 0.0;
   SupervisedChase s = RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
   ASSERT_TRUE(s.recovered);
   ASSERT_EQ(s.attempts, 2u);
@@ -327,12 +319,11 @@ TEST(SupervisorTest, RetryResetIsScopedToTheRunsRegistry) {
                   .max_fires = 1});
       RunContext rc;
       rc.metrics = &session_a;
-      rc.faults = &faults;
       ctx.SetRunContext(&rc);
+      ctx.SetFaultRegistry(&faults);
       SupervisorOptions sup;
       sup.context = &ctx;
-      sup.backoff_ms = 0.0;
-      SupervisedChase s =
+          SupervisedChase s =
           RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
       EXPECT_TRUE(s.recovered);
     }
@@ -379,7 +370,6 @@ TEST(SupervisorTest, GivingUpIsCountedOnce) {
   SupervisorOptions sup;
   sup.context = &ctx;
   sup.max_retries = 3;
-  sup.backoff_ms = 0.0;
   SupervisedChase s = RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
 
   EXPECT_EQ(s.result.status.code(), StatusCode::kInternal);

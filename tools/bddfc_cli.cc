@@ -18,9 +18,9 @@
 // probe over N workers (the output is identical for any N); --no-prune
 // disables homomorphic-subsumption pruning (for A/B comparison).
 //
-// Flags are strict: an unknown flag, a second positional argument or a
-// non-numeric one is a usage error (exit 2), never a silently different
-// run. --threads takes its value as --threads=N or --threads N.
+// Flags are strict (base/flags.h): a bad flag or value, a second positional
+// argument or a non-numeric one is a usage error (exit 2), never a
+// silently different run. Valued flags take --name=V or --name V.
 //
 // Resource governance (all commands): --deadline-ms N bounds wall-clock
 // time, --mem-budget-mb N bounds accounted memory, and SIGINT (Ctrl-C)
@@ -50,15 +50,15 @@
 // The program file uses the Datalog± syntax of parser/parser.h: facts,
 // rules (with optional 'exists V:' clauses) and '?-' queries.
 
-#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "bddfc/base/flags.h"
 #include "bddfc/base/governor.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/chase/supervisor.h"
@@ -94,44 +94,6 @@ int Usage() {
                "exit codes: 0 ok, 1 negative outcome, 2 usage/parse error, "
                "3 resource exhausted\n");
   return kExitUsage;
-}
-
-/// Parses a non-negative decimal count; false on anything else (empty,
-/// signed, trailing junk, out of range).
-bool ParseCount(const char* text, size_t* out) {
-  if (*text < '0' || *text > '9') return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
-/// Writes the trace and/or metrics exports requested by --trace-out /
-/// --metrics-out. An unwritable path is reported on stderr; the command's
-/// own exit code stands unless it was 0 (a silent half-success would make
-/// CI consume a missing artifact).
-int WriteObservability(const char* trace_out, const char* metrics_out,
-                       int rc) {
-  if (trace_out != nullptr) {
-    std::ofstream out(trace_out);
-    if (out) out << obs::Tracer::Global().ExportChromeJson() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n", trace_out);
-      if (rc == kExitOk) rc = kExitUsage;
-    }
-  }
-  if (metrics_out != nullptr) {
-    std::ofstream out(metrics_out);
-    if (out) out << obs::MetricsRegistry::Global().Snapshot().ToJson() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                   metrics_out);
-      if (rc == kExitOk) rc = kExitUsage;
-    }
-  }
-  return rc;
 }
 
 // SIGINT and SIGTERM flip the shared CancelToken; every engine drains at
@@ -345,73 +307,47 @@ int CmdSearch(Program& p, int extra, ExecutionContext* ctx) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 3) return Usage();
-  Result<Program> loaded = Load(argv[2]);
+  RewriteOptions ropts;  // --threads sets the chase's threads too
+  std::string chase_engine = "parallel";
+  std::string paranoia_name = "off";
+  bool no_prune = false;
+  double deadline_ms = -1;
+  double mem_budget_mb = -1;
+  std::string trace_out;
+  std::string metrics_out;
+  FlagSet flags("bddfc");
+  flags.Count("--threads", &ropts.threads);
+  flags.Choice("--chase-engine", &chase_engine, {"parallel", "naive"});
+  flags.Bool("--no-prune", &no_prune);
+  flags.Choice("--paranoia", &paranoia_name, {"off", "cheap", "full"});
+  flags.Real("--deadline-ms", &deadline_ms);
+  // The MiB-to-bytes conversion below must fit a size_t.
+  flags.Real("--mem-budget-mb", &mem_budget_mb,
+             static_cast<double>(SIZE_MAX >> 20));
+  flags.String("--trace-out", &trace_out);
+  flags.String("--metrics-out", &metrics_out);
+  // Positionals: the command, the program and an optional count.
+  if (!flags.Parse(argc, argv, 3) || flags.positionals().size() < 2) {
+    return Usage();
+  }
+  const std::vector<std::string>& args = flags.positionals();
+  uint64_t positional_count = 0;
+  const bool has_count = args.size() == 3;
+  if (has_count && !ParseUnsigned(args[2], &positional_count)) {
+    std::fprintf(stderr, "error: '%s' is not a count\n", args[2].c_str());
+    return Usage();
+  }
+  ropts.prune_subsumed = !no_prune;
+  ParanoiaLevel paranoia = ParanoiaLevel::kOff;
+  ParanoiaLevelFromName(paranoia_name, &paranoia);
+
+  Result<Program> loaded = Load(args[1].c_str());
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
     return kExitUsage;
   }
   Program& p = loaded.value();
-  const char* cmd = argv[1];
-  // Flags shared by rewrite/classify; positional extras stay for the rest.
-  RewriteOptions ropts;
-  ChaseEngine chase_engine = ChaseEngine::kParallel;
-  size_t chase_threads = 1;
-  ParanoiaLevel paranoia = ParanoiaLevel::kOff;
-  const char* positional = nullptr;
-  double deadline_ms = -1;
-  double mem_budget_mb = -1;
-  const char* trace_out = nullptr;
-  const char* metrics_out = nullptr;
-  for (int i = 3; i < argc; ++i) {
-    const char* threads_value = nullptr;
-    if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads_value = argv[++i];
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads_value = argv[i] + 10;
-    }
-    if (threads_value != nullptr) {
-      if (!ParseCount(threads_value, &chase_threads)) return Usage();
-      ropts.threads = chase_threads;
-    } else if (std::strncmp(argv[i], "--chase-engine=", 15) == 0) {
-      const char* name = argv[i] + 15;
-      if (std::strcmp(name, "naive") == 0) {
-        chase_engine = ChaseEngine::kNaive;
-      } else if (std::strcmp(name, "parallel") == 0) {
-        chase_engine = ChaseEngine::kParallel;
-      } else {
-        return Usage();
-      }
-    } else if (std::strcmp(argv[i], "--no-prune") == 0) {
-      ropts.prune_subsumed = false;
-    } else if (std::strncmp(argv[i], "--paranoia=", 11) == 0) {
-      if (!ParanoiaLevelFromName(argv[i] + 11, &paranoia)) return Usage();
-    } else if (std::strncmp(argv[i], "--trace-out=", 12) == 0) {
-      trace_out = argv[i] + 12;
-      if (*trace_out == '\0') return Usage();
-    } else if (std::strncmp(argv[i], "--metrics-out=", 14) == 0) {
-      metrics_out = argv[i] + 14;
-      if (*metrics_out == '\0') return Usage();
-    } else if (std::strcmp(argv[i], "--deadline-ms") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      deadline_ms = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || deadline_ms < 0) return Usage();
-    } else if (std::strcmp(argv[i], "--mem-budget-mb") == 0 && i + 1 < argc) {
-      char* end = nullptr;
-      mem_budget_mb = std::strtod(argv[++i], &end);
-      if (end == argv[i] || *end != '\0' || mem_budget_mb < 0) return Usage();
-    } else if (std::strncmp(argv[i], "--", 2) == 0 || positional != nullptr) {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", argv[i]);
-      return Usage();
-    } else {
-      positional = argv[i];
-    }
-  }
-  size_t positional_count = 0;
-  if (positional != nullptr && !ParseCount(positional, &positional_count)) {
-    std::fprintf(stderr, "error: '%s' is not a count\n", positional);
-    return Usage();
-  }
+  const std::string& cmd = args[0];
 
   // One governed context for the whole command; SIGINT flips its token.
   ExecutionContext ctx;
@@ -427,26 +363,31 @@ int main(int argc, char** argv) {
 
   // Observability stays off unless asked for: enabling costs a ring
   // allocation (trace) and per-run publication (metrics).
-  if (trace_out != nullptr) obs::Tracer::Global().Enable();
-  if (metrics_out != nullptr) obs::MetricsRegistry::Global().set_enabled(true);
+  if (!trace_out.empty()) obs::Tracer::Global().Enable();
+  if (!metrics_out.empty()) obs::MetricsRegistry::Global().set_enabled(true);
 
   int rc;
-  if (std::strcmp(cmd, "chase") == 0) {
-    rc = CmdChase(p, positional != nullptr ? positional_count : 32,
-                  chase_engine, chase_threads, paranoia, &ctx);
-  } else if (std::strcmp(cmd, "rewrite") == 0) {
+  if (cmd == "chase") {
+    rc = CmdChase(p, has_count ? positional_count : 32,
+                  chase_engine == "naive" ? ChaseEngine::kNaive
+                                          : ChaseEngine::kParallel,
+                  ropts.threads, paranoia, &ctx);
+  } else if (cmd == "rewrite") {
     rc = CmdRewrite(p, ropts);
-  } else if (std::strcmp(cmd, "classify") == 0) {
+  } else if (cmd == "classify") {
     rc = CmdClassify(p, ropts);
-  } else if (std::strcmp(cmd, "model") == 0) {
+  } else if (cmd == "model") {
     rc = CmdModel(p, paranoia, &ctx);
-  } else if (std::strcmp(cmd, "search") == 0) {
-    rc = CmdSearch(p,
-                   positional != nullptr ? static_cast<int>(positional_count)
-                                         : 1,
+  } else if (cmd == "search") {
+    rc = CmdSearch(p, has_count ? static_cast<int>(positional_count) : 1,
                    &ctx);
   } else {
     return Usage();
   }
-  return WriteObservability(trace_out, metrics_out, rc);
+  // An unwritable artifact path fails a run that would have exited 0: a
+  // silent half-success would make CI consume a missing artifact.
+  if (!obs::WriteProcessExports(trace_out, metrics_out) && rc == kExitOk) {
+    rc = kExitUsage;
+  }
+  return rc;
 }

@@ -17,13 +17,16 @@
 // corpus file (or every .dlg in a directory) and re-runs the oracle named
 // in its header.
 //
-// --inject-fault=deadline|oom|cancel arms the governor-prefix oracle: on
-// each scenario it deterministically interrupts the chase after K
-// cooperative checks and asserts the interrupted run is prefix-consistent
-// with the uninterrupted one. --inject-bug deliberately breaks an engine
-// invariant — the fuzzer's own self-test: the campaign must then fail and
-// minimize. chase-dedup breaks trigger dedup in the production chase;
-// torn-exhaust makes a governed exhaustion apply a torn half-round, which
+// Faults reach the runs under test only as FaultRegistry specs
+// (base/faults.h). --inject-fault=deadline|oom|cancel arms the
+// governor-prefix oracle: a governor.check spec with that action
+// interrupts each chase after K cooperative checks, and the interrupted
+// run must be prefix-consistent with the uninterrupted one.
+// --inject-bug=B arms a chase.bug spec with action B on every run under
+// test, deliberately breaking an engine invariant — the fuzzer's own
+// self-test: the campaign must then fail and minimize.
+// chase-dedup breaks trigger dedup in the production chase; torn-exhaust
+// makes a governed exhaustion apply a torn half-round, which
 // governor-prefix (run with --inject-fault) must catch. sink-drop-dup
 // makes the vectorized sink drop every duplicate-derived tuple group
 // entirely, which chase-agreement must catch.
@@ -35,16 +38,20 @@
 // invariants to runtime checks on the production runs (never on the
 // kNaive reference).
 //
-// Exit status: 0 = clean, 1 = oracle failures, 2 = usage error.
+// Flags are strict (base/flags.h). The report counts passes, skips (per
+// reason) and failures per oracle; reproducers and artifacts are written
+// after it, and an unwritable path is named on stderr.
+//
+// Exit status: 0 = clean, 1 = oracle failures, 2 = usage error or an
+// unwritable output path on an otherwise clean run.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
+#include "bddfc/base/flags.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
 #include "bddfc/testing/corpus.h"
@@ -75,18 +82,6 @@ bool verbose = false;
 
 void LogLine(const std::string& line) {
   if (verbose) std::fprintf(stderr, "[fuzz] %s\n", line.c_str());
-}
-
-/// Parses "120", "120s" or "2.5" (seconds). Returns false on junk.
-bool ParseSeconds(const std::string& text, double* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  double v = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || v < 0) return false;
-  if (*end == 's') ++end;
-  if (*end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 int Replay(const std::string& path, const OracleConfig& config) {
@@ -125,122 +120,92 @@ int Replay(const std::string& path, const OracleConfig& config) {
   return failures == 0 ? 0 : 1;
 }
 
+/// Writes each failure's reproducer under `dir`, printing "wrote <path>"
+/// once a file is written; false after naming any path it cannot write.
+bool WriteCorpus(const std::string& dir, const FuzzReport& report) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);  // a failure shows below
+  bool ok = true;
+  size_t file_idx = 0;
+  for (const FuzzFailure& failure : report.failures) {
+    const std::string path = dir + "/" + failure.oracle + "-" +
+                             std::to_string(failure.scenario_seed) + "-" +
+                             std::to_string(file_idx++) + ".dlg";
+    if (obs::WriteArtifact(path, failure.corpus_text)) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      ok = false;
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   FuzzOptions options;
-  options.max_failures = 1;
+  std::string inject_bug;
+  std::string paranoia = "off";
   std::string corpus_out;
   std::string replay_path;
   std::string trace_out;
   std::string metrics_out;
+  bool no_shrink = false;
   bool list_oracles = false;
-
-  for (int i = 1; i < argc; ++i) {
-    std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      size_t n = std::strlen(prefix);
-      return arg.compare(0, n, prefix) == 0 ? arg.c_str() + n : nullptr;
-    };
-    if (const char* v = value("--runs=")) {
-      options.runs = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--seed=")) {
-      options.seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--time-budget=")) {
-      if (!ParseSeconds(v, &options.time_budget_s)) return Usage();
-    } else if (const char* v = value("--oracle=")) {
-      options.oracle = v;
-    } else if (const char* v = value("--inject-bug=")) {
-      if (std::strcmp(v, "chase-dedup") == 0) {
-        options.config.chase_fault = ChaseFault::kSkipTriggerDedup;
-      } else if (std::strcmp(v, "torn-exhaust") == 0) {
-        options.config.chase_fault = ChaseFault::kTornExhaust;
-      } else if (std::strcmp(v, "sink-drop-dup") == 0) {
-        options.config.chase_fault = ChaseFault::kSinkDropDup;
-      } else {
-        std::fprintf(stderr,
-                     "unknown bug '%s' (have: chase-dedup, torn-exhaust, "
-                     "sink-drop-dup)\n",
-                     v);
-        return 2;
-      }
-    } else if (const char* v = value("--inject-fault=")) {
-      if (std::strcmp(v, "deadline") == 0) {
-        options.config.inject_fault = InjectedFault::kDeadline;
-      } else if (std::strcmp(v, "oom") == 0) {
-        options.config.inject_fault = InjectedFault::kOom;
-      } else if (std::strcmp(v, "cancel") == 0) {
-        options.config.inject_fault = InjectedFault::kCancel;
-      } else {
-        std::fprintf(stderr,
-                     "unknown fault '%s' (have: deadline, oom, cancel)\n", v);
-        return 2;
-      }
-    } else if (const char* v = value("--chaos=")) {
-      options.config.chaos_plans = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--chaos-seed=")) {
-      options.config.chaos_seed = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--paranoia=")) {
-      if (!ParanoiaLevelFromName(v, &options.config.paranoia)) {
-        std::fprintf(stderr, "unknown paranoia level '%s' (off, cheap, full)\n",
-                     v);
-        return 2;
-      }
-    } else if (const char* v = value("--corpus-out=")) {
-      corpus_out = v;
-    } else if (const char* v = value("--trace-out=")) {
-      if (*v == '\0') return Usage();
-      trace_out = v;
-    } else if (const char* v = value("--metrics-out=")) {
-      if (*v == '\0') return Usage();
-      metrics_out = v;
-    } else if (const char* v = value("--max-failures=")) {
-      options.max_failures = std::strtoull(v, nullptr, 10);
-    } else if (const char* v = value("--replay=")) {
-      replay_path = v;
-    } else if (arg == "--no-shrink") {
-      options.shrink = false;
-    } else if (arg == "--list-oracles") {
-      list_oracles = true;
-    } else if (arg == "-v" || arg == "--verbose") {
-      verbose = true;
-    } else {
-      return Usage();
-    }
+  std::vector<std::string> oracle_names;
+  for (const Oracle* oracle : AllOracles()) {
+    oracle_names.emplace_back(oracle->name());
+  }
+  FlagSet flags("bddfc_fuzz");
+  flags.Count("--runs", &options.runs);
+  flags.Count("--seed", &options.seed);
+  flags.Seconds("--time-budget", &options.time_budget_s);
+  flags.Choice("--oracle", &options.oracle, oracle_names);
+  flags.Choice("--inject-bug", &inject_bug,
+               {faults::kBugChaseDedup, faults::kBugTornExhaust,
+                faults::kBugSinkDropDup});
+  flags.Choice("--inject-fault", &options.config.interruption,
+               {faults::kTripDeadline, faults::kTripOom, faults::kTripCancel});
+  flags.Count("--chaos", &options.config.chaos_plans);
+  flags.Count("--chaos-seed", &options.config.chaos_seed);
+  flags.Choice("--paranoia", &paranoia, {"off", "cheap", "full"});
+  flags.String("--corpus-out", &corpus_out);
+  flags.String("--trace-out", &trace_out);
+  flags.String("--metrics-out", &metrics_out);
+  flags.Count("--max-failures", &options.max_failures);
+  flags.String("--replay", &replay_path);
+  flags.Bool("--no-shrink", &no_shrink);
+  flags.Bool("--list-oracles", &list_oracles);
+  flags.Bool("-v", &verbose);
+  flags.Bool("--verbose", &verbose);
+  if (!flags.Parse(argc, argv)) return Usage();
+  options.shrink = !no_shrink;
+  ParanoiaLevelFromName(paranoia, &options.config.paranoia);
+  // The self-test bug rides on every run under test as a chase.bug spec
+  // whose action names it (fires at every RunChase entry).
+  if (!inject_bug.empty()) {
+    options.config.faults.faults.push_back(
+        {.site = faults::kChaseBug, .action = inject_bug});
   }
 
   if (list_oracles) {
-    for (const Oracle* oracle : AllOracles()) {
-      std::printf("%s\n", std::string(oracle->name()).c_str());
-    }
+    for (const std::string& name : oracle_names) std::puts(name.c_str());
     return 0;
   }
   // Observability is off by default; enabling costs a ring allocation
   // (trace) and per-run publication (metrics).
   if (!trace_out.empty()) obs::Tracer::Global().Enable();
   if (!metrics_out.empty()) obs::MetricsRegistry::Global().set_enabled(true);
-  auto write_observability = [&] {
-    if (!trace_out.empty()) {
-      std::ofstream out(trace_out);
-      out << obs::Tracer::Global().ExportChromeJson() << '\n';
-    }
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
-      out << obs::MetricsRegistry::Global().Snapshot().ToJson() << '\n';
-    }
+  // An unwritable output path turns a clean exit into a usage error; a
+  // failing campaign keeps its exit 1.
+  auto finish = [&](int rc, bool wrote) {
+    wrote = obs::WriteProcessExports(trace_out, metrics_out) && wrote;
+    return !wrote && rc == 0 ? 2 : rc;
   };
 
   if (!replay_path.empty()) {
-    int rc = Replay(replay_path, options.config);
-    write_observability();
-    return rc;
+    return finish(Replay(replay_path, options.config), true);
   }
-  if (!options.oracle.empty() && FindOracle(options.oracle) == nullptr) {
-    std::fprintf(stderr, "unknown oracle '%s' (--list-oracles)\n",
-                 options.oracle.c_str());
-    return 2;
-  }
-
   options.log = LogLine;
   FuzzReport report = RunFuzzer(options);
 
@@ -248,22 +213,16 @@ int main(int argc, char** argv) {
               report.runs_executed, report.checks_passed,
               report.checks_skipped, report.failures.size(),
               report.time_budget_hit ? " (time budget hit)" : "");
-  for (const auto& [name, passes] : report.passes_by_oracle) {
-    size_t skips = 0;
-    if (auto it = report.skips_by_oracle.find(name);
-        it != report.skips_by_oracle.end()) {
-      skips = it->second;
+  for (const auto& [name, tally] : report.by_oracle) {
+    std::printf("  %-20s pass=%zu skip=%zu fail=%zu\n", name.c_str(),
+                tally.passed, tally.skipped, tally.failed);
+    for (const auto& [reason, n] : tally.skip_reasons) {
+      std::printf("    skip %zu: %s\n", n, reason.c_str());
     }
-    std::printf("  %-20s pass=%zu skip=%zu\n", name.c_str(), passes, skips);
   }
   for (const auto& [family, n] : report.runs_by_family) {
     std::printf("  family %-18s runs=%zu\n", family.c_str(), n);
   }
-
-  if (!corpus_out.empty() && !report.failures.empty()) {
-    std::filesystem::create_directories(corpus_out);
-  }
-  size_t file_idx = 0;
   for (const FuzzFailure& failure : report.failures) {
     std::printf("\nFAIL oracle=%s seed=%llu family=%s\n  %s\n",
                 failure.oracle.c_str(),
@@ -271,15 +230,10 @@ int main(int argc, char** argv) {
                 failure.family.c_str(), failure.detail.c_str());
     std::printf("--- minimized reproducer ---\n%s----------------------------\n",
                 failure.corpus_text.c_str());
-    if (!corpus_out.empty()) {
-      std::string path = corpus_out + "/" + failure.oracle + "-" +
-                         std::to_string(failure.scenario_seed) + "-" +
-                         std::to_string(file_idx++) + ".dlg";
-      std::ofstream out(path);
-      out << failure.corpus_text;
-      std::printf("wrote %s\n", path.c_str());
-    }
   }
-  write_observability();
-  return report.ok() ? 0 : 1;
+  std::fflush(stdout);
+
+  const bool wrote = corpus_out.empty() || report.failures.empty() ||
+                     WriteCorpus(corpus_out, report);
+  return finish(report.ok() ? 0 : 1, wrote);
 }

@@ -15,20 +15,24 @@
 //     rings contain exactly that many serve.compile spans;
 //   * per-session counter sums reconcile with the server totals — the
 //     no-cross-session-leakage invariant (in-process mode).
+//
+// Flags are strict (base/flags.h): a bad flag, a zero count or a --connect
+// that is not HOST:PORT with a port in 1..65535 exits 2.
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bddfc/base/flags.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/eval/match.h"
+#include "bddfc/obs/metrics.h"
 #include "bddfc/parser/parser.h"
 #include "bddfc/serve/protocol.h"
 #include "bddfc/serve/server.h"
@@ -408,38 +412,33 @@ int main(int argc, char** argv) {
   size_t requests = 150;
   uint64_t seed = 42;
   bool trace = false;
-  const char* json_out = nullptr;
+  std::string json_out;
+  std::string connect;
+  bddfc::FlagSet flags("bddfc_loadgen");
+  flags.Count("--tenants", &tenants, 1);
+  flags.Count("--workers", &workers, 1);
+  flags.Count("--requests", &requests, 1);
+  flags.Count("--seed", &seed);
+  flags.Bool("--trace", &trace);
+  flags.String("--json", &json_out);
+  flags.String("--connect", &connect);
+  if (!flags.Parse(argc, argv)) return Usage();
   std::string connect_host;
-  uint16_t connect_port = 0;
-
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto flag = [&](const char* name) -> const char* {
-      const size_t n = std::strlen(name);
-      return std::strncmp(arg, name, n) == 0 ? arg + n : nullptr;
-    };
-    if (const char* p = flag("--tenants=")) {
-      tenants = std::strtoull(p, nullptr, 10);
-    } else if (const char* p = flag("--workers=")) {
-      workers = std::strtoull(p, nullptr, 10);
-    } else if (const char* p = flag("--requests=")) {
-      requests = std::strtoull(p, nullptr, 10);
-    } else if (const char* p = flag("--seed=")) {
-      seed = std::strtoull(p, nullptr, 10);
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      trace = true;
-    } else if (const char* p = flag("--json=")) {
-      json_out = p;
-    } else if (const char* p = flag("--connect=")) {
-      const char* colon = std::strrchr(p, ':');
-      if (colon == nullptr) return Usage();
-      connect_host.assign(p, colon - p);
-      connect_port = static_cast<uint16_t>(std::strtoul(colon + 1, nullptr, 10));
-    } else {
+  uint64_t connect_port = 0;
+  if (!connect.empty()) {
+    const size_t colon = connect.rfind(':');
+    if (colon == std::string::npos || colon == 0 ||
+        !bddfc::ParseUnsigned(std::string_view(connect).substr(colon + 1),
+                              &connect_port) ||
+        connect_port == 0 || connect_port > 65535) {
+      std::fprintf(stderr,
+                   "bddfc_loadgen: --connect: '%s' is not HOST:PORT with a "
+                   "port in 1..65535\n",
+                   connect.c_str());
       return Usage();
     }
+    connect_host = connect.substr(0, colon);
   }
-  if (tenants == 0 || workers == 0 || requests == 0) return Usage();
 
   ServerOptions options;
   options.tracing = trace;
@@ -470,10 +469,10 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--connect is not supported on this platform\n");
       return 1;
 #else
-      auto t = SocketTransport::Connect(connect_host, connect_port);
+      auto t = SocketTransport::Connect(
+          connect_host, static_cast<uint16_t>(connect_port));
       if (t == nullptr) {
-        std::fprintf(stderr, "cannot connect to %s:%u\n",
-                     connect_host.c_str(), connect_port);
+        std::fprintf(stderr, "cannot connect to %s\n", connect.c_str());
         return 1;
       }
       transports.push_back(std::move(t));
@@ -597,12 +596,7 @@ int main(int argc, char** argv) {
                       : "");
   }
 
-  if (json_out != nullptr) {
-    std::ofstream out(json_out);
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write '%s'\n", json_out);
-      return 1;
-    }
+  if (!json_out.empty()) {
     char row[512];
     std::snprintf(
         row, sizeof(row),
@@ -615,10 +609,12 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(compiles),
         static_cast<unsigned long long>(cache_hits),
         reconciled ? "true" : "false");
-    out << "{\n  \"bench\": \"serve\",\n  \"experiment\": \"E18\",\n"
-        << "  \"workload\": \"chain-closure tenants=" << tenants
-        << " seed=" << seed << "\",\n  \"rows\": [\n"
-        << row << "\n  ]\n}\n";
+    const std::string json =
+        "{\n  \"bench\": \"serve\",\n  \"experiment\": \"E18\",\n"
+        "  \"workload\": \"chain-closure tenants=" + std::to_string(tenants) +
+        " seed=" + std::to_string(seed) + "\",\n  \"rows\": [\n" + row +
+        "\n  ]\n}\n";
+    if (!bddfc::obs::WriteArtifact(json_out, json)) return 1;
   }
 
   return (mismatches == 0 && reconciled) ? 0 : 1;

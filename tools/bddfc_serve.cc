@@ -6,14 +6,18 @@
 // then --metrics-out / --trace-out artifacts are written and the process
 // exits 0. Prints "listening on 127.0.0.1:<port>" once bound, so scripts
 // using --port 0 can scrape the real port from stdout.
+//
+// Flags are strict (base/flags.h): a bad flag or a value out of range (a
+// port above 65535, a zero count, a memory limit whose byte count
+// overflows) exits 2 before the daemon starts.
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
+#include <string>
 #include <thread>
 
+#include "bddfc/base/flags.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
 #include "bddfc/serve/daemon.h"
@@ -45,15 +49,6 @@ int Usage() {
   return 2;
 }
 
-bool ParseU64(const char* s, uint64_t* out) {
-  if (*s == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = v;
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -63,52 +58,25 @@ int main(int argc, char** argv) {
 
   ServerOptions options;
   DaemonOptions daemon;
-  const char* metrics_out = nullptr;
-  const char* trace_out = nullptr;
-  uint64_t v = 0;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    auto flag = [&](const char* name) -> const char* {
-      const size_t n = std::strlen(name);
-      return std::strncmp(arg, name, n) == 0 ? arg + n : nullptr;
-    };
-    if (const char* p = flag("--port=")) {
-      if (!ParseU64(p, &v) || v > 65535) return Usage();
-      daemon.port = static_cast<uint16_t>(v);
-    } else if (const char* p = flag("--memory-limit-mb=")) {
-      if (!ParseU64(p, &v)) return Usage();
-      options.memory_limit_bytes = static_cast<size_t>(v) << 20;
-    } else if (const char* p = flag("--cache-capacity=")) {
-      if (!ParseU64(p, &v) || v == 0) return Usage();
-      options.cache_capacity = v;
-    } else if (const char* p = flag("--max-concurrent=")) {
-      if (!ParseU64(p, &v)) return Usage();
-      options.max_concurrent = v;
-    } else if (const char* p = flag("--deadline-ms=")) {
-      if (!ParseU64(p, &v)) return Usage();
-      options.request_deadline_ms = static_cast<double>(v);
-    } else if (const char* p = flag("--max-rounds=")) {
-      if (!ParseU64(p, &v) || v == 0) return Usage();
-      options.compile.max_rounds = v;
-    } else if (const char* p = flag("--max-facts=")) {
-      if (!ParseU64(p, &v) || v == 0) return Usage();
-      options.compile.max_facts = v;
-    } else if (const char* p = flag("--threads=")) {
-      if (!ParseU64(p, &v) || v == 0) return Usage();
-      options.compile.threads = v;
-    } else if (std::strcmp(arg, "--trace") == 0) {
-      options.tracing = true;
-    } else if (const char* p = flag("--metrics-out=")) {
-      if (*p == '\0') return Usage();
-      metrics_out = p;
-    } else if (const char* p = flag("--trace-out=")) {
-      if (*p == '\0') return Usage();
-      trace_out = p;
-      options.tracing = true;
-    } else {
-      return Usage();
-    }
-  }
+  uint64_t memory_limit_mb = options.memory_limit_bytes >> 20;
+  std::string metrics_out;
+  std::string trace_out;
+  bddfc::FlagSet flags("bddfc_serve");
+  flags.Count("--port", &daemon.port);
+  // The MiB-to-bytes shift below must not wrap.
+  flags.Count("--memory-limit-mb", &memory_limit_mb, 0, SIZE_MAX >> 20);
+  flags.Count("--cache-capacity", &options.cache_capacity, 1);
+  flags.Count("--max-concurrent", &options.max_concurrent);
+  flags.Real("--deadline-ms", &options.request_deadline_ms);
+  flags.Count("--max-rounds", &options.compile.max_rounds, 1);
+  flags.Count("--max-facts", &options.compile.max_facts, 1);
+  flags.Count("--threads", &options.compile.threads, 1);
+  flags.Bool("--trace", &options.tracing);
+  flags.String("--metrics-out", &metrics_out);
+  flags.String("--trace-out", &trace_out);
+  if (!flags.Parse(argc, argv)) return Usage();
+  options.memory_limit_bytes = static_cast<size_t>(memory_limit_mb) << 20;
+  if (!trace_out.empty()) options.tracing = true;
 
   std::signal(SIGTERM, HandleSignal);
   std::signal(SIGINT, HandleSignal);
@@ -141,29 +109,20 @@ int main(int argc, char** argv) {
   }
 
   // Post-drain artifacts: every request has folded, so these are final.
-  if (metrics_out != nullptr) {
-    std::ofstream out(metrics_out);
-    if (out) out << server.ServerSnapshot().ToJson() << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write metrics to '%s'\n",
-                   metrics_out);
-      return 1;
-    }
+  if (!metrics_out.empty() &&
+      !bddfc::obs::WriteArtifact(metrics_out,
+                                 server.ServerSnapshot().ToJson() + "\n")) {
+    return 1;
   }
-  if (trace_out != nullptr) {
+  if (!trace_out.empty()) {
     // One Chrome trace per shutdown: the first tenant's ring (sessions
     // each own a ring; the smoke script drives one tenant through it).
-    std::ofstream out(trace_out);
     std::string json = "{\"traceEvents\":[]}";
     const std::vector<std::string> tenants = server.Tenants();
     if (!tenants.empty()) {
       json = server.GetSession(tenants.front()).tracer.ExportChromeJson();
     }
-    if (out) out << json << '\n';
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write trace to '%s'\n", trace_out);
-      return 1;
-    }
+    if (!bddfc::obs::WriteArtifact(trace_out, json + "\n")) return 1;
   }
   return 0;
 }

@@ -7,6 +7,9 @@
 // Usage:
 //   trace_check <trace.json> [--require=SPAN_NAME]...
 //
+// Flags are strict (base/flags.h): --require=NAME or --require NAME, any
+// number of times; a bad flag or a second path exits 2.
+//
 // Checks:
 //   * the file is well-formed JSON: an object with a "traceEvents" array
 //     whose entries carry name (string), ph ("B"/"E"), ts (number) and
@@ -27,6 +30,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "bddfc/base/flags.h"
 
 namespace {
 
@@ -259,19 +264,13 @@ int Invalid(size_t index, const std::string& what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const char* path = nullptr;
   std::vector<std::string> required;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--require=", 10) == 0) {
-      if (argv[i][10] == '\0') return Usage();
-      required.push_back(argv[i] + 10);
-    } else if (path == nullptr) {
-      path = argv[i];
-    } else {
-      return Usage();
-    }
+  bddfc::FlagSet flags("trace_check");
+  flags.Strings("--require", &required);
+  if (!flags.Parse(argc, argv, 1) || flags.positionals().empty()) {
+    return Usage();
   }
-  if (path == nullptr) return Usage();
+  const char* path = flags.positionals()[0].c_str();
 
   std::ifstream in(path);
   if (!in) {
