@@ -251,8 +251,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
       // rows lie past the last round record, so FactRound reports them
       // as born in this unfinished round).
       if (bug == SelfTestBug::kTornExhaust) {
-        std::sort(buf.datalog.begin(), buf.datalog.end());
-        for (const Atom& g : buf.datalog) out.structure.AddFact(g);
+        chase_internal::AddRuns(buf.datalog, &out.structure);
       }
       Status abort_status = ctx->CheckPoint("chase round abort");
       out.status = !abort_status.ok() ? std::move(abort_status)
@@ -283,40 +282,29 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     if (paranoia != ParanoiaLevel::kOff && production &&
         buf.stats.sink_candidates != buf.stats.sink_contained +
                                          buf.stats.datalog_deduped +
-                                         buf.datalog.size()) {
+                                         buf.datalog_facts()) {
       out.status = ctx->RecordInvariantViolation(
           "paranoia: sink counter identity violated at round " +
           std::to_string(round) + " (candidates=" +
           std::to_string(buf.stats.sink_candidates) + " contained=" +
           std::to_string(buf.stats.sink_contained) + " deduped=" +
           std::to_string(buf.stats.datalog_deduped) + " new=" +
-          std::to_string(buf.datalog.size()) + ")");
+          std::to_string(buf.datalog_facts()) + ")");
       out.stats.round_ms.push_back(elapsed_ms());
       finalize();
       return out;
     }
 
-    // Full paranoia re-verifies the buffer against the frozen structure:
-    // emitted tuples must be pairwise distinct and absent from
-    // Chase^{round-1} (the guarantees the sink's sort-dedup and bulk
-    // containment pass claim to have enforced).
+    // Full paranoia re-verifies the buffer against the frozen structure
+    // (VerifyRoundBuffer): emitted tuples must be pairwise distinct and
+    // absent from Chase^{round-1} (the guarantees the sink's sort-dedup and
+    // bulk containment pass claim to have enforced).
     if (paranoia == ParanoiaLevel::kFull) {
-      std::vector<Atom> sorted = buf.datalog;
-      std::sort(sorted.begin(), sorted.end());
-      Status verify = Status::OK();
-      for (size_t i = 0; i < sorted.size() && verify.ok(); ++i) {
-        if (i > 0 && sorted[i] == sorted[i - 1]) {
-          verify = ctx->RecordInvariantViolation(
-              "paranoia: duplicate tuple in round buffer at round " +
-              std::to_string(round));
-        } else if (out.structure.Contains(sorted[i].pred, sorted[i].args)) {
-          verify = ctx->RecordInvariantViolation(
-              "paranoia: round buffer re-derives a frozen fact at round " +
-              std::to_string(round));
-        }
-      }
+      Status verify = chase_internal::VerifyRoundBuffer(buf, out.structure);
       if (!verify.ok()) {
-        out.status = std::move(verify);
+        out.status = ctx->RecordInvariantViolation(
+            "paranoia: " + verify.message() + " at round " +
+            std::to_string(round));
         out.stats.round_ms.push_back(elapsed_ms());
         finalize();
         return out;

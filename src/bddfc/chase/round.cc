@@ -1,6 +1,7 @@
 #include "bddfc/chase/round.h"
 
 #include <algorithm>
+#include <cassert>
 #include <functional>
 #include <map>
 #include <memory>
@@ -8,6 +9,7 @@
 #include <unordered_map>
 
 #include "bddfc/eval/exec.h"
+#include "bddfc/eval/match.h"
 #include "bddfc/obs/trace.h"
 
 namespace bddfc {
@@ -149,22 +151,6 @@ std::string PatternKey(const std::vector<Atom>& pattern) {
   return best;
 }
 
-std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b) {
-  std::string key = std::to_string(ri);
-  for (const Atom& a : rule.body) {
-    Atom g = a;
-    for (TermId& t : g.args) {
-      if (IsVar(t)) {
-        auto it = b.find(t);
-        if (it != b.end()) t = it->second;
-      }
-    }
-    key += "|" + std::to_string(g.pred);
-    for (TermId t : g.args) key += "," + std::to_string(t);
-  }
-  return key;
-}
-
 DatalogSinkBuffers::DatalogSinkBuffers(const Structure& frozen,
                                        size_t compact_threshold,
                                        bool drop_dup_groups)
@@ -197,11 +183,6 @@ TermId* DatalogSinkBuffers::Append(PredId pred, size_t arity) {
   const size_t at = pb.data.size();
   pb.data.resize(at + arity);
   return pb.data.data() + at;
-}
-
-void DatalogSinkBuffers::AppendAtom(const Atom& g) {
-  TermId* dst = Append(g.pred, g.args.size());
-  if (dst != nullptr) std::copy(g.args.begin(), g.args.end(), dst);
 }
 
 void DatalogSinkBuffers::Compact(PredBuf* pb) {
@@ -314,14 +295,14 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
   if (drop_dup_groups_) pb->kept_dup = std::move(merged_dup);
 }
 
-std::vector<DatalogSinkBuffers::Run> DatalogSinkBuffers::TakeRuns() {
+std::vector<DatalogRun> DatalogSinkBuffers::TakeRuns() {
   std::sort(bufs_.begin(), bufs_.end(),
             [](const PredBuf& a, const PredBuf& b) { return a.pred < b.pred; });
-  std::vector<Run> runs;
+  std::vector<DatalogRun> runs;
   runs.reserve(bufs_.size());
   for (PredBuf& pb : bufs_) {
     Compact(&pb);
-    Run run;
+    DatalogRun run;
     run.pred = pb.pred;
     run.arity = pb.arity;
     if (drop_dup_groups_ &&
@@ -345,62 +326,51 @@ std::vector<DatalogSinkBuffers::Run> DatalogSinkBuffers::TakeRuns() {
   return runs;
 }
 
-void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
-                      bool drop_dup_groups, std::vector<Atom>* out,
-                      size_t* deduped) {
+void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
+                      std::vector<DatalogRun>* out, size_t* deduped) {
   std::sort(runs.begin(), runs.end(),
-            [](const DatalogSinkBuffers::Run& a,
-               const DatalogSinkBuffers::Run& b) { return a.pred < b.pred; });
+            [](const DatalogRun& a, const DatalogRun& b) {
+              return a.pred < b.pred;
+            });
   std::vector<TermId> scratch;
   for (size_t i = 0; i < runs.size();) {
     size_t j = i + 1;
     while (j < runs.size() && runs[j].pred == runs[i].pred) ++j;
-    const PredId pred = runs[i].pred;
-    const size_t arity = runs[i].arity;
-    if (arity == 0) {
-      size_t total = 0;
-      for (size_t r = i; r < j; ++r) total += runs[r].tuples;
-      if (total > 0) {
-        *deduped += total - 1;
-        if (!(drop_dup_groups && total > 1)) {
-          out->emplace_back(pred, std::vector<TermId>());
-        }
-      }
-      i = j;
-      continue;
-    }
     if (j == i + 1) {
       // A single run (every predicate of an inline round) is already
       // sorted and distinct: nothing to collapse.
-      const DatalogSinkBuffers::Run& run = runs[i];
-      for (size_t t = 0; t < run.tuples; ++t) {
-        const TermId* tup = run.data.data() + t * arity;
-        out->emplace_back(pred, std::vector<TermId>(tup, tup + arity));
-      }
+      out->push_back(std::move(runs[i]));
       i = j;
       continue;
     }
     // Concatenate the runs of this predicate and sort the tuples by value
-    // (the group walk is then the compaction's).
-    std::vector<TermId> flat;
+    // (the group walk is then the compaction's), compacting in place.
+    DatalogRun merged;
+    merged.pred = runs[i].pred;
+    merged.arity = runs[i].arity;
+    const size_t arity = merged.arity;
     size_t total = 0;
     for (size_t r = i; r < j; ++r) {
-      flat.insert(flat.end(), runs[r].data.begin(), runs[r].data.end());
+      merged.data.insert(merged.data.end(), runs[r].data.begin(),
+                         runs[r].data.end());
       total += runs[r].tuples;
     }
-    SortTuples(flat.data(), total, arity, &scratch);
+    SortTuples(merged.data.data(), total, arity, &scratch);
     for (size_t gi = 0; gi < total;) {
-      const TermId* t = flat.data() + gi * arity;
+      const TermId* t = merged.tuple(gi);
       size_t ge = gi + 1;
-      while (ge < total && std::equal(t, t + arity, flat.data() + ge * arity)) {
-        ++ge;
-      }
+      while (ge < total && std::equal(t, t + arity, merged.tuple(ge))) ++ge;
       *deduped += ge - gi - 1;
       if (!(drop_dup_groups && ge - gi > 1)) {
-        out->emplace_back(pred, std::vector<TermId>(t, t + arity));
+        if (merged.tuples != gi) {
+          std::copy_n(t, arity, merged.data.data() + merged.tuples * arity);
+        }
+        ++merged.tuples;
       }
       gi = ge;
     }
+    merged.data.resize(merged.tuples * arity);
+    if (merged.tuples > 0) out->push_back(std::move(merged));
     i = j;
   }
 }
@@ -424,12 +394,57 @@ void DedupTriggers(
 
 namespace {
 
+/// Serializes the oblivious-chase firing key of rule `ri` fired on the
+/// body match whose grounded body atoms are `body`.
+std::string ObliviousKey(size_t ri, const std::vector<Atom>& body) {
+  std::string key = std::to_string(ri);
+  for (const Atom& g : body) {
+    key += "|" + std::to_string(g.pred);
+    for (TermId t : g.args) key += "," + std::to_string(t);
+  }
+  return key;
+}
+
+/// Keys the trigger of existential rule `ri` that demands head `pattern`
+/// (frontier grounded, `existentials` still symbolic) and hands it to
+/// `sink`; `body` is the grounded body, read only for oblivious keys. In
+/// the restricted chase a pattern already witnessed in Chase^i demands
+/// nothing. Shared by both round enumerations, so they key alike.
+template <typename Sink>
+void BufferExistential(const RoundInputs& in, size_t ri,
+                       const std::vector<Atom>& pattern,
+                       const std::vector<Atom>& body,
+                       const std::vector<TermId>& existentials,
+                       const Matcher& witness, Sink& sink) {
+  std::string key;
+  if (in.options.oblivious) {
+    // Blind chase: one witness per (rule, body match), ever; keys fired in
+    // earlier rounds are dropped after enumeration.
+    key = ObliviousKey(ri, body);
+  } else {
+    if (witness.Exists(pattern, {})) return;
+    key = PatternKey(pattern);
+    if (in.bug == SelfTestBug::kSkipTriggerDedup) {
+      // Injected bug: make every key unique so same-pattern triggers stop
+      // collapsing to one witness.
+      key += "#" + std::to_string(
+                       in.bug_seq.fetch_add(1, std::memory_order_relaxed));
+    }
+  }
+  PendingExistential pe;
+  pe.rule_index = static_cast<int>(ri);
+  pe.head_pattern = pattern;
+  pe.existentials = existentials;
+  sink.BufferTrigger(std::move(key), std::move(pe));
+}
+
 /// The reference round's sink: plain hash containers, with frozen
 /// containment probed and duplicates counted per occurrence.
 struct HashSink {
   const Structure& frozen;
   RoundBuffer* buf;
   std::unordered_set<Atom, AtomHash> datalog_seen;
+  std::vector<Atom> datalog;  // distinct, not in frozen, discovery order
   std::map<std::string, PendingExistential> triggers;
 
   void BufferDatalog(Atom g) {
@@ -438,7 +453,7 @@ struct HashSink {
       ++buf->stats.datalog_deduped;
       return;
     }
-    buf->datalog.push_back(std::move(g));
+    datalog.push_back(std::move(g));
   }
   void BufferTrigger(std::string key, PendingExistential pe) {
     auto [it, inserted] = triggers.try_emplace(std::move(key), std::move(pe));
@@ -449,10 +464,45 @@ struct HashSink {
   }
 };
 
+/// The reference round's per-binding step: grounds rule `ri`'s head (and,
+/// for oblivious keys, its body) under `b` into `sink`. Returns false to
+/// stop the enumeration (governor trip).
+bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
+                   const std::vector<TermId>& existentials,
+                   const Matcher& witness, HashSink& sink) {
+  // Strided governor probe: aborts the enumeration on a trip; the
+  // post-enumeration check discards the buffered round.
+  if (in.ctx->ShouldStop("chase enumerate")) return false;
+  const Rule& rule = in.theory.rules()[ri];
+  auto ground = [&b](std::vector<Atom> atoms) {
+    for (Atom& g : atoms) {
+      for (TermId& t : g.args) {
+        if (IsVar(t)) {
+          auto it = b.find(t);
+          if (it != b.end()) t = it->second;
+        }
+      }
+    }
+    return atoms;
+  };
+  std::vector<Atom> head = ground(rule.head);
+  if (!rule.IsExistential()) {
+    for (Atom& g : head) {
+      assert(g.IsGround() && "datalog rule with unbound head variable");
+      sink.BufferDatalog(std::move(g));
+    }
+    return true;
+  }
+  BufferExistential(in, ri, head,
+                    in.options.oblivious ? ground(rule.body)
+                                         : std::vector<Atom>(),
+                    existentials, witness, sink);
+  return true;
+}
+
 /// The production round's sink: datalog candidates go through
 /// DatalogSinkBuffers, existential triggers append raw and dedup once at
-/// the round barrier. Satisfies the HandleBinding Sink interface, plus
-/// AppendDatalogSlot for block-at-a-time head grounding.
+/// the round barrier.
 class VectorSink {
  public:
   /// `stats` receives the sink counters at TakeDatalogRuns.
@@ -461,7 +511,6 @@ class VectorSink {
         bufs_(in.frozen, kSinkCompactTuples,
               in.bug == SelfTestBug::kSinkDropDup) {}
 
-  void BufferDatalog(Atom g) { bufs_.AppendAtom(g); }
   void BufferTrigger(std::string key, PendingExistential pe) {
     triggers_.emplace_back(std::move(key), std::move(pe));
   }
@@ -471,8 +520,8 @@ class VectorSink {
 
   /// Final compaction: folds the sink counters into `stats` and moves the
   /// sorted per-predicate runs out.
-  std::vector<DatalogSinkBuffers::Run> TakeDatalogRuns() {
-    std::vector<DatalogSinkBuffers::Run> runs = bufs_.TakeRuns();
+  std::vector<DatalogRun> TakeDatalogRuns() {
+    std::vector<DatalogRun> runs = bufs_.TakeRuns();
     stats_->sink_candidates += bufs_.candidates();
     stats_->sink_contained += bufs_.contained();
     stats_->sink_probes += bufs_.probes();
@@ -510,49 +559,60 @@ std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
   return bands;
 }
 
-/// Grounding template of one datalog head atom against a plan's slot
-/// layout: per position, a constant or the slot holding the variable's
-/// value. Lets block grounding resolve a head occurrence with `arity`
-/// array reads instead of per-variable Binding lookups.
-struct HeadTemplate {
+/// Grounding template of one rule atom against a plan's slot layout: per
+/// position, the slot holding the variable's value or a fixed TermId (a
+/// constant, or an existential variable that stays symbolic). Lets block
+/// grounding resolve an atom with `arity` array reads instead of
+/// per-variable Binding lookups.
+struct AtomTemplate {
   struct Arg {
-    bool is_const = false;
-    TermId value = 0;   // constant value when is_const
+    bool fixed = false;
+    TermId value = 0;   // the TermId itself when fixed
     uint32_t slot = 0;  // slot index otherwise
   };
   PredId pred = -1;
-  size_t arity = 0;
   std::vector<Arg> args;
+
+  /// Writes the atom's arguments under the slot row `slots` to `dst`.
+  void Ground(const TermId* slots, TermId* dst) const {
+    for (size_t pos = 0; pos < args.size(); ++pos) {
+      dst[pos] = args[pos].fixed ? args[pos].value : slots[args[pos].slot];
+    }
+  }
 };
 
-/// Builds the head templates of a datalog rule against `slot_vars` (the
-/// PlanSlotVars order of the body's plan). Datalog heads only use body
-/// variables, so every head variable resolves to a slot.
-std::vector<HeadTemplate> BuildHeadTemplates(
-    const Rule& rule, const std::vector<TermId>& slot_vars) {
-  std::vector<HeadTemplate> heads;
-  heads.reserve(rule.head.size());
-  for (const Atom& h : rule.head) {
-    HeadTemplate ht;
-    ht.pred = h.pred;
-    ht.arity = h.args.size();
-    ht.args.reserve(h.args.size());
-    for (TermId t : h.args) {
-      HeadTemplate::Arg a;
-      if (IsVar(t)) {
-        auto it = std::find(slot_vars.begin(), slot_vars.end(), t);
-        assert(it != slot_vars.end() &&
-               "datalog head variable missing from the body's slot layout");
+/// Builds the templates of `atoms` against `slot_vars` (the PlanSlotVars
+/// order of the body's plan). Body variables resolve to slots; a variable
+/// outside the body (an existential) stays fixed.
+std::vector<AtomTemplate> BuildTemplates(const std::vector<Atom>& atoms,
+                                         const std::vector<TermId>& slot_vars) {
+  std::vector<AtomTemplate> out;
+  out.reserve(atoms.size());
+  for (const Atom& atom : atoms) {
+    AtomTemplate& at = out.emplace_back();
+    at.pred = atom.pred;
+    at.args.reserve(atom.args.size());
+    for (TermId t : atom.args) {
+      AtomTemplate::Arg& a = at.args.emplace_back();
+      auto it = std::find(slot_vars.begin(), slot_vars.end(), t);
+      if (IsVar(t) && it != slot_vars.end()) {
         a.slot = static_cast<uint32_t>(it - slot_vars.begin());
       } else {
-        a.is_const = true;
+        a.fixed = true;
         a.value = t;
       }
-      ht.args.push_back(a);
     }
-    heads.push_back(std::move(ht));
   }
-  return heads;
+  return out;
+}
+
+/// Grounds `templates` under the slot row `slots` into `atoms`, whose
+/// shapes (predicates and arities) already match the templates.
+void GroundAll(const std::vector<AtomTemplate>& templates,
+               const TermId* slots, std::vector<Atom>* atoms) {
+  for (size_t i = 0; i < templates.size(); ++i) {
+    templates[i].Ground(slots, (*atoms)[i].args.data());
+  }
 }
 
 /// One (rule, delta anchor) pair of a production round.
@@ -591,10 +651,11 @@ std::vector<DeltaAnchor> DeltaAnchors(const RoundInputs& in) {
 }
 
 /// Enumerates anchor `a` with its delta confined to rows `chunk` into
-/// `sink`. Datalog rules ground their heads block-at-a-time straight from
-/// the executor's slot blocks (no Binding, no Atom per occurrence);
-/// existential rules take the per-binding HandleBinding path, because the
-/// witness probe and PatternKey need a Binding anyway.
+/// `sink`. Every rule grounds its head straight from the executor's slot
+/// blocks through templates: a datalog head is written into the sink's
+/// flat buffers (no Binding, no Atom per occurrence); an existential head
+/// is grounded into reused pattern atoms for the witness probe and the
+/// trigger key.
 void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
                      RowRange chunk, const Matcher& witness,
                      VectorSink* sink, MatchStats* match_stats) {
@@ -607,34 +668,52 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
   const std::function<bool()> block_stop = [&in] {
     return in.ctx->ShouldStop("plan block");
   };
-  if (rule.IsExistential()) {
-    ExecuteBandedPlan(
-        in.frozen, in.plans, rule.body, a.di, bands,
-        [&](const Binding& b) {
-          return HandleBinding(in, a.ri, b, witness, *sink);
-        },
-        match_stats, &block_stop);
-    return;
-  }
   std::shared_ptr<const QueryPlan> plan =
       in.plans.Get(in.frozen, rule.body, a.di);
-  const std::vector<HeadTemplate> heads =
-      BuildHeadTemplates(rule, PlanSlotVars(*plan, rule.body));
-  auto on_block = [&](const SlotBlock& blk) {
-    for (size_t r = 0; r < blk.num_rows; ++r) {
-      const TermId* slots = blk.rows + r * blk.width;
-      for (const HeadTemplate& h : heads) {
-        TermId* dst = sink->AppendDatalogSlot(h.pred, h.arity);
-        for (size_t pos = 0; pos < h.arity; ++pos) {
-          const HeadTemplate::Arg& arg = h.args[pos];
-          dst[pos] = arg.is_const ? arg.value : slots[arg.slot];
+  const std::vector<TermId> slot_vars = PlanSlotVars(*plan, rule.body);
+  const std::vector<AtomTemplate> heads = BuildTemplates(rule.head, slot_vars);
+  std::function<bool(const SlotBlock&)> on_block;
+  // Existential rules only: per-row scratch atoms and per-anchor constants.
+  std::vector<Atom> pattern;
+  std::vector<Atom> body;
+  std::vector<AtomTemplate> body_templates;
+  std::vector<TermId> existentials;
+  if (!rule.IsExistential()) {
+    // Every head variable of a datalog rule occurs in its body, so every
+    // template cell is a slot or a constant.
+    on_block = [&](const SlotBlock& blk) {
+      for (size_t r = 0; r < blk.num_rows; ++r) {
+        const TermId* slots = blk.rows + r * blk.width;
+        for (const AtomTemplate& h : heads) {
+          h.Ground(slots, sink->AppendDatalogSlot(h.pred, h.args.size()));
         }
       }
+      return true;
+    };
+  } else {
+    pattern = rule.head;
+    existentials = rule.ExistentialVariables();
+    if (in.options.oblivious) {
+      body = rule.body;
+      body_templates = BuildTemplates(rule.body, slot_vars);
     }
-    return true;
-  };
-  ExecutePlanBlocks(in.frozen, *plan, rule.body, &bands, on_block, match_stats,
-                    &block_stop);
+    on_block = [&](const SlotBlock& blk) {
+      for (size_t r = 0; r < blk.num_rows; ++r) {
+        // Strided governor probe, once per body match as in the reference
+        // round: aborts this task's enumeration on a trip; the
+        // post-enumeration check discards the buffered round.
+        if (in.ctx->ShouldStop("chase enumerate")) return false;
+        const TermId* slots = blk.rows + r * blk.width;
+        GroundAll(heads, slots, &pattern);
+        GroundAll(body_templates, slots, &body);
+        BufferExistential(in, a.ri, pattern, body, existentials, witness,
+                          *sink);
+      }
+      return true;
+    };
+  }
+  ExecutePlan(in.frozen, *plan, rule.body, &bands, {}, on_block, match_stats,
+              &block_stop);
 }
 
 /// The production round. Inline (`pool` null): one sink and one witness
@@ -645,7 +724,7 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
 /// applies a torn round's buffered datalog).
 Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
                            RoundBuffer* buf) {
-  std::vector<DatalogSinkBuffers::Run> runs;
+  std::vector<DatalogRun> runs;
   std::vector<std::pair<std::string, PendingExistential>> raw_triggers;
   Status barrier = Status::OK();
   VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
@@ -676,8 +755,7 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
           Matcher witness(in.frozen);
           VectorSink task_sink(in, &local);
           EnumerateAnchor(in, a, chunk, witness, &task_sink, &local.match);
-          std::vector<DatalogSinkBuffers::Run> task_runs =
-              task_sink.TakeDatalogRuns();
+          std::vector<DatalogRun> task_runs = task_sink.TakeDatalogRuns();
           auto task_triggers = task_sink.TakeRawTriggers();
           span.set_detail("r" + std::to_string(a.ri) + " a" +
                           std::to_string(a.di) + " +" +
@@ -710,20 +788,34 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
 }
 
 /// The reference round: every rule body re-enumerated in full on the
-/// interpretive Matcher, into the per-binding hash sink.
+/// interpretive Matcher, into the per-binding hash sink. The sink's
+/// distinct atoms are sorted into runs here with std::sort, so the
+/// reference shares no sort with the production sink.
 void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
   Matcher matcher(in.frozen, &buf->stats.match);
   // Witness-existence probes go through a stats-less matcher so
   // bindings_tried counts rule-body bindings only.
   Matcher witness(in.frozen);
-  HashSink sink{in.frozen, buf, {}, {}};
+  HashSink sink{in.frozen, buf, {}, {}, {}};
   for (size_t ri = 0; ri < in.theory.rules().size(); ++ri) {
     if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
+    const std::vector<TermId> existentials = rule.ExistentialVariables();
     matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
-      return HandleBinding(in, ri, b, witness, sink);
+      return HandleBinding(in, ri, b, existentials, witness, sink);
     });
+  }
+  std::sort(sink.datalog.begin(), sink.datalog.end());
+  for (const Atom& g : sink.datalog) {
+    if (buf->datalog.empty() || buf->datalog.back().pred != g.pred) {
+      DatalogRun& run = buf->datalog.emplace_back();
+      run.pred = g.pred;
+      run.arity = g.args.size();
+    }
+    DatalogRun& run = buf->datalog.back();
+    run.data.insert(run.data.end(), g.args.begin(), g.args.end());
+    ++run.tuples;
   }
   // The sink's keep-min map already holds unique keys; move it out.
   buf->triggers.reserve(sink.triggers.size());
@@ -756,19 +848,61 @@ Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
   return barrier;
 }
 
+size_t RoundBuffer::datalog_facts() const {
+  size_t n = 0;
+  for (const DatalogRun& run : datalog) n += run.tuples;
+  return n;
+}
+
+Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen) {
+  for (size_t i = 0; i < buf.datalog.size(); ++i) {
+    const DatalogRun& run = buf.datalog[i];
+    auto violation = [&run](const char* what) {
+      return Status::Internal(std::string(what) + " (pred " +
+                              std::to_string(run.pred) + ")");
+    };
+    if (i > 0 && buf.datalog[i - 1].pred >= run.pred) {
+      return violation("round buffer runs out of predicate order");
+    }
+    for (size_t t = 0; t < run.tuples; ++t) {
+      const TermId* tup = run.tuple(t);
+      if (t > 0) {
+        const TermId* prev = run.tuple(t - 1);
+        if (std::equal(prev, prev + run.arity, tup)) {
+          return violation("duplicate tuple in round buffer");
+        }
+        if (std::lexicographical_compare(tup, tup + run.arity, prev,
+                                         prev + run.arity)) {
+          return violation("descending pair in round buffer");
+        }
+      }
+      if (frozen.Contains(run.pred, TupleRef(tup, run.arity))) {
+        return violation("round buffer re-derives a frozen fact");
+      }
+    }
+  }
+  return Status::OK();
+}
+
+size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s) {
+  size_t added = 0;
+  for (const DatalogRun& run : runs) {
+    for (size_t t = 0; t < run.tuples; ++t) {
+      if (s->AddFact(run.pred, run.tuple(t), run.arity)) ++added;
+    }
+  }
+  return added;
+}
+
 size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out) {
-  // Canonical application order (see the header): sorted datalog atoms
+  // Canonical application order (see the header): the sorted datalog runs
   // first, then triggers in key order. Both engines funnel through this,
   // so row order and null naming are functions of the round's derivation
   // set alone.
-  std::sort(buf->datalog.begin(), buf->datalog.end());
   std::sort(buf->triggers.begin(), buf->triggers.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  size_t added = 0;
-  for (const Atom& g : buf->datalog) {
-    if (out->structure.AddFact(g)) ++added;
-  }
+  size_t added = AddRuns(buf->datalog, &out->structure);
   for (auto& [key, pe] : buf->triggers) {
     (void)key;
     // Invent one null per existential variable of this trigger.

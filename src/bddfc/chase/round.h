@@ -1,7 +1,7 @@
-// Round machinery of the chase (chase.cc): trigger canonicalization,
-// per-binding buffering, the vectorized round sink, the two round
-// enumerations (production and reference) and the canonical round
-// application that makes every run byte-identical.
+// Round machinery of the chase (chase.cc): trigger canonicalization, the
+// vectorized round sink, the two round enumerations (production and
+// reference) and the canonical round application that makes every run
+// byte-identical.
 //
 // Determinism design. Within a round, body bindings may be enumerated in
 // any order — the plan executor picks its own join order, the sharded
@@ -10,8 +10,9 @@
 // Byte-identical results therefore cannot rely on discovery order
 // anywhere. Instead:
 //
-//   * buffered datalog additions are a *set*; ApplyRound inserts them
-//     sorted by (predicate, argument tuple);
+//   * buffered datalog additions are a *set*, handed to ApplyRound as one
+//     sorted run per predicate, which it appends in (predicate, argument
+//     tuple) order;
 //   * pending existential triggers are keyed by the canonical PatternKey;
 //     per key the TriggerLess-least candidate wins (not the first
 //     discovered), and ApplyRound fires keys in sorted order — so null
@@ -37,7 +38,6 @@
 #define BDDFC_CHASE_ROUND_H_
 
 #include <atomic>
-#include <cassert>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -46,7 +46,6 @@
 #include "bddfc/base/status.h"
 #include "bddfc/base/thread_pool.h"
 #include "bddfc/chase/chase.h"
-#include "bddfc/eval/match.h"
 #include "bddfc/eval/plan.h"
 
 namespace bddfc {
@@ -86,19 +85,41 @@ enum class SelfTestBug {
   kSinkDropDup,       ///< faults::kBugSinkDropDup (production sink only)
 };
 
+/// One predicate's buffered datalog tuples as a flat run: `tuples` entries
+/// of `arity` TermIds, row-major (arity-0 runs carry only the count).
+struct DatalogRun {
+  PredId pred = -1;
+  size_t arity = 0;
+  size_t tuples = 0;
+  std::vector<TermId> data;
+
+  const TermId* tuple(size_t i) const { return data.data() + i * arity; }
+};
+
 /// One round's buffered derivations, evaluated against the frozen
 /// Chase^{i-1} snapshot. EnumerateRound fills it; ApplyRound consumes it
 /// in canonical order.
 struct RoundBuffer {
-  /// Distinct head atoms not present in the frozen structure (unsorted).
-  std::vector<Atom> datalog;
+  /// One sorted, distinct, frozen-free run per predicate that derived a
+  /// new tuple, in ascending predicate order.
+  std::vector<DatalogRun> datalog;
   /// Unique-key pending triggers, each key's TriggerLess-least candidate.
   std::vector<std::pair<std::string, PendingExistential>> triggers;
   /// Counters and per-round timing merged across the producing tasks.
   ChaseStats stats;
 
   bool empty() const { return datalog.empty() && triggers.empty(); }
+  /// Total datalog tuples over every run.
+  size_t datalog_facts() const;
 };
+
+/// Full paranoia's re-verification of a round buffer against the frozen
+/// structure it was evaluated on: runs in strictly ascending predicate
+/// order, each run's tuples strictly ascending (so pairwise distinct), and
+/// no tuple already in `frozen` — the guarantees the sinks claim to have
+/// enforced. Reads the runs in place. Returns Internal naming the first
+/// violation.
+Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen);
 
 /// The read-only inputs one round's enumeration runs against.
 struct RoundInputs {
@@ -112,7 +133,7 @@ struct RoundInputs {
   std::unordered_set<std::string>* fired;
   /// Per-run compiled-plan cache (thread-safe) of the production engine.
   /// Witness-existence probes stay on the Matcher: their patterns are
-  /// grounded per binding (caching would never hit) and dominated by
+  /// grounded per body match (caching would never hit) and dominated by
   /// point lookups.
   PlanCache& plans;
   /// The run's self-test bug, resolved once at RunChase entry from a
@@ -121,73 +142,6 @@ struct RoundInputs {
   /// kSkipTriggerDedup key suffixes, shared by every task of the round.
   mutable std::atomic<size_t> bug_seq{0};
 };
-
-/// Serializes the oblivious-chase firing key of (rule `ri`, binding `b`).
-std::string ObliviousKey(size_t ri, const Rule& rule, const Binding& b);
-
-/// Per-binding buffering logic, shared by both round enumerations; `Sink`
-/// supplies the buffer operations:
-///
-///   void BufferDatalog(Atom g);
-///   void BufferTrigger(std::string key, PendingExistential pe);
-///
-/// BufferDatalog owns the frozen-containment check: the reference's hash
-/// sink probes Contains eagerly per occurrence, the vectorized sink defers
-/// both the probe and the dedup to its sorted bulk pass.
-///
-/// Returns false to stop the enumeration (governor trip).
-template <typename Sink>
-bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
-                   const Matcher& witness, Sink& sink) {
-  // Strided governor probe: aborts this task's enumeration on a trip; the
-  // post-enumeration check discards the buffered round.
-  if (in.ctx->ShouldStop("chase enumerate")) return false;
-  const Rule& rule = in.theory.rules()[ri];
-  auto ground = [&b](const Atom& a) {
-    Atom g = a;
-    for (TermId& t : g.args) {
-      if (IsVar(t)) {
-        auto it = b.find(t);
-        if (it != b.end()) t = it->second;
-      }
-    }
-    return g;
-  };
-  if (!rule.IsExistential()) {
-    for (const Atom& h : rule.head) {
-      Atom g = ground(h);
-      assert(g.IsGround() && "datalog rule with unbound head variable");
-      sink.BufferDatalog(std::move(g));
-    }
-    return true;
-  }
-  // Existential TGD: the non-oblivious check — is the head already
-  // witnessed in Chase^i under this frontier binding?
-  std::vector<Atom> pattern;
-  pattern.reserve(rule.head.size());
-  for (const Atom& h : rule.head) pattern.push_back(ground(h));
-  std::string key;
-  if (in.options.oblivious) {
-    // Blind chase: one witness per (rule, body binding), ever; keys fired
-    // in earlier rounds are dropped after enumeration.
-    key = ObliviousKey(ri, rule, b);
-  } else {
-    if (witness.Exists(pattern, {})) return true;
-    key = PatternKey(pattern);
-    if (in.bug == SelfTestBug::kSkipTriggerDedup) {
-      // Injected bug: make every key unique so same-pattern triggers stop
-      // collapsing to one witness.
-      key += "#" + std::to_string(
-                       in.bug_seq.fetch_add(1, std::memory_order_relaxed));
-    }
-  }
-  PendingExistential pe;
-  pe.rule_index = static_cast<int>(ri);
-  pe.head_pattern = std::move(pattern);
-  pe.existentials = rule.ExistentialVariables();
-  sink.BufferTrigger(std::move(key), std::move(pe));
-  return true;
-}
 
 /// Rows per sharded anchor chunk. Fixed (never derived from the thread
 /// count) so the task decomposition — and with it every per-task stat —
@@ -227,19 +181,11 @@ class DatalogSinkBuffers {
   /// Reserves one tuple of `pred` and returns the slot to write `arity`
   /// TermIds into (invalidated by the next sink call; null iff arity 0).
   TermId* Append(PredId pred, size_t arity);
-  void AppendAtom(const Atom& g);
 
-  /// One predicate's surviving tuples as a flat sorted run (`tuples`
-  /// entries of `arity` TermIds; arity-0 runs carry only the count).
-  struct Run {
-    PredId pred = -1;
-    size_t arity = 0;
-    size_t tuples = 0;
-    std::vector<TermId> data;
-  };
-  /// Final compaction, then moves the per-predicate runs out (ascending
-  /// pred) — the round barrier merges runs across tasks.
-  std::vector<Run> TakeRuns();
+  /// Final compaction, then moves the surviving tuples out as one sorted
+  /// distinct run per predicate (ascending pred) — the round barrier
+  /// merges runs across tasks.
+  std::vector<DatalogRun> TakeRuns();
 
   size_t candidates() const { return candidates_; }
   size_t contained() const { return contained_; }
@@ -276,16 +222,16 @@ class DatalogSinkBuffers {
 };
 
 /// Merges sorted distinct runs (TakeRuns output, one or several tasks'
-/// worth) into Atoms appended to `out`: a predicate's runs are
-/// concatenated and sorted by value, and cross-run duplicate groups
-/// collapse to one copy, counting the extra occurrences into *deduped —
-/// the +1-per-extra-run rule that makes the total dedup count shard-count
-/// independent. Under `drop_dup_groups` (kSinkDropDup) cross-run
-/// duplicates are dropped entirely instead. Runs are already frozen-free,
-/// so no containment re-probe happens here.
-void MergeDatalogRuns(std::vector<DatalogSinkBuffers::Run> runs,
-                      bool drop_dup_groups, std::vector<Atom>* out,
-                      size_t* deduped);
+/// worth) into one run per predicate appended to `out` in ascending
+/// predicate order: a predicate's single run moves over as is; several
+/// runs are concatenated and sorted by value, and cross-run duplicate
+/// groups collapse to one copy, counting the extra occurrences into
+/// *deduped — the +1-per-extra-run rule that makes the total dedup count
+/// shard-count independent. Under `drop_dup_groups` (kSinkDropDup)
+/// cross-run duplicates are dropped entirely instead. Runs are already
+/// frozen-free, so no containment re-probe happens here.
+void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
+                      std::vector<DatalogRun>* out, size_t* deduped);
 
 /// Sorts raw (key, candidate) trigger pairs, collapses each key to its
 /// TriggerLess-least candidate counting dropped occurrences into *tdedup,
@@ -307,9 +253,14 @@ void DedupTriggers(
 Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
                       RoundBuffer* buf);
 
-/// Applies a completed round's buffer in canonical order: datalog
-/// additions sorted by (pred, args), then triggers in key order, inventing
-/// nulls and recording provenance. Returns the number of facts added.
+/// Appends every tuple of `runs` to `s` in run order; returns the number
+/// of facts added.
+size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s);
+
+/// Applies a completed round's buffer in canonical order: the datalog
+/// runs as they stand (already sorted by (pred, args)), then triggers in
+/// key order, inventing nulls and recording provenance. Returns the number
+/// of facts added.
 size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out);
 
 }  // namespace chase_internal

@@ -5,25 +5,46 @@
 
 #include "bddfc/eval/exec.h"
 #include "bddfc/eval/match.h"
+#include "bddfc/eval/plan.h"
 
 namespace bddfc {
 
 namespace {
 
 /// Collects answer tuples of `query` over `s`, skipping tuples that bind a
-/// labeled null. Plan-backed: the answer set is sorted and deduplicated by
-/// the callers, so the executor's enumeration order is immaterial.
+/// labeled null. Plan-backed: the plan is compiled once and each answer
+/// position reads a constant or a slot of the executor's blocks. The
+/// answer set is sorted and deduplicated by the callers, so the executor's
+/// enumeration order is immaterial.
 void CollectAnswers(const Structure& s, const ConjunctiveQuery& query,
                     std::vector<std::vector<TermId>>* out) {
-  PlanEnumerate(s, query.atoms, {}, [&](const Binding& b) {
-    std::vector<TermId> tuple;
-    tuple.reserve(query.answer_vars.size());
-    for (TermId v : query.answer_vars) {
-      TermId value = IsConst(v) ? v : b.at(v);
-      if (s.sig().IsNull(value)) return true;  // not a database value
-      tuple.push_back(value);
+  const QueryPlan plan = CompilePlan(s, query.atoms);
+  const std::vector<TermId> slot_vars = PlanSlotVars(plan, query.atoms);
+  // Per answer position: the slot holding its value, or -1 for a constant.
+  std::vector<int> slots;
+  slots.reserve(query.answer_vars.size());
+  for (TermId v : query.answer_vars) {
+    if (IsConst(v)) {
+      slots.push_back(-1);
+      continue;
     }
-    out->push_back(std::move(tuple));
+    auto it = std::find(slot_vars.begin(), slot_vars.end(), v);
+    assert(it != slot_vars.end() && "answer variable missing from the body");
+    slots.push_back(static_cast<int>(it - slot_vars.begin()));
+  }
+  ExecutePlan(s, plan, query.atoms, nullptr, {}, [&](const SlotBlock& blk) {
+    for (size_t r = 0; r < blk.num_rows; ++r) {
+      const TermId* row = blk.rows + r * blk.width;
+      std::vector<TermId> tuple;
+      tuple.reserve(slots.size());
+      for (size_t i = 0; i < slots.size(); ++i) {
+        const TermId value =
+            slots[i] < 0 ? query.answer_vars[i] : row[slots[i]];
+        if (s.sig().IsNull(value)) break;  // not a database value
+        tuple.push_back(value);
+      }
+      if (tuple.size() == slots.size()) out->push_back(std::move(tuple));
+    }
     return true;
   });
 }

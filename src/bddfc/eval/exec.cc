@@ -35,23 +35,14 @@ struct StepCtx {
   std::vector<char> bound_local;
   /// Slots this step fills, in position order.
   std::vector<uint16_t> new_slots;
-  /// Count-mode shortcuts: the single probe is this step's only
-  /// constraint, so every candidate row matches (count += range size) —
-  /// or the step has no constraints at all (count += band size).
-  bool count_range_ok = false;
-  bool count_all_rows = false;
 };
 
 struct Executor {
   const Structure& s;
   const QueryPlan& plan;
-  const std::function<bool(const Binding&)>& on_match;
+  const std::function<bool(const SlotBlock&)>& on_block;
   MatchStats* stats;
   const std::function<bool()>* abort;
-  size_t* count;  // non-null: count matches, skip Binding materialization
-  /// Non-null: hand final blocks over whole instead of per-row Bindings
-  /// (ExecutePlanBlocks). Set between construction and Init.
-  const std::function<bool(const SlotBlock&)>* on_block = nullptr;
 
   std::vector<TermId> slot_vars;
   size_t width = 0;
@@ -60,19 +51,16 @@ struct Executor {
   std::vector<std::vector<TermId>> blocks;  // output buffer per step
   std::vector<TermId> scratch;  // this step's fresh slot values, one row
   std::vector<TermId> key_buf;  // exists-check tuple, reused per row
-  Binding emit_b;               // reused across Emit rows
-  std::vector<TermId*> emit_vals;  // slot -> &emit_b[slot_vars[slot]]
   bool stopped = false;  // callback ended enumeration
   bool aborted = false;  // abort hook tripped
 
   Executor(const Structure& s_, const QueryPlan& plan_,
-           const std::function<bool(const Binding&)>& cb, MatchStats* st,
-           const std::function<bool()>* ab, size_t* cnt = nullptr)
-      : s(s_), plan(plan_), on_match(cb), stats(st), abort(ab), count(cnt) {}
+           const std::function<bool(const SlotBlock&)>& cb, MatchStats* st,
+           const std::function<bool()>* ab)
+      : s(s_), plan(plan_), on_block(cb), stats(st), abort(ab) {}
 
-  void Init(const std::vector<Atom>& atoms, const std::vector<RowBand>* bands,
-            const std::vector<TermId>& prebound) {
-    slot_vars = PlanSlotVars(plan, atoms, prebound);
+  void Init(const std::vector<Atom>& atoms, const std::vector<RowBand>* bands) {
+    slot_vars = PlanSlotVars(plan, atoms);
     width = plan.num_slots;
     block_rows = std::max<size_t>(
         1, std::min(kExecBlockRows,
@@ -107,27 +95,6 @@ struct Executor {
       }
       for (uint16_t slot : sc.new_slots) is_local[slot] = 0;
       sc.exists_check = sc.new_slots.empty() && !st.args.empty();
-      // Count-mode shortcuts: valid when nothing beyond the probe (or
-      // nothing at all) constrains a candidate row.
-      bool only_probe_constrains = st.probe_positions.size() == 1;
-      bool nothing_constrains = st.probe_positions.empty();
-      for (size_t pos = 0; pos < st.args.size(); ++pos) {
-        if (st.args[pos].kind == PlanArg::kNew) continue;
-        nothing_constrains = false;
-        if (st.probe_positions.size() != 1 ||
-            pos != st.probe_positions.front()) {
-          only_probe_constrains = false;
-        }
-      }
-      sc.count_range_ok = only_probe_constrains;
-      sc.count_all_rows = nothing_constrains;
-    }
-    if (count == nullptr && on_block == nullptr) {
-      emit_b.reserve(width);
-      emit_vals.resize(width, nullptr);
-      for (size_t i = 0; i < width; ++i) {
-        emit_vals[i] = &emit_b[slot_vars[i]];
-      }
     }
   }
 
@@ -137,27 +104,8 @@ struct Executor {
   }
 
   void Emit(const TermId* rows, size_t n) {
-    if (count != nullptr) {
-      if (stats != nullptr) stats->bindings_tried += n;
-      *count += n;
-      return;
-    }
-    if (on_block != nullptr) {
-      if (stats != nullptr) stats->bindings_tried += n;
-      if (!(*on_block)(SlotBlock{rows, n, width, slot_vars.data()})) {
-        stopped = true;
-      }
-      return;
-    }
-    // emit_b holds every slot variable as a key already; per row only the
-    // mapped values are patched through stable element pointers — no hash
-    // operations in the loop.
-    for (size_t r = 0; r < n && !stopped; ++r) {
-      const TermId* slots = rows + r * width;
-      if (stats != nullptr) ++stats->bindings_tried;
-      for (size_t i = 0; i < width; ++i) *emit_vals[i] = slots[i];
-      if (!on_match(emit_b)) stopped = true;
-    }
+    if (stats != nullptr) stats->bindings_tried += n;
+    if (!on_block(SlotBlock{rows, n, width, slot_vars.data()})) stopped = true;
   }
 
   /// Verifies one candidate row against the input slots without touching
@@ -241,11 +189,6 @@ struct Executor {
           ++stats->postings_hits;
           ++stats->rows_scanned;
         }
-        if (count != nullptr && stats == nullptr &&
-            si + 1 == plan.steps.size()) {
-          ++*count;
-          continue;
-        }
         AppendRow(sc, slots, &out);
         if (++out_rows == block_rows) {
           flush();
@@ -292,31 +235,6 @@ struct Executor {
       }
       if (stats != nullptr && cand_b != nullptr) ++stats->postings_hits;
 
-      // Count pushdown on the final step: matches are counted straight
-      // from the candidate range — by size when the probe is the only
-      // constraint, by constraint checks (no block writes) otherwise.
-      // Exact counters need rows_scanned/bindings_tried per candidate, so
-      // a stats sink routes through the regular block path instead.
-      if (count != nullptr && stats == nullptr &&
-          si + 1 == plan.steps.size()) {
-        if (cand_b != nullptr) {
-          if (sc.count_range_ok) {
-            *count += static_cast<size_t>(cand_e - cand_b);
-          } else {
-            for (const uint32_t* p = cand_b; p != cand_e; ++p) {
-              if (VerifyRow(st, sc, slots, *p)) ++*count;
-            }
-          }
-        } else if (sc.count_all_rows) {
-          *count += sc.hi - sc.lo;
-        } else {
-          for (uint32_t row = sc.lo; row < sc.hi; ++row) {
-            if (VerifyRow(st, sc, slots, row)) ++*count;
-          }
-        }
-        continue;
-      }
-
       if (cand_b != nullptr) {
         for (const uint32_t* p = cand_b; p != cand_e; ++p) {
           if (VerifyRow(st, sc, slots, *p)) {
@@ -343,98 +261,45 @@ struct Executor {
     flush();
   }
 
-  bool Run(const Binding& partial, const std::vector<TermId>& prebound) {
-    std::vector<TermId> seed(width, 0);
-    for (size_t i = 0; i < prebound.size(); ++i) {
-      auto it = partial.find(prebound[i]);
-      assert(it != partial.end() && "prebound variable missing from partial");
-      seed[i] = it->second;
-    }
-    RunStep(0, seed.data(), 1);
+  bool Run(const std::vector<TermId>& seed) {
+    assert(seed.size() <= width && "more seed values than plan slots");
+    std::vector<TermId> row(width, 0);
+    std::copy(seed.begin(), seed.end(), row.begin());
+    RunStep(0, row.data(), 1);
     return !aborted;
   }
 };
-
-std::vector<TermId> SortedKeys(const Binding& partial) {
-  std::vector<TermId> keys;
-  keys.reserve(partial.size());
-  for (const auto& [v, c] : partial) keys.push_back(v);
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
 
 }  // namespace
 
 bool ExecutePlan(const Structure& s, const QueryPlan& plan,
                  const std::vector<Atom>& atoms,
-                 const std::vector<RowBand>* bands, const Binding& partial,
-                 const std::vector<TermId>& prebound,
-                 const std::function<bool(const Binding&)>& on_match,
+                 const std::vector<RowBand>* bands,
+                 const std::vector<TermId>& seed,
+                 const std::function<bool(const SlotBlock&)>& on_block,
                  MatchStats* stats, const std::function<bool()>* abort) {
   obs::TraceSpan span("plan.exec");
-  Executor ex(s, plan, on_match, stats, abort);
-  ex.Init(atoms, bands, prebound);
-  return ex.Run(partial, prebound);
-}
-
-bool ExecutePlanBlocks(const Structure& s, const QueryPlan& plan,
-                       const std::vector<Atom>& atoms,
-                       const std::vector<RowBand>* bands,
-                       const std::function<bool(const SlotBlock&)>& on_block,
-                       MatchStats* stats, const std::function<bool()>* abort) {
-  obs::TraceSpan span("plan.exec");
-  static const std::function<bool(const Binding&)> kUnused;
-  Executor ex(s, plan, kUnused, stats, abort);
-  ex.on_block = &on_block;
-  ex.Init(atoms, bands, {});
-  return ex.Run({}, {});
-}
-
-bool ExecuteBandedPlan(const Structure& s, PlanCache& cache,
-                       const std::vector<Atom>& atoms, size_t anchor,
-                       const std::vector<RowBand>& bands,
-                       const std::function<bool(const Binding&)>& on_match,
-                       MatchStats* stats, const std::function<bool()>* abort) {
-  std::shared_ptr<const QueryPlan> plan = cache.Get(s, atoms, anchor);
-  return ExecutePlan(s, *plan, atoms, &bands, {}, {}, on_match, stats, abort);
+  Executor ex(s, plan, on_block, stats, abort);
+  ex.Init(atoms, bands);
+  return ex.Run(seed);
 }
 
 bool PlanExists(const Structure& s, const std::vector<Atom>& atoms,
                 const Binding& partial) {
-  const std::vector<TermId> prebound = SortedKeys(partial);
-  QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
+  std::vector<TermId> prebound;
+  prebound.reserve(partial.size());
+  for (const auto& [v, c] : partial) prebound.push_back(v);
+  std::sort(prebound.begin(), prebound.end());
+  std::vector<TermId> seed;
+  seed.reserve(prebound.size());
+  for (TermId v : prebound) seed.push_back(partial.at(v));
+  const QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
   bool found = false;
-  ExecutePlan(s, plan, atoms, nullptr, partial, prebound,
-              [&found](const Binding&) {
-                found = true;
-                return false;  // stop at first match
-              });
+  ExecutePlan(s, plan, atoms, nullptr, seed, [&found](const SlotBlock&) {
+    found = true;
+    return false;  // stop at the first block of matches
+  });
   return found;
-}
-
-void PlanEnumerate(const Structure& s, const std::vector<Atom>& atoms,
-                   const Binding& partial,
-                   const std::function<bool(const Binding&)>& on_match,
-                   MatchStats* stats) {
-  const std::vector<TermId> prebound = SortedKeys(partial);
-  QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
-  ExecutePlan(s, plan, atoms, nullptr, partial, prebound, on_match, stats);
-}
-
-size_t PlanCountMatches(const Structure& s, const std::vector<Atom>& atoms,
-                        const Binding& partial) {
-  // Counting mode: no Binding is ever materialized, and the final step
-  // counts matches directly from its candidate ranges (aggregate
-  // pushdown). The count still equals the number of bindings Enumerate
-  // would deliver — PlanTest pins this against the Matcher.
-  const std::vector<TermId> prebound = SortedKeys(partial);
-  QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
-  size_t n = 0;
-  static const std::function<bool(const Binding&)> kUnused;
-  Executor ex(s, plan, kUnused, nullptr, nullptr, &n);
-  ex.Init(atoms, nullptr, prebound);
-  ex.Run(partial, prebound);
-  return n;
 }
 
 }  // namespace bddfc

@@ -142,12 +142,8 @@ std::string PlanCacheKey(const std::vector<Atom>& atoms, size_t anchor) {
 }
 
 std::vector<TermId> PlanSlotVars(const QueryPlan& plan,
-                                 const std::vector<Atom>& atoms,
-                                 const std::vector<TermId>& prebound) {
-  std::vector<TermId> slot_vars(plan.num_slots, 0);
-  for (size_t i = 0; i < prebound.size() && i < slot_vars.size(); ++i) {
-    slot_vars[i] = prebound[i];
-  }
+                                 const std::vector<Atom>& atoms) {
+  std::vector<TermId> slot_vars = plan.slot_vars;
   for (const PlanStep& st : plan.steps) {
     const Atom& a = atoms[st.atom_index];
     for (size_t pos = 0; pos < st.args.size(); ++pos) {

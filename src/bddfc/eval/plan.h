@@ -96,11 +96,11 @@ std::string PlanCacheKey(const std::vector<Atom>& atoms, size_t anchor);
 
 /// Recovers the slot -> variable mapping of a (possibly shared) plan for
 /// the caller's own atom list: kNew args name the defining position of
-/// each slot, prebound slots come first. `atoms` must be alpha-equivalent
-/// to the body the plan was compiled from (same PlanCacheKey).
+/// each slot; prebound slots come first and keep the names given to
+/// CompilePlan. `atoms` must be alpha-equivalent to the body the plan was
+/// compiled from (same PlanCacheKey).
 std::vector<TermId> PlanSlotVars(const QueryPlan& plan,
-                                 const std::vector<Atom>& atoms,
-                                 const std::vector<TermId>& prebound = {});
+                                 const std::vector<Atom>& atoms);
 
 /// Thread-safe per-run plan cache. Get() compiles on miss; concurrent
 /// misses on the same key may compile twice but publish one winner.

@@ -314,7 +314,10 @@ FiniteModelResult ConstructFiniteCounterModel(
         ChaseOptions sat;
         sat.datalog_only = true;
         sat.max_rounds = options.max_saturation_rounds;
-        sat.max_facts = options.max_chase_facts;
+        // No fact cap: the saturation is datalog-only over the quotient's
+        // finite domain, so it stops within sum_p |M|^ar(p) facts; the
+        // governor's memory budget stays the guard.
+        sat.max_facts = SIZE_MAX;
         sat.paranoia = options.paranoia;
         SupervisorOptions sup;
         sup.context = ctx;

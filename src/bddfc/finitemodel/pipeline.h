@@ -43,7 +43,9 @@ struct PipelineOptions {
   /// `max_chase_depth`.
   /// Normalization layers cost a few chase rounds per witness level, so
   /// the depth schedule must comfortably exceed (rounds-per-level × hue
-  /// period); max_chase_facts backstops exponential theories.
+  /// period); max_chase_facts backstops exponential theories in the chase
+  /// phase only (the datalog saturation over the finite quotient has no
+  /// fact cap).
   size_t initial_chase_depth = 8;
   size_t max_chase_depth = 128;
   size_t max_chase_facts = 200000;

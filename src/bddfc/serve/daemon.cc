@@ -53,6 +53,13 @@ bool FillSome(int fd, std::string* buf, const std::atomic<bool>& stop,
   return false;
 }
 
+// Answers one protocol error and closes the connection: after a refused
+// header the rest of the stream cannot be framed.
+void RejectAndClose(int fd, const Status& st) {
+  SendAll(fd, FormatResponse(Response{st, st.message()}));
+  ::close(fd);
+}
+
 void ServeConnection(ReasoningServer& server, int fd,
                      const std::atomic<bool>& stop) {
   // A receive timeout bounds how long an idle connection can ignore the
@@ -64,6 +71,7 @@ void ServeConnection(ReasoningServer& server, int fd,
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   std::string buf;
+  size_t scanned = 0;  // leading bytes of buf known to hold no '\n'
   bool http_checked = false;
   for (;;) {
     // Serve every complete request already buffered.
@@ -75,7 +83,8 @@ void ServeConnection(ReasoningServer& server, int fd,
           size_t eol;
           while ((eol = buf.find('\n')) == std::string::npos) {
             bool timed_out;
-            if (!FillSome(fd, &buf, stop, &timed_out)) {
+            if (buf.size() > kMaxRequestLineBytes ||
+                !FillSome(fd, &buf, stop, &timed_out)) {
               ::close(fd);
               return;
             }
@@ -85,12 +94,23 @@ void ServeConnection(ReasoningServer& server, int fd,
           return;
         }
       }
-      const size_t eol = buf.find('\n');
-      if (eol == std::string::npos) break;
+      const size_t eol = buf.find('\n', scanned);
+      if (eol == std::string::npos) {
+        scanned = buf.size();
+        if (scanned > kMaxRequestLineBytes) {
+          RejectAndClose(fd, Status::InvalidArgument(
+                                 "request line exceeds " +
+                                 std::to_string(kMaxRequestLineBytes) +
+                                 " bytes"));
+          return;
+        }
+        break;
+      }
       std::string_view line = std::string_view(buf).substr(0, eol);
       if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
       if (line.empty()) {
         buf.erase(0, eol + 1);
+        scanned = 0;
         continue;
       }
 
@@ -105,17 +125,29 @@ void ServeConnection(ReasoningServer& server, int fd,
       }
       if (!parsed.ok()) {
         buf.erase(0, eol + 1);
+        scanned = 0;
         if (!SendAll(fd, FormatResponse(Response{parsed, parsed.message()}))) {
           ::close(fd);
           return;
         }
         continue;
       }
+      // The payload is buffered whole before Handle: refuse one the
+      // server's memory budget could never admit before reading it.
+      const size_t limit = server.options().memory_limit_bytes;
+      if (limit != 0 && payload_bytes > limit) {
+        RejectAndClose(fd, Status::InvalidArgument(
+                               "payload of " + std::to_string(payload_bytes) +
+                               " bytes exceeds the server memory limit of " +
+                               std::to_string(limit) + " bytes"));
+        return;
+      }
       if (buf.size() - (eol + 1) < payload_bytes) break;  // need more bytes
       request.payload = buf.substr(eol + 1, payload_bytes);
       size_t consumed = eol + 1 + payload_bytes;
       if (consumed < buf.size() && buf[consumed] == '\n') ++consumed;
       buf.erase(0, consumed);
+      scanned = 0;
       if (!SendAll(fd, FormatResponse(server.Handle(request)))) {
         ::close(fd);
         return;

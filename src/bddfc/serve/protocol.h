@@ -32,6 +32,12 @@
 
 namespace bddfc::serve {
 
+/// Longest request header line the daemon buffers, in bytes. A header is
+/// a verb plus at most three short tokens; a connection that sends more
+/// without a newline gets one InvalidArgument error and is closed (an
+/// HTTP one is just closed).
+inline constexpr size_t kMaxRequestLineBytes = 4096;
+
 /// Renders a response in wire framing.
 std::string FormatResponse(const Response& response);
 

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bddfc/chase/chase.h"
@@ -128,23 +129,29 @@ TEST(ChaseAbTest, CyclicWitnessReuse) {
 // Generator families (workload/generators.cc), swept over seeds.
 // ---------------------------------------------------------------------------
 
-class ChaseAbGenerators : public ::testing::TestWithParam<uint64_t> {};
+/// One generated chase input with the options its A/B test runs it under.
+struct Workload {
+  Theory theory;
+  Structure instance;
+  ChaseOptions options;
+};
 
-TEST_P(ChaseAbGenerators, RandomGraphTransitiveClosure) {
+/// Transitive closure over a random 14-node, 30-edge graph.
+Workload TcGraph(uint64_t seed) {
   auto sig = std::make_shared<Signature>();
-  Structure d = RandomGraph(sig, /*nodes=*/14, /*edges=*/30, GetParam());
+  Structure d = RandomGraph(sig, /*nodes=*/14, /*edges=*/30, seed);
   PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
   Theory t(sig);
   TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
-  ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
+  EXPECT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
                              {Atom(e0, {x, z})}))
                   .ok());
-  ExpectMatchesReference(t, d, Depth(64));
+  return {std::move(t), std::move(d), Depth(64)};
 }
 
-TEST_P(ChaseAbGenerators, RandomLinearTheory) {
+Workload LinearTheory(uint64_t seed) {
   auto sig = std::make_shared<Signature>();
-  Theory t = RandomLinearTheory(sig, /*preds=*/4, /*rules=*/6, GetParam());
+  Theory t = RandomLinearTheory(sig, /*preds=*/4, /*rules=*/6, seed);
   Structure d(sig);
   PredId p0 = std::move(sig->FindPredicate("p0")).ValueOrDie();
   PredId p1 = std::move(sig->FindPredicate("p1")).ValueOrDie();
@@ -152,29 +159,29 @@ TEST_P(ChaseAbGenerators, RandomLinearTheory) {
          c = sig->AddConstant("c");
   d.AddFact(p0, {a, b});
   d.AddFact(p1, {b, c});
-  ExpectMatchesReference(t, d, Depth(6));
+  return {std::move(t), std::move(d), Depth(6)};
 }
 
-TEST_P(ChaseAbGenerators, RandomGuardedTheory) {
+Workload GuardedTheory(uint64_t seed) {
   auto sig = std::make_shared<Signature>();
-  Theory t = RandomGuardedTheory(sig, /*max_arity=*/3, /*rules=*/5,
-                                 GetParam());
+  Theory t = RandomGuardedTheory(sig, /*max_arity=*/3, /*rules=*/5, seed);
   Structure d(sig);
   PredId g2 = std::move(sig->FindPredicate("g2_0")).ValueOrDie();
   PredId g3 = std::move(sig->FindPredicate("g3_0")).ValueOrDie();
   TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
   d.AddFact(g2, {a, b});
   d.AddFact(g3, {b, a, a});
-  ExpectMatchesReference(t, d, Depth(5));
+  return {std::move(t), std::move(d), Depth(5)};
 }
 
-TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheory) {
+/// Weakly acyclic: both engines must reach the same fixpoint.
+Workload AcyclicBinaryTheory(uint64_t seed) {
   auto sig = std::make_shared<Signature>();
   Theory t = RandomAcyclicBinaryTheory(sig, /*preds=*/5, /*tgds=*/5,
-                                       /*datalog_rules=*/4, GetParam());
+                                       /*datalog_rules=*/4, seed);
   Structure d(sig);
   PredId b0 = std::move(sig->FindPredicate("b0")).ValueOrDie();
-  Rng rng(GetParam() * 31 + 5);
+  Rng rng(seed * 31 + 5);
   std::vector<TermId> consts;
   for (int i = 0; i < 4; ++i) {
     consts.push_back(sig->AddConstant("k" + std::to_string(i)));
@@ -182,14 +189,13 @@ TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheory) {
   for (int i = 0; i < 6; ++i) {
     d.AddFact(b0, {consts[rng.Uniform(4)], consts[rng.Uniform(4)]});
   }
-  // Weakly acyclic: both engines must reach the same fixpoint.
-  ExpectMatchesReference(t, d, Depth(128));
+  return {std::move(t), std::move(d), Depth(128)};
 }
 
-TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheoryDatalogOnly) {
+Workload AcyclicBinaryTheoryDatalogOnly(uint64_t seed) {
   auto sig = std::make_shared<Signature>();
   Theory t = RandomAcyclicBinaryTheory(sig, /*preds=*/5, /*tgds=*/3,
-                                       /*datalog_rules=*/6, GetParam());
+                                       /*datalog_rules=*/6, seed);
   Structure d(sig);
   PredId b0 = std::move(sig->FindPredicate("b0")).ValueOrDie();
   TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
@@ -197,7 +203,34 @@ TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheoryDatalogOnly) {
   d.AddFact(b0, {b, a});
   ChaseOptions o = Depth(128);
   o.datalog_only = true;
-  ExpectMatchesReference(t, d, o);
+  return {std::move(t), std::move(d), o};
+}
+
+class ChaseAbGenerators : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ChaseAbGenerators, RandomGraphTransitiveClosure) {
+  Workload w = TcGraph(GetParam());
+  ExpectMatchesReference(w.theory, w.instance, w.options);
+}
+
+TEST_P(ChaseAbGenerators, RandomLinearTheory) {
+  Workload w = LinearTheory(GetParam());
+  ExpectMatchesReference(w.theory, w.instance, w.options);
+}
+
+TEST_P(ChaseAbGenerators, RandomGuardedTheory) {
+  Workload w = GuardedTheory(GetParam());
+  ExpectMatchesReference(w.theory, w.instance, w.options);
+}
+
+TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheory) {
+  Workload w = AcyclicBinaryTheory(GetParam());
+  ExpectMatchesReference(w.theory, w.instance, w.options);
+}
+
+TEST_P(ChaseAbGenerators, RandomAcyclicBinaryTheoryDatalogOnly) {
+  Workload w = AcyclicBinaryTheoryDatalogOnly(GetParam());
+  ExpectMatchesReference(w.theory, w.instance, w.options);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ChaseAbGenerators,
@@ -237,27 +270,8 @@ TEST(ChaseParallelIdentity, DatalogTransitiveClosure) {
 
 TEST(ChaseParallelIdentity, GeneratorWorkloads) {
   for (uint64_t seed : {3u, 7u, 11u}) {
-    {
-      auto sig = std::make_shared<Signature>();
-      Structure d = RandomGraph(sig, /*nodes=*/14, /*edges=*/30, seed);
-      PredId e0 = std::move(sig->FindPredicate("e0")).ValueOrDie();
-      Theory t(sig);
-      TermId x = MakeVar(0), y = MakeVar(1), z = MakeVar(2);
-      ASSERT_TRUE(t.AddRule(Rule({Atom(e0, {x, y}), Atom(e0, {y, z})},
-                                 {Atom(e0, {x, z})}))
-                      .ok());
-      ExpectMatchesReference(t, d, Depth(64));
-    }
-    {
-      auto sig = std::make_shared<Signature>();
-      Theory t = RandomGuardedTheory(sig, /*max_arity=*/3, /*rules=*/5, seed);
-      Structure d(sig);
-      PredId g2 = std::move(sig->FindPredicate("g2_0")).ValueOrDie();
-      PredId g3 = std::move(sig->FindPredicate("g3_0")).ValueOrDie();
-      TermId a = sig->AddConstant("a"), b = sig->AddConstant("b");
-      d.AddFact(g2, {a, b});
-      d.AddFact(g3, {b, a, a});
-      ExpectMatchesReference(t, d, Depth(5));
+    for (Workload w : {TcGraph(seed), GuardedTheory(seed)}) {
+      ExpectMatchesReference(w.theory, w.instance, w.options);
     }
   }
 }
@@ -270,6 +284,59 @@ TEST(ChaseParallelIdentity, DivergentRunCutByRoundBudget) {
   facts.max_facts = 100;
   Program ex9 = Example9();
   ExpectMatchesReference(ex9.theory, ex9.instance, facts);
+}
+
+// ---------------------------------------------------------------------------
+// Full paranoia (VerifyRoundBuffer after every round) must flag nothing on
+// a healthy build: each engine's run at kFull is byte-identical to its run
+// with paranoia off.
+// ---------------------------------------------------------------------------
+
+void ExpectFullParanoiaIsSilent(const Theory& theory,
+                                const Structure& instance,
+                                ChaseOptions options) {
+  const Signature::Mark mark = instance.signature_ptr()->TakeMark();
+  auto run = [&](const ChaseOptions& o) {
+    std::string dump;
+    {
+      ChaseResult r = RunChase(theory, instance, o);
+      EXPECT_NE(r.status.code(), StatusCode::kInternal) << r.status.ToString();
+      dump = ExactChaseDump(r);
+    }
+    instance.signature_ptr()->RollbackTo(mark);
+    return dump;
+  };
+  for (const auto& [engine, threads] :
+       {std::pair{ChaseEngine::kNaive, 1u},
+        std::pair{ChaseEngine::kParallel, 1u},
+        std::pair{ChaseEngine::kParallel, 4u}}) {
+    options.engine = engine;
+    options.threads = threads;
+    options.paranoia = ParanoiaLevel::kOff;
+    const std::string want = run(options);
+    options.paranoia = ParanoiaLevel::kFull;
+    EXPECT_EQ(run(options), want) << "threads=" << threads;
+  }
+}
+
+TEST(ChaseFullParanoia, PaperExamples) {
+  for (const auto& [p, depth] :
+       {std::pair{Example1(), 6}, std::pair{RemarkThreeTheory(), 6},
+        std::pair{Example7(), 6}, std::pair{Example9(), 5},
+        std::pair{Section54(), 5}, std::pair{Section55(), 5},
+        std::pair{GuardedSample(), 8}}) {
+    ExpectFullParanoiaIsSilent(p.theory, p.instance, Depth(depth));
+  }
+}
+
+TEST(ChaseFullParanoia, GeneratorWorkloads) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    for (Workload w :
+         {TcGraph(seed), LinearTheory(seed), GuardedTheory(seed),
+          AcyclicBinaryTheory(seed), AcyclicBinaryTheoryDatalogOnly(seed)}) {
+      ExpectFullParanoiaIsSilent(w.theory, w.instance, w.options);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "bddfc/chase/chase.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/finitemodel/model_search.h"
@@ -51,6 +53,38 @@ TEST(PipelineTest, Example7OffDiagonalRQuery) {
   ConjunctiveQuery q = MustQuery("r(X, Y), e(X, X)", &p);
   FiniteModelResult r = ConstructFiniteCounterModel(p.theory, p.instance, q);
   ExpectCertifiedCounterModel(r, p, q);
+}
+
+TEST(PipelineTest, SaturationIgnoresTheChaseFactBudget) {
+  // Lemma 5's saturation is datalog over the quotient's finite domain, so
+  // max_chase_facts bounds the chase phase only: Example 7 over a 16-edge
+  // path certifies the same 70-element model under a 400-fact chase
+  // budget, which its saturations outgrow, as under the default options.
+  auto certify = [](size_t max_chase_facts) {
+    std::string text = R"(
+      e(X, Y) -> exists Z: e(Y, Z).
+      e(X, Y), e(X1, Y) -> r(X, X1).
+    )";
+    for (int i = 0; i < 16; ++i) {
+      text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+              ").\n";
+    }
+    Program p = MustParse(text.c_str());
+    ConjunctiveQuery q = MustQuery("e(X, X)", &p);
+    PipelineOptions opts;
+    opts.max_chase_facts = max_chase_facts;
+    FiniteModelResult r =
+        ConstructFiniteCounterModel(p.theory, p.instance, q, opts);
+    ExpectCertifiedCounterModel(r, p, q);
+    return r;
+  };
+  const FiniteModelResult capped = certify(400);
+  const FiniteModelResult uncapped = certify(PipelineOptions{}.max_chase_facts);
+  EXPECT_EQ(capped.model.Domain().size(), 70u);
+  EXPECT_EQ(uncapped.model.Domain().size(), 70u);
+  EXPECT_EQ(capped.model.NumFacts(), uncapped.model.NumFacts());
+  EXPECT_EQ(capped.chase_depth_used, uncapped.chase_depth_used);
+  EXPECT_EQ(capped.n_used, uncapped.n_used);
 }
 
 TEST(PipelineTest, SuccessorTheoryAvoidsLongOddCycleQuery) {

@@ -1,12 +1,14 @@
 // Tests for the compiled join backend: plan compilation and caching
 // (eval/plan.h) and the vectorized block executor (eval/exec.h). The A/B
-// agreement tests here pin the core contract — the executor and the
-// interpretive Matcher enumerate the same binding *set* (order may differ)
-// and account work under the same MatchStats counting contract.
+// agreement tests here pin the core contract — the executor's slot rows,
+// turned into flat bindings, and the interpretive Matcher's bindings form
+// the same *set* (order may differ), and both account work under the same
+// MatchStats counting contract.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <random>
 #include <utility>
 #include <vector>
@@ -41,16 +43,59 @@ std::vector<FlatBinding> MatcherSet(const Structure& s,
   return out;
 }
 
+/// Runs `atoms` through the block executor with `partial`'s variables
+/// prebound (sorted, as PlanExists seeds them), handing each block to
+/// `on_block`.
+void PlanBlocks(const Structure& s, const std::vector<Atom>& atoms,
+                const Binding& partial,
+                const std::function<bool(const SlotBlock&)>& on_block,
+                MatchStats* stats = nullptr) {
+  std::vector<TermId> prebound;
+  for (const auto& [v, c] : partial) prebound.push_back(v);
+  std::sort(prebound.begin(), prebound.end());
+  std::vector<TermId> seed;
+  for (TermId v : prebound) seed.push_back(partial.at(v));
+  const QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
+  ExecutePlan(s, plan, atoms, nullptr, seed, on_block, stats);
+}
+
+/// Turns every slot row of `blk` into a flat binding.
+void AppendSlotRows(const SlotBlock& blk, std::vector<FlatBinding>* out) {
+  for (size_t r = 0; r < blk.num_rows; ++r) {
+    FlatBinding flat;
+    for (size_t i = 0; i < blk.width; ++i) {
+      flat.emplace_back(blk.slot_vars[i], blk.rows[r * blk.width + i]);
+    }
+    std::sort(flat.begin(), flat.end());
+    out->push_back(std::move(flat));
+  }
+}
+
 std::vector<FlatBinding> PlanSet(const Structure& s,
                                  const std::vector<Atom>& atoms,
-                                 const Binding& partial = {}) {
+                                 const Binding& partial = {},
+                                 MatchStats* stats = nullptr) {
   std::vector<FlatBinding> out;
-  PlanEnumerate(s, atoms, partial, [&](const Binding& b) {
-    out.push_back(Flatten(b));
-    return true;
-  });
+  PlanBlocks(
+      s, atoms, partial,
+      [&](const SlotBlock& blk) {
+        AppendSlotRows(blk, &out);
+        return true;
+      },
+      stats);
   std::sort(out.begin(), out.end());
   return out;
+}
+
+/// Plan matches counted by summing block rows.
+size_t PlanCount(const Structure& s, const std::vector<Atom>& atoms,
+                 const Binding& partial = {}) {
+  size_t n = 0;
+  PlanBlocks(s, atoms, partial, [&n](const SlotBlock& blk) {
+    n += blk.num_rows;
+    return true;
+  });
+  return n;
 }
 
 class PlanTest : public ::testing::Test {
@@ -162,7 +207,7 @@ TEST_F(PlanTest, ExecAgreesWithMatcherOnRandomWorkloads) {
     for (const std::vector<Atom>& body : bodies) {
       EXPECT_EQ(MatcherSet(s, body), PlanSet(s, body));
       EXPECT_EQ(Matcher(s).Exists(body), PlanExists(s, body));
-      EXPECT_EQ(Matcher(s).CountMatches(body), PlanCountMatches(s, body));
+      EXPECT_EQ(Matcher(s).CountMatches(body), PlanCount(s, body));
     }
   }
 }
@@ -190,11 +235,11 @@ TEST_F(PlanTest, BandedExecutionAgreesWithMatcher) {
 
   PlanCache cache;
   std::vector<FlatBinding> compiled;
-  EXPECT_TRUE(ExecuteBandedPlan(s, cache, body, /*anchor=*/1, bands,
-                                [&](const Binding& b) {
-                                  compiled.push_back(Flatten(b));
-                                  return true;
-                                }));
+  EXPECT_TRUE(ExecutePlan(s, *cache.Get(s, body, /*anchor=*/1), body, &bands,
+                          {}, [&](const SlotBlock& blk) {
+                            AppendSlotRows(blk, &compiled);
+                            return true;
+                          }));
   std::sort(compiled.begin(), compiled.end());
   EXPECT_EQ(reference, compiled);
   EXPECT_FALSE(reference.empty());
@@ -242,7 +287,7 @@ TEST_F(PlanTest, CountersMatchAcrossBackendsOnKnownJoin) {
   EXPECT_EQ(interp.bindings_tried, 1u);
 
   MatchStats exec;
-  PlanEnumerate(s, body, {}, [](const Binding&) { return true; }, &exec);
+  PlanSet(s, body, {}, &exec);
   EXPECT_EQ(exec.postings_hits, interp.postings_hits);
   EXPECT_EQ(exec.postings_misses, interp.postings_misses);
   EXPECT_EQ(exec.rows_scanned, interp.rows_scanned);
@@ -258,19 +303,19 @@ TEST_F(PlanTest, StaleSortedIndexFallsBackToPostings) {
   // No RefreshIndexes yet: IndexedRows is 0, every probe takes the
   // always-current hash postings.
   EXPECT_EQ(s.IndexedRows(e_), 0u);
-  EXPECT_EQ(PlanCountMatches(s, body), 1u);
+  EXPECT_EQ(PlanCount(s, body), 1u);
 
   // Fresh sorted indexes cover the relation: same answers.
   s.RefreshIndexes();
   EXPECT_EQ(s.IndexedRows(e_), 2u);
-  EXPECT_EQ(PlanCountMatches(s, body), 1u);
+  EXPECT_EQ(PlanCount(s, body), 1u);
 
   // Rows added after the refresh make the sorted index stale (IndexedRows
   // < relation size); the executor must fall back to postings and see
   // them.
   s.AddFact(e_, {c_[2], c_[3]});
   EXPECT_EQ(s.IndexedRows(e_), 2u);
-  EXPECT_EQ(PlanCountMatches(s, body), 2u);
+  EXPECT_EQ(PlanCount(s, body), 2u);
   EXPECT_EQ(MatcherSet(s, body), PlanSet(s, body));
 }
 
@@ -286,7 +331,7 @@ TEST_F(PlanTest, PartialBindingsSeedTheExecutor) {
   // Multi-variable seed over a join.
   std::vector<Atom> join = {Atom(e_, {x, y}), Atom(e_, {y, MakeVar(2)})};
   EXPECT_EQ(MatcherSet(s, join, {{x, c_[0]}}), PlanSet(s, join, {{x, c_[0]}}));
-  EXPECT_EQ(PlanCountMatches(s, join, {{x, c_[1]}}), 0u);
+  EXPECT_EQ(PlanCount(s, join, {{x, c_[1]}}), 0u);
 
   // SatisfiesAt funnels through the plan backend with the first answer
   // variable pinned.
@@ -303,28 +348,24 @@ TEST_F(PlanTest, AbortHookStopsExecutionAtBlockBoundary) {
   std::vector<Atom> body = {Atom(e_, {MakeVar(0), MakeVar(1)})};
   QueryPlan plan = CompilePlan(s, body);
   size_t n = 0;
+  const std::function<bool(const SlotBlock&)> count =
+      [&n](const SlotBlock& blk) {
+        n += blk.num_rows;
+        return true;
+      };
   const std::function<bool()> abort_now = [] { return true; };
-  EXPECT_FALSE(ExecutePlan(s, plan, body, nullptr, {}, {},
-                           [&n](const Binding&) {
-                             ++n;
-                             return true;
-                           },
-                           nullptr, &abort_now));
+  EXPECT_FALSE(
+      ExecutePlan(s, plan, body, nullptr, {}, count, nullptr, &abort_now));
   EXPECT_EQ(n, 0u);  // tripped before the first block was emitted
 
   const std::function<bool()> never = [] { return false; };
-  EXPECT_TRUE(ExecutePlan(s, plan, body, nullptr, {}, {},
-                          [&n](const Binding&) {
-                            ++n;
-                            return true;
-                          },
-                          nullptr, &never));
+  EXPECT_TRUE(ExecutePlan(s, plan, body, nullptr, {}, count, nullptr, &never));
   EXPECT_EQ(n, 6u);
 }
 
 TEST_F(PlanTest, EmptyBodyYieldsOneEmptyBinding) {
   Structure s(sig_);
-  EXPECT_EQ(PlanCountMatches(s, {}), 1u);
+  EXPECT_EQ(PlanCount(s, {}), 1u);
   EXPECT_TRUE(PlanExists(s, {}));
 }
 

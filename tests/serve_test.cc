@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <map>
 #include <string>
@@ -554,6 +555,79 @@ TEST(ServeProtocolTest, MetricsAndHttpFallback) {
 // Socket daemon: bind, serve, drain.
 // ---------------------------------------------------------------------------
 
+/// A daemon serving `server` on an ephemeral loopback port until the
+/// harness goes out of scope.
+class DaemonHarness {
+ public:
+  explicit DaemonHarness(ReasoningServer& server) {
+    daemon_.port = 0;
+    daemon_.bound_port = &port_;
+    loop_ = std::thread([this, &server] {
+      const Status st = serve::Serve(server, daemon_, stop_);
+      EXPECT_TRUE(st.ok()) << st.ToString();
+    });
+    while (port_.load(std::memory_order_acquire) == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~DaemonHarness() {
+    stop_.store(true);
+    loop_.join();
+  }
+
+  /// A connected client socket whose sends and receives give up after two
+  /// seconds, so a daemon that never answers fails the test instead of
+  /// hanging it.
+  int Connect() const {
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    timeval tv{};
+    tv.tv_sec = 2;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port_.load());
+    EXPECT_EQ(
+        ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    return fd;
+  }
+
+ private:
+  serve::DaemonOptions daemon_;
+  std::atomic<bool> stop_{false};
+  std::atomic<uint16_t> port_{0};
+  std::thread loop_;
+};
+
+/// Sends `data` as far as the peer accepts it (a peer that closes early
+/// ends the send).
+void SendAsFarAsAccepted(int fd, const std::string& data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t n =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) return;
+    sent += static_cast<size_t>(n);
+  }
+}
+
+/// Reads until the peer closes the connection. *closed is false when the
+/// receive timed out first.
+std::string ReadUntilClosed(int fd, bool* closed) {
+  std::string got;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      got.append(chunk, static_cast<size_t>(n));
+      continue;
+    }
+    *closed = n == 0 || (errno != EAGAIN && errno != EWOULDBLOCK);
+    return got;
+  }
+}
+
 TEST(ServeDaemonTest, SocketRoundTripAndGracefulDrain) {
   ReasoningServer server{ServerOptions{}};
   std::atomic<bool> stop{false};
@@ -598,6 +672,40 @@ TEST(ServeDaemonTest, SocketRoundTripAndGracefulDrain) {
   // The drained LOAD folded into the server totals before Serve returned
   // (HEALTH bypasses admission and is not an accounted request).
   EXPECT_EQ(Counter(server, "bddfc.serve.requests"), 1u);
+}
+
+TEST(ServeDaemonTest, OverlongRequestLineIsRefusedAndClosed) {
+  ReasoningServer server{ServerOptions{}};
+  DaemonHarness daemon(server);
+  const int fd = daemon.Connect();
+  SendAsFarAsAccepted(fd, std::string(size_t{1} << 20, 'x'));  // no newline
+  bool closed = false;
+  const std::string got = ReadUntilClosed(fd, &closed);
+  ::close(fd);
+  EXPECT_EQ(got.rfind("ERR InvalidArgument ", 0), 0u) << got;
+  EXPECT_TRUE(closed);
+
+  // The daemon keeps serving other connections.
+  const int health = daemon.Connect();
+  SendAsFarAsAccepted(health, "HEALTH\nQUIT\n");
+  const std::string answer = ReadUntilClosed(health, &closed);
+  ::close(health);
+  EXPECT_EQ(answer, "OK 2\nok");
+}
+
+TEST(ServeDaemonTest, PayloadBeyondTheMemoryLimitIsRefusedUnread) {
+  ReasoningServer server{ServerOptions{}};
+  ASSERT_LT(server.options().memory_limit_bytes, size_t{999999999});
+  DaemonHarness daemon(server);
+  const int fd = daemon.Connect();
+  // Only the header: the refusal must not wait for the payload.
+  SendAsFarAsAccepted(fd, "LOAD t1 999999999\n");
+  bool closed = false;
+  const std::string got = ReadUntilClosed(fd, &closed);
+  ::close(fd);
+  EXPECT_EQ(got.rfind("ERR InvalidArgument ", 0), 0u) << got;
+  EXPECT_NE(got.find("memory limit"), std::string::npos) << got;
+  EXPECT_TRUE(closed);
 }
 
 }  // namespace

@@ -28,6 +28,7 @@
 namespace bddfc {
 namespace {
 
+using chase_internal::DatalogRun;
 using chase_internal::DatalogSinkBuffers;
 using chase_internal::DedupTriggers;
 using chase_internal::MergeDatalogRuns;
@@ -40,12 +41,38 @@ Program MustParse(const char* text) {
   return std::move(r).value();
 }
 
+/// Appends one occurrence of ground atom `g` to `sink`.
+void AppendAtom(DatalogSinkBuffers* sink, const Atom& g) {
+  TermId* dst = sink->Append(g.pred, g.args.size());
+  if (dst != nullptr) std::copy(g.args.begin(), g.args.end(), dst);
+}
+
+/// Expands runs into Atoms, in run order.
+std::vector<Atom> RunAtoms(const std::vector<DatalogRun>& runs) {
+  std::vector<Atom> out;
+  for (const DatalogRun& run : runs) {
+    for (size_t t = 0; t < run.tuples; ++t) {
+      out.emplace_back(run.pred, std::vector<TermId>(run.tuple(t),
+                                                     run.tuple(t) + run.arity));
+    }
+  }
+  return out;
+}
+
+/// Merges `runs` the way the round barrier does and expands the result.
+std::vector<Atom> Merge(std::vector<DatalogRun> runs, bool drop_dup_groups,
+                        size_t* deduped) {
+  std::vector<DatalogRun> merged;
+  MergeDatalogRuns(std::move(runs), drop_dup_groups, &merged, deduped);
+  return RunAtoms(merged);
+}
+
 /// Final-compacts one sink and emits its surviving tuples as sorted
 /// Atoms — the round barrier's path for a single task.
 std::vector<Atom> Emit(DatalogSinkBuffers* sink, bool drop_dup_groups) {
-  std::vector<Atom> out;
   size_t merge_deduped = 0;
-  MergeDatalogRuns(sink->TakeRuns(), drop_dup_groups, &out, &merge_deduped);
+  std::vector<Atom> out = Merge(sink->TakeRuns(), drop_dup_groups,
+                                &merge_deduped);
   EXPECT_EQ(merge_deduped, 0u) << "one sink's runs are already distinct";
   return out;
 }
@@ -288,7 +315,7 @@ TEST(SinkBuffersTest, SortDedupMatchesHashDedupOnRandomRuns) {
       HashReference want(frozen, occs);
 
       DatalogSinkBuffers sink(frozen, threshold, /*drop_dup_groups=*/false);
-      for (const Atom& g : occs) sink.AppendAtom(g);
+      for (const Atom& g : occs) AppendAtom(&sink, g);
       std::vector<Atom> got = Emit(&sink, false);
 
       std::string label = "seed " + std::to_string(seed) + " threshold " +
@@ -313,7 +340,7 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
 
   {  // All distinct: nothing deduped, nothing contained.
     DatalogSinkBuffers sink(frozen, 8, false);
-    for (TermId c : consts) sink.AppendAtom(Atom(p, {c}));
+    for (TermId c : consts) AppendAtom(&sink, Atom(p, {c}));
     std::vector<Atom> got = Emit(&sink, false);
     EXPECT_EQ(got.size(), consts.size());
     EXPECT_EQ(sink.deduped(), 0u);
@@ -322,7 +349,7 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
   }
   {  // One tuple 50 times: one survivor, 49 deduped.
     DatalogSinkBuffers sink(frozen, 8, false);
-    for (int i = 0; i < 50; ++i) sink.AppendAtom(Atom(p, {consts[0]}));
+    for (int i = 0; i < 50; ++i) AppendAtom(&sink, Atom(p, {consts[0]}));
     std::vector<Atom> got = Emit(&sink, false);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0], Atom(p, {consts[0]}));
@@ -333,7 +360,7 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
     EXPECT_TRUE(Emit(&sink, false).empty());
     EXPECT_EQ(sink.candidates(), 0u);
     DatalogSinkBuffers one(frozen, 8, false);
-    one.AppendAtom(Atom(p, {consts[1]}));
+    AppendAtom(&one, Atom(p, {consts[1]}));
     EXPECT_EQ(Emit(&one, false).size(), 1u);
     EXPECT_EQ(one.deduped() + one.contained(), 0u);
   }
@@ -347,16 +374,20 @@ TEST(SinkBuffersTest, ShardedMergeMatchesSingleSinkExactly) {
   Structure frozen(sig);
   std::vector<Atom> occs = RandomOccurrences(
       &frozen, sig, SinkPredicates(sig.get()), 360, 45, 12345);
+  // A nullary head derived in every task: its one empty tuple goes through
+  // the cross-task merge as well.
+  const PredId flag = std::move(sig->AddPredicate("flag", 0)).ValueOrDie();
+  for (int i = 0; i < 7; ++i) occs.emplace_back(flag, std::vector<TermId>{});
   frozen.RefreshIndexes();
   HashReference want(frozen, occs);
 
   for (size_t tasks : {size_t{1}, size_t{2}, size_t{3}, size_t{5}}) {
-    std::vector<DatalogSinkBuffers::Run> runs;
+    std::vector<DatalogRun> runs;
     size_t task_deduped = 0, task_contained = 0, task_candidates = 0;
     for (size_t t = 0; t < tasks; ++t) {
       DatalogSinkBuffers sink(frozen, 16, false);
       for (size_t i = t; i < occs.size(); i += tasks) {
-        sink.AppendAtom(occs[i]);
+        AppendAtom(&sink, occs[i]);
       }
       auto part = sink.TakeRuns();
       for (auto& run : part) runs.push_back(std::move(run));
@@ -364,10 +395,8 @@ TEST(SinkBuffersTest, ShardedMergeMatchesSingleSinkExactly) {
       task_contained += sink.contained();
       task_candidates += sink.candidates();
     }
-    std::vector<Atom> got;
     size_t merge_deduped = 0;
-    MergeDatalogRuns(std::move(runs), false, &got, &merge_deduped);
-    std::sort(got.begin(), got.end());
+    std::vector<Atom> got = Merge(std::move(runs), false, &merge_deduped);
 
     std::string label = std::to_string(tasks) + " tasks";
     EXPECT_EQ(got, want.emitted) << label;
@@ -404,19 +433,18 @@ TEST(SinkBuffersTest, SortsRawTermIdsOnEveryDigitBoundary) {
 
   for (size_t tasks : {size_t{1}, size_t{3}}) {
     for (size_t threshold : {size_t{1}, size_t{7}, size_t{1024}}) {
-      std::vector<DatalogSinkBuffers::Run> runs;
+      std::vector<DatalogRun> runs;
       size_t deduped = 0;
       for (size_t t = 0; t < tasks; ++t) {
         DatalogSinkBuffers sink(frozen, threshold, false);
         for (size_t i = t; i < occs.size(); i += tasks) {
-          sink.AppendAtom(occs[i]);
+          AppendAtom(&sink, occs[i]);
         }
         for (auto& run : sink.TakeRuns()) runs.push_back(std::move(run));
         deduped += sink.deduped();
         EXPECT_EQ(sink.contained(), 0u);
       }
-      std::vector<Atom> got;
-      MergeDatalogRuns(std::move(runs), false, &got, &deduped);
+      std::vector<Atom> got = Merge(std::move(runs), false, &deduped);
       const std::string label = std::to_string(tasks) + " tasks threshold " +
                                 std::to_string(threshold);
       EXPECT_EQ(got, want) << label;
@@ -436,26 +464,72 @@ TEST(SinkBuffersTest, DropDupGroupsFaultDropsExactlyTheDuplicatedTuples) {
   frozen.RefreshIndexes();
 
   DatalogSinkBuffers sink(frozen, 2, /*drop_dup_groups=*/true);
-  sink.AppendAtom(Atom(p, {once}));
-  sink.AppendAtom(Atom(p, {twice}));
-  sink.AppendAtom(Atom(p, {twice}));
+  AppendAtom(&sink, Atom(p, {once}));
+  AppendAtom(&sink, Atom(p, {twice}));
+  AppendAtom(&sink, Atom(p, {twice}));
   std::vector<Atom> got = Emit(&sink, true);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Atom(p, {once}));
 
   // Cross-run duplicates: one occurrence in each of two tasks.
-  std::vector<DatalogSinkBuffers::Run> runs;
+  std::vector<DatalogRun> runs;
   for (int t = 0; t < 2; ++t) {
     DatalogSinkBuffers task(frozen, 16, true);
-    task.AppendAtom(Atom(p, {twice}));
-    if (t == 0) task.AppendAtom(Atom(p, {once}));
+    AppendAtom(&task, Atom(p, {twice}));
+    if (t == 0) AppendAtom(&task, Atom(p, {once}));
     for (auto& run : task.TakeRuns()) runs.push_back(std::move(run));
   }
-  got.clear();
   size_t scratch = 0;
-  MergeDatalogRuns(std::move(runs), true, &got, &scratch);
+  got = Merge(std::move(runs), true, &scratch);
   ASSERT_EQ(got.size(), 1u);
   EXPECT_EQ(got[0], Atom(p, {once}));
+}
+
+// ---------------------------------------------------------------------------
+// VerifyRoundBuffer (full paranoia) on crafted buffers.
+// ---------------------------------------------------------------------------
+
+TEST(VerifyRoundBufferTest, AcceptsACleanBufferAndNamesEachViolation) {
+  auto sig = std::make_shared<Signature>();
+  Structure frozen(sig);
+  PredId p = std::move(sig->AddPredicate("p", 2)).ValueOrDie();
+  PredId q = std::move(sig->AddPredicate("q", 1)).ValueOrDie();
+  const TermId a = sig->AddConstant("a");
+  const TermId b = sig->AddConstant("b");
+  const TermId lo = std::min(a, b), hi = std::max(a, b);
+  frozen.AddFact(p, {lo, lo});
+  auto run = [](PredId pred, size_t arity,
+                const std::vector<std::vector<TermId>>& tuples) {
+    DatalogRun r;
+    r.pred = pred;
+    r.arity = arity;
+    r.tuples = tuples.size();
+    for (const auto& t : tuples) {
+      r.data.insert(r.data.end(), t.begin(), t.end());
+    }
+    return r;
+  };
+  auto verify = [&](std::vector<DatalogRun> runs) {
+    chase_internal::RoundBuffer buf;
+    buf.datalog = std::move(runs);
+    return chase_internal::VerifyRoundBuffer(buf, frozen);
+  };
+
+  EXPECT_TRUE(
+      verify({run(p, 2, {{lo, hi}, {hi, lo}}), run(q, 1, {{lo}, {hi}})}).ok());
+  const Status dup = verify({run(p, 2, {{lo, hi}, {lo, hi}})});
+  EXPECT_NE(dup.message().find("duplicate tuple"), std::string::npos)
+      << dup.ToString();
+  const Status desc = verify({run(q, 1, {{hi}, {lo}})});
+  EXPECT_NE(desc.message().find("descending pair"), std::string::npos)
+      << desc.ToString();
+  const Status stale = verify({run(p, 2, {{lo, lo}, {lo, hi}})});
+  EXPECT_NE(stale.message().find("re-derives a frozen fact"),
+            std::string::npos)
+      << stale.ToString();
+  for (const Status& st : {dup, desc, stale}) {
+    EXPECT_EQ(st.code(), StatusCode::kInternal);
+  }
 }
 
 // ---------------------------------------------------------------------------
