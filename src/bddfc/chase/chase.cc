@@ -333,7 +333,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     {
       obs::TraceSpan apply_span(&ctx->tracer(), "chase.apply");
       out.structure.MarkRoundBoundary();
-      added = ApplyRound(&buf, round, &out);
+      added = ApplyRound(theory, buf, round, &out);
     }
 
     out.rounds_run = round;

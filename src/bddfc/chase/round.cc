@@ -1,12 +1,16 @@
 #include "bddfc/chase/round.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <charconv>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
 
 #include "bddfc/eval/exec.h"
 #include "bddfc/eval/match.h"
@@ -17,24 +21,133 @@ namespace chase_internal {
 
 namespace {
 
-/// Serializes `pattern` with variables renumbered by first occurrence.
-std::string SerializeRenumbered(const std::vector<Atom>& pattern) {
-  std::unordered_map<TermId, TermId> ren;
+/// Appends `v` in decimal, as std::to_string spells it, to `s`.
+void AppendNumber(int64_t v, std::string* s) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof(digits), v).ptr;
+  s->append(digits, end - digits);
+}
+
+/// Copies the `n` cells at `src` to `dst`, renumbering the variables by
+/// first occurrence: the first distinct variable becomes MakeVar(0), the
+/// next MakeVar(1), and so on. Other cells (constants, and a flat key's
+/// predicate and arity cells) are copied as they are. Quadratic in the
+/// number of cells, which is a head's size, and allocation-free.
+void Renumber(const TermId* src, size_t n, TermId* dst) {
   int32_t next = 0;
-  std::string s;
-  for (const Atom& a : pattern) {
-    s += std::to_string(a.pred);
-    for (TermId t : a.args) {
-      if (IsVar(t)) {
-        auto it = ren.find(t);
-        if (it == ren.end()) it = ren.emplace(t, MakeVar(next++)).first;
-        t = it->second;
-      }
-      s += "," + std::to_string(t);
-    }
-    s += "|";
+  for (size_t i = 0; i < n; ++i) {
+    dst[i] = src[i];
+    if (!IsVar(src[i])) continue;
+    size_t j = 0;
+    while (src[j] != src[i]) ++j;
+    dst[i] = j < i ? dst[j] : MakeVar(next++);
   }
-  return s;
+}
+
+/// Past this many atom arrangements the canonical key stops searching and
+/// takes the local-key sorted order.
+constexpr size_t kMaxArrangements = 5040;
+
+/// Appends the canonical key (Canonicalize's layout) of the pattern whose
+/// atoms have `shape`'s predicates and arities and whose arguments are
+/// `cells`, atom after atom in `shape` order.
+///
+/// A single atom is its own arrangement: its key is the atom renumbered.
+/// Several atoms are sorted under a name-independent local key (predicate
+/// plus per-position constant/within-atom variable shape); among atoms
+/// whose local keys tie, every arrangement is tried and the one whose
+/// rendered key is lexicographically least wins. Renumbering variables
+/// before sorting (the seed behavior) bakes the incoming atom order into
+/// the variable names, so logically identical patterns keyed apart and
+/// spawned duplicate witnesses. Ties are rare (heads are small), but past
+/// kMaxArrangements the sorted order stands — still deterministic and
+/// never merging inequivalent patterns, as the key is the renumbered
+/// pattern itself.
+void AppendCanonicalKey(const std::vector<Atom>& shape, const TermId* cells,
+                        std::vector<TermId>* out) {
+  const size_t begin = out->size();
+  if (shape.size() == 1) {
+    const size_t arity = shape[0].args.size();
+    out->resize(begin + 2 + arity);
+    TermId* key = out->data() + begin;
+    key[0] = shape[0].pred;
+    key[1] = static_cast<TermId>(arity);
+    Renumber(cells, arity, key + 2);
+    return;
+  }
+
+  // Several atoms: materialize them, then sort under the local key.
+  auto local_key = [](const Atom& a) {
+    std::vector<TermId> renumbered(a.args.size());
+    Renumber(a.args.data(), a.args.size(), renumbered.data());
+    std::string s = std::to_string(a.pred);
+    for (TermId t : renumbered) {
+      s += IsVar(t) ? ",v" + std::to_string(DecodeVar(t))
+                    : ",c" + std::to_string(t);
+    }
+    return s;
+  };
+  std::vector<std::pair<std::string, Atom>> keyed;
+  keyed.reserve(shape.size());
+  for (const Atom& a : shape) {
+    Atom g(a.pred, std::vector<TermId>(cells, cells + a.args.size()));
+    cells += a.args.size();
+    keyed.emplace_back(local_key(g), std::move(g));
+  }
+  std::sort(keyed.begin(), keyed.end(),
+            [](const auto& x, const auto& y) { return x.first < y.first; });
+
+  // Group atoms with equal local keys and bound the number of arrangements
+  // (a running product of the groups' factorials, which stops growing once
+  // it passes the cap, so it cannot wrap).
+  std::vector<std::vector<Atom>> groups;
+  size_t arrangements = 1;
+  for (size_t i = 0; i < keyed.size(); ++i) {
+    if (i == 0 || keyed[i].first != keyed[i - 1].first) groups.emplace_back();
+    groups.back().push_back(std::move(keyed[i].second));
+    if (arrangements <= kMaxArrangements) arrangements *= groups.back().size();
+  }
+
+  // The renumbered key of the current arrangement of `groups`.
+  std::vector<TermId> plain;
+  auto arranged_key = [&groups, &plain](std::vector<TermId>* key) {
+    plain.clear();
+    for (const auto& g : groups) {
+      for (const Atom& a : g) {
+        plain.push_back(a.pred);
+        plain.push_back(static_cast<TermId>(a.args.size()));
+        plain.insert(plain.end(), a.args.begin(), a.args.end());
+      }
+    }
+    key->resize(plain.size());
+    Renumber(plain.data(), plain.size(), key->data());
+  };
+
+  std::vector<TermId> best;
+  if (arrangements > kMaxArrangements) {
+    arranged_key(&best);
+  } else {
+    std::string best_text;
+    std::vector<TermId> cand;
+    std::function<void(size_t)> rec = [&](size_t gi) {
+      if (gi == groups.size()) {
+        arranged_key(&cand);
+        std::string text = Render(cand.data(), cand.size());
+        if (best.empty() || text < best_text) {
+          best_text = std::move(text);
+          best.swap(cand);
+        }
+        return;
+      }
+      auto& g = groups[gi];
+      std::sort(g.begin(), g.end());
+      do {
+        rec(gi + 1);
+      } while (std::next_permutation(g.begin(), g.end()));
+    };
+    rec(0);
+  }
+  out->insert(out->end(), best.begin(), best.end());
 }
 
 /// Sorts `n` flat tuples of `arity` TermIds at `data` into ascending
@@ -81,74 +194,34 @@ void SortTuples(TermId* data, size_t n, size_t arity,
 
 }  // namespace
 
-/// Canonical key of a head pattern, invariant under existential-variable
-/// renaming *and* atom reordering: the same demanded pattern gets the same
-/// key no matter which rule (or head-atom order) produced it.
-///
-/// Renumbering variables by first occurrence before sorting (the seed
-/// behavior) bakes the incoming atom order into the variable names, so
-/// logically identical patterns hashed apart and spawned duplicate
-/// witnesses. Instead, atoms are sorted under a name-independent local key
-/// (predicate + per-position constant/within-atom variable shape); among
-/// atoms whose local keys tie, every arrangement is tried and the
-/// lexicographically least renumbered serialization wins. Ties are rare
-/// (heads are small), but a cap falls back to the sorted order — still
-/// deterministic and never merging inequivalent patterns, as the key is the
-/// serialized pattern itself.
+std::vector<TermId> Canonicalize(const std::vector<Atom>& pattern) {
+  std::vector<TermId> cells;
+  for (const Atom& a : pattern) {
+    cells.insert(cells.end(), a.args.begin(), a.args.end());
+  }
+  std::vector<TermId> key;
+  AppendCanonicalKey(pattern, cells.data(), &key);
+  return key;
+}
+
+std::string Render(const TermId* key, size_t n) {
+  std::string s;
+  for (size_t i = 0; i < n;) {
+    AppendNumber(key[i], &s);
+    const size_t arity = static_cast<size_t>(key[i + 1]);
+    for (size_t pos = 0; pos < arity; ++pos) {
+      s += ',';
+      AppendNumber(key[i + 2 + pos], &s);
+    }
+    s += '|';
+    i += 2 + arity;
+  }
+  return s;
+}
+
 std::string PatternKey(const std::vector<Atom>& pattern) {
-  auto local_key = [](const Atom& a) {
-    std::unordered_map<TermId, int32_t> ren;
-    std::string s = std::to_string(a.pred);
-    for (TermId t : a.args) {
-      if (IsVar(t)) {
-        auto it = ren.emplace(t, static_cast<int32_t>(ren.size())).first;
-        s += ",v" + std::to_string(it->second);
-      } else {
-        s += ",c" + std::to_string(t);
-      }
-    }
-    return s;
-  };
-
-  std::vector<std::pair<std::string, Atom>> keyed;
-  keyed.reserve(pattern.size());
-  for (const Atom& a : pattern) keyed.emplace_back(local_key(a), a);
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-
-  // Group atoms with equal local keys and bound the number of arrangements.
-  std::vector<std::vector<Atom>> groups;
-  size_t arrangements = 1;
-  for (size_t i = 0; i < keyed.size(); ++i) {
-    if (i == 0 || keyed[i].first != keyed[i - 1].first) groups.emplace_back();
-    groups.back().push_back(keyed[i].second);
-    arrangements *= groups.back().size();  // running product of factorials
-  }
-
-  std::vector<Atom> cand;
-  cand.reserve(pattern.size());
-  if (arrangements > 5040) {  // cap: fall back to the sorted order
-    for (const auto& g : groups) cand.insert(cand.end(), g.begin(), g.end());
-    return SerializeRenumbered(cand);
-  }
-
-  std::string best;
-  std::function<void(size_t)> rec = [&](size_t gi) {
-    if (gi == groups.size()) {
-      cand.clear();
-      for (const auto& g : groups) cand.insert(cand.end(), g.begin(), g.end());
-      std::string s = SerializeRenumbered(cand);
-      if (best.empty() || s < best) best = std::move(s);
-      return;
-    }
-    auto& g = groups[gi];
-    std::sort(g.begin(), g.end());
-    do {
-      rec(gi + 1);
-    } while (std::next_permutation(g.begin(), g.end()));
-  };
-  rec(0);
-  return best;
+  const std::vector<TermId> key = Canonicalize(pattern);
+  return Render(key.data(), key.size());
 }
 
 DatalogSinkBuffers::DatalogSinkBuffers(const Structure& frozen,
@@ -375,77 +448,180 @@ void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
   }
 }
 
-void DedupTriggers(
-    std::vector<std::pair<std::string, PendingExistential>> raw,
-    std::vector<std::pair<std::string, PendingExistential>>* out,
-    size_t* tdedup) {
-  std::sort(raw.begin(), raw.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first < b.first;
-    return TriggerLess(a.second, b.second);
-  });
-  for (size_t i = 0; i < raw.size();) {
-    size_t j = i + 1;
-    while (j < raw.size() && raw[j].first == raw[i].first) ++j;
-    *tdedup += j - i - 1;
-    out->push_back(std::move(raw[i]));
-    i = j;
-  }
-}
-
 namespace {
 
-/// Serializes the oblivious-chase firing key of rule `ri` fired on the
-/// body match whose grounded body atoms are `body`.
-std::string ObliviousKey(size_t ri, const std::vector<Atom>& body) {
-  std::string key = std::to_string(ri);
-  for (const Atom& g : body) {
-    key += "|" + std::to_string(g.pred);
-    for (TermId t : g.args) key += "," + std::to_string(t);
+/// Number of cells of `atoms`: the sum of their arities.
+size_t CellCount(const std::vector<Atom>& atoms) {
+  size_t n = 0;
+  for (const Atom& a : atoms) n += a.args.size();
+  return n;
+}
+
+/// The oblivious-chase firing key of rule `ri` fired on the body match
+/// whose grounded body atoms have `body`'s predicates and arities and the
+/// arguments `cells`, atom after atom.
+std::string ObliviousKey(size_t ri, const std::vector<Atom>& body,
+                         const TermId* cells) {
+  std::string key;
+  AppendNumber(static_cast<int64_t>(ri), &key);
+  for (const Atom& a : body) {
+    key += '|';
+    AppendNumber(a.pred, &key);
+    for (size_t pos = 0; pos < a.args.size(); ++pos) {
+      key += ',';
+      AppendNumber(*cells++, &key);
+    }
   }
   return key;
 }
 
-/// Keys the trigger of existential rule `ri` that demands head `pattern`
-/// (frontier grounded, `existentials` still symbolic) and hands it to
-/// `sink`; `body` is the grounded body, read only for oblivious keys. In
-/// the restricted chase a pattern already witnessed in Chase^i demands
-/// nothing. Shared by both round enumerations, so they key alike.
-template <typename Sink>
-void BufferExistential(const RoundInputs& in, size_t ri,
-                       const std::vector<Atom>& pattern,
-                       const std::vector<Atom>& body,
-                       const std::vector<TermId>& existentials,
-                       const Matcher& witness, Sink& sink) {
-  std::string key;
-  if (in.options.oblivious) {
-    // Blind chase: one witness per (rule, body match), ever; keys fired in
-    // earlier rounds are dropped after enumeration.
-    key = ObliviousKey(ri, body);
-  } else {
-    if (witness.Exists(pattern, {})) return;
-    key = PatternKey(pattern);
-    if (in.bug == SelfTestBug::kSkipTriggerDedup) {
-      // Injected bug: make every key unique so same-pattern triggers stop
-      // collapsing to one witness.
-      key += "#" + std::to_string(
-                       in.bug_seq.fetch_add(1, std::memory_order_relaxed));
+}  // namespace
+
+void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
+                   std::vector<TriggerTable> tasks, TriggerTable* out,
+                   size_t* tdedup) {
+  const std::vector<Rule>& rules = theory.rules();
+  // One table of every task's records: the first task's moves over, the
+  // others append to it.
+  TriggerTable all;
+  for (TriggerTable& task : tasks) {
+    if (&task == &tasks.front()) {
+      all = std::move(task);
+      continue;
+    }
+    const size_t base = all.cells.size();
+    all.cells.insert(all.cells.end(), task.cells.begin(), task.cells.end());
+    for (TriggerTable::Trigger& t : task.triggers) {
+      t.cells += base;
+      all.triggers.push_back(std::move(t));
     }
   }
-  PendingExistential pe;
-  pe.rule_index = static_cast<int>(ri);
-  pe.head_pattern = pattern;
-  pe.existentials = existentials;
-  sink.BufferTrigger(std::move(key), std::move(pe));
+  const size_t n = all.triggers.size();
+  std::vector<size_t> head_cells(rules.size());
+  for (size_t ri = 0; ri < rules.size(); ++ri) {
+    head_cells[ri] = CellCount(rules[ri].head);
+  }
+
+  // The flat keys: record i's key is keys[key_at[i], key_at[i + 1]).
+  std::vector<TermId> keys;
+  std::vector<size_t> key_at(n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    key_at[i] = keys.size();
+    const TriggerTable::Trigger& t = all.triggers[i];
+    const TermId* cells = all.cells.data() + t.cells;
+    if (oblivious) {
+      // Blind chase: one witness per (rule, body match), ever; keys fired
+      // in earlier rounds are dropped after the barrier.
+      const TermId* body = cells + head_cells[t.rule_index];
+      keys.push_back(t.rule_index);
+      keys.insert(keys.end(), body,
+                  body + CellCount(rules[t.rule_index].body));
+    } else {
+      AppendCanonicalKey(rules[t.rule_index].head, cells, &keys);
+      // Injected bug: make every key unique so same-pattern triggers stop
+      // collapsing to one witness.
+      if (unique_keys) keys.push_back(static_cast<TermId>(i));
+    }
+  }
+  key_at[n] = keys.size();
+  auto same_key = [&](size_t a, size_t b) {
+    return std::equal(keys.begin() + key_at[a], keys.begin() + key_at[a + 1],
+                      keys.begin() + key_at[b], keys.begin() + key_at[b + 1]);
+  };
+  // TriggerLess on records: within one rule every record has the same head
+  // shape, so comparing head cells compares the head patterns.
+  auto trigger_less = [&](size_t a, size_t b) {
+    const TriggerTable::Trigger& x = all.triggers[a];
+    const TriggerTable::Trigger& y = all.triggers[b];
+    if (x.rule_index != y.rule_index) return x.rule_index < y.rule_index;
+    const TermId* xc = all.cells.data() + x.cells;
+    const TermId* yc = all.cells.data() + y.cells;
+    const size_t h = head_cells[x.rule_index];
+    return std::lexicographical_compare(xc, xc + h, yc, yc + h);
+  };
+
+  // Collapse each key to its TriggerLess-least record. An open-addressing
+  // table (linear probing, load at most 1/2) maps each key to its entry in
+  // `winners`.
+  constexpr size_t kFree = SIZE_MAX;
+  std::vector<size_t> slots(std::bit_ceil(2 * n + 1), kFree);
+  const size_t mask = slots.size() - 1;
+  std::vector<size_t> winners;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string_view bytes(
+        reinterpret_cast<const char*>(keys.data() + key_at[i]),
+        (key_at[i + 1] - key_at[i]) * sizeof(TermId));
+    size_t at = std::hash<std::string_view>{}(bytes) & mask;
+    while (slots[at] != kFree && !same_key(winners[slots[at]], i)) {
+      at = (at + 1) & mask;
+    }
+    if (slots[at] == kFree) {
+      slots[at] = winners.size();
+      winners.push_back(i);
+      continue;
+    }
+    ++*tdedup;
+    size_t& w = winners[slots[at]];
+    if (trigger_less(i, w)) w = i;
+  }
+
+  // Render only the winners' keys; their order is the application order.
+  std::vector<std::pair<std::string, size_t>> ranked;
+  ranked.reserve(winners.size());
+  for (size_t w : winners) {
+    const TriggerTable::Trigger& t = all.triggers[w];
+    const TermId* key = keys.data() + key_at[w];
+    const size_t key_len = key_at[w + 1] - key_at[w];
+    std::string& text = ranked.emplace_back(std::string(), w).first;
+    if (oblivious) {
+      text = ObliviousKey(t.rule_index, rules[t.rule_index].body,
+                          all.cells.data() + t.cells +
+                              head_cells[t.rule_index]);
+    } else if (unique_keys) {
+      text = Render(key, key_len - 1) + "#";
+      AppendNumber(key[key_len - 1], &text);
+    } else {
+      text = Render(key, key_len);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end());
+  out->triggers.clear();
+  out->triggers.reserve(ranked.size());
+  for (auto& [text, w] : ranked) {
+    out->triggers.push_back(
+        {all.triggers[w].rule_index, all.triggers[w].cells, std::move(text)});
+  }
+  out->cells = std::move(all.cells);
+}
+
+namespace {
+
+/// A reference-round trigger: the rule and its head with the frontier
+/// grounded and the existential variables still symbolic.
+struct PendingExistential {
+  int32_t rule_index;
+  std::vector<Atom> head_pattern;
+};
+
+/// Canonical "which same-key trigger wins" order: least (rule index, head
+/// pattern). Any total order works for correctness — same-key triggers
+/// demand the same witnesses up to renaming — but a *value* order makes
+/// the winner independent of enumeration order, which keep-first was not.
+bool TriggerLess(const PendingExistential& a, const PendingExistential& b) {
+  if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
+  return a.head_pattern < b.head_pattern;
 }
 
 /// The reference round's sink: plain hash containers, with frozen
-/// containment probed and duplicates counted per occurrence.
+/// containment probed and duplicates counted per occurrence, and existential
+/// triggers keyed by their PatternKey strings in a keep-min map.
 struct HashSink {
   const Structure& frozen;
   RoundBuffer* buf;
   std::unordered_set<Atom, AtomHash> datalog_seen;
   std::vector<Atom> datalog;  // distinct, not in frozen, discovery order
   std::map<std::string, PendingExistential> triggers;
+  size_t bug_seq = 0;  // kSkipTriggerDedup key suffixes
 
   void BufferDatalog(Atom g) {
     if (frozen.Contains(g)) return;
@@ -465,10 +641,10 @@ struct HashSink {
 };
 
 /// The reference round's per-binding step: grounds rule `ri`'s head (and,
-/// for oblivious keys, its body) under `b` into `sink`. Returns false to
-/// stop the enumeration (governor trip).
+/// for oblivious keys, its body) under `b` into `sink`. In the restricted
+/// chase a pattern already witnessed in Chase^i demands nothing. Returns
+/// false to stop the enumeration (governor trip).
 bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
-                   const std::vector<TermId>& existentials,
                    const Matcher& witness, HashSink& sink) {
   // Strided governor probe: aborts the enumeration on a trip; the
   // post-enumeration check discards the buffered round.
@@ -493,16 +669,28 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
     }
     return true;
   }
-  BufferExistential(in, ri, head,
-                    in.options.oblivious ? ground(rule.body)
-                                         : std::vector<Atom>(),
-                    existentials, witness, sink);
+  std::string key;
+  if (in.options.oblivious) {
+    std::vector<TermId> body;
+    for (const Atom& g : ground(rule.body)) {
+      body.insert(body.end(), g.args.begin(), g.args.end());
+    }
+    key = ObliviousKey(ri, rule.body, body.data());
+  } else {
+    if (witness.Exists(head, {})) return true;
+    key = PatternKey(head);
+    if (in.bug == SelfTestBug::kSkipTriggerDedup) {
+      key += "#" + std::to_string(sink.bug_seq++);
+    }
+  }
+  sink.BufferTrigger(std::move(key),
+                     {static_cast<int32_t>(ri), std::move(head)});
   return true;
 }
 
 /// The production round's sink: datalog candidates go through
-/// DatalogSinkBuffers, existential triggers append raw and dedup once at
-/// the round barrier.
+/// DatalogSinkBuffers, existential triggers append as raw flat records and
+/// dedup once at the round barrier.
 class VectorSink {
  public:
   /// `stats` receives the sink counters at TakeDatalogRuns.
@@ -511,8 +699,10 @@ class VectorSink {
         bufs_(in.frozen, kSinkCompactTuples,
               in.bug == SelfTestBug::kSinkDropDup) {}
 
-  void BufferTrigger(std::string key, PendingExistential pe) {
-    triggers_.emplace_back(std::move(key), std::move(pe));
+  /// Appends a raw trigger of rule `ri` and returns the slot for its `n`
+  /// cells (invalidated by the next append).
+  TermId* AppendTrigger(size_t ri, size_t n) {
+    return triggers_.Append(static_cast<int32_t>(ri), n);
   }
   TermId* AppendDatalogSlot(PredId pred, size_t arity) {
     return bufs_.Append(pred, arity);
@@ -528,14 +718,12 @@ class VectorSink {
     stats_->datalog_deduped += bufs_.deduped();
     return runs;
   }
-  std::vector<std::pair<std::string, PendingExistential>> TakeRawTriggers() {
-    return std::move(triggers_);
-  }
+  TriggerTable TakeRawTriggers() { return std::move(triggers_); }
 
  private:
   ChaseStats* stats_;
   DatalogSinkBuffers bufs_;
-  std::vector<std::pair<std::string, PendingExistential>> triggers_;
+  TriggerTable triggers_;
 };
 
 /// Bands for evaluating `rule`'s body with delta anchor `di` confined to
@@ -615,6 +803,17 @@ void GroundAll(const std::vector<AtomTemplate>& templates,
   }
 }
 
+/// Grounds `templates` under the slot row `slots` into consecutive cells
+/// from `dst`; returns the end of the written cells.
+TermId* GroundCells(const std::vector<AtomTemplate>& templates,
+                    const TermId* slots, TermId* dst) {
+  for (const AtomTemplate& t : templates) {
+    t.Ground(slots, dst);
+    dst += t.args.size();
+  }
+  return dst;
+}
+
 /// One (rule, delta anchor) pair of a production round.
 struct DeltaAnchor {
   size_t ri;
@@ -654,8 +853,8 @@ std::vector<DeltaAnchor> DeltaAnchors(const RoundInputs& in) {
 /// `sink`. Every rule grounds its head straight from the executor's slot
 /// blocks through templates: a datalog head is written into the sink's
 /// flat buffers (no Binding, no Atom per occurrence); an existential head
-/// is grounded into reused pattern atoms for the witness probe and the
-/// trigger key.
+/// is grounded into reused pattern atoms for the witness probe and, when
+/// unwitnessed, into the sink's flat trigger record.
 void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
                      RowRange chunk, const Matcher& witness,
                      VectorSink* sink, MatchStats* match_stats) {
@@ -673,11 +872,10 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
   const std::vector<TermId> slot_vars = PlanSlotVars(*plan, rule.body);
   const std::vector<AtomTemplate> heads = BuildTemplates(rule.head, slot_vars);
   std::function<bool(const SlotBlock&)> on_block;
-  // Existential rules only: per-row scratch atoms and per-anchor constants.
+  // Existential rules only: the reused witness-probe atoms, and the body
+  // templates an oblivious record grounds after its head cells.
   std::vector<Atom> pattern;
-  std::vector<Atom> body;
   std::vector<AtomTemplate> body_templates;
-  std::vector<TermId> existentials;
   if (!rule.IsExistential()) {
     // Every head variable of a datalog rule occurs in its body, so every
     // template cell is a slot or a constant.
@@ -691,23 +889,25 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
       return true;
     };
   } else {
+    const bool oblivious = in.options.oblivious;
     pattern = rule.head;
-    existentials = rule.ExistentialVariables();
-    if (in.options.oblivious) {
-      body = rule.body;
-      body_templates = BuildTemplates(rule.body, slot_vars);
-    }
-    on_block = [&](const SlotBlock& blk) {
+    if (oblivious) body_templates = BuildTemplates(rule.body, slot_vars);
+    const size_t cells =
+        CellCount(rule.head) + (oblivious ? CellCount(rule.body) : 0);
+    on_block = [&, oblivious, cells](const SlotBlock& blk) {
+      obs::TraceSpan span("chase.witness");
       for (size_t r = 0; r < blk.num_rows; ++r) {
         // Strided governor probe, once per body match as in the reference
         // round: aborts this task's enumeration on a trip; the
         // post-enumeration check discards the buffered round.
         if (in.ctx->ShouldStop("chase enumerate")) return false;
         const TermId* slots = blk.rows + r * blk.width;
-        GroundAll(heads, slots, &pattern);
-        GroundAll(body_templates, slots, &body);
-        BufferExistential(in, a.ri, pattern, body, existentials, witness,
-                          *sink);
+        if (!oblivious) {
+          GroundAll(heads, slots, &pattern);
+          if (witness.Exists(pattern, {})) continue;
+        }
+        TermId* dst = sink->AppendTrigger(a.ri, cells);
+        GroundCells(body_templates, slots, GroundCells(heads, slots, dst));
       }
       return true;
     };
@@ -719,13 +919,13 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
 /// The production round. Inline (`pool` null): one sink and one witness
 /// matcher over each anchor's whole delta. Sharded: one pool task per
 /// (anchor, kChunkRows chunk), each with a private sink. Either way the
-/// round ends in one canonical merge of sorted runs and raw triggers,
-/// which runs even after a governor trip (the kTornExhaust self-test
-/// applies a torn round's buffered datalog).
+/// round ends in one canonical merge of sorted runs and raw trigger
+/// records, which runs even after a governor trip (the kTornExhaust
+/// self-test applies a torn round's buffered datalog).
 Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
                            RoundBuffer* buf) {
   std::vector<DatalogRun> runs;
-  std::vector<std::pair<std::string, PendingExistential>> raw_triggers;
+  std::vector<TriggerTable> raw_triggers;
   Status barrier = Status::OK();
   VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
   if (pool == nullptr) {
@@ -756,7 +956,7 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
           VectorSink task_sink(in, &local);
           EnumerateAnchor(in, a, chunk, witness, &task_sink, &local.match);
           std::vector<DatalogRun> task_runs = task_sink.TakeDatalogRuns();
-          auto task_triggers = task_sink.TakeRawTriggers();
+          TriggerTable task_triggers = task_sink.TakeRawTriggers();
           span.set_detail("r" + std::to_string(a.ri) + " a" +
                           std::to_string(a.di) + " +" +
                           std::to_string(chunk.size()) + "@" +
@@ -764,7 +964,9 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
           std::lock_guard<std::mutex> lock(mu);
           buf->stats += local;
           for (auto& run : task_runs) runs.push_back(std::move(run));
-          for (auto& kv : task_triggers) raw_triggers.push_back(std::move(kv));
+          if (!task_triggers.triggers.empty()) {
+            raw_triggers.push_back(std::move(task_triggers));
+          }
           return Status::OK();
         });
       }
@@ -778,11 +980,14 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
   (void)in.ctx->CheckFault(faults::kSinkMerge);
   if (pool == nullptr) {
     runs = sink.TakeDatalogRuns();
-    raw_triggers = sink.TakeRawTriggers();
+    raw_triggers.push_back(sink.TakeRawTriggers());
   }
   MergeDatalogRuns(std::move(runs), in.bug == SelfTestBug::kSinkDropDup,
                    &buf->datalog, &buf->stats.datalog_deduped);
-  DedupTriggers(std::move(raw_triggers), &buf->triggers,
+  obs::TraceSpan triggers_span(&in.ctx->tracer(), "chase.triggers");
+  DedupTriggers(in.theory, in.options.oblivious,
+                in.bug == SelfTestBug::kSkipTriggerDedup,
+                std::move(raw_triggers), &buf->triggers,
                 &buf->stats.triggers_deduped);
   return barrier;
 }
@@ -790,7 +995,8 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
 /// The reference round: every rule body re-enumerated in full on the
 /// interpretive Matcher, into the per-binding hash sink. The sink's
 /// distinct atoms are sorted into runs here with std::sort, so the
-/// reference shares no sort with the production sink.
+/// reference shares no sort with the production sink, and its key-ordered
+/// trigger map becomes the round's trigger table.
 void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
   Matcher matcher(in.frozen, &buf->stats.match);
   // Witness-existence probes go through a stats-less matcher so
@@ -801,9 +1007,8 @@ void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
     if (in.ctx->Exhausted()) break;  // a trip mid-rule skips the rest
     const Rule& rule = in.theory.rules()[ri];
     if (rule.IsExistential() && in.options.datalog_only) continue;
-    const std::vector<TermId> existentials = rule.ExistentialVariables();
     matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
-      return HandleBinding(in, ri, b, existentials, witness, sink);
+      return HandleBinding(in, ri, b, witness, sink);
     });
   }
   std::sort(sink.datalog.begin(), sink.datalog.end());
@@ -817,10 +1022,13 @@ void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
     run.data.insert(run.data.end(), g.args.begin(), g.args.end());
     ++run.tuples;
   }
-  // The sink's keep-min map already holds unique keys; move it out.
-  buf->triggers.reserve(sink.triggers.size());
   for (auto& [key, pe] : sink.triggers) {
-    buf->triggers.emplace_back(key, std::move(pe));
+    TermId* dst =
+        buf->triggers.Append(pe.rule_index, CellCount(pe.head_pattern));
+    for (const Atom& g : pe.head_pattern) {
+      dst = std::copy(g.args.begin(), g.args.end(), dst);
+    }
+    buf->triggers.triggers.back().key = key;
   }
 }
 
@@ -838,12 +1046,13 @@ Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
     // Blind chase: each (rule, body binding) fires once over the whole
     // run. A round enumerates each binding at most once, so its keys are
     // unique and this drops exactly the triggers fired in earlier rounds.
-    auto fired_before = [&in](const auto& kv) {
-      return !in.fired->insert(kv.first).second;
+    auto fired_before = [&in](const TriggerTable::Trigger& t) {
+      return !in.fired->insert(t.key).second;
     };
-    buf->triggers.erase(std::remove_if(buf->triggers.begin(),
-                                       buf->triggers.end(), fired_before),
-                        buf->triggers.end());
+    std::vector<TriggerTable::Trigger>& triggers = buf->triggers.triggers;
+    triggers.erase(
+        std::remove_if(triggers.begin(), triggers.end(), fired_before),
+        triggers.end());
   }
   return barrier;
 }
@@ -881,6 +1090,14 @@ Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen) {
       }
     }
   }
+  const std::vector<TriggerTable::Trigger>& triggers = buf.triggers.triggers;
+  for (size_t i = 1; i < triggers.size(); ++i) {
+    if (!(triggers[i - 1].key < triggers[i].key)) {
+      return Status::Internal("round buffer trigger keys not ascending (" +
+                              triggers[i - 1].key + " then " +
+                              triggers[i].key + ")");
+    }
+  }
   return Status::OK();
 }
 
@@ -894,39 +1111,51 @@ size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s) {
   return added;
 }
 
-size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out) {
+size_t ApplyRound(const Theory& theory, const RoundBuffer& buf, size_t round,
+                  ChaseResult* out) {
   // Canonical application order (see the header): the sorted datalog runs
-  // first, then triggers in key order. Both engines funnel through this,
-  // so row order and null naming are functions of the round's derivation
-  // set alone.
-  std::sort(buf->triggers.begin(), buf->triggers.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // first, then the triggers in key order. Both engines funnel through
+  // this, so row order and null naming are functions of the round's
+  // derivation set alone.
+  size_t added = AddRuns(buf.datalog, &out->structure);
+  const TriggerTable& table = buf.triggers;
+  if (table.triggers.empty()) return added;
 
-  size_t added = AddRuns(buf->datalog, &out->structure);
-  for (auto& [key, pe] : buf->triggers) {
-    (void)key;
-    // Invent one null per existential variable of this trigger.
-    std::unordered_map<TermId, TermId> witness;
-    for (TermId v : pe.existentials) {
-      TermId null_id = out->structure.mutable_sig().AddNull();
-      witness.emplace(v, null_id);
+  // Per rule, its existential variables: each trigger invents one null
+  // per variable, in this order.
+  std::vector<std::vector<TermId>> existentials;
+  existentials.reserve(theory.rules().size());
+  for (const Rule& rule : theory.rules()) {
+    existentials.push_back(rule.ExistentialVariables());
+  }
+
+  std::vector<TermId> nulls;
+  std::vector<TermId> row;
+  for (const TriggerTable::Trigger& t : table.triggers) {
+    const Rule& rule = theory.rules()[t.rule_index];
+    const std::vector<TermId>& vars = existentials[t.rule_index];
+    nulls.clear();
+    for (size_t i = 0; i < vars.size(); ++i) {
+      nulls.push_back(out->structure.mutable_sig().AddNull());
       ++out->nulls_created;
     }
-    for (Atom g : pe.head_pattern) {
-      for (TermId& t : g.args) {
-        if (IsVar(t)) t = witness.at(t);
+    const TermId* cell = table.cells.data() + t.cells;
+    for (const Atom& h : rule.head) {
+      row.assign(cell, cell + h.args.size());
+      cell += h.args.size();
+      for (TermId& v : row) {
+        if (IsVar(v)) {
+          v = nulls[std::find(vars.begin(), vars.end(), v) - vars.begin()];
+        }
       }
-      if (out->structure.AddFact(g)) ++added;
-      // Record provenance on each fresh null (one shared head atom each).
-      for (auto [v, null_id] : witness) {
-        (void)v;
-        auto it = out->null_provenance.find(null_id);
-        if (it == out->null_provenance.end()) {
-          NullProvenance np;
-          np.birth_round = static_cast<int>(round);
-          np.rule_index = pe.rule_index;
-          np.head_atom = g;
-          out->null_provenance.emplace(null_id, std::move(np));
+      if (out->structure.AddFact(h.pred, row.data(), row.size())) ++added;
+      // Each null's provenance is the first head atom that contains it.
+      for (TermId n : nulls) {
+        if (std::find(row.begin(), row.end(), n) == row.end()) continue;
+        auto [it, first] = out->null_provenance.try_emplace(n);
+        if (first) {
+          it->second = {static_cast<int>(round), t.rule_index,
+                        Atom(h.pred, row)};
         }
       }
     }

@@ -13,13 +13,21 @@
 //   * buffered datalog additions are a *set*, handed to ApplyRound as one
 //     sorted run per predicate, which it appends in (predicate, argument
 //     tuple) order;
-//   * pending existential triggers are keyed by the canonical PatternKey;
-//     per key the TriggerLess-least candidate wins (not the first
-//     discovered), and ApplyRound fires keys in sorted order — so null
+//   * pending existential triggers are keyed by the canonical pattern key
+//     (Canonicalize; PatternKey is its rendered string); per key the
+//     TriggerLess-least candidate wins (not the first discovered), and
+//     ApplyRound fires the winners in rendered-key order — so null
 //     invention order, null provenance, and row order are all functions of
 //     the round's *set* of derivations;
 //   * the dedup counters are occurrence counts minus distinct counts,
 //     which are order-independent too.
+//
+// The production round keeps triggers flat end to end: a body match whose
+// head has no witness becomes a record (rule index, grounded head cells
+// in a per-task TermId arena), the round barrier dedups the records on
+// their flat TermId keys, and only each key's winner gets its string
+// rendered, which fixes the application order. The reference keys every
+// trigger by its PatternKey string in a keep-min map.
 //
 // Sharding. Above one thread, a production round runs one pool task per
 // (rule, delta anchor, chunk), where Structure::DeltaChunks splits the
@@ -27,9 +35,9 @@
 // only on the structure, never on the thread count, and the chunks
 // partition the round's bindings exactly (each binding's anchor row lies
 // in exactly one chunk). Each task buffers into a private sink; the round
-// barrier merges the tasks' sorted runs in canonical order. So a sharded
-// round applies the same derivation set as the inline one, and
-// bindings_tried is the same sum at any thread count.
+// barrier merges the tasks' sorted runs and trigger records in canonical
+// order. So a sharded round applies the same derivation set as the inline
+// one, and bindings_tried is the same sum at any thread count.
 //
 // The header is an implementation detail, not API: only chase.cc and the
 // sink tests include it.
@@ -37,10 +45,8 @@
 #ifndef BDDFC_CHASE_ROUND_H_
 #define BDDFC_CHASE_ROUND_H_
 
-#include <atomic>
 #include <string>
 #include <unordered_set>
-#include <utility>
 #include <vector>
 
 #include "bddfc/base/status.h"
@@ -51,30 +57,45 @@
 namespace bddfc {
 namespace chase_internal {
 
-/// A pending existential trigger: the rule's head with frontier variables
-/// grounded and existential variables still symbolic. Keyed for per-round
-/// deduplication (one witness per demanded head pattern).
-struct PendingExistential {
-  int rule_index;
-  std::vector<Atom> head_pattern;    // grounded except existential vars
-  std::vector<TermId> existentials;  // the symbolic witness variables
-};
+/// Canonical key of a head pattern as flat TermIds, invariant under
+/// variable renaming and atom reordering: per atom, in the arrangement
+/// PatternKey picks, its predicate, its arity, then its arguments with the
+/// variables renumbered by first occurrence (MakeVar(0), MakeVar(1), ...).
+/// A single-atom pattern is its own arrangement: no sort, no string.
+std::vector<TermId> Canonicalize(const std::vector<Atom>& pattern);
 
-/// Canonical "which same-key trigger wins" order: least (rule index, head
-/// pattern, existential list). Any total order works for correctness —
-/// same-key triggers demand the same witnesses up to renaming — but a
-/// *value* order makes the winner independent of enumeration order, which
-/// keep-first was not.
-inline bool TriggerLess(const PendingExistential& a,
-                        const PendingExistential& b) {
-  if (a.rule_index != b.rule_index) return a.rule_index < b.rule_index;
-  if (a.head_pattern != b.head_pattern) return a.head_pattern < b.head_pattern;
-  return a.existentials < b.existentials;
-}
+/// Renders the flat key `key` (`n` cells, Canonicalize's layout) as its
+/// PatternKey string: per atom the predicate, ",arg" per argument, then
+/// "|". Injective, so two flat keys are equal iff their strings are.
+std::string Render(const TermId* key, size_t n);
 
-/// Canonical key of a head pattern, invariant under existential-variable
-/// renaming and atom reordering. Defined in round.cc.
+/// Canonical key string of a head pattern: Render(Canonicalize(pattern)).
 std::string PatternKey(const std::vector<Atom>& pattern);
+
+/// Existential triggers as flat records. Trigger i fires rule
+/// `triggers[i].rule_index`; its cells start at `cells[triggers[i].cells]`:
+/// the head atoms' arguments in rule order, frontier grounded and
+/// existential variables still symbolic (followed, in an oblivious round's
+/// raw records, by the grounded body atoms' arguments). An enumeration
+/// task's raw records leave `key` empty; the round's table holds one
+/// winner per key with its rendered key, in strictly ascending key order.
+struct TriggerTable {
+  struct Trigger {
+    int32_t rule_index = 0;
+    size_t cells = 0;  ///< offset of the trigger's first cell in `cells`
+    std::string key;   ///< PatternKey, or the ObliviousKey in oblivious mode
+  };
+  std::vector<Trigger> triggers;
+  std::vector<TermId> cells;
+
+  /// Appends a trigger of rule `rule_index` and returns the slot for its
+  /// `n` cells (invalidated by the next append).
+  TermId* Append(int32_t rule_index, size_t n) {
+    triggers.push_back({rule_index, cells.size(), {}});
+    cells.resize(cells.size() + n);
+    return cells.data() + cells.size() - n;
+  }
+};
 
 /// The self-test bug a run carries (faults.h: the faults::kBug* actions of
 /// faults::kChaseBug). kNone outside the differential fuzzer's self-test.
@@ -103,22 +124,22 @@ struct RoundBuffer {
   /// One sorted, distinct, frozen-free run per predicate that derived a
   /// new tuple, in ascending predicate order.
   std::vector<DatalogRun> datalog;
-  /// Unique-key pending triggers, each key's TriggerLess-least candidate.
-  std::vector<std::pair<std::string, PendingExistential>> triggers;
+  /// The round's winning existential triggers in application order.
+  TriggerTable triggers;
   /// Counters and per-round timing merged across the producing tasks.
   ChaseStats stats;
 
-  bool empty() const { return datalog.empty() && triggers.empty(); }
+  bool empty() const { return datalog.empty() && triggers.triggers.empty(); }
   /// Total datalog tuples over every run.
   size_t datalog_facts() const;
 };
 
 /// Full paranoia's re-verification of a round buffer against the frozen
 /// structure it was evaluated on: runs in strictly ascending predicate
-/// order, each run's tuples strictly ascending (so pairwise distinct), and
-/// no tuple already in `frozen` — the guarantees the sinks claim to have
-/// enforced. Reads the runs in place. Returns Internal naming the first
-/// violation.
+/// order, each run's tuples strictly ascending (so pairwise distinct), no
+/// tuple already in `frozen`, and trigger keys strictly ascending — the
+/// guarantees the sinks claim to have enforced. Reads the buffer in place.
+/// Returns Internal naming the first violation.
 Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen);
 
 /// The read-only inputs one round's enumeration runs against.
@@ -139,8 +160,6 @@ struct RoundInputs {
   /// The run's self-test bug, resolved once at RunChase entry from a
   /// FaultRegistry fire at faults::kChaseBug.
   SelfTestBug bug = SelfTestBug::kNone;
-  /// kSkipTriggerDedup key suffixes, shared by every task of the round.
-  mutable std::atomic<size_t> bug_seq{0};
 };
 
 /// Rows per sharded anchor chunk. Fixed (never derived from the thread
@@ -233,15 +252,20 @@ class DatalogSinkBuffers {
 void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
                       std::vector<DatalogRun>* out, size_t* deduped);
 
-/// Sorts raw (key, candidate) trigger pairs, collapses each key to its
-/// TriggerLess-least candidate counting dropped occurrences into *tdedup,
-/// and appends the unique-key survivors to *out in key order — the same
-/// winner the reference's keep-min map picks, independent of arrival
-/// order.
-void DedupTriggers(
-    std::vector<std::pair<std::string, PendingExistential>> raw,
-    std::vector<std::pair<std::string, PendingExistential>>* out,
-    size_t* tdedup);
+/// The round barrier's trigger dedup over the raw records of every task
+/// (`tasks`, in any order; their keys empty). Each record is keyed on flat
+/// TermIds: Canonicalize of its head cells, or in oblivious mode its rule
+/// index followed by its body cells. Each key collapses to its
+/// TriggerLess-least record — least (rule index, head cells), the order of
+/// the reference's keep-min map — counting the dropped occurrences into
+/// *tdedup. Only the winners' keys are rendered to strings, and *out gets
+/// the winners in ascending key order: the same table at any task split
+/// and arrival order. `unique_keys` is the kSkipTriggerDedup self-test
+/// fault: every record gets a sequence cell appended to its key (rendered
+/// "#seq"), so nothing collapses.
+void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
+                   std::vector<TriggerTable> tasks, TriggerTable* out,
+                   size_t* tdedup);
 
 /// Enumerates one round's derivations into `buf` on the engine
 /// options.engine selects. The production engine runs inline when `pool`
@@ -258,10 +282,13 @@ Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
 size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s);
 
 /// Applies a completed round's buffer in canonical order: the datalog
-/// runs as they stand (already sorted by (pred, args)), then triggers in
-/// key order, inventing nulls and recording provenance. Returns the number
-/// of facts added.
-size_t ApplyRound(RoundBuffer* buf, size_t round, ChaseResult* out);
+/// runs as they stand (already sorted by (pred, args)), then the triggers
+/// in table order. Per trigger it invents one null per existential
+/// variable of the rule (ExistentialVariables() order), appends the head
+/// rows, and records each null's provenance at the first head atom that
+/// contains it. Returns the number of facts added.
+size_t ApplyRound(const Theory& theory, const RoundBuffer& buf, size_t round,
+                  ChaseResult* out);
 
 }  // namespace chase_internal
 }  // namespace bddfc

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <numeric>
 #include <string>
@@ -27,7 +28,8 @@ namespace {
 
 /// Runs kNaive and the production engine at 1/2/4/8 threads with
 /// otherwise identical options and asserts byte identity on the shared
-/// dump, plus one bindings_tried across the production runs. The
+/// dump, plus one bindings_tried across the production runs, and that
+/// every null's provenance names a head atom that contains it. The
 /// signature is rolled back after every run, so each run invents its
 /// nulls on the same raw TermIds.
 void ExpectMatchesReference(const Theory& theory, const Structure& instance,
@@ -39,6 +41,11 @@ void ExpectMatchesReference(const Theory& theory, const Structure& instance,
       ChaseResult r = RunChase(theory, instance, o);
       dump = ExactChaseDump(r);
       if (bindings != nullptr) *bindings = r.stats.match.bindings_tried;
+      for (const auto& [null_id, prov] : r.null_provenance) {
+        const std::vector<TermId>& args = prov.head_atom.args;
+        EXPECT_NE(std::find(args.begin(), args.end(), null_id), args.end())
+            << "null " << null_id << " is not in its provenance head atom";
+      }
     }
     instance.signature_ptr()->RollbackTo(mark);
     return dump;
@@ -123,6 +130,48 @@ TEST(ChaseAbTest, CyclicWitnessReuse) {
     e(a, b). e(b, a).
   )");
   ExpectMatchesReference(p.theory, p.instance, Depth(8));
+}
+
+TEST(ChaseAbTest, TwoRulesDemandOneTiedMultiAtomPattern) {
+  // Both TGDs demand the same three-atom chain from Y, listed in different
+  // atom orders under different existential names. Two of its atoms tie on
+  // their local keys, so the canonical key must try both arrangements to
+  // see one pattern; the third rule feeds the chains back as new demands.
+  Program p = MustParse(R"(
+    e(X, Y) -> exists U, V, W: r(Y, U), r(U, V), r(V, W).
+    f(X, Y) -> exists A, B, C: r(B, C), r(Y, A), r(A, B).
+    r(X, Y), r(Y, Z) -> e(X, Z).
+    e(a, b). f(a, b). f(b, c). e(c, a).
+  )");
+  ExpectMatchesReference(p.theory, p.instance, Depth(5));
+  ChaseOptions oblivious = Depth(4);
+  oblivious.oblivious = true;
+  ExpectMatchesReference(p.theory, p.instance, oblivious);
+
+  // e(a, b) and f(a, b) demand one chain from b: one witness chain, and
+  // rule 0's trigger is the one that fires.
+  ChaseOptions one_round = Depth(1);
+  ChaseResult r = RunChase(p.theory, p.instance, one_round);
+  EXPECT_EQ(r.stats.triggers_deduped, 1u);
+  EXPECT_EQ(r.nulls_created, 9u);
+  size_t from_rule_1 = 0;
+  for (const auto& [null_id, prov] : r.null_provenance) {
+    from_rule_1 += prov.rule_index == 1;
+  }
+  EXPECT_EQ(from_rule_1, 3u);  // f(b, c) alone demands a chain from c
+}
+
+TEST(ChaseAbTest, WideTiedHeadFinishes) {
+  // 68 head atoms share one local key. Their arrangement count must stop
+  // at the 5,040 cap: 68! wraps to 0 in 64 bits, which would pass the cap
+  // and send the key search through about 68! arrangements.
+  std::string text = "a(X) -> ";
+  for (int i = 0; i < 68; ++i) {
+    text += (i > 0 ? ", p(X, Z" : "p(X, Z") + std::to_string(i) + ")";
+  }
+  text += ".\na(c).\n";
+  Program p = MustParse(text);
+  ExpectMatchesReference(p.theory, p.instance, Depth(4));
 }
 
 // ---------------------------------------------------------------------------

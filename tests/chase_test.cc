@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "bddfc/chase/chase.h"
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
@@ -121,6 +124,29 @@ TEST(ChaseTest, ChaseLevelsAreRecorded) {
   }
   std::sort(rounds.begin(), rounds.end());
   EXPECT_EQ(rounds, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(ChaseTest, NullProvenanceNamesTheHeadAtomHoldingTheNull) {
+  // Y first occurs in r(X, Y) and Z only in s(Z): each null's provenance
+  // must name the first head atom that contains it, not the first head
+  // atom of its trigger.
+  for (ChaseEngine engine : {ChaseEngine::kParallel, ChaseEngine::kNaive}) {
+    Program p = MustParse(R"(
+      a(X) -> exists Y, Z: r(X, Y), s(Z).
+      a(c).
+    )");
+    ChaseOptions opts;
+    opts.engine = engine;
+    ChaseResult res = RunChase(p.theory, p.instance, opts);
+    ASSERT_TRUE(res.fixpoint_reached);
+    const Signature& sig = *p.theory.signature_ptr();
+    std::map<std::string, std::string> head_of;  // null name -> head atom
+    for (const auto& [null_id, prov] : res.null_provenance) {
+      head_of[TermToString(sig, null_id)] = prov.head_atom.ToString(sig);
+    }
+    EXPECT_EQ(head_of, (std::map<std::string, std::string>{
+                           {"_n0", "r(c, _n0)"}, {"_n1", "s(_n1)"}}));
+  }
 }
 
 /// FactsByRound must partition the structure, and entry r must hold

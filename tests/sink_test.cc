@@ -15,6 +15,7 @@
 #include <random>
 #include <set>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -32,8 +33,7 @@ using chase_internal::DatalogRun;
 using chase_internal::DatalogSinkBuffers;
 using chase_internal::DedupTriggers;
 using chase_internal::MergeDatalogRuns;
-using chase_internal::PendingExistential;
-using chase_internal::TriggerLess;
+using chase_internal::TriggerTable;
 
 Program MustParse(const char* text) {
   auto r = ParseProgram(text);
@@ -533,42 +533,197 @@ TEST(VerifyRoundBufferTest, AcceptsACleanBufferAndNamesEachViolation) {
 }
 
 // ---------------------------------------------------------------------------
+// Trigger keys: the flat canonical key renders to the PatternKey strings.
+// ---------------------------------------------------------------------------
+
+TermId V(int32_t k) { return MakeVar(k); }
+
+/// `n` atoms of predicate `pred` forming a variable cycle
+/// pred(?0, ?1), pred(?1, ?2), ..., pred(?n-1, ?0), optionally listed in
+/// reverse: every atom has the same local key, so all n tie.
+std::vector<Atom> TiedCycle(PredId pred, int32_t n, bool reverse) {
+  std::vector<Atom> out;
+  for (int32_t i = 0; i < n; ++i) {
+    out.emplace_back(pred, std::vector<TermId>{V(i), V((i + 1) % n)});
+  }
+  if (reverse) std::reverse(out.begin(), out.end());
+  return out;
+}
+
+TEST(PatternKeyTest, RenderOfCanonicalizeMatchesTheGoldenStrings) {
+  // Golden PatternKey strings: the winners' application order, and with it
+  // every null's TermId, follows them, so they must not move.
+  const std::vector<std::tuple<const char*, std::vector<Atom>, const char*>>
+      cases = {
+          {"one existential", {Atom(0, {5, V(0)})}, "0,5,-1|"},
+          {"repeated existential", {Atom(3, {V(3), 4, V(3)})}, "3,-1,4,-1|"},
+          {"two existentials renamed",
+           {Atom(2, {V(7), V(2), V(7), V(2)})},
+           "2,-1,-2,-1,-2|"},
+          {"ground atom", {Atom(1, {1, 2})}, "1,1,2|"},
+          {"nullary atom", {Atom(4, {})}, "4|"},
+          {"two-digit ids", {Atom(12, {10, V(0)})}, "12,10,-1|"},
+          {"largest constant",
+           {Atom(3, {2147483647, V(0)})},
+           "3,2147483647,-1|"},
+          {"eleven existentials",
+           {Atom(8, {V(0), V(1), V(2), V(3), V(4), V(5), V(6), V(7), V(8),
+                     V(9), V(10)})},
+           "8,-1,-2,-3,-4,-5,-6,-7,-8,-9,-10,-11|"},
+          {"constants 9 and 10",
+           {Atom(0, {9, V(0)}), Atom(0, {10, V(0)})},
+           "0,10,-1|0,9,-1|"},
+          {"predicates 9 and 10",
+           {Atom(9, {V(0)}), Atom(10, {V(0)})},
+           "10,-1|9,-1|"},
+          {"shared existential, constants",
+           {Atom(1, {V(0), 3}), Atom(2, {3, V(0)})},
+           "1,-1,3|2,3,-1|"},
+          {"different variable shapes",
+           {Atom(5, {V(1), V(2)}), Atom(5, {V(0), V(0)})},
+           "5,-1,-1|5,-2,-3|"},
+          // Tied local keys: the least *rendered* arrangement wins, which
+          // is not the numerically least ("-2" < "-3" as text).
+          {"tied chain",
+           {Atom(5, {V(0), V(1)}), Atom(5, {V(1), V(2)})},
+           "5,-1,-2|5,-2,-3|"},
+          {"tied chain reversed",
+           {Atom(5, {V(1), V(2)}), Atom(5, {V(0), V(1)})},
+           "5,-1,-2|5,-2,-3|"},
+          {"tied two-cycle",
+           {Atom(5, {V(4), V(9)}), Atom(5, {V(9), V(4)})},
+           "5,-1,-2|5,-2,-1|"},
+          {"tied three-cycle", TiedCycle(5, 3, false),
+           "5,-1,-2|5,-2,-3|5,-3,-1|"},
+          {"tied with constants",
+           {Atom(6, {3, V(0)}), Atom(7, {V(0), V(1)}), Atom(6, {3, V(1)})},
+           "6,3,-1|6,3,-2|7,-1,-2|"},
+          {"tied pairs with 9 and 10",
+           {Atom(4, {10, V(0), V(2)}), Atom(4, {9, V(0), V(1)}),
+            Atom(4, {9, V(1), V(0)})},
+           "4,10,-1,-2|4,9,-1,-3|4,9,-3,-1|"},
+          {"two tied groups",
+           {Atom(9, {V(0), V(5)}), Atom(10, {V(0), V(1)}),
+            Atom(10, {V(1), V(2)}), Atom(9, {V(5), V(6)}),
+            Atom(10, {V(2), V(3)}), Atom(9, {V(6), V(0)}),
+            Atom(10, {V(3), V(4)}), Atom(10, {V(4), V(0)})},
+           "10,-1,-2|10,-2,-3|10,-3,-4|10,-4,-5|10,-5,-1|9,-1,-6|9,-6,-7|"
+           "9,-7,-1|"},
+          {"seven tied atoms (at the cap)", TiedCycle(5, 7, false),
+           "5,-1,-2|5,-2,-3|5,-3,-4|5,-4,-5|5,-5,-6|5,-6,-7|5,-7,-1|"},
+          // Past the cap (8! = 40,320 > 5,040 arrangements) the local-key
+          // sorted order stands, so the listed order shows through.
+          {"eight tied atoms (past the cap)", TiedCycle(5, 8, false),
+           "5,-1,-2|5,-2,-3|5,-3,-4|5,-4,-5|5,-5,-6|5,-6,-7|5,-7,-8|"
+           "5,-8,-1|"},
+          {"eight tied atoms reversed", TiedCycle(5, 8, true),
+           "5,-1,-2|5,-3,-1|5,-4,-3|5,-5,-4|5,-6,-5|5,-7,-6|5,-8,-7|"
+           "5,-2,-8|"},
+          {"twenty tied atoms", TiedCycle(11, 20, true),
+           "11,-1,-2|11,-3,-4|11,-4,-5|11,-5,-6|11,-6,-7|11,-7,-8|11,-8,-9|"
+           "11,-9,-10|11,-10,-11|11,-11,-1|11,-12,-3|11,-2,-13|11,-13,-14|"
+           "11,-14,-15|11,-15,-16|11,-16,-17|11,-17,-18|11,-18,-19|"
+           "11,-19,-20|11,-20,-12|"},
+          {"empty pattern", {}, ""},
+      };
+  for (const auto& [name, pattern, golden] : cases) {
+    const std::vector<TermId> key = chase_internal::Canonicalize(pattern);
+    EXPECT_EQ(chase_internal::Render(key.data(), key.size()), golden)
+        << name;
+    EXPECT_EQ(chase_internal::PatternKey(pattern), golden) << name;
+  }
+}
+
+TEST(PatternKeyTest, EqualFlatKeysAreEqualStrings) {
+  // Renaming the existentials or reordering the atoms keeps the flat key;
+  // a changed constant changes both the flat key and the string.
+  const std::vector<Atom> p = {Atom(5, {V(0), V(1)}), Atom(6, {9, V(1)})};
+  const std::vector<Atom> renamed = {Atom(6, {9, V(4)}),
+                                     Atom(5, {V(7), V(4)})};
+  const std::vector<Atom> other = {Atom(5, {V(0), V(1)}),
+                                   Atom(6, {10, V(1)})};
+  using chase_internal::Canonicalize;
+  EXPECT_EQ(Canonicalize(p), Canonicalize(renamed));
+  EXPECT_NE(Canonicalize(p), Canonicalize(other));
+  EXPECT_NE(chase_internal::PatternKey(p), chase_internal::PatternKey(other));
+}
+
+// ---------------------------------------------------------------------------
 // DedupTriggers: keep-min winner, order independence.
 // ---------------------------------------------------------------------------
 
-PendingExistential MakeTrigger(int rule_index, PredId pred, TermId arg) {
-  PendingExistential pe;
-  pe.rule_index = rule_index;
-  pe.head_pattern = {Atom(pred, {arg})};
-  return pe;
-}
-
 TEST(DedupTriggersTest, KeepsTheTriggerLessLeastWinnerAtAnyArrivalOrder) {
-  auto sig = std::make_shared<Signature>();
-  PredId p = std::move(sig->AddPredicate("p", 1)).ValueOrDie();
-  TermId a = sig->AddConstant("a");
-  TermId b = sig->AddConstant("b");
+  // Three rules demand the same head shape w(X, Z); a record is the rule
+  // index plus its grounded head cells, the existential still symbolic.
+  Program prog = MustParse(R"(
+    q0(X) -> exists Z: w(X, Z).
+    q1(X) -> exists Z: w(X, Z).
+    q2(X) -> exists Z: w(X, Z).
+  )");
+  const Theory& theory = prog.theory;
+  Signature& sig = *theory.signature_ptr();
+  const PredId w = std::move(sig.FindPredicate("w")).ValueOrDie();
+  // Ten constants, so a is 9 and b is 10: their decimal order differs
+  // from their numeric order.
+  for (int i = 0; i < 9; ++i) sig.AddConstant("k" + std::to_string(i));
+  const TermId a = sig.AddConstant("a");
+  const TermId b = sig.AddConstant("b");
+  ASSERT_EQ(a, 9);
+  ASSERT_EQ(b, 10);
+  const TermId z = theory.rules()[0].head[0].args[1];
+  ASSERT_TRUE(IsVar(z));
 
-  std::vector<std::pair<std::string, PendingExistential>> raw;
-  raw.emplace_back("k1", MakeTrigger(2, p, a));
-  raw.emplace_back("k0", MakeTrigger(1, p, b));
-  raw.emplace_back("k1", MakeTrigger(0, p, a));  // the k1 winner
-  raw.emplace_back("k1", MakeTrigger(1, p, a));
+  auto record = [z](TriggerTable* t, int32_t rule, TermId arg) {
+    TermId* cells = t->Append(rule, 2);
+    cells[0] = arg;
+    cells[1] = z;
+  };
+  // Keys: w(a, Z) is "<w>,9,-1|" and w(b, Z) is "<w>,10,-1|".
+  const std::string key_a = std::to_string(w) + ",9,-1|";
+  const std::string key_b = std::to_string(w) + ",10,-1|";
+  TriggerTable first, second;
+  record(&first, 2, a);
+  record(&first, 1, b);
+  record(&second, 0, a);  // the key_a winner
+  record(&second, 1, a);
 
-  std::vector<std::pair<std::string, PendingExistential>> reversed(
-      raw.rbegin(), raw.rend());
-  for (auto* input : {&raw, &reversed}) {
-    std::vector<std::pair<std::string, PendingExistential>> out;
-    size_t tdedup = 0;
-    DedupTriggers(*input, &out, &tdedup);
-    ASSERT_EQ(out.size(), 2u);
-    EXPECT_EQ(tdedup, 2u);
-    EXPECT_EQ(out[0].first, "k0");  // key order
-    EXPECT_EQ(out[1].first, "k1");
-    EXPECT_EQ(out[0].second.rule_index, 1);
-    EXPECT_EQ(out[1].second.rule_index, 0);  // TriggerLess-least, not first
-    EXPECT_TRUE(TriggerLess(out[1].second, MakeTrigger(1, p, a)));
+  // Both arrival orders, as one task or as two.
+  const std::vector<std::vector<TriggerTable>> inputs = {
+      {first, second}, {second, first}};
+  for (const std::vector<TriggerTable>& tasks : inputs) {
+    for (bool merged : {false, true}) {
+      std::vector<TriggerTable> in = tasks;
+      if (merged) {
+        TriggerTable one;
+        for (const TriggerTable& t : tasks) {
+          for (const TriggerTable::Trigger& tr : t.triggers) {
+            record(&one, tr.rule_index, t.cells[tr.cells]);
+          }
+        }
+        in = {one};
+      }
+      TriggerTable out;
+      size_t tdedup = 0;
+      DedupTriggers(theory, /*oblivious=*/false, /*unique_keys=*/false, in,
+                    &out, &tdedup);
+      ASSERT_EQ(out.triggers.size(), 2u);
+      EXPECT_EQ(tdedup, 2u);
+      EXPECT_EQ(out.triggers[0].key, key_b);  // rendered-key order
+      EXPECT_EQ(out.triggers[1].key, key_a);
+      EXPECT_EQ(out.triggers[0].rule_index, 1);
+      EXPECT_EQ(out.triggers[1].rule_index, 0);  // TriggerLess-least, not first
+      EXPECT_EQ(out.cells[out.triggers[0].cells], b);
+      EXPECT_EQ(out.cells[out.triggers[1].cells], a);
+    }
   }
+
+  // The kSkipTriggerDedup fault keeps every record.
+  TriggerTable out;
+  size_t tdedup = 0;
+  DedupTriggers(theory, false, /*unique_keys=*/true, {first, second}, &out,
+                &tdedup);
+  EXPECT_EQ(out.triggers.size(), 4u);
+  EXPECT_EQ(tdedup, 0u);
 }
 
 // ---------------------------------------------------------------------------
