@@ -31,7 +31,7 @@ void PrintTable() {
   bddfc_bench::Banner("E7", "Theorem 2 pipeline vs |D| (Example 7 theory)");
   std::printf("%-6s %-12s %-10s %-10s %-8s %-8s %-10s\n", "|D|",
               "model size", "attempts", "depth", "n", "status", "wall ms");
-  for (int d : {1, 2, 4, 8, 16, 64, 256, 512}) {
+  for (int d : {1, 2, 4, 8, 16, 64, 256, 512, 1024}) {
     Program p = Example7WithPath(d);
     ConjunctiveQuery q =
         std::move(ParseQuery("e(X, X)", p.theory.signature_ptr().get()))

@@ -147,13 +147,17 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     }
   };
 
-  // Round 0: copy the instance.
-  for (PredId p = 0; p < instance.NumStoredPredicates(); ++p) {
-    for (TupleRef row : instance.Rows(p)) out.structure.AddFact(p, row);
+  // Round 0: copy the instance, one batch per relation.
+  {
+    obs::TraceSpan load_span(&ctx->tracer(), "chase.load");
+    for (PredId p = 0; p < instance.NumStoredPredicates(); ++p) {
+      const RowsView rows = instance.Rows(p);
+      out.structure.AppendRows(p, rows.data(), rows.size());
+    }
+    for (TermId c : instance.Domain()) out.structure.AddDomainElement(c);
+    out.facts_per_round.push_back(out.structure.NumFacts());
+    record_round_rows();
   }
-  for (TermId c : instance.Domain()) out.structure.AddDomainElement(c);
-  out.facts_per_round.push_back(out.structure.NumFacts());
-  record_round_rows();
 
   // Oblivious mode: remember fired (rule, body-binding) pairs so each
   // trigger fires exactly once over the whole run (the blind chase creates

@@ -150,48 +150,6 @@ void AppendCanonicalKey(const std::vector<Atom>& shape, const TermId* cells,
   out->insert(out->end(), best.begin(), best.end());
 }
 
-/// Sorts `n` flat tuples of `arity` TermIds at `data` into ascending
-/// lexicographic order, in place: an LSD radix sort over 8-bit digits,
-/// last position first, that skips every digit on which all tuples agree.
-/// Stable, comparator-free, O(n * arity), one code path for every arity.
-/// The TermIds must be ground (non-negative), so the unsigned digit order
-/// is the signed order. `scratch` is resized to n * arity and reused.
-void SortTuples(TermId* data, size_t n, size_t arity,
-                std::vector<TermId>* scratch) {
-  if (n < 2 || arity == 0) return;
-  constexpr size_t kDigits = sizeof(TermId);  // 8-bit digits per position
-  // One read pass fills every digit's histogram: counts[(pos, digit), b].
-  std::vector<uint32_t> counts(arity * kDigits * 256, 0);
-  for (const TermId* t = data; t != data + n * arity; t += arity) {
-    for (size_t pos = 0; pos < arity; ++pos) {
-      assert(t[pos] >= 0 && "SortTuples needs ground TermIds");
-      const uint32_t v = static_cast<uint32_t>(t[pos]);
-      uint32_t* c = counts.data() + pos * kDigits * 256;
-      for (size_t d = 0; d < kDigits; ++d) ++c[d * 256 + ((v >> (8 * d)) & 255)];
-    }
-  }
-  scratch->resize(n * arity);
-  TermId* src = data;
-  TermId* dst = scratch->data();
-  for (size_t pos = arity; pos-- > 0;) {
-    for (size_t d = 0; d < kDigits; ++d) {
-      uint32_t* c = counts.data() + (pos * kDigits + d) * 256;
-      const size_t shift = 8 * d;
-      auto digit = [&](const TermId* t) {
-        return (static_cast<uint32_t>(t[pos]) >> shift) & 255;
-      };
-      if (c[digit(src)] == n) continue;  // every tuple shares this digit
-      uint32_t at = 0;
-      for (size_t b = 0; b < 256; ++b) at += std::exchange(c[b], at);
-      for (const TermId* t = src; t != src + n * arity; t += arity) {
-        std::copy_n(t, arity, dst + static_cast<size_t>(c[digit(t)]++) * arity);
-      }
-      std::swap(src, dst);
-    }
-  }
-  if (src != data) std::copy_n(src, n * arity, data);
-}
-
 }  // namespace
 
 std::vector<TermId> Canonicalize(const std::vector<Atom>& pattern) {
@@ -294,7 +252,7 @@ void DatalogSinkBuffers::Compact(PredBuf* pb) {
     return std::equal(a, a + arity, b);
   };
 
-  SortTuples(tail, pb->tail, arity, &sort_scratch_);
+  SortTuples(tail, pb->tail, arity, arity, &sort_scratch_);
 
   // Pass 1: walk the sorted tail groups against the kept prefix with a
   // monotone cursor. Groups equal to a kept tuple collapse immediately
@@ -428,7 +386,7 @@ void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
                          runs[r].data.end());
       total += runs[r].tuples;
     }
-    SortTuples(merged.data.data(), total, arity, &scratch);
+    SortTuples(merged.data.data(), total, arity, arity, &scratch);
     for (size_t gi = 0; gi < total;) {
       const TermId* t = merged.tuple(gi);
       size_t ge = gi + 1;
@@ -1104,9 +1062,8 @@ Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen) {
 size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s) {
   size_t added = 0;
   for (const DatalogRun& run : runs) {
-    for (size_t t = 0; t < run.tuples; ++t) {
-      if (s->AddFact(run.pred, run.tuple(t), run.arity)) ++added;
-    }
+    assert(static_cast<int>(run.arity) == s->sig().arity(run.pred));
+    added += s->AppendRows(run.pred, run.data.data(), run.tuples);
   }
   return added;
 }

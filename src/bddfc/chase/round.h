@@ -277,8 +277,8 @@ void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
 Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
                       RoundBuffer* buf);
 
-/// Appends every tuple of `runs` to `s` in run order; returns the number
-/// of facts added.
+/// Appends every tuple of `runs` to `s` in run order, one AppendRows batch
+/// per run; returns the number of facts added.
 size_t AddRuns(const std::vector<DatalogRun>& runs, Structure* s);
 
 /// Applies a completed round's buffer in canonical order: the datalog

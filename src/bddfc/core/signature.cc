@@ -1,6 +1,7 @@
 #include "bddfc/core/signature.h"
 
 #include <algorithm>
+#include <charconv>
 
 namespace bddfc {
 
@@ -21,7 +22,6 @@ Result<PredId> Signature::AddPredicate(std::string_view name, int arity) {
   }
   PredId id = pred_names_.Intern(name);
   PredicateInfo info;
-  info.name = std::string(name);
   info.arity = arity;
   predicates_.push_back(std::move(info));
   return id;
@@ -32,7 +32,6 @@ PredId Signature::AddColorPredicate(int hue, int lightness) {
       "K_h" + std::to_string(hue) + "_l" + std::to_string(lightness));
   PredId id = pred_names_.Intern(name);
   PredicateInfo info;
-  info.name = std::move(name);
   info.arity = 1;
   info.is_color = true;
   info.hue = hue;
@@ -42,27 +41,40 @@ PredId Signature::AddColorPredicate(int hue, int lightness) {
 }
 
 TermId Signature::AddConstant(std::string_view name) {
-  int32_t existing = const_names_.Find(name);
-  if (existing >= 0) return existing;
-  TermId id = const_names_.Intern(name);
-  ConstantInfo info;
-  info.name = std::string(name);
-  info.is_null = false;
-  constants_.push_back(std::move(info));
+  bool inserted = false;
+  const TermId id = const_names_.Intern(name, &inserted);
+  if (inserted) constants_.push_back(ConstantInfo{});
   return id;
 }
 
 TermId Signature::AddNull(std::string_view hint) {
-  std::string name;
-  do {
-    name = "_" + std::string(hint) + std::to_string(null_counter_++);
-  } while (const_names_.Contains(name));
-  TermId id = const_names_.Intern(name);
-  ConstantInfo info;
-  info.name = std::move(name);
-  info.is_null = true;
-  constants_.push_back(std::move(info));
-  return id;
+  // "_<hint>" once, then each candidate counter value is written after it
+  // in place; the hints in use are a few characters, so the name stays on
+  // the stack.
+  constexpr size_t kDigits = 20;  // any int64_t
+  char stack[64];
+  std::string heap;
+  char* buf = stack;
+  if (1 + hint.size() + kDigits > sizeof(stack)) {
+    heap.resize(1 + hint.size() + kDigits);
+    buf = heap.data();
+  }
+  buf[0] = '_';
+  std::copy(hint.begin(), hint.end(), buf + 1);
+  char* digits = buf + 1 + hint.size();
+  while (true) {
+    const char* end =
+        std::to_chars(digits, digits + kDigits, null_counter_++).ptr;
+    bool inserted = false;
+    const TermId id = const_names_.Intern(
+        std::string_view(buf, static_cast<size_t>(end - buf)), &inserted);
+    if (inserted) {
+      ConstantInfo info;
+      info.is_null = true;
+      constants_.push_back(info);
+      return id;
+    }
+  }
 }
 
 Result<PredId> Signature::FindPredicate(std::string_view name) const {

@@ -15,9 +15,9 @@
 
 namespace bddfc {
 
-/// Metadata for one predicate symbol.
+/// Metadata for one predicate symbol (its name lives in the Signature's
+/// name table: Signature::PredicateName).
 struct PredicateInfo {
-  std::string name;
   int arity = 0;
   /// True for the color predicates K_h^l introduced by colorings (Def. 6).
   bool is_color = false;
@@ -26,9 +26,9 @@ struct PredicateInfo {
   int lightness = -1;
 };
 
-/// Metadata for one constant (domain element).
+/// Metadata for one constant (domain element); its name lives in the
+/// Signature's name table (Signature::ConstantName).
 struct ConstantInfo {
-  std::string name;
   /// True when the constant is a labeled null invented by the chase
   /// (an element of C_non); named signature constants (C_con) are false.
   bool is_null = false;
@@ -53,7 +53,9 @@ class Signature {
   /// Adds (or finds) a named signature constant.
   TermId AddConstant(std::string_view name);
 
-  /// Invents a fresh labeled null. `hint` seeds the printable name.
+  /// Invents a fresh labeled null named "_<hint><k>", with k the next
+  /// value of a counter that skips names already taken (a declared
+  /// constant "_n0" makes the first default null "_n1").
   TermId AddNull(std::string_view hint = "n");
 
   /// Returns the id of predicate `name`, or error if absent.
@@ -73,8 +75,12 @@ class Signature {
   int num_constants() const { return static_cast<int>(constants_.size()); }
 
   int arity(PredId p) const { return predicates_[p].arity; }
-  const std::string& PredicateName(PredId p) const { return predicates_[p].name; }
-  const std::string& ConstantName(TermId c) const { return constants_[c].name; }
+  const std::string& PredicateName(PredId p) const {
+    return pred_names_.NameOf(p);
+  }
+  const std::string& ConstantName(TermId c) const {
+    return const_names_.NameOf(c);
+  }
   bool IsNull(TermId c) const { return constants_[c].is_null; }
   bool IsColor(PredId p) const { return predicates_[p].is_color; }
 

@@ -2,107 +2,153 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
+
+#include "bddfc/base/open_addressing.h"
 
 namespace bddfc {
 
 namespace {
 
-/// Free slot of both open-addressing tables; equal to kNoRow, so a probe
-/// of the tuple table yields FindRow's answer directly.
-constexpr uint32_t kEmptySlot = Structure::kNoRow;
-constexpr size_t kMinSlots = 8;
+namespace oa = open_addressing;
 
-/// Final mixer of a 64-bit hash (murmur3's fmix64). TermIds are dense, so
-/// an identity hash would lay runs of keys into runs of slots and make
-/// linear probes long; this spreads them.
-uint64_t Mix(uint64_t h) {
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdULL;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ULL;
-  h ^= h >> 33;
-  return h;
-}
+/// Free slot of both tables; equal to kNoRow, so a probe of the tuple
+/// table yields FindRow's answer directly.
+constexpr uint32_t kEmptySlot = oa::kEmptySlot;
+static_assert(kEmptySlot == Structure::kNoRow);
 
 uint64_t HashTuple(const TermId* t, size_t n) {
   uint64_t h = n;
   for (size_t i = 0; i < n; ++i) {
     h = (h ^ static_cast<uint32_t>(t[i])) * 0x9e3779b97f4a7c15ULL;
   }
-  return Mix(h);
+  return oa::Mix(h);
 }
 
-uint64_t HashValue(TermId v) { return Mix(static_cast<uint32_t>(v)); }
-
-/// The probing routine of both tables: linear probing over a non-empty
-/// power-of-two table of ids. Returns the slot holding the id `same`
-/// accepts, or the free slot where the probe ended (load <= 1/2, so one
-/// exists).
-template <typename Same>
-size_t Probe(const std::vector<uint32_t>& slots, uint64_t hash, Same same) {
-  const size_t mask = slots.size() - 1;
-  size_t i = static_cast<size_t>(hash) & mask;
-  while (slots[i] != kEmptySlot && !same(slots[i])) i = (i + 1) & mask;
-  return i;
-}
-
-/// Makes room for one more id in a table holding ids [0, count): doubles
-/// it and reinserts them when the next insert would push the load past
-/// 1/2. Both tables hold dense ids (row ids, posting-list ids).
-template <typename HashOf>
-void ReserveSlot(std::vector<uint32_t>* slots, size_t count, HashOf hash_of) {
-  if (2 * (count + 1) <= slots->size()) return;
-  slots->assign(std::max(kMinSlots, 2 * slots->size()), kEmptySlot);
-  for (uint32_t id = 0; id < count; ++id) {
-    (*slots)[Probe(*slots, hash_of(id), [](uint32_t) { return false; })] = id;
-  }
-}
+uint64_t HashValue(TermId v) { return oa::Mix(static_cast<uint32_t>(v)); }
 
 }  // namespace
 
-bool Structure::AddFact(PredId pred, const TermId* args, size_t n) {
+void SortTuples(TermId* data, size_t n, size_t width, size_t key,
+                std::vector<TermId>* scratch) {
+  if (n < 2 || key == 0) return;
+  assert(key <= width);
+  constexpr size_t kDigits = sizeof(TermId);  // 8-bit digits per position
+  // One read pass fills every digit's histogram: counts[(pos, digit), b].
+  std::vector<uint32_t> counts(key * kDigits * 256, 0);
+  for (const TermId* t = data; t != data + n * width; t += width) {
+    for (size_t pos = 0; pos < key; ++pos) {
+      assert(t[pos] >= 0 && "SortTuples needs ground TermIds");
+      const uint32_t v = static_cast<uint32_t>(t[pos]);
+      uint32_t* c = counts.data() + pos * kDigits * 256;
+      for (size_t d = 0; d < kDigits; ++d) ++c[d * 256 + ((v >> (8 * d)) & 255)];
+    }
+  }
+  scratch->resize(n * width);
+  TermId* src = data;
+  TermId* dst = scratch->data();
+  for (size_t pos = key; pos-- > 0;) {
+    for (size_t d = 0; d < kDigits; ++d) {
+      uint32_t* c = counts.data() + (pos * kDigits + d) * 256;
+      const size_t shift = 8 * d;
+      auto digit = [&](const TermId* t) {
+        return (static_cast<uint32_t>(t[pos]) >> shift) & 255;
+      };
+      if (c[digit(src)] == n) continue;  // every record shares this digit
+      uint32_t at = 0;
+      for (size_t b = 0; b < 256; ++b) at += std::exchange(c[b], at);
+      for (const TermId* t = src; t != src + n * width; t += width) {
+        std::copy_n(t, width, dst + static_cast<size_t>(c[digit(t)]++) * width);
+      }
+      std::swap(src, dst);
+    }
+  }
+  if (src != data) std::copy_n(src, n * width, data);
+}
+
+size_t Structure::AppendRows(PredId pred, const TermId* data, size_t n) {
   assert(pred >= 0 && pred < sig_->num_predicates());
+  if (n == 0) return 0;
   if (static_cast<size_t>(pred) >= relations_.size()) {
     relations_.resize(pred + 1);
   }
   Relation& rel = relations_[pred];
-  if (rel.tuple_slots.empty()) {  // first fact: fix the layout
+  if (rel.tuple_slots.empty()) {  // first insert: fix the layout
     rel.arity = sig_->arity(pred);
     rel.postings.resize(rel.arity);
   }
-  assert(static_cast<int>(n) == rel.arity);
-  if (static_cast<int>(n) != rel.arity) return false;
+  const size_t arity = static_cast<size_t>(rel.arity);
+  const uint32_t first = rel.rows;
 
-  ReserveSlot(&rel.tuple_slots, rel.rows, [&rel](uint32_t r) {
+  // Rows: one reservation of the tuple table for the whole batch, then
+  // one probe per tuple; a new tuple's row is readable at once, so a
+  // repeat later in the batch finds it.
+  oa::ReserveSlot(&rel.tuple_slots, rel.rows, n, [&rel](uint32_t r) {
     return HashTuple(rel.Row(r), rel.arity);
   });
-  const size_t slot =
-      Probe(rel.tuple_slots, HashTuple(args, n),
-            [&](uint32_t r) { return std::equal(args, args + n, rel.Row(r)); });
-  if (rel.tuple_slots[slot] != kEmptySlot) return false;
-  // New, so `args` cannot alias this arena: appending is safe.
-  const uint32_t row = rel.rows++;
-  rel.tuple_slots[slot] = row;
-  rel.data.insert(rel.data.end(), args, args + n);
-  for (size_t pos = 0; pos < n; ++pos) {
-    const TermId v = args[pos];
-    assert(IsConst(v));
-    PostingIndex& ix = rel.postings[pos];
-    ReserveSlot(&ix.slots, ix.values.size(),
-                [&ix](uint32_t id) { return HashValue(ix.values[id]); });
-    const size_t vslot = Probe(ix.slots, HashValue(v),
-                               [&ix, v](uint32_t id) { return ix.values[id] == v; });
-    if (ix.slots[vslot] == kEmptySlot) {
-      ix.slots[vslot] = static_cast<uint32_t>(ix.values.size());
-      ix.values.push_back(v);
-      ix.lists.emplace_back();
+  for (size_t i = 0; i < n; ++i) {
+    const TermId* t = data + i * arity;
+    const size_t slot =
+        oa::Probe(rel.tuple_slots, HashTuple(t, arity), [&](uint32_t r) {
+          return std::equal(t, t + arity, rel.Row(r));
+        });
+    if (rel.tuple_slots[slot] != kEmptySlot) continue;
+    // New, so `t` cannot point into this arena, and neither can the rest
+    // of the batch: growing the arena here leaves `data` valid. Growth is
+    // geometric, so one-row calls stay amortized O(1).
+    if (rel.data.capacity() < rel.data.size() + arity) {
+      rel.data.reserve(std::max(rel.data.size() + (n - i) * arity,
+                                2 * rel.data.capacity()));
     }
-    ix.lists[ix.slots[vslot]].push_back(row);
-    AddDomainElement(v);
+    rel.tuple_slots[slot] = rel.rows++;
+    rel.data.insert(rel.data.end(), t, t + arity);
   }
-  ++num_facts_;
-  if (accountant_ != nullptr) accountant_->Charge(ApproxFactBytes(n));
-  return true;
+  const uint32_t added = rel.rows - first;
+  if (added == 0) return 0;
+
+  // Postings, one position at a time. Consecutive rows often share a
+  // value at a position (a sorted run's first column does), and then
+  // share its list without a probe.
+  for (size_t pos = 0; pos < arity; ++pos) {
+    PostingIndex& ix = rel.postings[pos];
+    TermId last = -1;
+    std::vector<uint32_t>* list = nullptr;
+    for (uint32_t row = first; row < rel.rows; ++row) {
+      const TermId v = rel.Row(row)[pos];
+      if (list == nullptr || v != last) {
+        oa::ReserveSlot(&ix.slots, ix.values.size(), 1, [&ix](uint32_t id) {
+          return HashValue(ix.values[id]);
+        });
+        const size_t vslot =
+            oa::Probe(ix.slots, HashValue(v),
+                      [&ix, v](uint32_t id) { return ix.values[id] == v; });
+        if (ix.slots[vslot] == kEmptySlot) {
+          ix.slots[vslot] = static_cast<uint32_t>(ix.values.size());
+          ix.values.push_back(v);
+          ix.lists.emplace_back();
+        }
+        list = &ix.lists[ix.slots[vslot]];
+        last = v;
+      }
+      list->push_back(row);
+    }
+  }
+  // Domain: the new rows' values in (row, position) order.
+  for (const TermId* c = rel.Row(first); c != rel.Row(rel.rows); ++c) {
+    AddDomainElement(*c);
+  }
+  num_facts_ += added;
+  if (accountant_ != nullptr) {
+    accountant_->Charge(added * ApproxFactBytes(arity));
+  }
+  return added;
+}
+
+bool Structure::AddFact(PredId pred, const TermId* args, size_t n) {
+  assert(pred >= 0 && pred < sig_->num_predicates());
+  assert(static_cast<int>(n) == sig_->arity(pred));
+  if (static_cast<int>(n) != sig_->arity(pred)) return false;
+  return AppendRows(pred, args, 1) == 1;
 }
 
 size_t Structure::ApproxAccountedBytes() const {
@@ -130,7 +176,7 @@ uint32_t Structure::FindRow(PredId pred, TupleRef args) const {
       args.size() != static_cast<size_t>(rel->arity)) {
     return kNoRow;
   }
-  return rel->tuple_slots[Probe(
+  return rel->tuple_slots[oa::Probe(
       rel->tuple_slots, HashTuple(args.data(), args.size()), [&](uint32_t r) {
         return std::equal(args.begin(), args.end(), rel->Row(r));
       })];
@@ -155,7 +201,7 @@ const std::vector<uint32_t>* Structure::Postings(PredId pred, int pos,
     return nullptr;
   }
   const PostingIndex& ix = rel->postings[pos];
-  const uint32_t id = ix.slots[Probe(
+  const uint32_t id = ix.slots[oa::Probe(
       ix.slots, HashValue(value),
       [&ix, value](uint32_t i) { return ix.values[i] == value; })];
   return id == kEmptySlot ? nullptr : &ix.lists[id];
@@ -225,9 +271,12 @@ size_t Structure::ContainsSorted(PredId pred, size_t arity,
 }
 
 void Structure::RefreshIndexes() {
+  std::vector<TermId> records;  // (tuple, row id) per suffix row, flat
+  std::vector<TermId> scratch;
   for (Relation& rel : relations_) {
     const uint32_t n = rel.rows;
-    if (rel.sorted_rows == n) continue;
+    const uint32_t old = rel.sorted_rows;
+    if (old == n) continue;
     auto tuple_less = [&rel](uint32_t a, uint32_t b) {
       const TermId* x = rel.Row(a);
       const TermId* y = rel.Row(b);
@@ -237,10 +286,31 @@ void Structure::RefreshIndexes() {
       return false;
     };
     std::vector<uint32_t>& idx = rel.sorted;
-    const size_t old = idx.size();
-    for (uint32_t r = rel.sorted_rows; r < n; ++r) idx.push_back(r);
-    std::sort(idx.begin() + old, idx.end(), tuple_less);
-    std::inplace_merge(idx.begin(), idx.begin() + old, idx.end(), tuple_less);
+    bool in_order = true;  // the suffix arrived as a sorted run
+    for (uint32_t r = old + 1; r < n && in_order; ++r) {
+      in_order = tuple_less(r - 1, r);
+    }
+    if (in_order) {
+      for (uint32_t r = old; r < n; ++r) idx.push_back(r);
+    } else {
+      const size_t arity = static_cast<size_t>(rel.arity);
+      const size_t width = arity + 1;
+      records.resize(static_cast<size_t>(n - old) * width);
+      TermId* rec = records.data();
+      for (uint32_t r = old; r < n; ++r, rec += width) {
+        std::copy_n(rel.Row(r), arity, rec);
+        rec[arity] = static_cast<TermId>(r);
+      }
+      SortTuples(records.data(), n - old, width, arity, &scratch);
+      for (size_t i = 0; i < n - old; ++i) {
+        idx.push_back(static_cast<uint32_t>(records[i * width + arity]));
+      }
+    }
+    // Merge only when the suffix does not sort after every indexed row.
+    if (old > 0 && tuple_less(idx[old], idx[old - 1])) {
+      std::inplace_merge(idx.begin(), idx.begin() + old, idx.end(),
+                         tuple_less);
+    }
     rel.sorted_rows = n;
   }
 }

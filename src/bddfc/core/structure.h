@@ -12,22 +12,25 @@
 //   * an exact-tuple table — open addressing over row ids (no key
 //     copies), probed with a hash of the tuple read from the arena;
 //   * postings — per position, an open-addressing value index into a
-//     vector of posting lists (ascending row ids), maintained inside
-//     AddFact, always current, probed by the interpretive Matcher and the
-//     plan executor;
+//     vector of posting lists (ascending row ids), maintained on insert,
+//     always current, probed by the interpretive Matcher and the plan
+//     executor;
 //   * one sorted index — row ids in whole-tuple order, built on the first
 //     RefreshIndexes() call and extended incrementally by later calls,
 //     read only by the round sink's bulk containment (ContainsSorted).
 //     RefreshIndexes is NOT thread-safe against readers: engines call it
 //     only at round boundaries, the single-threaded point of a chase.
 //
-// Both hash tables share one probing routine (linear probing, power-of-two
-// capacity, load at most 1/2). Rows are read through views of the arena —
-// TupleRef for one tuple, RowsView for a relation. A view, a Postings()
-// pointer, and anything derived from them are invalidated by AddFact on
-// the same predicate (the arena or a list may reallocate). Adding facts to
-// other predicates leaves them valid, even when the relation table grows:
-// a relation moves without copying its arena.
+// Facts enter through one routine, AppendRows, which takes a batch of
+// tuples of one predicate; AddFact is its one-row case. Both hash tables
+// use the shared probing routine of base/open_addressing.h (linear
+// probing, power-of-two capacity, load at most 1/2). Rows are read through
+// views of the arena — TupleRef for one tuple, RowsView for a relation. A
+// view, a Postings() pointer, and anything derived from them are
+// invalidated by an insert on the same predicate (the arena or a list may
+// reallocate). Inserting into other predicates leaves them valid, even
+// when the relation table grows: a relation moves without copying its
+// arena.
 
 #ifndef BDDFC_CORE_STRUCTURE_H_
 #define BDDFC_CORE_STRUCTURE_H_
@@ -92,7 +95,7 @@ class TupleRef : public std::span<const TermId> {
 
 /// The rows of one relation, append-ordered: size() tuples of arity()
 /// TermIds read row-major from the relation's arena. Indexing and
-/// iteration yield TupleRefs. Invalidated by AddFact on the same
+/// iteration yield TupleRefs. Invalidated by an insert into the same
 /// predicate (see the file comment).
 class RowsView {
  public:
@@ -154,6 +157,18 @@ class RowsView {
   size_t rows_ = 0;
 };
 
+/// Sorts `n` flat records of `width` TermIds at `data` in place, ascending
+/// in the lexicographic order of their first `key` TermIds: an LSD radix
+/// sort over 8-bit digits, last key position first, that skips every digit
+/// on which all records agree. Stable, comparator-free, O(n * width), one
+/// code path for every width. The key TermIds must be ground
+/// (non-negative), so the unsigned digit order is the signed order; the
+/// other `width - key` TermIds ride along unread. `scratch` is resized to
+/// n * width and reused. The round sink sorts tuples with it (key equal to
+/// width); RefreshIndexes sorts (tuple, row id) records.
+void SortTuples(TermId* data, size_t n, size_t width, size_t key,
+                std::vector<TermId>* scratch);
+
 /// A finite relational structure over a shared Signature.
 class Structure {
  public:
@@ -163,10 +178,23 @@ class Structure {
   const Signature& sig() const { return *sig_; }
   Signature& mutable_sig() { return *sig_; }
 
+  /// Appends `n` ground tuples of `pred`, row-major at `data` (n times
+  /// arity(pred) TermIds), and returns how many were new. The result —
+  /// rows and their order, postings, Domain() order, NumFacts() and the
+  /// accountant's used and peak bytes — equals that of n AddFact calls in
+  /// order: a tuple already stored, or repeated within the batch, is
+  /// skipped, and the new rows' values join Domain() in (row, position)
+  /// order. The cost is one table reservation for the batch, the posting
+  /// lists filled one position at a time and one accountant charge.
+  /// Precondition: every value is a constant known to the signature.
+  /// `data` may point into this structure's own rows: those tuples are
+  /// stored, so they are skipped before anything grows.
+  size_t AppendRows(PredId pred, const TermId* data, size_t n);
+
   /// Inserts a ground fact of `n` arguments; returns true iff it was new.
-  /// Preconditions: all args are constants known to the signature and `n`
-  /// equals the arity (checked by assert in debug builds; a tuple of the
-  /// wrong length is never stored).
+  /// The one-row case of AppendRows. Preconditions: all args are constants
+  /// known to the signature and `n` equals the arity (checked by assert in
+  /// debug builds; a tuple of the wrong length is never stored).
   bool AddFact(PredId pred, const TermId* args, size_t n);
   bool AddFact(PredId pred, TupleRef args) {
     return AddFact(pred, args.data(), args.size());
@@ -181,8 +209,8 @@ class Structure {
   /// Registers a constant as a domain element even if it occurs in no fact.
   void AddDomainElement(TermId c);
 
-  /// Attaches a memory accountant: every subsequent successful AddFact
-  /// charges ApproxFactBytes(arity) to it. The accountant is run-scoped
+  /// Attaches a memory accountant: every subsequent new fact charges
+  /// ApproxFactBytes(arity) to it. The accountant is run-scoped
   /// state, not part of the structure's value — engines attach it for the
   /// duration of a governed run and detach (nullptr) before returning, so
   /// results never carry dangling accountant pointers.
@@ -230,14 +258,14 @@ class Structure {
   uint32_t FindRow(PredId pred, TupleRef args) const;
 
   /// All rows of `pred` (each row is one ground tuple), append-ordered.
-  /// Invalidated by AddFact on `pred` — callers that scan while deriving
+  /// Invalidated by an insert into `pred` — callers that scan while deriving
   /// (the chase does, inside match callbacks) must buffer additions and
   /// apply them between rounds.
   RowsView Rows(PredId pred) const;
 
   /// Posting list of rows of `pred` whose argument `pos` equals `value`,
   /// ascending, or nullptr when empty (including for a position outside
-  /// [0, arity)). Invalidated by AddFact on `pred`.
+  /// [0, arity)). Invalidated by an insert into `pred`.
   const std::vector<uint32_t>* Postings(PredId pred, int pos,
                                         TermId value) const;
 
@@ -265,7 +293,10 @@ class Structure {
 
   /// Builds (first call) or incrementally extends (later calls) each
   /// relation's sorted index: new rows are sorted by tuple and merged into
-  /// the existing run. Not thread-safe against concurrent readers — call
+  /// the existing run. A suffix appended in tuple order (a sorted run)
+  /// skips the sort, one that sorts after every indexed row skips the
+  /// merge, and any other suffix is radix-sorted (SortTuples). Not
+  /// thread-safe against concurrent readers — call
   /// only at round boundaries or before handing the structure to parallel
   /// scans. Without it ContainsSorted answers through the hash lookup.
   void RefreshIndexes();

@@ -24,9 +24,11 @@ namespace {
 /// (drops colors, hidden-query and normalization auxiliaries).
 Structure ProjectToOriginal(const Structure& s, int num_original) {
   Structure out(s.signature_ptr());
-  s.ForEachFact([&](PredId p, TupleRef row) {
-    if (p < num_original) out.AddFact(p, row);
-  });
+  const PredId end = std::min(num_original, s.NumStoredPredicates());
+  for (PredId p = 0; p < end; ++p) {
+    const RowsView rows = s.Rows(p);
+    out.AppendRows(p, rows.data(), rows.size());
+  }
   for (TermId e : s.Domain()) out.AddDomainElement(e);
   return out;
 }

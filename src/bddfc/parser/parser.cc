@@ -1,10 +1,13 @@
 #include "bddfc/parser/parser.h"
 
+#include <algorithm>
 #include <cctype>
+#include <deque>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 
 #include "bddfc/base/faults.h"
+#include "bddfc/obs/trace.h"
 
 namespace bddfc {
 
@@ -23,22 +26,28 @@ enum class TokKind {
   kQuery,     // ?-
   kExists,    // keyword 'exists'
   kEnd,
+  kError,     // lexical error; the lexer keeps its status
 };
 
+/// One token. `text` views the input, or the lexer's side buffer for a
+/// quoted name with escapes; either stays valid for the whole parse.
 struct Token {
-  TokKind kind;
-  std::string text;
+  TokKind kind = TokKind::kEnd;
+  std::string_view text;
   int line = 0;
 };
 
+/// Pull lexer: each Lex() call scans one token, so no token vector is
+/// built. After a lexical error every call returns kError and error()
+/// holds the message.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) {}
 
-  Result<std::vector<Token>> Run() {
-    std::vector<Token> out;
+  Token Lex() {
+    if (!error_.ok()) return {TokKind::kError, {}, line_};
     while (pos_ < text_.size()) {
-      char c = text_[pos_];
+      const char c = text_[pos_];
       if (c == '\n') {
         ++line_;
         ++pos_;
@@ -52,209 +61,296 @@ class Lexer {
         while (pos_ < text_.size() && text_[pos_] != '\n') ++pos_;
         continue;
       }
-      if (c == ',') {
-        out.push_back({TokKind::kComma, ",", line_});
-        ++pos_;
-        continue;
-      }
-      if (c == '(') {
-        out.push_back({TokKind::kLParen, "(", line_});
-        ++pos_;
-        continue;
-      }
-      if (c == ')') {
-        out.push_back({TokKind::kRParen, ")", line_});
-        ++pos_;
-        continue;
-      }
-      if (c == '.') {
-        out.push_back({TokKind::kPeriod, ".", line_});
-        ++pos_;
-        continue;
-      }
-      if (c == ':') {
-        ++pos_;
-        if (pos_ < text_.size() && text_[pos_] == '-') {
-          // Prolog-style rule arrow is not supported to avoid ambiguity
-          // with facts; keep ':' for the exists clause.
-          return Status::InvalidArgument("line " + std::to_string(line_) +
-                                         ": ':-' is not supported; use '->'");
-        }
-        out.push_back({TokKind::kColon, ":", line_});
-        continue;
-      }
-      if (c == '-' || c == '=') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
-          out.push_back({TokKind::kArrow, "->", line_});
-          pos_ += 2;
-          continue;
-        }
-        return Status::InvalidArgument("line " + std::to_string(line_) +
-                                       ": stray '" + std::string(1, c) + "'");
-      }
-      if (c == '?') {
-        if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
-          out.push_back({TokKind::kQuery, "?-", line_});
-          pos_ += 2;
-          continue;
-        }
-        return Status::InvalidArgument("line " + std::to_string(line_) +
-                                       ": stray '?'");
-      }
-      if (c == '"') {
-        // Quoted name: any symbol whose spelling would not lex as a plain
-        // lowercase identifier (uppercase-leading constants, 'exists', …).
-        // Escapes: \" and \\.
-        ++pos_;
-        std::string name;
-        bool closed = false;
-        while (pos_ < text_.size()) {
-          char q = text_[pos_];
-          if (q == '"') {
-            ++pos_;
-            closed = true;
-            break;
-          }
-          if (q == '\\' && pos_ + 1 < text_.size() &&
-              (text_[pos_ + 1] == '"' || text_[pos_ + 1] == '\\')) {
-            name += text_[pos_ + 1];
-            pos_ += 2;
-            continue;
-          }
-          if (q == '\n') break;  // unterminated on this line
-          name += q;
+      const std::string_view one = text_.substr(pos_, 1);
+      switch (c) {
+        case ',':
           ++pos_;
-        }
-        if (!closed) {
-          return Status::InvalidArgument("line " + std::to_string(line_) +
-                                         ": unterminated quoted name");
-        }
-        if (name.empty()) {
-          return Status::InvalidArgument("line " + std::to_string(line_) +
-                                         ": empty quoted name");
-        }
-        out.push_back({TokKind::kQuoted, std::move(name), line_});
-        continue;
+          return {TokKind::kComma, one, line_};
+        case '(':
+          ++pos_;
+          return {TokKind::kLParen, one, line_};
+        case ')':
+          ++pos_;
+          return {TokKind::kRParen, one, line_};
+        case '.':
+          ++pos_;
+          return {TokKind::kPeriod, one, line_};
+        case ':':
+          ++pos_;
+          if (pos_ < text_.size() && text_[pos_] == '-') {
+            // Prolog-style rule arrow is not supported to avoid ambiguity
+            // with facts; keep ':' for the exists clause.
+            return Fail("':-' is not supported; use '->'");
+          }
+          return {TokKind::kColon, one, line_};
+        case '-':
+        case '=':
+          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '>') {
+            pos_ += 2;
+            return {TokKind::kArrow, "->", line_};
+          }
+          return Fail("stray '" + std::string(1, c) + "'");
+        case '?':
+          if (pos_ + 1 < text_.size() && text_[pos_ + 1] == '-') {
+            pos_ += 2;
+            return {TokKind::kQuery, "?-", line_};
+          }
+          return Fail("stray '?'");
+        case '"':
+          return LexQuoted();
+        default:
+          break;
       }
       if (std::isalnum(static_cast<unsigned char>(c)) || c == '_') {
-        size_t start = pos_;
+        const size_t start = pos_;
         while (pos_ < text_.size() &&
                (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
                 text_[pos_] == '_' || text_[pos_] == '\'')) {
           ++pos_;
         }
-        std::string word(text_.substr(start, pos_ - start));
-        if (word == "exists") {
-          out.push_back({TokKind::kExists, word, line_});
-        } else if (std::isupper(static_cast<unsigned char>(word[0]))) {
-          out.push_back({TokKind::kVariable, word, line_});
-        } else {
-          out.push_back({TokKind::kIdent, word, line_});
+        const std::string_view word = text_.substr(start, pos_ - start);
+        if (word == "exists") return {TokKind::kExists, word, line_};
+        if (std::isupper(static_cast<unsigned char>(word[0]))) {
+          return {TokKind::kVariable, word, line_};
         }
-        continue;
+        return {TokKind::kIdent, word, line_};
       }
-      return Status::InvalidArgument("line " + std::to_string(line_) +
-                                     ": unexpected character '" +
-                                     std::string(1, c) + "'");
+      return Fail("unexpected character '" + std::string(1, c) + "'");
     }
-    out.push_back({TokKind::kEnd, "", line_});
-    return out;
+    return {TokKind::kEnd, {}, line_};
+  }
+
+  /// Lexes the rest of the input and returns its first lexical error (OK
+  /// when there is none). A failed parse reports that error rather than
+  /// its own, exactly as if the whole input had been lexed first.
+  Status Drain() {
+    while (true) {
+      const TokKind kind = Lex().kind;
+      if (kind == TokKind::kEnd) return Status::OK();
+      if (kind == TokKind::kError) return error_;
+    }
   }
 
  private:
+  Token Fail(const std::string& what) {
+    error_ = Status::InvalidArgument("line " + std::to_string(line_) + ": " +
+                                     what);
+    return {TokKind::kError, {}, line_};
+  }
+
+  /// Quoted name: any symbol whose spelling would not lex as a plain
+  /// lowercase identifier (uppercase-leading constants, 'exists', …).
+  /// Escapes: \" and \\. A name without escapes is a view of the input;
+  /// one with escapes is decoded into the side buffer.
+  Token LexQuoted() {
+    ++pos_;  // opening quote
+    const size_t start = pos_;
+    bool escaped = false;
+    bool closed = false;
+    while (pos_ < text_.size()) {
+      const char q = text_[pos_];
+      if (q == '"') {
+        closed = true;
+        break;
+      }
+      if (q == '\\' && pos_ + 1 < text_.size() &&
+          (text_[pos_ + 1] == '"' || text_[pos_ + 1] == '\\')) {
+        escaped = true;
+        pos_ += 2;
+        continue;
+      }
+      if (q == '\n') break;  // unterminated on this line
+      ++pos_;
+    }
+    if (!closed) return Fail("unterminated quoted name");
+    const std::string_view raw = text_.substr(start, pos_ - start);
+    ++pos_;  // closing quote
+    if (raw.empty()) return Fail("empty quoted name");
+    if (!escaped) return {TokKind::kQuoted, raw, line_};
+    std::string& name = decoded_.emplace_back();
+    for (size_t i = 0; i < raw.size(); ++i) {
+      if (raw[i] == '\\' && i + 1 < raw.size() &&
+          (raw[i + 1] == '"' || raw[i + 1] == '\\')) {
+        ++i;
+      }
+      name += raw[i];
+    }
+    return {TokKind::kQuoted, name, line_};
+  }
+
   std::string_view text_;
   size_t pos_ = 0;
   int line_ = 1;
+  Status error_;
+  /// Decoded quoted names with escapes; a deque, so tokens viewing earlier
+  /// entries stay valid as it grows.
+  std::deque<std::string> decoded_;
 };
 
-/// Recursive-descent parser over the token stream.
+/// Recursive-descent parser pulling tokens from the lexer with one token
+/// of lookahead (Peek). A statement's atoms are parsed into flat reused
+/// buffers and become Atoms only for a rule or a query; a fact's cells go
+/// straight to a per-predicate buffer that ParseProgram appends to the
+/// instance in one batch per predicate.
 class Parser {
  public:
-  Parser(std::vector<Token> toks, Signature* sig, int32_t* next_var)
-      : toks_(std::move(toks)), sig_(sig), next_var_(next_var) {}
+  Parser(std::string_view text, Signature* sig, int32_t* next_var)
+      : lexer_(text), sig_(sig), next_var_(next_var) {
+    tok_ = lexer_.Lex();
+  }
 
-  const Token& Peek() const { return toks_[idx_]; }
-  Token Next() { return toks_[idx_++]; }
+  const Token& Peek() const { return tok_; }
+  Token Next() { return std::exchange(tok_, lexer_.Lex()); }
   bool Accept(TokKind k) {
-    if (Peek().kind == k) {
-      ++idx_;
-      return true;
-    }
-    return false;
+    if (tok_.kind != k) return false;
+    tok_ = lexer_.Lex();
+    return true;
   }
   Status Expect(TokKind k, const char* what) {
     if (!Accept(k)) {
       return Status::InvalidArgument("line " + std::to_string(Peek().line) +
                                      ": expected " + what + ", got '" +
-                                     Peek().text + "'");
+                                     std::string(Peek().text) + "'");
     }
     return Status::OK();
   }
 
+  /// The status a failed parse reports: the input's first lexical error
+  /// if it has one anywhere, else `parse_error`.
+  Status Fail(Status parse_error) {
+    Status lexical = lexer_.Drain();
+    return lexical.ok() ? parse_error : lexical;
+  }
+
+  /// Parses every statement into `program`, then appends the buffered
+  /// facts to its instance.
+  Status ParseAll(Program* program) {
+    while (tok_.kind != TokKind::kEnd) {
+      Status s = ParseStatement(program);
+      if (!s.ok()) return Fail(std::move(s));
+    }
+    for (PredId p = 0; p < static_cast<PredId>(facts_.size()); ++p) {
+      PendingFacts& f = facts_[p];
+      if (f.rows == 0) continue;
+      program->instance.AppendRows(p, f.cells.data(), f.rows);
+      f = PendingFacts();
+    }
+    return Status::OK();
+  }
+
+  /// A query body: an atom list, one optional '.', then end of input.
+  Result<ConjunctiveQuery> ParseQueryBody() {
+    Status s = ParseAtomList();
+    if (s.ok()) {
+      Accept(TokKind::kPeriod);
+      if (Peek().kind != TokKind::kEnd) {
+        s = Status::InvalidArgument(
+            "line " + std::to_string(Peek().line) +
+            ": expected end of query, got '" + std::string(Peek().text) +
+            "'");
+      }
+    }
+    if (!s.ok()) return Fail(std::move(s));
+    return ConjunctiveQuery(MakeAtoms(0, atoms_.size()));
+  }
+
+ private:
+  /// One parsed atom of the current statement; its arguments are
+  /// cells_[begin, begin + arity).
+  struct FlatAtom {
+    PredId pred;
+    size_t begin;
+    size_t arity;
+  };
+
+  /// The facts of one predicate, in input order, not yet in the instance.
+  struct PendingFacts {
+    std::vector<TermId> cells;
+    size_t rows = 0;
+  };
+
   /// Parses a term; variables scope over the current statement.
   Result<TermId> ParseTerm() {
-    Token t = Next();
+    const Token t = Next();
     if (t.kind == TokKind::kVariable) {
-      auto it = var_scope_.find(t.text);
-      if (it != var_scope_.end()) return it->second;
-      TermId v = MakeVar((*next_var_)++);
-      var_scope_.emplace(t.text, v);
+      for (const auto& [name, v] : var_scope_) {
+        if (name == t.text) return v;
+      }
+      const TermId v = MakeVar((*next_var_)++);
+      var_scope_.emplace_back(t.text, v);
       return v;
     }
     if (t.kind == TokKind::kIdent || t.kind == TokKind::kQuoted) {
       return sig_->AddConstant(t.text);
     }
     return Status::InvalidArgument("line " + std::to_string(t.line) +
-                                   ": expected term, got '" + t.text + "'");
+                                   ": expected term, got '" +
+                                   std::string(t.text) + "'");
   }
 
-  Result<Atom> ParseAtom() {
-    Token name = Next();
+  /// Parses one atom onto atoms_/cells_. The predicate is interned after
+  /// its arguments (its arity is their count); its name token stays valid
+  /// meanwhile because token text never moves.
+  Status ParseAtom() {
+    const Token name = Next();
     if (name.kind != TokKind::kIdent && name.kind != TokKind::kQuoted) {
       return Status::InvalidArgument("line " + std::to_string(name.line) +
                                      ": expected predicate name, got '" +
-                                     name.text + "'");
+                                     std::string(name.text) + "'");
     }
-    std::vector<TermId> args;
+    const size_t begin = cells_.size();
     if (Accept(TokKind::kLParen)) {
       if (!Accept(TokKind::kRParen)) {
         while (true) {
           BDDFC_ASSIGN_OR_RETURN(TermId t, ParseTerm());
-          args.push_back(t);
+          cells_.push_back(t);
           if (Accept(TokKind::kRParen)) break;
           BDDFC_RETURN_NOT_OK(Expect(TokKind::kComma, "',' or ')'"));
         }
       }
     }
+    const size_t arity = cells_.size() - begin;
     BDDFC_ASSIGN_OR_RETURN(
-        PredId p, sig_->AddPredicate(name.text, static_cast<int>(args.size())));
-    return Atom(p, std::move(args));
+        PredId p, sig_->AddPredicate(name.text, static_cast<int>(arity)));
+    atoms_.push_back({p, begin, arity});
+    return Status::OK();
   }
 
-  Result<std::vector<Atom>> ParseAtomList() {
-    std::vector<Atom> atoms;
-    while (true) {
-      BDDFC_ASSIGN_OR_RETURN(Atom a, ParseAtom());
-      atoms.push_back(std::move(a));
-      if (!Accept(TokKind::kComma)) break;
-    }
-    return atoms;
+  Status ParseAtomList() {
+    do {
+      BDDFC_RETURN_NOT_OK(ParseAtom());
+    } while (Accept(TokKind::kComma));
+    return Status::OK();
   }
 
-  /// Parses one statement into `program`. Returns false at end of input.
-  Result<bool> ParseStatement(Program* program) {
+  Atom MakeAtom(const FlatAtom& a) const {
+    const TermId* args = cells_.data() + a.begin;
+    return Atom(a.pred, std::vector<TermId>(args, args + a.arity));
+  }
+
+  std::vector<Atom> MakeAtoms(size_t from, size_t to) const {
+    std::vector<Atom> out;
+    out.reserve(to - from);
+    for (size_t i = from; i < to; ++i) out.push_back(MakeAtom(atoms_[i]));
+    return out;
+  }
+
+  /// Parses one statement into `program`.
+  Status ParseStatement(Program* program) {
     var_scope_.clear();
-    if (Peek().kind == TokKind::kEnd) return false;
+    atoms_.clear();
+    cells_.clear();
 
     if (Accept(TokKind::kQuery)) {
-      BDDFC_ASSIGN_OR_RETURN(std::vector<Atom> atoms, ParseAtomList());
+      BDDFC_RETURN_NOT_OK(ParseAtomList());
       BDDFC_RETURN_NOT_OK(Expect(TokKind::kPeriod, "'.'"));
-      program->queries.emplace_back(std::move(atoms));
-      return true;
+      program->queries.emplace_back(MakeAtoms(0, atoms_.size()));
+      return Status::OK();
     }
 
-    BDDFC_ASSIGN_OR_RETURN(std::vector<Atom> first, ParseAtomList());
+    BDDFC_RETURN_NOT_OK(ParseAtomList());
     if (Accept(TokKind::kArrow)) {
+      const size_t body_atoms = atoms_.size();
       // Rule. Optional 'exists V1, V2 :' clause before the head.
       std::vector<TermId> declared_existentials;
       if (Accept(TokKind::kExists)) {
@@ -270,9 +366,9 @@ class Parser {
         }
         BDDFC_RETURN_NOT_OK(Expect(TokKind::kColon, "':'"));
       }
-      BDDFC_ASSIGN_OR_RETURN(std::vector<Atom> head, ParseAtomList());
+      BDDFC_RETURN_NOT_OK(ParseAtomList());
       BDDFC_RETURN_NOT_OK(Expect(TokKind::kPeriod, "'.'"));
-      Rule rule(std::move(first), std::move(head));
+      Rule rule(MakeAtoms(0, body_atoms), MakeAtoms(body_atoms, atoms_.size()));
       // Sanity: declared existentials must indeed be existential.
       std::vector<TermId> body_vars = rule.BodyVariables();
       for (TermId v : declared_existentials) {
@@ -283,28 +379,39 @@ class Parser {
               rule.ToString(*sig_));
         }
       }
-      BDDFC_RETURN_NOT_OK(program->theory.AddRule(std::move(rule)));
-      return true;
+      return program->theory.AddRule(std::move(rule));
     }
 
-    // Fact list.
+    // Fact list: each fact's constants join the domain now, in input
+    // order; its cells wait in its predicate's buffer.
     BDDFC_RETURN_NOT_OK(Expect(TokKind::kPeriod, "'.' or '->'"));
-    for (const Atom& a : first) {
-      if (!a.IsGround()) {
+    for (const FlatAtom& a : atoms_) {
+      const TermId* args = cells_.data() + a.begin;
+      if (!std::all_of(args, args + a.arity, IsConst)) {
         return Status::InvalidArgument("fact is not ground: " +
-                                       a.ToString(*sig_));
+                                       MakeAtom(a).ToString(*sig_));
       }
-      program->instance.AddFact(a);
+      if (static_cast<size_t>(a.pred) >= facts_.size()) {
+        facts_.resize(a.pred + 1);
+      }
+      PendingFacts& f = facts_[a.pred];
+      f.cells.insert(f.cells.end(), args, args + a.arity);
+      ++f.rows;
+      for (const TermId* c = args; c != args + a.arity; ++c) {
+        program->instance.AddDomainElement(*c);
+      }
     }
-    return true;
+    return Status::OK();
   }
 
- private:
-  std::vector<Token> toks_;
-  size_t idx_ = 0;
+  Lexer lexer_;
+  Token tok_;  // the lookahead
   Signature* sig_;
   int32_t* next_var_;
-  std::unordered_map<std::string, TermId> var_scope_;
+  std::vector<std::pair<std::string_view, TermId>> var_scope_;
+  std::vector<FlatAtom> atoms_;
+  std::vector<TermId> cells_;
+  std::vector<PendingFacts> facts_;  // indexed by PredId
 };
 
 }  // namespace
@@ -318,26 +425,23 @@ Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
       faults->Hit(faults::kParserParse).fired) {
     return Status(StatusCode::kInternal, "injected fault at parser.parse");
   }
+  obs::TraceSpan span("parser.parse");
   if (sig == nullptr) sig = std::make_shared<Signature>();
-  BDDFC_ASSIGN_OR_RETURN(std::vector<Token> toks, Lexer(text).Run());
   Program program(sig);
   int32_t next_var = 0;
-  Parser parser(std::move(toks), sig.get(), &next_var);
-  while (true) {
-    BDDFC_ASSIGN_OR_RETURN(bool more, parser.ParseStatement(&program));
-    if (!more) break;
+  Parser parser(text, sig.get(), &next_var);
+  BDDFC_RETURN_NOT_OK(parser.ParseAll(&program));
+  if (span.id() != 0) {
+    span.set_detail("b" + std::to_string(text.size()) + " f" +
+                    std::to_string(program.instance.NumFacts()) + " r" +
+                    std::to_string(program.theory.size()));
   }
   return program;
 }
 
 Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig,
                                     int32_t* next_var) {
-  BDDFC_ASSIGN_OR_RETURN(std::vector<Token> toks,
-                         Lexer(std::string(text) + " .").Run());
-  Parser parser(std::move(toks), sig, next_var);
-  // Reuse the statement machinery by parsing an atom list directly.
-  BDDFC_ASSIGN_OR_RETURN(std::vector<Atom> atoms, parser.ParseAtomList());
-  return ConjunctiveQuery(std::move(atoms));
+  return Parser(text, sig, next_var).ParseQueryBody();
 }
 
 Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig) {

@@ -10,8 +10,10 @@ Quotient BuildQuotient(const Structure& c, const TypePartition& partition) {
   assert(partition.elements.size() == partition.class_id.size());
 
   // Assign one quotient element per class: the named constant itself for
-  // singleton constant classes, a fresh null otherwise.
+  // singleton constant classes, a fresh null otherwise. `image_of` is q_n
+  // as a dense array over C's elements, for the fact images below.
   std::vector<TermId> class_elem(partition.num_classes, -1);
+  std::vector<TermId> image_of;
   for (size_t i = 0; i < partition.elements.size(); ++i) {
     TermId e = partition.elements[i];
     int cls = partition.class_id[i];
@@ -27,19 +29,24 @@ Quotient BuildQuotient(const Structure& c, const TypePartition& partition) {
              "named constants must form singleton classes");
     }
     out.projection.emplace(e, class_elem[cls]);
+    if (static_cast<size_t>(e) >= image_of.size()) image_of.resize(e + 1, -1);
+    image_of[e] = class_elem[cls];
   }
 
-  // Relations: images of C's facts under the projection (joint witnesses).
-  c.ForEachFact([&](PredId p, TupleRef row) {
-    std::vector<TermId> image;
-    image.reserve(row.size());
-    for (TermId t : row) {
-      auto it = out.projection.find(t);
-      assert(it != out.projection.end());
-      image.push_back(it->second);
+  // Relations: images of C's facts under the projection (joint
+  // witnesses), one batch per relation in ascending predicate order, so
+  // rows and Domain() order are those of one AddFact per fact.
+  std::vector<TermId> image;
+  for (PredId p = 0; p < c.NumStoredPredicates(); ++p) {
+    const RowsView rows = c.Rows(p);
+    image.resize(rows.size() * rows.arity());
+    for (size_t i = 0; i < image.size(); ++i) {
+      const TermId t = rows.data()[i];
+      assert(static_cast<size_t>(t) < image_of.size() && image_of[t] >= 0);
+      image[i] = image_of[t];
     }
-    out.structure.AddFact(p, image);
-  });
+    out.structure.AppendRows(p, image.data(), rows.size());
+  }
   // Classes of isolated elements still become domain elements.
   for (TermId e : class_elem) out.structure.AddDomainElement(e);
   return out;

@@ -119,6 +119,49 @@ TEST(InternerTest, SurvivesManyInsertions) {
   }
 }
 
+TEST(InternerTest, FindInternsNothing) {
+  Interner in;
+  EXPECT_EQ(in.Find("alpha"), -1);
+  EXPECT_EQ(in.size(), 0);
+  bool inserted = false;
+  EXPECT_EQ(in.Intern("alpha", &inserted), 0);
+  EXPECT_TRUE(inserted);
+  EXPECT_EQ(in.Intern("alpha", &inserted), 0);
+  EXPECT_FALSE(inserted);
+  EXPECT_EQ(in.Find("beta"), -1);
+  EXPECT_FALSE(in.Contains("beta"));
+  EXPECT_EQ(in.size(), 1);
+}
+
+TEST(InternerTest, TruncateAcrossTableGrowthRestoresEveryId) {
+  Interner in;
+  for (int i = 0; i < 5; ++i) in.Intern("keep" + std::to_string(i));
+  // Past the mark, enough names to double the table several times.
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(in.Intern("s" + std::to_string(i)), 5 + i);
+  }
+  in.TruncateTo(5);
+  EXPECT_EQ(in.size(), 5);
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(in.Find("s" + std::to_string(i)), -1) << i;
+  }
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(in.Find("keep" + std::to_string(i)), i);
+  }
+  // Re-interning in another order hands out the freed ids in that order.
+  for (int i = 999; i >= 0; --i) {
+    EXPECT_EQ(in.Intern("s" + std::to_string(i)), 5 + (999 - i));
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(in.NameOf(in.Find("s" + std::to_string(i))),
+              "s" + std::to_string(i));
+  }
+  in.TruncateTo(0);
+  EXPECT_EQ(in.size(), 0);
+  EXPECT_EQ(in.Find("keep0"), -1);
+  EXPECT_EQ(in.Intern("keep0"), 0);
+}
+
 TEST(HashTest, HashRangeIsOrderSensitive) {
   std::vector<int> a = {1, 2, 3};
   std::vector<int> b = {3, 2, 1};

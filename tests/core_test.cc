@@ -74,6 +74,51 @@ TEST(SignatureTest, ConstantsAndNullsAreDistinguished) {
   EXPECT_NE(sig.AddNull(), n);
 }
 
+TEST(SignatureTest, NullNamesSkipDeclaredConstants) {
+  Signature sig;
+  const TermId declared = sig.AddConstant("_n0");
+  const TermId first = sig.AddNull();
+  EXPECT_EQ(sig.ConstantName(first), "_n1");
+  EXPECT_EQ(sig.ConstantName(sig.AddNull()), "_n2");
+  EXPECT_EQ(sig.ConstantName(sig.AddNull("q")), "_q3");
+  EXPECT_FALSE(sig.IsNull(declared));
+  EXPECT_TRUE(sig.IsNull(first));
+  EXPECT_EQ(sig.num_constants(), 4);
+}
+
+TEST(SignatureTest, RollbackAcrossTableGrowthRestoresIdsAndNames) {
+  Signature sig;
+  const TermId a = sig.AddConstant("a");
+  ASSERT_TRUE(sig.AddPredicate("e", 2).ok());
+  const Signature::Mark mark = sig.TakeMark();
+  // Enough names to double the name tables several times past the mark.
+  std::vector<std::string> names;
+  std::vector<TermId> ids;
+  for (int i = 0; i < 600; ++i) {
+    names.push_back("c" + std::to_string(i));
+    ids.push_back(sig.AddConstant(names.back()));
+    ids.push_back(sig.AddNull());
+    names.push_back(sig.ConstantName(ids.back()));
+    ASSERT_TRUE(sig.AddPredicate("p" + std::to_string(i), 1).ok());
+  }
+  sig.RollbackTo(mark);
+  EXPECT_EQ(sig.num_constants(), 1);
+  EXPECT_EQ(sig.num_predicates(), 1);
+  for (const std::string& name : names) {
+    EXPECT_FALSE(sig.FindConstant(name).ok()) << name;
+  }
+  EXPECT_FALSE(sig.FindPredicate("p0").ok());
+  EXPECT_EQ(sig.FindConstant("a").value(), a);
+  // A rerun interns the same names under the same ids.
+  for (size_t i = 0; i < names.size(); i += 2) {
+    EXPECT_EQ(sig.AddConstant(names[i]), ids[i]);
+    const TermId null = sig.AddNull();
+    EXPECT_EQ(null, ids[i + 1]);
+    EXPECT_EQ(sig.ConstantName(null), names[i + 1]);
+  }
+  EXPECT_EQ(sig.FindConstant("c599").value(), ids[1198]);
+}
+
 TEST(SignatureTest, ColorPredicatesCarryHueAndLightness) {
   Signature sig;
   PredId k = sig.AddColorPredicate(3, 7);
@@ -349,16 +394,52 @@ class StructureDifferentialTest : public ::testing::Test {
 
 TEST_F(StructureDifferentialTest, RandomAddFactsMatchTheReferenceModel) {
   Structure s(sig_);
+  MemoryAccountant accountant;
+  s.SetAccountant(&accountant);
   Model m;
-  for (int i = 1; i <= 60000; ++i) {
+  // 60000 draws: single AddFact calls mixed with AppendRows batches of
+  // 0-24 tuples, which repeat stored tuples and each other.
+  std::vector<std::vector<TermId>> tuples;
+  std::vector<TermId> batch;
+  size_t draws = 0;
+  size_t next_check = 10000;
+  while (draws < 60000) {
     const int k = static_cast<int>(rng_() % 5);
-    const std::vector<TermId> t = Draw(k, Pool(k));
-    ASSERT_EQ(s.AddFact(preds_[k], t), m.Add(preds_[k], t)) << "draw " << i;
-    if (i % 10000 == 0) {
+    if (rng_() % 8 != 0) {
+      const std::vector<TermId> t = Draw(k, Pool(k));
+      ASSERT_EQ(s.AddFact(preds_[k], t), m.Add(preds_[k], t))
+          << "draw " << draws;
+      ++draws;
+    } else {
+      const size_t n = rng_() % 25;
+      tuples.clear();
+      batch.clear();
+      size_t fresh = 0;
+      for (size_t j = 0; j < n; ++j) {
+        tuples.push_back(j > 0 && rng_() % 4 == 0 ? tuples[rng_() % j]
+                                                  : Draw(k, Pool(k)));
+        batch.insert(batch.end(), tuples.back().begin(), tuples.back().end());
+        if (m.Add(preds_[k], tuples.back())) ++fresh;
+      }
+      ASSERT_EQ(s.AppendRows(preds_[k], batch.data(), n), fresh)
+          << "batch at draw " << draws;
+      draws += n;
+    }
+    if (draws >= next_check) {
+      next_check += 10000;
       ExpectMatches(s, m);
       if (HasFatalFailure()) return;
+      // One charge per new fact, whichever call added it.
+      size_t bytes = 0;
+      for (const auto& [p, rows] : m.rows) {
+        bytes += rows.size() * Structure::ApproxFactBytes(
+                                   static_cast<size_t>(sig_->arity(p)));
+      }
+      EXPECT_EQ(accountant.used(), bytes);
+      EXPECT_EQ(accountant.peak(), bytes);
     }
   }
+  s.SetAccountant(nullptr);
   EXPECT_GT(s.NumFacts(), 15000u);
   EXPECT_LT(s.NumFacts(), 60000u / 2);  // most draws repeated a tuple
 

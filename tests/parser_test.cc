@@ -109,6 +109,83 @@ TEST(ParserTest, ParseQueryHelper) {
   EXPECT_EQ(q.value().NumVariables(), 2);
 }
 
+TEST(ParserTest, ParseQueryRequiresEndOfInput) {
+  // Everything after the atom list used to be dropped silently, so a
+  // missing comma answered a different query.
+  const std::pair<const char*, const char*> bad[] = {
+      {"e(X, Y) f(Y)", "line 1: expected end of query, got 'f'"},
+      {"e(X, Y) -> f(Y)", "line 1: expected end of query, got '->'"},
+      {"e(X, Y) ?- z", "line 1: expected end of query, got '?-'"},
+      {"e(X, Y).\nf(Y)", "line 2: expected end of query, got 'f'"},
+      {"e(X, Y). .", "line 1: expected end of query, got '.'"},
+  };
+  for (const auto& [text, message] : bad) {
+    Signature sig;
+    auto q = ParseQuery(text, &sig);
+    ASSERT_FALSE(q.ok()) << text;
+    EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(q.status().message(), message);
+  }
+  for (const char* text : {"e(X, Y)", "e(X, Y).", " e(X, Y) . \n"}) {
+    Signature sig;
+    auto q = ParseQuery(text, &sig);
+    ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
+    EXPECT_EQ(q.value().atoms.size(), 1u);
+  }
+}
+
+TEST(ParserTest, LexicalErrorAnywhereWinsOverAnEarlierParseError) {
+  // The parse stops at line 1, but the reported error is the one a lexer
+  // reading the whole input first would find.
+  auto r = ParseProgram("e(a b).\ne(b, c).\ne(c, @).");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().message(), "line 3: unexpected character '@'");
+  auto only_parse = ParseProgram("e(a b).\ne(b, c).");
+  ASSERT_FALSE(only_parse.ok());
+  EXPECT_EQ(only_parse.status().message(),
+            "line 1: expected ',' or ')', got 'b'");
+}
+
+TEST(ParserTest, FactsKeepInputOrderTermIdsAndDomain) {
+  // Interleaved predicates, duplicate facts, quoted and escaped names and
+  // a rule between facts. Constants take ids in text order (the rule's
+  // `k` included); rows keep input order per predicate, with repeats
+  // dropped; Domain() lists fact constants in first-appearance order.
+  auto r = ParseProgram(R"(
+    e(b, a).
+    f("Big", a).
+    e(b, a).
+    e(X, k) -> f(X, X).
+    g(c).
+    e("q\"x", b), f(a, "Big").
+    f("Big", a).
+    e(d, "q\"x").
+  )");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  const Structure& s = r.value().instance;
+  const Signature& sig = s.sig();
+  const std::vector<std::string> names = {"b", "a", "Big", "k",
+                                          "c", "q\"x", "d"};
+  ASSERT_EQ(sig.num_constants(), static_cast<int>(names.size()));
+  for (size_t c = 0; c < names.size(); ++c) {
+    EXPECT_EQ(sig.ConstantName(static_cast<TermId>(c)), names[c]);
+  }
+  EXPECT_EQ(sig.PredicateName(0), "e");
+  EXPECT_EQ(sig.PredicateName(1), "f");
+  EXPECT_EQ(sig.PredicateName(2), "g");
+  auto rows = [&](PredId p) {
+    std::vector<std::vector<TermId>> out;
+    for (TupleRef row : s.Rows(p)) out.push_back(row);
+    return out;
+  };
+  using Rows = std::vector<std::vector<TermId>>;
+  EXPECT_EQ(rows(0), (Rows{{0, 1}, {5, 0}, {6, 5}}));
+  EXPECT_EQ(rows(1), (Rows{{2, 1}, {1, 2}}));
+  EXPECT_EQ(rows(2), (Rows{{4}}));
+  EXPECT_EQ(s.NumFacts(), 6u);
+  EXPECT_EQ(s.Domain(), (std::vector<TermId>{0, 1, 2, 4, 5, 6}));
+}
+
 TEST(ParserTest, RoundTripThroughToString) {
   auto r = ParseProgram("e(X, Y), u(Y) -> exists Z: e(Y, Z).");
   ASSERT_TRUE(r.ok());

@@ -285,6 +285,33 @@ TEST(ServeSignatureTest, ConcurrentQueriesKeepArtifactSignatureStable) {
   EXPECT_EQ(sig.num_constants(), consts_before);
 }
 
+TEST(ServeSignatureTest, QueryWithTrailingInputIsRejectedAndRolledBack) {
+  ReasoningServer server{ServerOptions{}};
+  const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
+  auto artifact = server.cache().Find(key);
+  ASSERT_NE(artifact, nullptr);
+  const Signature& sig = *artifact->program.instance.signature_ptr();
+  const int preds_before = sig.num_predicates();
+  const int consts_before = sig.num_constants();
+
+  // A missing comma: the second atom, with its fresh names, must not be
+  // dropped into an answer to a different query.
+  const Response r = server.Handle(Query("t1", key, "e(a, d) zz(fresh)"));
+  EXPECT_EQ(r.status.code(), StatusCode::kInvalidArgument)
+      << r.status.ToString();
+  EXPECT_NE(r.status.message().find("'zz'"), std::string::npos)
+      << r.status.ToString();
+  EXPECT_EQ(sig.num_predicates(), preds_before);
+  EXPECT_EQ(sig.num_constants(), consts_before);
+  // On the wire the refusal is an ERR line.
+  std::string output;
+  serve::ServeBuffer(
+      server, "QUERY t1 " + KeyToHex(key) + " 17\ne(a, d) zz(fresh)\n",
+      &output);
+  EXPECT_EQ(output.rfind("ERR InvalidArgument", 0), 0u) << output;
+  EXPECT_EQ(sig.num_constants(), consts_before);
+}
+
 TEST(ServeSignatureTest, RewriteIsMemoizedPerArtifact) {
   ServerOptions options;
   options.rewrite.max_depth = 4;

@@ -341,6 +341,12 @@ int main(int argc, char** argv) {
   ParanoiaLevel paranoia = ParanoiaLevel::kOff;
   ParanoiaLevelFromName(paranoia_name, &paranoia);
 
+  // Observability stays off unless asked for: enabling costs a ring
+  // allocation (trace) and per-run publication (metrics). It starts
+  // before the load, so the trace shows the parse.
+  if (!trace_out.empty()) obs::Tracer::Global().Enable();
+  if (!metrics_out.empty()) obs::MetricsRegistry::Global().set_enabled(true);
+
   Result<Program> loaded = Load(args[1].c_str());
   if (!loaded.ok()) {
     std::fprintf(stderr, "error: %s\n", loaded.status().ToString().c_str());
@@ -360,11 +366,6 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
   ropts.context = &ctx;
-
-  // Observability stays off unless asked for: enabling costs a ring
-  // allocation (trace) and per-run publication (metrics).
-  if (!trace_out.empty()) obs::Tracer::Global().Enable();
-  if (!metrics_out.empty()) obs::MetricsRegistry::Global().set_enabled(true);
 
   int rc;
   if (cmd == "chase") {
