@@ -55,7 +55,7 @@ void PrintTable() {
 /// every block the executor hands over.
 size_t PlanMatches(const Structure& g, const std::vector<Atom>& atoms) {
   size_t n = 0;
-  ExecutePlan(g, CompilePlan(g, atoms), atoms, nullptr, {},
+  ExecutePlan(g, CompilePlan(g, atoms), nullptr, {},
               [&n](const SlotBlock& blk) {
                 n += blk.num_rows;
                 return true;

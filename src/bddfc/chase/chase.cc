@@ -176,10 +176,6 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     pool->SetCancelToken(ctx->cancel_token());
   }
 
-  // Compiled query plans: one cache per run, shared by every round (and
-  // every shard task — PlanCache is thread-safe).
-  PlanCache plan_cache;
-
   for (size_t round = 1; round <= options.max_rounds; ++round) {
     // Round boundary: the structure holds exactly Chase^{round-1}, so a
     // trip here returns a clean prefix.
@@ -231,8 +227,7 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // snapshot into a buffer; the structure is not touched until the
     // buffer is applied, so every engine sees one frozen instance.
     RoundBuffer buf;
-    RoundInputs inputs{theory, out.structure, options, ctx,
-                       &fired,  plan_cache,    bug};
+    RoundInputs inputs{theory, out.structure, options, ctx, &fired, bug};
     Status barrier = EnumerateRound(inputs, pool.get(), &buf);
 
     auto elapsed_ms = [&round_start] {

@@ -21,14 +21,16 @@
 //     Structure::MarkRoundBoundary. Each body atom in turn anchors the
 //     delta while atoms before the anchor stay on pre-round rows (the
 //     old/new split), so every binding is derived exactly once per round.
-//     Bodies run as compiled query plans (eval/plan.h) and head
-//     derivations go through the vectorized round sink (chase/round.h).
-//     At one thread the round runs inline over the whole delta; above one
-//     it shards into fixed 1,024-row chunks on a thread pool.
+//     Each task compiles the plans it runs (eval/plan.h, eval/exec.h): the
+//     body, and in the restricted chase each TGD head, whose plan answers
+//     the witness check per body match. Head derivations go through the
+//     vectorized round sink (chase/round.h). At one thread the round runs
+//     inline over the whole delta; above one it shards into fixed
+//     1,024-row chunks on a thread pool.
 //   * kNaive, the reference, re-enumerates every binding every round on
-//     the interpretive Matcher and buffers through a per-binding hash sink.
-//     It shares none of the production path's plans, sink or sorted
-//     indexes.
+//     the interpretive Matcher, which also answers its witness checks, and
+//     buffers through a per-binding hash sink. It shares no evaluator with
+//     the production path, nor its sink or sorted indexes.
 //
 // Because facts are never deleted, a trigger whose body avoids the delta
 // was already handled in an earlier round, so both engines produce the

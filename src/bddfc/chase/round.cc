@@ -7,8 +7,8 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string_view>
 #include <utility>
 
@@ -727,8 +727,8 @@ struct AtomTemplate {
   }
 };
 
-/// Builds the templates of `atoms` against `slot_vars` (the PlanSlotVars
-/// order of the body's plan). Body variables resolve to slots; a variable
+/// Builds the templates of `atoms` against `slot_vars` (the slot layout
+/// of the body's plan). Body variables resolve to slots; a variable
 /// outside the body (an existential) stays fixed.
 std::vector<AtomTemplate> BuildTemplates(const std::vector<Atom>& atoms,
                                          const std::vector<TermId>& slot_vars) {
@@ -750,15 +750,6 @@ std::vector<AtomTemplate> BuildTemplates(const std::vector<Atom>& atoms,
     }
   }
   return out;
-}
-
-/// Grounds `templates` under the slot row `slots` into `atoms`, whose
-/// shapes (predicates and arities) already match the templates.
-void GroundAll(const std::vector<AtomTemplate>& templates,
-               const TermId* slots, std::vector<Atom>* atoms) {
-  for (size_t i = 0; i < templates.size(); ++i) {
-    templates[i].Ground(slots, (*atoms)[i].args.data());
-  }
 }
 
 /// Grounds `templates` under the slot row `slots` into consecutive cells
@@ -808,14 +799,18 @@ std::vector<DeltaAnchor> DeltaAnchors(const RoundInputs& in) {
 }
 
 /// Enumerates anchor `a` with its delta confined to rows `chunk` into
-/// `sink`. Every rule grounds its head straight from the executor's slot
-/// blocks through templates: a datalog head is written into the sink's
-/// flat buffers (no Binding, no Atom per occurrence); an existential head
-/// is grounded into reused pattern atoms for the witness probe and, when
-/// unwitnessed, into the sink's flat trigger record.
+/// `sink`. The task compiles the plans it runs against the frozen round
+/// snapshot: the body with the anchor pinned first and, for an existential
+/// rule in the restricted chase, the head with the body's slots (and so
+/// the frontier) prebound. Every rule grounds its head straight from the
+/// executor's slot blocks through templates: a datalog head is written
+/// into the sink's flat buffers (no Binding, no Atom per occurrence); an
+/// existential head is checked by the head plan's probe, seeded with the
+/// body match's slot row, and when unwitnessed grounded into the sink's
+/// flat trigger record.
 void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
-                     RowRange chunk, const Matcher& witness,
-                     VectorSink* sink, MatchStats* match_stats) {
+                     RowRange chunk, VectorSink* sink,
+                     MatchStats* match_stats) {
   // Fail-stop fault site at the plan boundary: a fire latches the context
   // and the round-abort path discards the partial buffer.
   if (!in.ctx->CheckFault(faults::kPlanCompile).ok()) return;
@@ -825,16 +820,28 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
   const std::function<bool()> block_stop = [&in] {
     return in.ctx->ShouldStop("plan block");
   };
-  std::shared_ptr<const QueryPlan> plan =
-      in.plans.Get(in.frozen, rule.body, a.di);
-  const std::vector<TermId> slot_vars = PlanSlotVars(*plan, rule.body);
-  const std::vector<AtomTemplate> heads = BuildTemplates(rule.head, slot_vars);
+  const bool existential = rule.IsExistential();
+  const bool oblivious = in.options.oblivious;
+  QueryPlan plan;
+  std::optional<PlanProbe> witness;  // restricted TGDs only
+  {
+    obs::TraceSpan span(&in.ctx->tracer(), "chase.compile");
+    plan = CompilePlan(in.frozen, rule.body, a.di);
+    // The head plan prebinds the body plan's whole slot layout (the
+    // frontier, plus body-only variables the head never reads), so a body
+    // match's slot row is the probe's seed as it stands.
+    if (existential && !oblivious) {
+      witness.emplace(in.frozen, CompilePlan(in.frozen, rule.head, kNoAnchor,
+                                             plan.slot_vars));
+    }
+  }
+  const std::vector<AtomTemplate> heads =
+      BuildTemplates(rule.head, plan.slot_vars);
   std::function<bool(const SlotBlock&)> on_block;
-  // Existential rules only: the reused witness-probe atoms, and the body
-  // templates an oblivious record grounds after its head cells.
-  std::vector<Atom> pattern;
+  // Existential rules only: the body templates an oblivious record
+  // grounds after its head cells.
   std::vector<AtomTemplate> body_templates;
-  if (!rule.IsExistential()) {
+  if (!existential) {
     // Every head variable of a datalog rule occurs in its body, so every
     // template cell is a slot or a constant.
     on_block = [&](const SlotBlock& blk) {
@@ -847,12 +854,10 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
       return true;
     };
   } else {
-    const bool oblivious = in.options.oblivious;
-    pattern = rule.head;
-    if (oblivious) body_templates = BuildTemplates(rule.body, slot_vars);
+    if (oblivious) body_templates = BuildTemplates(rule.body, plan.slot_vars);
     const size_t cells =
         CellCount(rule.head) + (oblivious ? CellCount(rule.body) : 0);
-    on_block = [&, oblivious, cells](const SlotBlock& blk) {
+    on_block = [&, cells](const SlotBlock& blk) {
       obs::TraceSpan span("chase.witness");
       for (size_t r = 0; r < blk.num_rows; ++r) {
         // Strided governor probe, once per body match as in the reference
@@ -860,9 +865,8 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
         // post-enumeration check discards the buffered round.
         if (in.ctx->ShouldStop("chase enumerate")) return false;
         const TermId* slots = blk.rows + r * blk.width;
-        if (!oblivious) {
-          GroundAll(heads, slots, &pattern);
-          if (witness.Exists(pattern, {})) continue;
+        if (witness.has_value() && witness->Exists(slots, blk.width)) {
+          continue;
         }
         TermId* dst = sink->AppendTrigger(a.ri, cells);
         GroundCells(body_templates, slots, GroundCells(heads, slots, dst));
@@ -870,16 +874,16 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
       return true;
     };
   }
-  ExecutePlan(in.frozen, *plan, rule.body, &bands, {}, on_block, match_stats,
+  ExecutePlan(in.frozen, plan, &bands, {}, on_block, match_stats,
               &block_stop);
 }
 
-/// The production round. Inline (`pool` null): one sink and one witness
-/// matcher over each anchor's whole delta. Sharded: one pool task per
-/// (anchor, kChunkRows chunk), each with a private sink. Either way the
-/// round ends in one canonical merge of sorted runs and raw trigger
-/// records, which runs even after a governor trip (the kTornExhaust
-/// self-test applies a torn round's buffered datalog).
+/// The production round. Inline (`pool` null): one sink, and one
+/// EnumerateAnchor call over each anchor's whole delta. Sharded: one pool
+/// task per (anchor, kChunkRows chunk), each with a private sink. Either
+/// way the round ends in one canonical merge of sorted runs and raw
+/// trigger records, which runs even after a governor trip (the
+/// kTornExhaust self-test applies a torn round's buffered datalog).
 Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
                            RoundBuffer* buf) {
   std::vector<DatalogRun> runs;
@@ -887,12 +891,11 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
   Status barrier = Status::OK();
   VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
   if (pool == nullptr) {
-    Matcher witness(in.frozen);
     for (const DeltaAnchor& a : DeltaAnchors(in)) {
       if (in.ctx->Exhausted()) break;  // a trip skips the rest of the round
       const RowRange delta{in.frozen.WatermarkRows(a.pred),
                            static_cast<uint32_t>(in.frozen.NumFacts(a.pred))};
-      EnumerateAnchor(in, a, delta, witness, &sink, &buf->stats.match);
+      EnumerateAnchor(in, a, delta, &sink, &buf->stats.match);
     }
   } else {
     std::mutex mu;
@@ -910,9 +913,8 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
           }
           obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
           ChaseStats local;
-          Matcher witness(in.frozen);
           VectorSink task_sink(in, &local);
-          EnumerateAnchor(in, a, chunk, witness, &task_sink, &local.match);
+          EnumerateAnchor(in, a, chunk, &task_sink, &local.match);
           std::vector<DatalogRun> task_runs = task_sink.TakeDatalogRuns();
           TriggerTable task_triggers = task_sink.TakeRawTriggers();
           span.set_detail("r" + std::to_string(a.ri) + " a" +

@@ -4,7 +4,8 @@
 // byte-identical.
 //
 // Determinism design. Within a round, body bindings may be enumerated in
-// any order — the plan executor picks its own join order, the sharded
+// any order — each production task compiles its plans against the frozen
+// snapshot and the executor follows their join order, the sharded
 // production round splits delta anchors into row chunks, and the
 // reference re-enumerates everything on the interpretive Matcher.
 // Byte-identical results therefore cannot rely on discovery order
@@ -23,11 +24,13 @@
 //     which are order-independent too.
 //
 // The production round keeps triggers flat end to end: a body match whose
-// head has no witness becomes a record (rule index, grounded head cells
-// in a per-task TermId arena), the round barrier dedups the records on
-// their flat TermId keys, and only each key's winner gets its string
-// rendered, which fixes the application order. The reference keys every
-// trigger by its PatternKey string in a keep-min map.
+// head has no witness (a PlanProbe on the head's compiled plan, seeded
+// with the match's slot row, finds none) becomes a record (rule
+// index, grounded head cells in a per-task TermId arena), the round
+// barrier dedups the records on their flat TermId keys, and only each
+// key's winner gets its string rendered, which fixes the application
+// order. The reference keys every trigger by its PatternKey string in a
+// keep-min map, and asks the Matcher for witnesses.
 //
 // Sharding. Above one thread, a production round runs one pool task per
 // (rule, delta anchor, chunk), where Structure::DeltaChunks splits the
@@ -37,7 +40,9 @@
 // in exactly one chunk). Each task buffers into a private sink; the round
 // barrier merges the tasks' sorted runs and trigger records in canonical
 // order. So a sharded round applies the same derivation set as the inline
-// one, and bindings_tried is the same sum at any thread count.
+// one, and bindings_tried is the same sum at any thread count. Every task
+// of a round compiles against the same snapshot, so all of them run the
+// same plans.
 //
 // The header is an implementation detail, not API: only chase.cc and the
 // sink tests include it.
@@ -52,7 +57,6 @@
 #include "bddfc/base/status.h"
 #include "bddfc/base/thread_pool.h"
 #include "bddfc/chase/chase.h"
-#include "bddfc/eval/plan.h"
 
 namespace bddfc {
 namespace chase_internal {
@@ -142,7 +146,9 @@ struct RoundBuffer {
 /// Returns Internal naming the first violation.
 Status VerifyRoundBuffer(const RoundBuffer& buf, const Structure& frozen);
 
-/// The read-only inputs one round's enumeration runs against.
+/// The read-only inputs one round's enumeration runs against. Production
+/// tasks read it concurrently and compile their own plans and probes
+/// against `frozen`.
 struct RoundInputs {
   const Theory& theory;
   const Structure& frozen;  ///< Chase^{i-1}; not mutated until ApplyRound
@@ -152,11 +158,6 @@ struct RoundInputs {
   /// EnumerateRound filters the round's triggers against it once, after
   /// enumeration, so no enumeration thread ever touches it.
   std::unordered_set<std::string>* fired;
-  /// Per-run compiled-plan cache (thread-safe) of the production engine.
-  /// Witness-existence probes stay on the Matcher: their patterns are
-  /// grounded per body match (caching would never hit) and dominated by
-  /// point lookups.
-  PlanCache& plans;
   /// The run's self-test bug, resolved once at RunChase entry from a
   /// FaultRegistry fire at faults::kChaseBug.
   SelfTestBug bug = SelfTestBug::kNone;

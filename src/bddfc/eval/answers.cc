@@ -19,7 +19,6 @@ namespace {
 void CollectAnswers(const Structure& s, const ConjunctiveQuery& query,
                     std::vector<std::vector<TermId>>* out) {
   const QueryPlan plan = CompilePlan(s, query.atoms);
-  const std::vector<TermId> slot_vars = PlanSlotVars(plan, query.atoms);
   // Per answer position: the slot holding its value, or -1 for a constant.
   std::vector<int> slots;
   slots.reserve(query.answer_vars.size());
@@ -28,11 +27,12 @@ void CollectAnswers(const Structure& s, const ConjunctiveQuery& query,
       slots.push_back(-1);
       continue;
     }
-    auto it = std::find(slot_vars.begin(), slot_vars.end(), v);
-    assert(it != slot_vars.end() && "answer variable missing from the body");
-    slots.push_back(static_cast<int>(it - slot_vars.begin()));
+    auto it = std::find(plan.slot_vars.begin(), plan.slot_vars.end(), v);
+    assert(it != plan.slot_vars.end() &&
+           "answer variable missing from the body");
+    slots.push_back(static_cast<int>(it - plan.slot_vars.begin()));
   }
-  ExecutePlan(s, plan, query.atoms, nullptr, {}, [&](const SlotBlock& blk) {
+  ExecutePlan(s, plan, nullptr, {}, [&](const SlotBlock& blk) {
     for (size_t r = 0; r < blk.num_rows; ++r) {
       const TermId* row = blk.rows + r * blk.width;
       std::vector<TermId> tuple;

@@ -14,7 +14,7 @@ namespace {
 /// block so one block stays around a cache-friendly 64 KiB.
 constexpr size_t kBlockBudgetTerms = 16384;
 
-/// Per-step execution context resolved once per ExecutePlan call: the
+/// Per-step execution context resolved once per Executor::Init: the
 /// relation's arena and the clamped band.
 struct StepCtx {
   /// Row-major arena of the step's relation: row r's value at position
@@ -40,33 +40,36 @@ struct StepCtx {
 struct Executor {
   const Structure& s;
   const QueryPlan& plan;
-  const std::function<bool(const SlotBlock&)>& on_block;
+  /// Null for a probe: the first complete binding stops the search.
+  const std::function<bool(const SlotBlock&)>* on_block;
   MatchStats* stats;
   const std::function<bool()>* abort;
 
-  std::vector<TermId> slot_vars;
   size_t width = 0;
   size_t block_rows = 0;
   std::vector<StepCtx> steps;
   std::vector<std::vector<TermId>> blocks;  // output buffer per step
+  std::vector<TermId> seed_row;  // step 0's one input row
   std::vector<TermId> scratch;  // this step's fresh slot values, one row
   std::vector<TermId> key_buf;  // exists-check tuple, reused per row
   bool stopped = false;  // callback ended enumeration
   bool aborted = false;  // abort hook tripped
 
   Executor(const Structure& s_, const QueryPlan& plan_,
-           const std::function<bool(const SlotBlock&)>& cb, MatchStats* st,
+           const std::function<bool(const SlotBlock&)>* cb, MatchStats* st,
            const std::function<bool()>* ab)
       : s(s_), plan(plan_), on_block(cb), stats(st), abort(ab) {}
 
-  void Init(const std::vector<Atom>& atoms, const std::vector<RowBand>* bands) {
-    slot_vars = PlanSlotVars(plan, atoms);
+  /// Resolves every step's arena and band once; blocks hold at most
+  /// `max_block_rows` rows.
+  void Init(const std::vector<RowBand>* bands, size_t max_block_rows) {
     width = plan.num_slots;
     block_rows = std::max<size_t>(
-        1, std::min(kExecBlockRows,
+        1, std::min(max_block_rows,
                     kBlockBudgetTerms / std::max<size_t>(width, 1)));
     steps.resize(plan.steps.size());
     blocks.resize(plan.steps.size());
+    seed_row.assign(width, 0);
     scratch.resize(width, 0);
     std::vector<char> is_local(width, 0);
     for (size_t i = 0; i < plan.steps.size(); ++i) {
@@ -105,7 +108,10 @@ struct Executor {
 
   void Emit(const TermId* rows, size_t n) {
     if (stats != nullptr) stats->bindings_tried += n;
-    if (!on_block(SlotBlock{rows, n, width, slot_vars.data()})) stopped = true;
+    if (on_block == nullptr ||
+        !(*on_block)(SlotBlock{rows, n, width, plan.slot_vars.data()})) {
+      stopped = true;
+    }
   }
 
   /// Verifies one candidate row against the input slots without touching
@@ -261,11 +267,13 @@ struct Executor {
     flush();
   }
 
-  bool Run(const std::vector<TermId>& seed) {
-    assert(seed.size() <= width && "more seed values than plan slots");
-    std::vector<TermId> row(width, 0);
-    std::copy(seed.begin(), seed.end(), row.begin());
-    RunStep(0, row.data(), 1);
+  /// Seeds the plan's first `n` slots and runs it; false iff the abort
+  /// hook cut execution short.
+  bool Run(const TermId* seed, size_t n) {
+    assert(n <= width && "more seed values than plan slots");
+    std::copy_n(seed, n, seed_row.begin());
+    stopped = false;
+    RunStep(0, seed_row.data(), 1);
     return !aborted;
   }
 };
@@ -273,15 +281,34 @@ struct Executor {
 }  // namespace
 
 bool ExecutePlan(const Structure& s, const QueryPlan& plan,
-                 const std::vector<Atom>& atoms,
                  const std::vector<RowBand>* bands,
                  const std::vector<TermId>& seed,
                  const std::function<bool(const SlotBlock&)>& on_block,
                  MatchStats* stats, const std::function<bool()>* abort) {
   obs::TraceSpan span("plan.exec");
-  Executor ex(s, plan, on_block, stats, abort);
-  ex.Init(atoms, bands);
-  return ex.Run(seed);
+  Executor ex(s, plan, &on_block, stats, abort);
+  ex.Init(bands, kExecBlockRows);
+  return ex.Run(seed.data(), seed.size());
+}
+
+struct PlanProbe::Impl {
+  QueryPlan plan;
+  Executor ex;
+
+  Impl(const Structure& s, QueryPlan p)
+      : plan(std::move(p)), ex(s, plan, nullptr, nullptr, nullptr) {
+    ex.Init(nullptr, 1);
+  }
+};
+
+PlanProbe::PlanProbe(const Structure& s, QueryPlan plan)
+    : impl_(std::make_unique<Impl>(s, std::move(plan))) {}
+
+PlanProbe::~PlanProbe() = default;
+
+bool PlanProbe::Exists(const TermId* seed, size_t n) {
+  impl_->ex.Run(seed, n);
+  return impl_->ex.stopped;
 }
 
 bool PlanExists(const Structure& s, const std::vector<Atom>& atoms,
@@ -293,13 +320,8 @@ bool PlanExists(const Structure& s, const std::vector<Atom>& atoms,
   std::vector<TermId> seed;
   seed.reserve(prebound.size());
   for (TermId v : prebound) seed.push_back(partial.at(v));
-  const QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
-  bool found = false;
-  ExecutePlan(s, plan, atoms, nullptr, seed, [&found](const SlotBlock&) {
-    found = true;
-    return false;  // stop at the first block of matches
-  });
-  return found;
+  PlanProbe probe(s, CompilePlan(s, atoms, kNoAnchor, prebound));
+  return probe.Exists(seed.data(), seed.size());
 }
 
 }  // namespace bddfc

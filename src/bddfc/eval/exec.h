@@ -17,6 +17,12 @@
 // step's SlotBlock: callers read complete bindings as flat slot rows, so
 // emitting a match performs no hash operation and builds no Binding.
 //
+// Two entry points share the executor. ExecutePlan streams the blocks to
+// a callback (rule bodies, answer collection). PlanProbe runs the same
+// steps with one-row blocks, so the search is depth first and stops at
+// the first complete binding: the restricted chase's witness check on a
+// rule head's plan, and PlanExists.
+//
 // Counter semantics (shared with the Matcher — see MatchStats):
 //   * postings_hits  — one per atom instantiation that proceeded through a
 //     chosen index probe;
@@ -33,6 +39,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "bddfc/core/structure.h"
@@ -47,9 +54,9 @@ inline constexpr size_t kExecBlockRows = 1024;
 
 /// One block of complete bindings in the executor's flat slot layout:
 /// `num_rows` bindings of `width` TermIds each, row-major; slot `i` holds
-/// the value of variable `slot_vars[i]` (the PlanSlotVars order for the
-/// executed plan). Valid only for the duration of the callback — the
-/// executor reuses the underlying buffer across flushes.
+/// the value of variable `slot_vars[i]` (the executed plan's
+/// QueryPlan::slot_vars). Valid only for the duration of the callback —
+/// the executor reuses the underlying buffer across flushes.
 struct SlotBlock {
   const TermId* rows = nullptr;
   size_t num_rows = 0;
@@ -58,26 +65,44 @@ struct SlotBlock {
 };
 
 /// Runs `plan` against `s`, handing every final block of complete bindings
-/// to `on_block`. `atoms` is the caller's body (alpha-equivalent to the
-/// plan's — used to recover slot->variable names and band targets);
-/// `bands` restricts each original atom to a row range (nullptr = all
-/// rows); `seed` holds the values of the plan's prebound slots (slots
-/// 0..seed.size()-1, in the order their variables were given to
-/// CompilePlan; empty when nothing is prebound). bindings_tried counts one
-/// per row of every block handed over. `on_block` returning false stops
-/// enumeration (not an error); returns false iff the abort hook cut
-/// execution short.
+/// to `on_block`. `bands` restricts each atom of the body the plan was
+/// compiled from to a row range, indexed like that body
+/// (PlanStep::atom_index; nullptr = all rows); `seed` holds the values of
+/// the plan's prebound slots (slots 0..seed.size()-1, in the order their
+/// variables were given to CompilePlan; empty when nothing is prebound).
+/// bindings_tried counts one per row of every block handed over.
+/// `on_block` returning false stops enumeration (not an error); returns
+/// false iff the abort hook cut execution short.
 bool ExecutePlan(const Structure& s, const QueryPlan& plan,
-                 const std::vector<Atom>& atoms,
                  const std::vector<RowBand>* bands,
                  const std::vector<TermId>& seed,
                  const std::function<bool(const SlotBlock&)>& on_block,
                  MatchStats* stats = nullptr,
                  const std::function<bool()>* abort = nullptr);
 
-/// Plan-backed equivalent of Matcher::Exists: compiles on the fly (no
-/// cache) with `partial`'s variables prebound, and stops at the first
-/// block of matches.
+/// A plan prepared once and answered many times: the executor with
+/// one-row blocks, so the search runs depth first and stops at its first
+/// complete binding. Each Exists call seeds the plan's prebound slots. It
+/// opens no span and counts no MatchStats. The structure must not change
+/// while the probe lives (the arenas and row counts are read once, as the
+/// chase's frozen round snapshot allows). Not thread-safe: one per task.
+class PlanProbe {
+ public:
+  PlanProbe(const Structure& s, QueryPlan plan);
+  ~PlanProbe();
+
+  /// True iff some complete binding gives the plan's first `n` slots (its
+  /// prebound variables, in CompilePlan order) the values `seed[0..n)`.
+  bool Exists(const TermId* seed, size_t n);
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Plan-backed equivalent of Matcher::Exists: compiles with `partial`'s
+/// variables prebound and answers with one PlanProbe::Exists, which stops
+/// at the first complete binding.
 bool PlanExists(const Structure& s, const std::vector<Atom>& atoms,
                 const Binding& partial = {});
 

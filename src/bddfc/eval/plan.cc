@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <unordered_map>
 
 namespace bddfc {
 
@@ -117,65 +118,6 @@ QueryPlan CompilePlan(const Structure& s, const std::vector<Atom>& atoms,
   }
   plan.num_slots = slot_of.size();
   return plan;
-}
-
-std::string PlanCacheKey(const std::vector<Atom>& atoms, size_t anchor) {
-  std::unordered_map<TermId, TermId> ren;
-  int32_t next = 0;
-  std::string s = "a";
-  s += std::to_string(anchor);
-  s += ";";
-  for (const Atom& a : atoms) {
-    s += std::to_string(a.pred);
-    for (TermId t : a.args) {
-      if (IsVar(t)) {
-        auto it = ren.find(t);
-        if (it == ren.end()) it = ren.emplace(t, MakeVar(next++)).first;
-        t = it->second;
-      }
-      s += ",";
-      s += std::to_string(t);
-    }
-    s += "|";
-  }
-  return s;
-}
-
-std::vector<TermId> PlanSlotVars(const QueryPlan& plan,
-                                 const std::vector<Atom>& atoms) {
-  std::vector<TermId> slot_vars = plan.slot_vars;
-  for (const PlanStep& st : plan.steps) {
-    const Atom& a = atoms[st.atom_index];
-    for (size_t pos = 0; pos < st.args.size(); ++pos) {
-      if (st.args[pos].kind == PlanArg::kNew) {
-        slot_vars[st.args[pos].slot] = a.args[pos];
-      }
-    }
-  }
-  return slot_vars;
-}
-
-std::shared_ptr<const QueryPlan> PlanCache::Get(const Structure& s,
-                                               const std::vector<Atom>& atoms,
-                                               size_t anchor) {
-  std::string key = PlanCacheKey(atoms, anchor);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) return it->second;
-  }
-  // Compile outside the lock: concurrent misses may compile the same plan
-  // twice, but only one is published and both are identical.
-  auto plan = std::make_shared<QueryPlan>(CompilePlan(s, atoms, anchor));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = plans_.emplace(std::move(key), std::move(plan));
-  (void)inserted;
-  return it->second;
-}
-
-size_t PlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
 }
 
 }  // namespace bddfc

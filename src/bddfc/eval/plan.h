@@ -1,6 +1,7 @@
-// Compiled query plans: a per-body join order chosen once from index
+// Compiled query plans: a per-body join order chosen from index
 // selectivity, replacing the interpretive Matcher's per-call SelectAtom
-// heuristic on the hot paths (chase rounds, saturation, certain answers).
+// heuristic on the hot paths (chase rounds, saturation, certain answers,
+// the restricted chase's witness checks).
 //
 // A plan maps the body's variables onto dense slots (0..num_slots-1) and
 // fixes one join order over the atoms. Each step records, per argument
@@ -8,9 +9,10 @@
 // against an already-filled slot, or fill a fresh slot — so execution never
 // touches a hash map per argument the way the interpreter's ResolveTerm
 // does. Plans are pure orderings: they hold no row data and stay valid as
-// the structure grows, which is what makes the per-run PlanCache sound
-// (selectivity estimates are sampled at compile time; the *order* may age,
-// the results cannot).
+// the structure grows (selectivity estimates are sampled at compile time;
+// the *order* may age, the results cannot). Plans are not cached: the
+// chase compiles each task's plans against the round's frozen snapshot,
+// so they follow each round's statistics.
 //
 // Byte-identity: a plan may enumerate a body's bindings in a different
 // order than the Matcher, but the binding *set* is identical, and every
@@ -22,10 +24,6 @@
 #define BDDFC_EVAL_PLAN_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bddfc/core/query.h"
@@ -64,9 +62,8 @@ struct PlanStep {
 /// A compiled body: slot layout plus ordered steps.
 struct QueryPlan {
   size_t num_slots = 0;
-  /// Slot -> variable id of the body the plan was compiled from. Cached
-  /// plans are shared across alpha-equivalent bodies whose variable names
-  /// differ; executors recover the caller's mapping with PlanSlotVars.
+  /// Slot -> variable id of the body the plan was compiled from: the
+  /// prebound variables first, then each variable at its first kNew step.
   std::vector<TermId> slot_vars;
   std::vector<PlanStep> steps;
 };
@@ -87,36 +84,6 @@ inline constexpr size_t kNoAnchor = static_cast<size_t>(-1);
 QueryPlan CompilePlan(const Structure& s, const std::vector<Atom>& atoms,
                       size_t anchor = kNoAnchor,
                       const std::vector<TermId>& prebound = {});
-
-/// Canonical cache key of (body, anchor): the body serialized with
-/// variables renumbered by first occurrence — the same canonicalization
-/// the chase's PatternKey machinery uses — so alpha-equivalent rule bodies
-/// share one compiled plan per anchor.
-std::string PlanCacheKey(const std::vector<Atom>& atoms, size_t anchor);
-
-/// Recovers the slot -> variable mapping of a (possibly shared) plan for
-/// the caller's own atom list: kNew args name the defining position of
-/// each slot; prebound slots come first and keep the names given to
-/// CompilePlan. `atoms` must be alpha-equivalent to the body the plan was
-/// compiled from (same PlanCacheKey).
-std::vector<TermId> PlanSlotVars(const QueryPlan& plan,
-                                 const std::vector<Atom>& atoms);
-
-/// Thread-safe per-run plan cache. Get() compiles on miss; concurrent
-/// misses on the same key may compile twice but publish one winner.
-/// Engines create one per run (chase, saturation) so plans are compiled
-/// once per rule body x anchor, not once per round or per chunk.
-class PlanCache {
- public:
-  std::shared_ptr<const QueryPlan> Get(const Structure& s,
-                                       const std::vector<Atom>& atoms,
-                                       size_t anchor = kNoAnchor);
-  size_t size() const;
-
- private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<const QueryPlan>> plans_;
-};
 
 }  // namespace bddfc
 

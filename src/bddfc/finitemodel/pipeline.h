@@ -85,7 +85,6 @@ struct PipelineAttempt {
   int n = 0;
   size_t skeleton_facts = 0;
   int quotient_size = 0;
-  bool used_exact_partition = false;
   bool conservative = false;  ///< only meaningful with check_conservativity
   /// True when the ♠2 check tripped a budget: `conservative` is then
   /// meaningless (it is NOT silently reported as "not conservative").

@@ -427,16 +427,26 @@ Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
   }
   obs::TraceSpan span("parser.parse");
   if (sig == nullptr) sig = std::make_shared<Signature>();
-  Program program(sig);
-  int32_t next_var = 0;
-  Parser parser(text, sig.get(), &next_var);
-  BDDFC_RETURN_NOT_OK(parser.ParseAll(&program));
-  if (span.id() != 0) {
-    span.set_detail("b" + std::to_string(text.size()) + " f" +
-                    std::to_string(program.instance.NumFacts()) + " r" +
-                    std::to_string(program.theory.size()));
+  const Signature::Mark mark = sig->TakeMark();
+  Status parsed = Status::OK();
+  {
+    Program program(sig);
+    int32_t next_var = 0;
+    Parser parser(text, sig.get(), &next_var);
+    parsed = parser.ParseAll(&program);
+    if (parsed.ok()) {
+      if (span.id() != 0) {
+        span.set_detail("b" + std::to_string(text.size()) + " f" +
+                        std::to_string(program.instance.NumFacts()) + " r" +
+                        std::to_string(program.theory.size()));
+      }
+      return program;
+    }
   }
-  return program;
+  // A failed parse leaves the signature as it found it: the partial
+  // program is gone, so the names its statements interned can go too.
+  sig->RollbackTo(mark);
+  return parsed;
 }
 
 Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig,

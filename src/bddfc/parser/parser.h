@@ -43,9 +43,11 @@ struct Program {
 class FaultRegistry;
 
 /// Parses a full program. If `sig` is null a fresh signature is created.
-/// `faults` hosts the parser's chaos site (faults::kParserParse); null
-/// means no site. Serving sessions pass their own registry, so one
-/// tenant's fault plan never fires in another's parse.
+/// A failed parse interns nothing: the signature is rolled back to where
+/// the parse found it. `faults` hosts the parser's chaos site
+/// (faults::kParserParse); null means no site. Serving sessions pass their
+/// own registry, so one tenant's fault plan never fires in another's
+/// parse.
 Result<Program> ParseProgram(std::string_view text, SignaturePtr sig = nullptr,
                              FaultRegistry* faults = nullptr);
 

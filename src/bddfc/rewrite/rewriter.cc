@@ -348,8 +348,7 @@ RewriteResult RewriteQuery(const Theory& theory, const ConjunctiveQuery& query,
 
   // Pairwise subsumption is quadratic; only minimize complete, reasonably
   // sized rewritings (an incomplete rewriting is diagnostic output anyway).
-  const bool minimize =
-      options.minimize && result.status.ok() && all.size() <= 1000;
+  const bool minimize = result.status.ok() && all.size() <= 1000;
   result.rewriting = minimize ? MinimizeUcq(all, &probes) : all;
   result.stats.hom_checks = probes.hom_checks;
   result.stats.hom_checks_skipped = probes.prefilter_skipped;

@@ -47,8 +47,6 @@ struct RewriteOptions {
   /// that would exceed the cap makes the result Unknown rather than
   /// silently incomplete.
   size_t max_atoms_per_query = 0;
-  /// Minimize the final UCQ by pairwise subsumption.
-  bool minimize = true;
   /// Drop candidates homomorphically subsumed by a kept disjunct from the
   /// output UCQ (pre-filtered containment probes). Off = the seed
   /// behaviour: dedup by normalized key only. The final UCQ is

@@ -132,6 +132,37 @@ TEST(ChaseAbTest, CyclicWitnessReuse) {
   ExpectMatchesReference(p.theory, p.instance, Depth(8));
 }
 
+TEST(ChaseAbTest, WitnessPlansOnEveryHeadShape) {
+  // The production round checks a restricted TGD's head on a compiled
+  // plan with the body's slots prebound; the reference asks the Matcher.
+  // The heads cover a repeated existential, a constant, a repeated
+  // frontier variable, two atoms sharing an existential, a predicate (q)
+  // with no rows in round 1, and a head that lists the frontier out of
+  // body order. The instance pre-seeds some witnesses, so round 1 has both
+  // hits and misses; later rounds probe null frontiers.
+  Program p = MustParse(R"(
+    e(X, Y) -> exists Z: r(Y, Z, Z).
+    e(X, Y) -> exists Z: r(Y, c, Z).
+    e(X, Y) -> exists Z: r(Y, Y, Z).
+    e(X, Y) -> exists Z: s(Y, Z), s(Z, Y).
+    r(X, Y, W) -> exists Z: q(X, Z).
+    e(X, Y) -> exists Z: t(Y, X, Z).
+    s(X, Y) -> e(X, Y).
+    e(a, b). e(b, c). e(c, a). e(d, d).
+    r(b, k, k). r(c, c, m). r(a, a, a).
+    s(b, k). s(k, b). s(c, m). t(b, a, k).
+  )");
+  ExpectMatchesReference(p.theory, p.instance, Depth(4));
+
+  // Round 1 by hand. Over e's Y in {a, b, c, d}, witnessed are Y = a, b
+  // for the first rule, c for the second, a, c for the third, b for the
+  // fourth and e(a, b) for the sixth; the fifth misses on every r row.
+  // Each of the other 16 body matches invents one null.
+  ChaseResult r = RunChase(p.theory, p.instance, Depth(1));
+  EXPECT_EQ(r.nulls_created, 16u);
+  EXPECT_EQ(r.stats.triggers_deduped, 0u);
+}
+
 TEST(ChaseAbTest, TwoRulesDemandOneTiedMultiAtomPattern) {
   // Both TGDs demand the same three-atom chain from Y, listed in different
   // atom orders under different existential names. Two of its atoms tie on

@@ -63,9 +63,11 @@ std::string ReadFile(const fs::path& path) {
 }
 
 /// Starts `args[0]` with `args` as its argv, its stdout and stderr sent
-/// to the given files (or discarded when empty).
+/// to the given files (or discarded when empty); `out_fd` >= 0 sends
+/// stdout to that descriptor instead. The child starts with SIGPIPE at
+/// its default action, whatever this process does with it.
 pid_t Spawn(std::vector<std::string> args, const std::string& out_path = "",
-            const std::string& err_path = "") {
+            const std::string& err_path = "", int out_fd = -1) {
   std::vector<char*> argv;
   for (std::string& s : args) argv.push_back(s.data());
   argv.push_back(nullptr);
@@ -73,15 +75,27 @@ pid_t Spawn(std::vector<std::string> args, const std::string& out_path = "",
   // the child.
   posix_spawn_file_actions_t actions;
   posix_spawn_file_actions_init(&actions);
-  posix_spawn_file_actions_addopen(
-      &actions, 1, out_path.empty() ? "/dev/null" : out_path.c_str(),
-      O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (out_fd >= 0) {
+    posix_spawn_file_actions_adddup2(&actions, out_fd, 1);
+  } else {
+    posix_spawn_file_actions_addopen(
+        &actions, 1, out_path.empty() ? "/dev/null" : out_path.c_str(),
+        O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  }
   posix_spawn_file_actions_addopen(
       &actions, 2, err_path.empty() ? "/dev/null" : err_path.c_str(),
       O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  posix_spawnattr_t attr;
+  posix_spawnattr_init(&attr);
+  sigset_t sigpipe;
+  sigemptyset(&sigpipe);
+  sigaddset(&sigpipe, SIGPIPE);
+  posix_spawnattr_setsigdefault(&attr, &sigpipe);
+  posix_spawnattr_setflags(&attr, POSIX_SPAWN_SETSIGDEF);
   pid_t pid = -1;
-  const int rc = posix_spawn(&pid, argv[0], &actions, nullptr, argv.data(),
-                             environ);
+  const int rc =
+      posix_spawn(&pid, argv[0], &actions, &attr, argv.data(), environ);
+  posix_spawnattr_destroy(&attr);
   posix_spawn_file_actions_destroy(&actions);
   return rc == 0 ? pid : -1;
 }
@@ -284,6 +298,41 @@ TEST(CliExitCodeTest, TraceAndMetricsOutWriteValidatedFiles) {
                    std::istreambuf_iterator<char>());
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("bddfc.chase.runs"), std::string::npos);
+}
+
+TEST(CliExitCodeTest, ClosedStdoutPipeStillWritesTheExports) {
+  // `bddfc chase ... --trace-out=F | head -2`: once the reader has gone
+  // the rest of the output is lost, but the process must not die on
+  // SIGPIPE before it writes its --trace-out and --metrics-out files. The
+  // chase prints about 4,000 facts, far more than stdout buffers, so its
+  // output reaches the closed pipe before the exports are written.
+  std::string text;
+  for (int i = 0; i < 2000; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+            ").\n";
+  }
+  text += "e(X, Y) -> r(Y, X).\n";
+  const std::string prog = WriteProgram("closed_pipe.dlg", text);
+  const fs::path dir = fs::current_path() / "exit_code_scratch";
+  const std::string stem = "closed_pipe." + std::to_string(getpid());
+  const fs::path trace = dir / (stem + ".trace.json");
+  const fs::path metrics = dir / (stem + ".metrics.json");
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  close(fds[0]);  // the reader is gone before the first write
+  const pid_t pid = Spawn({BDDFC_CLI_PATH, "chase", prog,
+                           "--trace-out=" + trace.string(),
+                           "--metrics-out=" + metrics.string()},
+                          "", "", fds[1]);
+  close(fds[1]);
+  ASSERT_GT(pid, 0);
+  // -1 is a death by signal: SIGPIPE killed it before the exports.
+  EXPECT_EQ(WaitExit(pid, ScaledMs(60000)), 0);
+  EXPECT_NE(ReadFile(trace).find("\"name\":\"chase.run\""),
+            std::string::npos);
+  EXPECT_NE(ReadFile(metrics).find("\"counters\""), std::string::npos);
+  fs::remove(trace);
+  fs::remove(metrics);
 }
 
 TEST(FuzzExitCodeTest, ContractIsZeroOneTwo) {

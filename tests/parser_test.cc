@@ -206,6 +206,38 @@ TEST(ParserTest, SharedSignatureAcrossPrograms) {
   EXPECT_EQ(sig->num_constants(), 3);
 }
 
+TEST(ParserTest, FailedParseLeavesTheSignatureUnchanged) {
+  // The statements before the error name two predicates and three
+  // constants; none of them may stay interned in the caller's signature,
+  // and a later parse on it must get the ids a signature that never saw
+  // the failed text gives.
+  auto sig = std::make_shared<Signature>();
+  auto fresh = std::make_shared<Signature>();
+  ASSERT_TRUE(ParseProgram("p(z).", sig).ok());
+  ASSERT_TRUE(ParseProgram("p(z).", fresh).ok());
+  auto failed = ParseProgram("e(a, b).\nf(c, X).", sig);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().ToString(),
+            "InvalidArgument: fact is not ground: f(c, ?0)");
+  EXPECT_EQ(sig->num_predicates(), fresh->num_predicates());
+  EXPECT_EQ(sig->num_constants(), fresh->num_constants());
+  EXPECT_FALSE(sig->FindPredicate("e").ok());
+  EXPECT_FALSE(sig->FindConstant("a").ok());
+
+  const char* text = "f(c, d).\ne(a, b).";
+  ASSERT_TRUE(ParseProgram(text, sig).ok());
+  ASSERT_TRUE(ParseProgram(text, fresh).ok());
+  for (const char* pred : {"p", "e", "f"}) {
+    EXPECT_EQ(sig->FindPredicate(pred).value(),
+              fresh->FindPredicate(pred).value())
+        << pred;
+  }
+  for (const char* c : {"z", "a", "b", "c", "d"}) {
+    EXPECT_EQ(sig->FindConstant(c).value(), fresh->FindConstant(c).value())
+        << c;
+  }
+}
+
 // Reparse-and-reprint: on already-canonical output this must be the
 // identity, which is what the fuzzer's parser-roundtrip oracle checks.
 std::string Reprint(const std::string& text) {

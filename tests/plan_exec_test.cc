@@ -1,9 +1,10 @@
-// Tests for the compiled join backend: plan compilation and caching
-// (eval/plan.h) and the vectorized block executor (eval/exec.h). The A/B
+// Tests for the compiled join backend: plan compilation (eval/plan.h) and
+// the vectorized block executor and its probe (eval/exec.h). The A/B
 // agreement tests here pin the core contract — the executor's slot rows,
 // turned into flat bindings, and the interpretive Matcher's bindings form
-// the same *set* (order may differ), and both account work under the same
-// MatchStats counting contract.
+// the same *set* (order may differ), a probe answers as Matcher::Exists
+// does, and both backends account work under the same MatchStats counting
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,7 @@ void PlanBlocks(const Structure& s, const std::vector<Atom>& atoms,
   std::vector<TermId> seed;
   for (TermId v : prebound) seed.push_back(partial.at(v));
   const QueryPlan plan = CompilePlan(s, atoms, kNoAnchor, prebound);
-  ExecutePlan(s, plan, atoms, nullptr, seed, on_block, stats);
+  ExecutePlan(s, plan, nullptr, seed, on_block, stats);
 }
 
 /// Turns every slot row of `blk` into a flat binding.
@@ -144,43 +145,6 @@ TEST_F(PlanTest, SelectivityOrdersSmallRelationFirst) {
   EXPECT_EQ(plan.steps[1].probe_positions[0], 0);
 }
 
-TEST_F(PlanTest, CacheKeyCanonicalizesVariableNames) {
-  std::vector<Atom> b1 = {Atom(e_, {MakeVar(0), MakeVar(1)}),
-                          Atom(e_, {MakeVar(1), MakeVar(2)})};
-  std::vector<Atom> b2 = {Atom(e_, {MakeVar(7), MakeVar(3)}),
-                          Atom(e_, {MakeVar(3), MakeVar(9)})};
-  EXPECT_EQ(PlanCacheKey(b1, kNoAnchor), PlanCacheKey(b2, kNoAnchor));
-  // The anchor is part of the key: the same body compiles per anchor.
-  EXPECT_NE(PlanCacheKey(b1, 0), PlanCacheKey(b1, 1));
-  EXPECT_NE(PlanCacheKey(b1, 0), PlanCacheKey(b1, kNoAnchor));
-  // A repeated variable is a different shape, not a renaming.
-  std::vector<Atom> loop = {Atom(e_, {MakeVar(0), MakeVar(0)}),
-                            Atom(e_, {MakeVar(0), MakeVar(2)})};
-  EXPECT_NE(PlanCacheKey(b1, kNoAnchor), PlanCacheKey(loop, kNoAnchor));
-}
-
-TEST_F(PlanTest, CacheSharesPlansAcrossAlphaEquivalentBodies) {
-  Structure s(sig_);
-  s.AddFact(e_, {c_[0], c_[1]});
-  s.AddFact(e_, {c_[1], c_[2]});
-  std::vector<Atom> b1 = {Atom(e_, {MakeVar(0), MakeVar(1)}),
-                          Atom(e_, {MakeVar(1), MakeVar(2)})};
-  std::vector<Atom> b2 = {Atom(e_, {MakeVar(5), MakeVar(4)}),
-                          Atom(e_, {MakeVar(4), MakeVar(8)})};
-  PlanCache cache;
-  auto p1 = cache.Get(s, b1, 0);
-  auto p2 = cache.Get(s, b2, 0);
-  EXPECT_EQ(p1.get(), p2.get());
-  EXPECT_EQ(cache.size(), 1u);
-  // The shared plan still yields each caller's own variable names.
-  std::vector<TermId> v1 = PlanSlotVars(*p1, b1);
-  std::vector<TermId> v2 = PlanSlotVars(*p2, b2);
-  std::sort(v1.begin(), v1.end());
-  std::sort(v2.begin(), v2.end());
-  EXPECT_EQ(v1, (std::vector<TermId>{MakeVar(2), MakeVar(1), MakeVar(0)}));
-  EXPECT_EQ(v2, (std::vector<TermId>{MakeVar(8), MakeVar(5), MakeVar(4)}));
-}
-
 TEST_F(PlanTest, ExecAgreesWithMatcherOnRandomWorkloads) {
   std::mt19937 rng(42);
   for (int trial = 0; trial < 6; ++trial) {
@@ -204,10 +168,42 @@ TEST_F(PlanTest, ExecAgreesWithMatcherOnRandomWorkloads) {
         {Atom(e_, {c_[2], x}), Atom(p_, {x, y})},
         {Atom(e_, {x, c_[3]}), Atom(e_, {x, y}), Atom(u_, {x})},
     };
+    const std::vector<TermId>& domain = s.Domain();
+    std::uniform_int_distribution<size_t> value(0, domain.size() - 1);
     for (const std::vector<Atom>& body : bodies) {
       EXPECT_EQ(MatcherSet(s, body), PlanSet(s, body));
       EXPECT_EQ(Matcher(s).Exists(body), PlanExists(s, body));
       EXPECT_EQ(Matcher(s).CountMatches(body), PlanCount(s, body));
+      // The probe agrees with Matcher::Exists on every subset of the body's
+      // variables prebound (the chase seeds a head plan's frontier so),
+      // under several draws of values from the structure.
+      std::vector<TermId> vars;
+      for (const Atom& a : body) {
+        for (TermId t : a.args) {
+          if (IsVar(t) &&
+              std::find(vars.begin(), vars.end(), t) == vars.end()) {
+            vars.push_back(t);
+          }
+        }
+      }
+      for (uint32_t mask = 0; mask < (1u << vars.size()); ++mask) {
+        std::vector<TermId> prebound;
+        for (size_t i = 0; i < vars.size(); ++i) {
+          if (mask & (1u << i)) prebound.push_back(vars[i]);
+        }
+        PlanProbe probe(s, CompilePlan(s, body, kNoAnchor, prebound));
+        for (int draw = 0; draw < 4; ++draw) {
+          std::vector<TermId> seed;
+          Binding partial;
+          for (TermId v : prebound) {
+            seed.push_back(domain[value(rng)]);
+            partial.emplace(v, seed.back());
+          }
+          EXPECT_EQ(probe.Exists(seed.data(), seed.size()),
+                    Matcher(s).Exists(body, partial))
+              << "trial " << trial << " mask " << mask << " draw " << draw;
+        }
+      }
     }
   }
 }
@@ -233,10 +229,9 @@ TEST_F(PlanTest, BandedExecutionAgreesWithMatcher) {
   });
   std::sort(reference.begin(), reference.end());
 
-  PlanCache cache;
   std::vector<FlatBinding> compiled;
-  EXPECT_TRUE(ExecutePlan(s, *cache.Get(s, body, /*anchor=*/1), body, &bands,
-                          {}, [&](const SlotBlock& blk) {
+  EXPECT_TRUE(ExecutePlan(s, CompilePlan(s, body, /*anchor=*/1), &bands, {},
+                          [&](const SlotBlock& blk) {
                             AppendSlotRows(blk, &compiled);
                             return true;
                           }));
@@ -354,12 +349,11 @@ TEST_F(PlanTest, AbortHookStopsExecutionAtBlockBoundary) {
         return true;
       };
   const std::function<bool()> abort_now = [] { return true; };
-  EXPECT_FALSE(
-      ExecutePlan(s, plan, body, nullptr, {}, count, nullptr, &abort_now));
+  EXPECT_FALSE(ExecutePlan(s, plan, nullptr, {}, count, nullptr, &abort_now));
   EXPECT_EQ(n, 0u);  // tripped before the first block was emitted
 
   const std::function<bool()> never = [] { return false; };
-  EXPECT_TRUE(ExecutePlan(s, plan, body, nullptr, {}, count, nullptr, &never));
+  EXPECT_TRUE(ExecutePlan(s, plan, nullptr, {}, count, nullptr, &never));
   EXPECT_EQ(n, 6u);
 }
 

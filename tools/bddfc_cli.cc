@@ -365,6 +365,10 @@ int main(int argc, char** argv) {
   g_cancel = &cancel;
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
+  // A closed stdout (`bddfc ... | head`) loses the rest of the output but
+  // must not kill the process before WriteProcessExports writes the
+  // --trace-out and --metrics-out files: writes to it fail with EPIPE.
+  std::signal(SIGPIPE, SIG_IGN);
   ropts.context = &ctx;
 
   int rc;
