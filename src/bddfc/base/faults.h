@@ -20,7 +20,7 @@
 // the spec's seed and the hit index, so the same plan over the same run
 // fires at the same hits on any platform and at any thread count as long
 // as per-site hit order is deterministic (which the engines guarantee at
-// their site granularity: rounds, refreshes, merges are sequenced; pool
+// their site granularity: rounds, refreshes, merges are sequenced; shard
 // tasks hit a shared counter, so cross-thread fire *assignment* may vary
 // but fire *counts* per N hits do not for after-N/every-N).
 

@@ -143,7 +143,10 @@ Status ExecutionContext::RecordInvariantViolation(std::string detail) {
 
 Status ExecutionContext::CheckPoint(const char* where) {
   root()->checks_.fetch_add(1, std::memory_order_relaxed);
+  return FullCheck(where);
+}
 
+Status ExecutionContext::FullCheck(const char* where) {
   // Latched trip (here or in an ancestor): fail fast with its status.
   for (ExecutionContext* c = this; c != nullptr; c = c->parent_) {
     if (c->tripped_.load(std::memory_order_acquire)) {
@@ -185,11 +188,12 @@ bool ExecutionContext::ShouldStop(const char* where) {
   if (Exhausted()) return true;
   // Strided: only every 64th probe pays for the clock read. The counter
   // races benignly across threads — the stride is a heuristic, not a
-  // correctness boundary.
+  // correctness boundary. The escalation is not counted as a check: how
+  // many probes a round makes depends on its split into blocks and tasks.
   size_t probe =
       root()->stride_.fetch_add(1, std::memory_order_relaxed);
   if (probe % 64 != 0) return false;
-  return !CheckPoint(where).ok();
+  return !FullCheck(where).ok();
 }
 
 void ExecutionContext::NotePhase(std::string phase, std::string progress) {
@@ -218,7 +222,7 @@ PhaseScope::~PhaseScope() {
   if (ctx_ != nullptr) {
     std::lock_guard<std::mutex> lock(ctx_->mu_);
     // Pop the innermost matching entry (scopes unwind LIFO per thread,
-    // but sibling phases on pool threads may interleave in the vector).
+    // but sibling phases on fan-out threads may interleave in the vector).
     for (auto it = ctx_->open_phases_.rbegin();
          it != ctx_->open_phases_.rend(); ++it) {
       if (*it == phase_) {

@@ -147,7 +147,7 @@ struct ResourceReport {
   size_t peak_bytes = 0;      ///< peak accounted bytes (0 if unaccounted)
   size_t limit_bytes = 0;     ///< byte budget (0 = unlimited)
   double deadline_slack_ms = 0;  ///< deadline minus now; negative = overshoot
-  size_t cancel_checks = 0;   ///< cooperative checks performed
+  size_t cancel_checks = 0;   ///< direct CheckPoint calls (not probes)
   /// Completed phase notes, in completion order (a PhaseScope appends one
   /// when it closes, so an early return can never leave a stale entry).
   std::vector<PhaseProgress> phases;
@@ -169,9 +169,9 @@ ResourceKind GovernorCheckTrip(std::string_view action);
 /// The execution contract one logical request runs under. Configure
 /// (deadline, memory limit, fault registry) before handing it to
 /// engines; the checking side is thread-safe, so one context can govern a
-/// fan-out over the ThreadPool. The first resource trip latches: every
+/// ParallelFor fan-out. The first resource trip latches: every
 /// subsequent CheckPoint/ShouldStop fails immediately, which is what
-/// drains queued pool tasks and unwinds nested phases.
+/// stops a fan-out from starting more tasks and unwinds nested phases.
 class ExecutionContext {
  public:
   ExecutionContext() = default;
@@ -267,8 +267,9 @@ class ExecutionContext {
   /// is set, a few relaxed loads otherwise.
   Status CheckPoint(const char* where);
 
-  /// Strided probe for hot enumeration loops: a full CheckPoint every
-  /// 64th call, otherwise one relaxed load of the latch. True = stop now.
+  /// Strided probe for hot enumeration loops: the full check every 64th
+  /// call (not counted in cancel_checks), otherwise one relaxed load of
+  /// the latch. True = stop now.
   bool ShouldStop(const char* where);
 
   /// Fail-stop fault probe for a named registry site: when a registry is
@@ -309,9 +310,12 @@ class ExecutionContext {
   /// deadline slack, check count.
   ResourceReport report() const;
 
-  /// Cooperative checks performed (shared with children: a child's checks
-  /// count on the root). Each check hits faults::kGovernorCheck once, so
-  /// an after-N spec there is well defined across a phase-split pipeline.
+  /// Direct CheckPoint calls performed (shared with children: a child's
+  /// checks count on the root): round, level and phase boundaries, and
+  /// ParallelFor's skip on a tripped context. ShouldStop's strided
+  /// escalations are not counted, since their number depends on how a
+  /// round splits into blocks and tasks, but they hit
+  /// faults::kGovernorCheck like every full check.
   size_t cancel_checks() const {
     return root()->checks_.load(std::memory_order_relaxed);
   }
@@ -326,6 +330,9 @@ class ExecutionContext {
   const ExecutionContext* root() const {
     return parent_ == nullptr ? this : root_;
   }
+
+  /// CheckPoint without the count: what ShouldStop escalates to.
+  Status FullCheck(const char* where);
 
   /// Latches (kind, detail) as the first trip if none is recorded yet and
   /// returns the ResourceExhausted status for the recorded trip.

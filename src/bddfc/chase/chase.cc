@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
-#include <memory>
 #include <unordered_set>
 
-#include "bddfc/base/thread_pool.h"
+#include "bddfc/base/parallel.h"
 #include "bddfc/chase/round.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/metrics.h"
@@ -120,9 +119,6 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     out.report = ctx->report();
     out.report.partial_result =
         !out.status.ok() && out.structure.NumFacts() > 0;
-    // Stats carry the run's peak accounted bytes so shard merges (which
-    // max, never sum — one accountant is shared) have a single source.
-    out.stats.peak_bytes = out.report.peak_bytes;
     // The run publishes into its context's registry (a per-request one
     // under the serving layer, the process registry otherwise). No static
     // handle cache: handles are registry-specific.
@@ -164,17 +160,12 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   // one witness per trigger, not one per round).
   std::unordered_set<std::string> fired;
 
-  // The production engine shards over a pool above one thread and runs
-  // each round inline otherwise. The reference (kNaive) uses none of the
-  // production machinery: no pool, no plans, no sorted indexes.
+  // The production engine shards each round over ParallelFor above one
+  // thread and runs it inline otherwise. The reference (kNaive) uses none
+  // of the production machinery: no fan-out, no plans, no sorted indexes.
   const bool production = options.engine != ChaseEngine::kNaive;
-  const size_t pool_threads =
-      options.threads != 0 ? options.threads : ThreadPool::DefaultThreads();
-  std::unique_ptr<ThreadPool> pool;
-  if (production && pool_threads > 1) {
-    pool = std::make_unique<ThreadPool>(pool_threads);
-    pool->SetCancelToken(ctx->cancel_token());
-  }
+  const size_t threads =
+      options.threads != 0 ? options.threads : DefaultThreads();
 
   for (size_t round = 1; round <= options.max_rounds; ++round) {
     // Round boundary: the structure holds exactly Chase^{round-1}, so a
@@ -227,8 +218,9 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // snapshot into a buffer; the structure is not touched until the
     // buffer is applied, so every engine sees one frozen instance.
     RoundBuffer buf;
-    RoundInputs inputs{theory, out.structure, options, ctx, &fired, bug};
-    Status barrier = EnumerateRound(inputs, pool.get(), &buf);
+    RoundInputs inputs{theory, out.structure, options, ctx, &fired, bug,
+                       threads};
+    Status barrier = EnumerateRound(inputs, &buf);
 
     auto elapsed_ms = [&round_start] {
       return std::chrono::duration<double, std::milli>(
@@ -239,9 +231,8 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
     // measured barrier-to-barrier round time below.
     out.stats += buf.stats;
 
-    // A non-OK barrier means queued shard tasks were drained unrun
-    // (cancellation raced the round): the buffer is incomplete even if no
-    // probe latched the trip yet, so the round must be discarded too.
+    // A non-OK barrier means shard tasks were skipped on a tripped
+    // context: the buffer is incomplete, so the round is discarded.
     if (ctx->Exhausted() || !barrier.ok()) {
       // The governor tripped mid-enumeration: the buffered additions are
       // an incomplete round. Discard them so the structure stays the

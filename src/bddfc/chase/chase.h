@@ -26,7 +26,7 @@
 //     the witness check per body match. Head derivations go through the
 //     vectorized round sink (chase/round.h). At one thread the round runs
 //     inline over the whole delta; above one it shards into fixed
-//     1,024-row chunks on a thread pool.
+//     1,024-row chunks, one ParallelFor task each (base/parallel.h).
 //   * kNaive, the reference, re-enumerates every binding every round on
 //     the interpretive Matcher, which also answers its witness checks, and
 //     buffers through a per-binding hash sink. It shares no evaluator with
@@ -85,10 +85,10 @@ struct ChaseOptions {
   bool datalog_only = false;
   /// Round-loop implementation (results are identical; speed is not).
   ChaseEngine engine = ChaseEngine::kParallel;
-  /// Worker threads of the production engine (kNaive ignores it);
-  /// 0 = ThreadPool::DefaultThreads(). The result, bindings_tried
-  /// included, does not depend on this value, only the wall time does.
-  /// A resolved value of 1 runs each round inline, with no pool.
+  /// Threads of the production engine (kNaive ignores it);
+  /// 0 = DefaultThreads(). The result, bindings_tried included, does not
+  /// depend on this value, only the wall time does. A resolved value of 1
+  /// runs each round inline, with no fan-out.
   size_t threads = 1;
   /// Runtime invariant checking (DESIGN.md §2.14): kCheap adds O(1)
   /// per-round identity checks (sink counters, index freshness,
@@ -127,18 +127,13 @@ struct ChaseStats {
   size_t sink_candidates = 0;
   size_t sink_contained = 0;
   size_t sink_probes = 0;
-  /// Wall time per round in milliseconds (entry 0 = round 1).
+  /// Wall time per round in milliseconds (entry 0 = round 1), measured
+  /// barrier to barrier by RunChase. The run's peak accounted bytes are
+  /// ChaseResult::report.peak_bytes.
   std::vector<double> round_ms;
-  /// Peak accounted bytes of the run (0 when ungoverned — accounting runs
-  /// only with an attached ExecutionContext).
-  size_t peak_bytes = 0;
 
-  /// Merges stats from a concurrent shard of the same run: counters are
-  /// additive across shards, but wall times and peak memory are *not* —
-  /// shards overlap in time and share one accountant, so round_ms merges
-  /// element-wise max (the round is as slow as its slowest shard) and
-  /// peak_bytes takes the max. Summing those two double-counts overlap:
-  /// the reported per-round time would exceed the measured wall clock.
+  /// Adds the counters of `o` (a shard task's, or a round's). round_ms is
+  /// not merged: only RunChase records it, once per round.
   ChaseStats& operator+=(const ChaseStats& o) {
     match.bindings_tried += o.match.bindings_tried;
     match.postings_hits += o.match.postings_hits;
@@ -149,13 +144,6 @@ struct ChaseStats {
     sink_candidates += o.sink_candidates;
     sink_contained += o.sink_contained;
     sink_probes += o.sink_probes;
-    if (o.round_ms.size() > round_ms.size()) {
-      round_ms.resize(o.round_ms.size(), 0.0);
-    }
-    for (size_t i = 0; i < o.round_ms.size(); ++i) {
-      round_ms[i] = round_ms[i] > o.round_ms[i] ? round_ms[i] : o.round_ms[i];
-    }
-    peak_bytes = peak_bytes > o.peak_bytes ? peak_bytes : o.peak_bytes;
     return *this;
   }
 

@@ -7,11 +7,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <string_view>
 #include <utility>
 
+#include "bddfc/base/parallel.h"
 #include "bddfc/eval/exec.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/trace.h"
@@ -878,19 +878,30 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
               &block_stop);
 }
 
-/// The production round. Inline (`pool` null): one sink, and one
-/// EnumerateAnchor call over each anchor's whole delta. Sharded: one pool
-/// task per (anchor, kChunkRows chunk), each with a private sink. Either
-/// way the round ends in one canonical merge of sorted runs and raw
+/// One sharded task's inputs and its output slot: the (anchor, chunk) it
+/// enumerates, then the counters, sorted runs and raw trigger records its
+/// private sink produced.
+struct ShardTask {
+  DeltaAnchor anchor;
+  RowRange chunk;
+  ChaseStats stats;
+  std::vector<DatalogRun> runs;
+  TriggerTable triggers;
+};
+
+/// The production round. Inline (in.threads == 1): one sink, and one
+/// EnumerateAnchor call over each anchor's whole delta. Sharded: one
+/// ParallelFor task per (anchor, kChunkRows chunk), each with a private
+/// sink and its own output slot, folded in task order at the barrier.
+/// Either way the round ends in one canonical merge of sorted runs and raw
 /// trigger records, which runs even after a governor trip (the
 /// kTornExhaust self-test applies a torn round's buffered datalog).
-Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
-                           RoundBuffer* buf) {
+Status EnumerateDeltaRound(const RoundInputs& in, RoundBuffer* buf) {
   std::vector<DatalogRun> runs;
   std::vector<TriggerTable> raw_triggers;
   Status barrier = Status::OK();
   VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
-  if (pool == nullptr) {
+  if (in.threads <= 1) {
     for (const DeltaAnchor& a : DeltaAnchors(in)) {
       if (in.ctx->Exhausted()) break;  // a trip skips the rest of the round
       const RowRange delta{in.frozen.WatermarkRows(a.pred),
@@ -898,47 +909,48 @@ Status EnumerateDeltaRound(const RoundInputs& in, ThreadPool* pool,
       EnumerateAnchor(in, a, delta, &sink, &buf->stats.match);
     }
   } else {
-    std::mutex mu;
+    std::vector<ShardTask> tasks;
     for (const DeltaAnchor& a : DeltaAnchors(in)) {
       for (const RowRange& chunk : in.frozen.DeltaChunks(a.pred, kChunkRows)) {
-        // Shard by anchor predicate: one relation's scan homes on one
-        // worker (cache-warm postings) and a skewed relation's chunk
-        // backlog spreads by stealing.
-        pool->Submit(static_cast<size_t>(a.pred), [&, a, chunk]() -> Status {
-          // Fail-stop fault site: the trip latches on the context and
-          // ShouldStop drains the remaining tasks; returning OK keeps the
-          // pool's own status channel for real cancellation.
+        tasks.push_back({a, chunk, {}, {}, {}});
+      }
+    }
+    barrier = ParallelFor(
+        tasks.size(), in.threads,
+        [&](size_t i) -> Status {
+          // Fail-stop fault site: a fire latches a trip on the context, so
+          // no later task starts (ParallelFor records the trip at the
+          // first skipped index) and running ones stop at ShouldStop.
           if (!in.ctx->CheckFault(faults::kPoolTask).ok()) {
             return Status::OK();
           }
+          ShardTask& t = tasks[i];
           obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
-          ChaseStats local;
-          VectorSink task_sink(in, &local);
-          EnumerateAnchor(in, a, chunk, &task_sink, &local.match);
-          std::vector<DatalogRun> task_runs = task_sink.TakeDatalogRuns();
-          TriggerTable task_triggers = task_sink.TakeRawTriggers();
-          span.set_detail("r" + std::to_string(a.ri) + " a" +
-                          std::to_string(a.di) + " +" +
-                          std::to_string(chunk.size()) + "@" +
-                          std::to_string(chunk.begin));
-          std::lock_guard<std::mutex> lock(mu);
-          buf->stats += local;
-          for (auto& run : task_runs) runs.push_back(std::move(run));
-          if (!task_triggers.triggers.empty()) {
-            raw_triggers.push_back(std::move(task_triggers));
-          }
+          VectorSink task_sink(in, &t.stats);
+          EnumerateAnchor(in, t.anchor, t.chunk, &task_sink, &t.stats.match);
+          t.runs = task_sink.TakeDatalogRuns();
+          t.triggers = task_sink.TakeRawTriggers();
+          span.set_detail("r" + std::to_string(t.anchor.ri) + " a" +
+                          std::to_string(t.anchor.di) + " +" +
+                          std::to_string(t.chunk.size()) + "@" +
+                          std::to_string(t.chunk.begin));
           return Status::OK();
-        });
+        },
+        in.ctx);
+    for (ShardTask& t : tasks) {
+      buf->stats += t.stats;
+      for (DatalogRun& run : t.runs) runs.push_back(std::move(run));
+      if (!t.triggers.triggers.empty()) {
+        raw_triggers.push_back(std::move(t.triggers));
       }
     }
-    barrier = pool->Wait();
   }
 
   obs::TraceSpan span(&in.ctx->tracer(), "chase.sink");
   // Fail-stop fault site at the merge; a fire latches the context and the
   // round-abort path in chase.cc discards the merged buffer.
   (void)in.ctx->CheckFault(faults::kSinkMerge);
-  if (pool == nullptr) {
+  if (in.threads <= 1) {
     runs = sink.TakeDatalogRuns();
     raw_triggers.push_back(sink.TakeRawTriggers());
   }
@@ -994,13 +1006,12 @@ void EnumerateNaiveRound(const RoundInputs& in, RoundBuffer* buf) {
 
 }  // namespace
 
-Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
-                      RoundBuffer* buf) {
+Status EnumerateRound(const RoundInputs& in, RoundBuffer* buf) {
   Status barrier = Status::OK();
   if (in.options.engine == ChaseEngine::kNaive) {
     EnumerateNaiveRound(in, buf);
   } else {
-    barrier = EnumerateDeltaRound(in, pool, buf);
+    barrier = EnumerateDeltaRound(in, buf);
   }
   if (in.options.oblivious) {
     // Blind chase: each (rule, body binding) fires once over the whole

@@ -32,17 +32,18 @@
 // order. The reference keys every trigger by its PatternKey string in a
 // keep-min map, and asks the Matcher for witnesses.
 //
-// Sharding. Above one thread, a production round runs one pool task per
-// (rule, delta anchor, chunk), where Structure::DeltaChunks splits the
-// anchor relation's delta into kChunkRows-row chunks. The task set depends
-// only on the structure, never on the thread count, and the chunks
-// partition the round's bindings exactly (each binding's anchor row lies
-// in exactly one chunk). Each task buffers into a private sink; the round
-// barrier merges the tasks' sorted runs and trigger records in canonical
-// order. So a sharded round applies the same derivation set as the inline
-// one, and bindings_tried is the same sum at any thread count. Every task
-// of a round compiles against the same snapshot, so all of them run the
-// same plans.
+// Sharding. Above one thread, a production round is one ParallelFor
+// (base/parallel.h) over a task list in (rule, delta anchor, chunk)
+// order, where Structure::DeltaChunks splits the anchor relation's delta
+// into kChunkRows-row chunks. The task set depends only on the structure,
+// never on the thread count, and the chunks partition the round's
+// bindings exactly (each binding's anchor row lies in exactly one chunk).
+// Each task buffers into a private sink and leaves its stats, sorted runs
+// and trigger records in its own slot; the round barrier folds the slots
+// in task order and merges them in canonical order. So a sharded round
+// applies the same derivation set as the inline one, and bindings_tried
+// is the same sum at any thread count. Every task of a round compiles
+// against the same snapshot, so all of them run the same plans.
 //
 // The header is an implementation detail, not API: only chase.cc and the
 // sink tests include it.
@@ -55,7 +56,6 @@
 #include <vector>
 
 #include "bddfc/base/status.h"
-#include "bddfc/base/thread_pool.h"
 #include "bddfc/chase/chase.h"
 
 namespace bddfc {
@@ -161,6 +161,9 @@ struct RoundInputs {
   /// The run's self-test bug, resolved once at RunChase entry from a
   /// FaultRegistry fire at faults::kChaseBug.
   SelfTestBug bug = SelfTestBug::kNone;
+  /// ChaseOptions::threads resolved once by RunChase (0 becomes
+  /// DefaultThreads()): 1 runs the production round inline, more shards it.
+  size_t threads = 1;
 };
 
 /// Rows per sharded anchor chunk. Fixed (never derived from the thread
@@ -269,14 +272,12 @@ void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
                    size_t* tdedup);
 
 /// Enumerates one round's derivations into `buf` on the engine
-/// options.engine selects. The production engine runs inline when `pool`
-/// is null and shards over it otherwise; kNaive ignores `pool`. Returns
-/// the pool's aggregated task status: non-OK means tasks were drained
-/// unrun (cancellation) and the round is incomplete — the caller must
-/// discard it even if the context has not latched a trip yet. Counters in
-/// buf->stats are summed across tasks; per-task wall times merge by max.
-Status EnumerateRound(const RoundInputs& in, ThreadPool* pool,
-                      RoundBuffer* buf);
+/// options.engine selects. The production engine runs inline at
+/// in.threads == 1 and shards over ParallelFor above; kNaive ignores
+/// in.threads. Returns the fan-out's status: non-OK means tasks were
+/// skipped on a tripped context and the round is incomplete, so the
+/// caller must discard it. Counters in buf->stats are summed across tasks.
+Status EnumerateRound(const RoundInputs& in, RoundBuffer* buf);
 
 /// Appends every tuple of `runs` to `s` in run order, one AppendRows batch
 /// per run; returns the number of facts added.

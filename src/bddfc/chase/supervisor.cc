@@ -61,7 +61,7 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
     if (metrics.enabled()) metrics.Reset();
 
     // The one degradation: retry on the independent reference, which
-    // shares none of the production engine's pool, plans, sink or sorted
+    // shares none of the production engine's fan-out, plans, sink or sorted
     // indexes, so a fault in any of them cannot recur.
     std::string degraded;
     if (attempt_options.engine != ChaseEngine::kNaive) {

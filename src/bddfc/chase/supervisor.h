@@ -6,7 +6,7 @@
 // trip — never a budget exhaustion and never a semantic error), retries it
 // on the independent reference engine
 // (ChaseEngine::kNaive), recorded as the degradation "reference". The
-// reference shares none of the production engine's pool, compiled plans,
+// reference shares none of the production engine's fan-out, compiled plans,
 // vectorized sink or sorted indexes, so a fault in any of them cannot
 // recur on the retry; and it is byte-identical to the production engine by
 // contract, so degrading never changes the answer — only the speed.

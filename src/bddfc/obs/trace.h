@@ -8,18 +8,18 @@
 //   * a process-unique span id and the id of the enclosing span on the
 //     same thread (a thread-local stack), and
 //   * an optional short detail string, set any time before destruction.
-// Cross-thread fan-outs stay attached: the ThreadPool captures the
-// submitting span's id at Submit() and opens each task's span with that
-// id as an explicit parent, so a rewrite fan-out's per-query spans nest
-// under the ProbeBdd/ComputeKappa span that submitted them even though
-// they run on other threads.
+// Cross-thread fan-outs stay attached: ParallelFor captures the calling
+// span's id at entry and opens each task's span with that id as an
+// explicit parent, so a rewrite fan-out's per-query spans nest under the
+// ProbeBdd/ComputeKappa span that started them even though they run on
+// other threads.
 //
 // Routing: a span opened with an explicit tracer records there. A span
 // opened without one records to the tracer of the innermost span open on
 // its thread, and to Tracer::Global() only at top level — so a library
 // layer that knows no tracer (the plan executor, the round sink) lands in
-// the ring of the run that called it. Pool tasks carry the submitter's
-// tracer along with its span id.
+// the ring of the run that called it. ParallelFor's task spans carry the
+// caller's tracer along with its span id.
 //
 // Cost model: when tracing is disabled (the default), constructing a
 // span is one relaxed atomic load (after a thread-local read that picks
@@ -86,7 +86,7 @@ class Tracer {
   void Reset();
 
   /// The innermost span currently open on this thread (0 = none). What
-  /// the ThreadPool captures at Submit() to re-parent task spans.
+  /// ParallelFor captures at entry to re-parent task spans.
   static uint64_t CurrentSpanId();
   /// The tracer that span records to (null = no span open): where a span
   /// without an explicit tracer records.

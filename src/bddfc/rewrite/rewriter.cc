@@ -5,7 +5,7 @@
 #include <optional>
 #include <unordered_set>
 
-#include "bddfc/base/thread_pool.h"
+#include "bddfc/base/parallel.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/core/substitution.h"
 #include "bddfc/eval/containment.h"
@@ -413,8 +413,8 @@ std::vector<RewriteResult> RewriteAll(const Theory& theory,
         return Status::OK();
       },
       options.context);
-  // Tasks drained by a governor trip never ran; without a status their
-  // empty slots would read as saturated (empty) rewritings.
+  // Probes ParallelFor skipped on a governor trip never ran; without a
+  // status their empty slots would read as saturated (empty) rewritings.
   for (size_t i = 0; i < qs.size(); ++i) {
     if (!ran[i] && options.context != nullptr) {
       results[i].status = options.context->CheckPoint("rewrite fan-out");

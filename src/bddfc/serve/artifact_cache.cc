@@ -260,10 +260,10 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   }
   artifact->rounds = artifact->chase.rounds_run;
 
-  // Accounted estimate: canonical bytes plus the chase structure's rows
-  // (same per-fact constant the chase charges) plus fixed overhead.
+  // Accounted estimate: canonical bytes plus exactly what the chase
+  // charged for its structure (released above) plus fixed overhead.
   artifact->bytes = canonical.size() +
-                    artifact->chase.structure.NumFacts() * 64 + 4096;
+                    artifact->chase.structure.ApproxAccountedBytes() + 4096;
   if (accountant_ != nullptr) accountant_->Charge(artifact->bytes);
 
   out.evicted = Admit(key, artifact);

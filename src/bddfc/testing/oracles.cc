@@ -123,7 +123,7 @@ class ChaseAgreementOracle : public Oracle {
 
       // The configured faults (the fuzzer's self-test) and the paranoia
       // checks ride on the production runs only: the reference shares none
-      // of their plans, sink or pool, so a corruption either one causes
+      // of their plans, sink or fan-out, so a corruption either one causes
       // surfaces as a divergence from it.
       opts.engine = ChaseEngine::kParallel;
       opts.paranoia = config.paranoia;

@@ -1,18 +1,16 @@
-// Tests for the base utilities: Status, Result, Interner, hashing and the
-// thread pool.
+// Tests for the base utilities: Status, Result, Interner, hashing and
+// ParallelFor.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "bddfc/base/interner.h"
+#include "bddfc/base/parallel.h"
 #include "bddfc/base/status.h"
-#include "bddfc/base/thread_pool.h"
 
 namespace bddfc {
 namespace {
@@ -169,143 +167,35 @@ TEST(HashTest, HashRangeIsOrderSensitive) {
   EXPECT_EQ(HashRange(a.begin(), a.end()), HashRange(a.begin(), a.end()));
 }
 
-TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
-  for (size_t threads : {1u, 2u, 8u}) {
-    ThreadPool pool(threads);
-    std::vector<std::atomic<int>> hits(64);
-    for (size_t i = 0; i < hits.size(); ++i) {
-      pool.Submit([&hits, i] {
+TEST(ParallelForTest, ParallelForCoversTheRangeAndOrdersStatuses) {
+  // Every index runs exactly once at every thread count, including more
+  // threads than indexes and an empty range (which is OK).
+  for (size_t n : {0u, 1u, 3u, 64u}) {
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      std::vector<std::atomic<int>> hits(n);
+      Status st = ParallelFor(n, threads, [&hits](size_t i) {
         ++hits[i];
         return Status::OK();
       });
-    }
-    EXPECT_TRUE(pool.Wait().ok());
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "task " << i << " threads " << threads;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, WaitAggregatesFirstFailureInSubmissionOrder) {
-  ThreadPool pool(4);
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([i] {
-      if (i == 7) return Status::InvalidArgument("seven");
-      if (i == 21) return Status::Internal("twenty-one");
-      return Status::OK();
-    });
-  }
-  Status st = pool.Wait();
-  // Deterministic regardless of completion order: the earliest submitted
-  // failure wins.
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(st.message(), "seven");
-}
-
-TEST(ThreadPoolTest, PoolIsReusableAcrossBatches) {
-  ThreadPool pool(3);
-  for (int batch = 0; batch < 3; ++batch) {
-    std::atomic<int> count{0};
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([&count] {
-        ++count;
-        return Status::OK();
-      });
-    }
-    EXPECT_TRUE(pool.Wait().ok());
-    EXPECT_EQ(count.load(), 10);
-  }
-}
-
-TEST(ThreadPoolTest, WaitOnEmptyPoolIsOk) {
-  ThreadPool pool(2);
-  EXPECT_TRUE(pool.Wait().ok());
-  ThreadPool inline_pool(1);
-  EXPECT_TRUE(inline_pool.Wait().ok());
-}
-
-TEST(ThreadPoolTest, DestructionDrainsQueuedWork) {
-  // Work still queued when the pool is destroyed must run, not leak: the
-  // destructor drains the queue before joining. Submit far more tasks
-  // than threads and destroy without calling Wait().
-  for (size_t threads : {2u, 8u}) {
-    std::atomic<int> count{0};
-    {
-      ThreadPool pool(threads);
-      for (int i = 0; i < 200; ++i) {
-        pool.Submit([&count] {
-          ++count;
-          return Status::OK();
-        });
+      EXPECT_TRUE(st.ok()) << "n " << n << " threads " << threads;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1)
+            << "index " << i << " n " << n << " threads " << threads;
       }
-      // No Wait(): destruction races the workers for the queue.
-    }
-    EXPECT_EQ(count.load(), 200) << "threads " << threads;
-  }
-}
-
-TEST(ThreadPoolTest, InlinePoolDestructionRunsQueuedWork) {
-  // A 1-thread pool has no workers at all — queued tasks normally run
-  // inline in Wait(), so the destructor is the only thing left to run
-  // them when Wait() was never called.
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(1);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&count] {
-        ++count;
-        return Status::OK();
-      });
     }
   }
-  EXPECT_EQ(count.load(), 50);
-}
-
-TEST(ThreadPoolTest, ShardHintedBacklogIsStolenByIdleWorkers) {
-  // Home every task on one queue: the other workers' queues are empty,
-  // so any work they do must come from stealing. Each task sleeps long
-  // enough that one worker cannot drain the backlog alone before the
-  // others wake up.
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 64; ++i) {
-    pool.Submit(/*shard_hint=*/0, [&count] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      ++count;
-      return Status::OK();
-    });
-  }
-  EXPECT_TRUE(pool.Wait().ok());
-  EXPECT_EQ(count.load(), 64);
-  EXPECT_GT(pool.steal_count(), 0u);
-}
-
-TEST(ThreadPoolTest, ShardHintsSpreadAcrossQueuesDeterministically) {
-  // Different hints land on different home queues; every task still runs
-  // exactly once and statuses aggregate in submission order.
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(48);
-  for (size_t i = 0; i < hits.size(); ++i) {
-    pool.Submit(/*shard_hint=*/i, [&hits, i] {
-      ++hits[i];
-      return i == 17 ? Status::Internal("seventeen") : Status::OK();
-    });
-  }
-  Status st = pool.Wait();
-  EXPECT_EQ(st.code(), StatusCode::kInternal);
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForCoversTheRangeAndOrdersStatuses) {
-  for (size_t threads : {1u, 4u}) {
+  // Whatever the completion order, the failure at the lowest index wins,
+  // and failing tasks do not stop the others.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
     std::vector<int> out(100, 0);
     Status st = ParallelFor(out.size(), threads, [&out](size_t i) {
       out[i] = static_cast<int>(i) + 1;
-      return i == 13 ? Status::Unknown("thirteen") : Status::OK();
+      if (i == 13) return Status::Unknown("thirteen");
+      if (i == 71) return Status::Internal("seventy-one");
+      return Status::OK();
     });
-    EXPECT_EQ(st.code(), StatusCode::kUnknown);
+    EXPECT_EQ(st.code(), StatusCode::kUnknown) << "threads " << threads;
+    EXPECT_EQ(st.message(), "thirteen") << "threads " << threads;
     for (size_t i = 0; i < out.size(); ++i) {
       EXPECT_EQ(out[i], static_cast<int>(i) + 1);
     }

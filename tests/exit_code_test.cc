@@ -232,6 +232,35 @@ TEST(CliExitCodeTest, ResourceExhaustionIsThree) {
   EXPECT_EQ(RunBinary(BDDFC_CLI_PATH, "model " + tc + " --deadline-ms 1"), 3);
 }
 
+TEST(CliExitCodeTest, BudgetTrippedChaseOutputIsThreadInvariant) {
+  // A max_rounds trip on a chase that is far from its fixpoint: apart from
+  // the wall time, stdout (the resource report's cancel_checks included)
+  // is the same at 1 and 4 threads.
+  std::string text = "e(X, Y), e(Y, Z), e(Z, W) -> e(X, W).\n";
+  for (int i = 0; i < 150; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) + ").\n";
+  }
+  const std::string prog = WriteProgram("tripped_path.dlg", text);
+  auto stdout_without_wall_time = [&prog](const std::string& threads) {
+    std::string out, err;
+    EXPECT_EQ(RunCaptured(BDDFC_CLI_PATH,
+                          "chase " + prog + " 5 --threads " + threads, &out,
+                          &err),
+              3)
+        << "threads " << threads << ": " << err;
+    const std::string field = " chase_ms=";
+    const size_t at = out.find(field);
+    EXPECT_NE(at, std::string::npos) << out.substr(0, 400);
+    if (at != std::string::npos) {
+      out.erase(at, out.find_first_of(" \n", at + 1) - at);
+    }
+    return out;
+  };
+  const std::string one = stdout_without_wall_time("1");
+  EXPECT_NE(one.find("cancel_checks="), std::string::npos);
+  EXPECT_EQ(one, stdout_without_wall_time("4"));
+}
+
 // A cancellation signal mid-run flips the CancelToken: the command must
 // drain at the next cooperative check and exit 3 (resource exhausted),
 // not die on the signal. SIGINT (Ctrl-C) and SIGTERM (the kill(1) and

@@ -31,7 +31,7 @@ TEST(FaultRegistryTest, DisarmedIsInertAndCountsNothing) {
 TEST(FaultRegistryTest, AfterNFiresOnEveryHitPastN) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kSinkMerge, .schedule = FaultSchedule::kAfterN,
-           .n = 2});
+           .n = 2, .action = ""});
   EXPECT_TRUE(reg.enabled());
   std::vector<bool> fired;
   for (int i = 0; i < 5; ++i) fired.push_back(reg.Hit(faults::kSinkMerge).fired);
@@ -44,7 +44,7 @@ TEST(FaultRegistryTest, AfterNFiresOnEveryHitPastN) {
 TEST(FaultRegistryTest, EveryNFiresOnMultiples) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kPoolTask, .schedule = FaultSchedule::kEveryN,
-           .n = 3});
+           .n = 3, .action = ""});
   std::vector<bool> fired;
   for (int i = 0; i < 7; ++i) fired.push_back(reg.Hit(faults::kPoolTask).fired);
   EXPECT_EQ(fired, (std::vector<bool>{false, false, true, false, false, true,
@@ -54,7 +54,7 @@ TEST(FaultRegistryTest, EveryNFiresOnMultiples) {
 TEST(FaultRegistryTest, MaxFiresBoundsTheBlastRadius) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kChaseRound, .schedule = FaultSchedule::kAfterN,
-           .n = 0, .max_fires = 2});
+           .n = 0, .max_fires = 2, .action = ""});
   int fires = 0;
   for (int i = 0; i < 10; ++i) fires += reg.Hit(faults::kChaseRound).fired;
   EXPECT_EQ(fires, 2);
@@ -66,7 +66,8 @@ TEST(FaultRegistryTest, ProbabilityScheduleIsDeterministicAndSeeded) {
   auto run = [](uint64_t seed) {
     FaultRegistry reg;
     reg.Arm({.site = faults::kIndexRefresh,
-             .schedule = FaultSchedule::kProbability, .p = 0.5, .seed = seed});
+             .schedule = FaultSchedule::kProbability, .p = 0.5, .seed = seed,
+             .action = ""});
     std::vector<bool> fired;
     for (int i = 0; i < 64; ++i) {
       fired.push_back(reg.Hit(faults::kIndexRefresh).fired);
@@ -88,7 +89,7 @@ TEST(FaultRegistryTest, HitsAreCountedForUnarmedSitesWhenEnabled) {
   // that executes records its hits — tests assert site coverage this way.
   FaultRegistry reg;
   reg.Arm({.site = faults::kChaseRound, .schedule = FaultSchedule::kAfterN,
-           .n = 1000});
+           .n = 1000, .action = ""});
   (void)reg.Hit(faults::kSinkMerge);
   (void)reg.Hit(faults::kSinkMerge);
   EXPECT_EQ(reg.HitCount(faults::kSinkMerge), 2u);
@@ -98,7 +99,8 @@ TEST(FaultRegistryTest, HitsAreCountedForUnarmedSitesWhenEnabled) {
 
 TEST(FaultRegistryTest, DisarmClearsEverything) {
   FaultRegistry reg;
-  reg.Arm({.site = faults::kChaseRound, .schedule = FaultSchedule::kAfterN});
+  reg.Arm({.site = faults::kChaseRound, .schedule = FaultSchedule::kAfterN,
+           .action = ""});
   (void)reg.Hit(faults::kChaseRound);
   reg.Disarm();
   EXPECT_FALSE(reg.enabled());
@@ -110,7 +112,7 @@ TEST(FaultRegistryTest, DisarmClearsEverything) {
 TEST(FaultRegistryTest, HitIsThreadSafe) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kPoolTask, .schedule = FaultSchedule::kEveryN,
-           .n = 2, .max_fires = 100});
+           .n = 2, .max_fires = 100, .action = ""});
   constexpr int kThreads = 8, kHitsEach = 250;
   std::vector<std::thread> workers;
   for (int t = 0; t < kThreads; ++t) {
@@ -196,7 +198,7 @@ TEST(ParanoiaLevelTest, NamesRoundTrip) {
 TEST(GovernorFaultTest, CheckFaultTripsOnlyTheCheckingContext) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kChaseRound, .schedule = FaultSchedule::kAfterN,
-           .n = 0, .max_fires = 1});
+           .n = 0, .max_fires = 1, .action = ""});
   ExecutionContext parent;
   parent.SetFaultRegistry(&reg);
   std::unique_ptr<ExecutionContext> child = parent.CreateChild(0);
@@ -241,7 +243,7 @@ TEST(GovernorFaultTest, GovernorCheckActionsTripTheNamedResource) {
 TEST(GovernorFaultTest, EmptyActionAtGovernorCheckIsFailStop) {
   FaultRegistry reg;
   reg.Arm({.site = faults::kGovernorCheck, .schedule = FaultSchedule::kAfterN,
-           .n = 0, .max_fires = 1});
+           .n = 0, .max_fires = 1, .action = ""});
   ExecutionContext ctx;
   ctx.SetFaultRegistry(&reg);
   Status st = ctx.CheckPoint("somewhere");

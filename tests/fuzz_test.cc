@@ -313,7 +313,8 @@ TEST(ChaosTest, EveryRecoverableSiteFiresAndRecovers) {
       FaultSpec spec{.site = *it,
                      .schedule = FaultSchedule::kAfterN,
                      .n = 0,
-                     .max_fires = 1};
+                     .max_fires = 1,
+                     .action = ""};
       bool fired = false;
       bool recovered = false;
       size_t attempts = 0;

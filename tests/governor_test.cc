@@ -8,9 +8,10 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "bddfc/base/governor.h"
-#include "bddfc/base/thread_pool.h"
+#include "bddfc/base/parallel.h"
 #include "bddfc/base/timescale.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/finitemodel/pipeline.h"
@@ -188,42 +189,15 @@ TEST(ExecutionContextTest, ChildReportInheritsParentTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// ThreadPool / ParallelFor cancellation
+// ParallelFor governance
 // ---------------------------------------------------------------------------
 
-TEST(ThreadPoolGovernorTest, CancelledTokenDrainsQueuedTasks) {
-  // One thread = tasks run inline in Wait(): with the token already
-  // flipped every queued task is drained deterministically.
-  ThreadPool pool(1);
-  CancelToken token;
-  pool.SetCancelToken(token);
-  token.Cancel();
-  std::atomic<int> executed{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&executed] {
-      ++executed;
-      return Status::OK();
-    });
-  }
-  Status s = pool.Wait();
-  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(executed.load(), 0);
-
-  // The pool is reusable with a fresh token.
-  pool.SetCancelToken(CancelToken());
-  pool.Submit([&executed] {
-    ++executed;
-    return Status::OK();
-  });
-  EXPECT_TRUE(pool.Wait().ok());
-  EXPECT_EQ(executed.load(), 1);
-}
-
-TEST(ThreadPoolGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
+TEST(ParallelForGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     ExecutionContext ctx;
     ctx.RequestCancel();
     (void)ctx.CheckPoint("latch");  // latch the trip before the fan-out
+    const size_t checks_before = ctx.cancel_checks();
     std::atomic<int> executed{0};
     Status s = ParallelFor(
         16, threads,
@@ -235,6 +209,45 @@ TEST(ThreadPoolGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
     EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
         << "threads=" << threads;
     EXPECT_EQ(executed.load(), 0) << "threads=" << threads;
+    // One thread: one CheckPoint, then stop.
+    if (threads == 1) {
+      EXPECT_EQ(ctx.cancel_checks(), checks_before + 1);
+    }
+  }
+}
+
+TEST(ParallelForGovernorTest, ATripMidFanOutStopsLaterIndexes) {
+  // Index 5 trips the context while it runs, as a shard task's ShouldStop
+  // does when the deadline passes: the fan-out must report the trip (so
+  // the chase discards the round) and start no index once the trip is
+  // latched. A later index taken before the trip holds its thread until
+  // the trip, so each other thread runs at most one index past it.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}}) {
+    ExecutionContext ctx;
+    constexpr size_t kN = 256;
+    constexpr size_t kTrip = 5;
+    std::vector<std::atomic<int>> ran(kN);
+    Status s = ParallelFor(
+        kN, threads,
+        [&](size_t i) {
+          ++ran[i];
+          if (i == kTrip) {
+            ctx.RequestCancel();
+            (void)ctx.CheckPoint("task");
+          }
+          while (i > kTrip && !ctx.Exhausted()) std::this_thread::yield();
+          return Status::OK();
+        },
+        &ctx);
+    EXPECT_EQ(s.code(), StatusCode::kResourceExhausted)
+        << "threads=" << threads;
+    EXPECT_EQ(ran[kTrip].load(), 1);
+    size_t after = 0;
+    for (size_t i = kTrip + 1; i < kN; ++i) after += ran[i].load();
+    EXPECT_LT(after, threads) << "threads=" << threads;
+    if (threads == 1) {
+      for (size_t i = 0; i < kTrip; ++i) EXPECT_EQ(ran[i].load(), 1);
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // Tests for the observability substrate (obs/metrics.h, obs/trace.h) and
 // its integration points: the metrics registry's sharded counters and
 // snapshot determinism, the tracer's ring/export repair contract, span
-// nesting across the ThreadPool, and the engines' canonical
+// nesting across ParallelFor, and the engines' canonical
 // `bddfc.<engine>.<name>` publication.
 
 #include <gtest/gtest.h>
@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "bddfc/base/governor.h"
-#include "bddfc/base/thread_pool.h"
+#include "bddfc/base/parallel.h"
 #include "bddfc/chase/chase.h"
 #include "bddfc/obs/metrics.h"
 #include "bddfc/obs/trace.h"
@@ -252,30 +252,26 @@ TEST_F(ObsTest, RingOverflowDropsOrphansButStaysBalanced) {
   EXPECT_GT(b_count, 0u);
 }
 
-TEST_F(ObsTest, ThreadPoolTasksParentUnderTheSubmittingSpan) {
+TEST_F(ObsTest, ParallelForTasksParentUnderTheCallingSpan) {
   Tracer::Global().Enable(1 << 10);
-  uint64_t submit_id = 0;
+  uint64_t caller_id = 0;
   {
     TraceSpan fan_out("fan.out");
-    submit_id = fan_out.id();
-    ThreadPool pool(4);
+    caller_id = fan_out.id();
     std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-      pool.Submit([&ran] {
-        ++ran;
-        return Status::OK();
-      });
-    }
-    EXPECT_TRUE(pool.Wait().ok());
+    EXPECT_TRUE(ParallelFor(8, 4, [&ran](size_t) {
+                  ++ran;
+                  return Status::OK();
+                }).ok());
     EXPECT_EQ(ran.load(), 8);
   }
-  // Every pool.task span must carry the submitting span as its parent
-  // even though it ran (and recorded) on a worker thread.
+  // Every pool.task span must carry the calling span as its parent, also
+  // when it ran (and recorded) on one of the fan-out's own threads.
   std::string json = Tracer::Global().ExportChromeJson();
   size_t tasks = 0;
   const std::string want =
       "\"name\":\"pool.task\",\"cat\":\"bddfc\",\"ph\":\"B\"";
-  const std::string parent_field = "\"parent\":" + std::to_string(submit_id);
+  const std::string parent_field = "\"parent\":" + std::to_string(caller_id);
   for (size_t p = 0; (p = json.find(want, p)) != std::string::npos; ++p) {
     size_t parent = json.find("\"parent\":", p);
     ASSERT_NE(parent, std::string::npos);
@@ -288,8 +284,8 @@ TEST_F(ObsTest, ThreadPoolTasksParentUnderTheSubmittingSpan) {
 
 TEST_F(ObsTest, NestedSpansWithoutATracerRecordToTheirParentsRing) {
   // A span opened without a tracer follows the innermost open span's
-  // tracer — on its own thread and, through the pool, on workers — and
-  // falls back to Global() only at top level.
+  // tracer — on its own thread and, through ParallelFor, on the fan-out's
+  // threads — and falls back to Global() only at top level.
   Tracer::Global().Enable(1 << 10);
   Tracer session;
   session.Enable(1 << 10);
@@ -297,12 +293,10 @@ TEST_F(ObsTest, NestedSpansWithoutATracerRecordToTheirParentsRing) {
     TraceSpan outer(&session, "session.outer");
     EXPECT_EQ(Tracer::CurrentTracer(), &session);
     TraceSpan inner("nested.inner");
-    ThreadPool pool(2);
-    pool.Submit([] {
-      TraceSpan in_task("nested.task");
-      return Status::OK();
-    });
-    EXPECT_TRUE(pool.Wait().ok());
+    EXPECT_TRUE(ParallelFor(2, 2, [](size_t) {
+                  TraceSpan in_task("nested.task");
+                  return Status::OK();
+                }).ok());
   }
   EXPECT_EQ(Tracer::CurrentTracer(), nullptr);
   { TraceSpan top("top.level"); }

@@ -357,11 +357,13 @@ TEST(ParserFaultTest, ChaosSiteIsScopedToTheCallersRegistry) {
   FaultRegistry reg_a;
   reg_a.Arm({.site = faults::kParserParse,
              .schedule = FaultSchedule::kAfterN,
-             .n = 0});
+             .n = 0,
+             .action = ""});
   FaultRegistry reg_b;  // enabled by arming an unrelated site only
   reg_b.Arm({.site = faults::kChaseRound,
              .schedule = FaultSchedule::kAfterN,
-             .n = 0});
+             .n = 0,
+             .action = ""});
 
   std::atomic<int> a_ok{0}, b_failed{0};
   std::thread chaos([&] {

@@ -226,6 +226,20 @@ TEST(ServeCacheTest, AccountantHoldsOnlyCachedArtifactBytes) {
   EXPECT_EQ(server.memory().used(), server.cache().charged_bytes());
 }
 
+TEST(ServeCacheTest, ArtifactChargeIsTheStructuresAccountedBytes) {
+  // The cache charges what the compile's chase charged for the structure
+  // (Structure::ApproxAccountedBytes), plus the canonical text and a fixed
+  // overhead, not a per-fact constant of its own.
+  ReasoningServer server{ServerOptions{}};
+  const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
+  const std::shared_ptr<serve::Artifact> a = server.cache().Find(key);
+  ASSERT_NE(a, nullptr);
+  const size_t expected = a->canonical_text.size() +
+                          a->chase.structure.ApproxAccountedBytes() + 4096;
+  EXPECT_EQ(a->bytes, expected);
+  EXPECT_EQ(server.cache().charged_bytes(), expected);
+}
+
 TEST(ServeCacheTest, ConcurrentLoadsSingleFlight) {
   ReasoningServer server{ServerOptions{}};
   constexpr int kThreads = 8;

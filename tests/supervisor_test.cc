@@ -78,7 +78,8 @@ TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 1,
-           .max_fires = 1});
+           .max_fires = 1,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
@@ -109,7 +110,8 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 0,
-           .max_fires = 3});
+           .max_fires = 3,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
@@ -127,7 +129,8 @@ TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   again.Arm({.site = faults::kChaseRound,
              .schedule = FaultSchedule::kAfterN,
              .n = 0,
-             .max_fires = 1});
+             .max_fires = 1,
+             .action = ""});
   ExecutionContext ctx2;
   ctx2.SetFaultRegistry(&again);
   sup.context = &ctx2;
@@ -153,7 +156,8 @@ TEST(SupervisorTest, ReferenceRungHitsNoProductionFaultSite) {
     reg.Arm({.site = site,
              .schedule = FaultSchedule::kAfterN,
              .n = 0,
-             .max_fires = 0});
+             .max_fires = 0,
+             .action = ""});
     ctx.SetFaultRegistry(&reg);
     SupervisorOptions sup;
     sup.context = &ctx;
@@ -181,7 +185,8 @@ TEST(SupervisorTest, ExhaustedRetryBudgetReturnsCompletePrefix) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 2,
-           .max_fires = 0});
+           .max_fires = 0,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
@@ -212,7 +217,8 @@ TEST(SupervisorTest, RetriesStopAtTheParentDeadline) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 0,
-           .max_fires = 0});
+           .max_fires = 0,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
@@ -246,7 +252,8 @@ TEST(SupervisorTest, RecoveredRunPublishesCleanMetricsAndPhases) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 1,
-           .max_fires = 1});
+           .max_fires = 1,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
@@ -316,7 +323,8 @@ TEST(SupervisorTest, RetryResetIsScopedToTheRunsRegistry) {
       faults.Arm({.site = faults::kChaseRound,
                   .schedule = FaultSchedule::kAfterN,
                   .n = 1,
-                  .max_fires = 1});
+                  .max_fires = 1,
+                  .action = ""});
       RunContext rc;
       rc.metrics = &session_a;
       ctx.SetRunContext(&rc);
@@ -365,7 +373,8 @@ TEST(SupervisorTest, GivingUpIsCountedOnce) {
   reg.Arm({.site = faults::kChaseRound,
            .schedule = FaultSchedule::kAfterN,
            .n = 0,
-           .max_fires = 0});
+           .max_fires = 0,
+           .action = ""});
   ctx.SetFaultRegistry(&reg);
   SupervisorOptions sup;
   sup.context = &ctx;
