@@ -167,10 +167,14 @@ TEST(HashTest, HashRangeIsOrderSensitive) {
   EXPECT_EQ(HashRange(a.begin(), a.end()), HashRange(a.begin(), a.end()));
 }
 
-TEST(ParallelForTest, ParallelForCoversTheRangeAndOrdersStatuses) {
+// The ThreadPoolTest suite keeps the name it had when a thread pool ran
+// the library's fan-out; its tests now cover ParallelFor, which replaced
+// the pool.
+
+TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   // Every index runs exactly once at every thread count, including more
-  // threads than indexes and an empty range (which is OK).
-  for (size_t n : {0u, 1u, 3u, 64u}) {
+  // threads than indexes.
+  for (size_t n : {1u, 3u, 64u}) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       std::vector<std::atomic<int>> hits(n);
       Status st = ParallelFor(n, threads, [&hits](size_t i) {
@@ -184,8 +188,38 @@ TEST(ParallelForTest, ParallelForCoversTheRangeAndOrdersStatuses) {
       }
     }
   }
-  // Whatever the completion order, the failure at the lowest index wins,
-  // and failing tasks do not stop the others.
+}
+
+TEST(ThreadPoolTest, WaitAggregatesFirstFailureInSubmissionOrder) {
+  // Whatever the completion order, the failure at the lowest index wins.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    Status st = ParallelFor(32, threads, [](size_t i) {
+      if (i == 7) return Status::InvalidArgument("seven");
+      if (i == 21) return Status::Internal("twenty-one");
+      return Status::OK();
+    });
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << "threads " << threads;
+    EXPECT_EQ(st.message(), "seven") << "threads " << threads;
+  }
+}
+
+TEST(ThreadPoolTest, WaitOnEmptyPoolIsOk) {
+  // An empty range is OK and calls fn never, at every thread count.
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    std::atomic<int> calls{0};
+    Status st = ParallelFor(0, threads, [&calls](size_t) {
+      ++calls;
+      return Status::OK();
+    });
+    EXPECT_TRUE(st.ok()) << "threads " << threads;
+    EXPECT_EQ(calls.load(), 0) << "threads " << threads;
+  }
+}
+
+TEST(ThreadPoolTest, ParallelForCoversTheRangeAndOrdersStatuses) {
+  // Failing tasks do not stop the others, and the failure at the lowest
+  // index is the one returned.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     std::vector<int> out(100, 0);
     Status st = ParallelFor(out.size(), threads, [&out](size_t i) {
