@@ -394,23 +394,32 @@ std::string RuleViolation::ToString(const Signature& sig) const {
 
 std::optional<RuleViolation> CheckModel(const Structure& m,
                                         const Theory& theory) {
+  // The certifier shares no evaluator with the production engine: bodies
+  // are enumerated by the interpretive Matcher, a TGD head is answered by
+  // Matcher::Exists and a datalog head by one exact-tuple FindRow probe
+  // per atom, the store lookup the plan executor also uses.
   Matcher matcher(m);
   std::optional<RuleViolation> violation;
   for (size_t ri = 0; ri < theory.rules().size() && !violation; ++ri) {
     const Rule& rule = theory.rules()[ri];
+    const bool datalog = rule.IsDatalog();
+    // The head, grounded in place for every match: bound variables take
+    // the match's values, existential ones stay free for the Matcher.
+    std::vector<Atom> head = rule.head;
     matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
-      // Check head satisfaction: grounded atoms for bound variables,
-      // existential variables free for the matcher.
-      std::vector<Atom> head = rule.head;
-      for (Atom& a : head) {
-        for (TermId& t : a.args) {
-          if (IsVar(t)) {
-            auto it = b.find(t);
-            if (it != b.end()) t = it->second;
-          }
+      for (size_t i = 0; i < head.size(); ++i) {
+        for (size_t j = 0; j < head[i].args.size(); ++j) {
+          const TermId t = rule.head[i].args[j];
+          if (!IsVar(t)) continue;
+          auto it = b.find(t);
+          if (it != b.end()) head[i].args[j] = it->second;
         }
       }
-      if (!matcher.Exists(head, {})) {
+      const bool holds =
+          datalog ? std::all_of(head.begin(), head.end(),
+                                [&m](const Atom& a) { return m.Contains(a); })
+                  : matcher.Exists(head, {});
+      if (!holds) {
         RuleViolation v;
         v.rule_index = static_cast<int>(ri);
         for (const Atom& a : rule.body) {

@@ -46,7 +46,6 @@ FiniteModelResult ConstructFiniteCounterModel(
   ExecutionContext local_ctx;
   ExecutionContext* ctx =
       options.context != nullptr ? options.context : &local_ctx;
-  const bool governed = options.context != nullptr;
   // Phase sub-budgets: chase gets half the bytes, the rewriter a quarter,
   // everything else charges the shared remainder. 0 = unlimited.
   const size_t mem_limit = ctx->memory().limit();
@@ -59,6 +58,12 @@ FiniteModelResult ConstructFiniteCounterModel(
   auto finalize = [&] {
     result.report = ctx->report();
     result.report.partial_result = result.partial_chase.NumFacts() > 0;
+  };
+  // Hands back the accounted bytes of a chase or saturation result the run
+  // drops, so every exit leaves the context's used() as it found it; only
+  // a prefix handed back in partial_chase stays charged.
+  auto release = [ctx](const Structure& s) {
+    ctx->memory().Release(s.ApproxAccountedBytes());
   };
 
   // Scope: binary theories (Theorem 1) directly; theories whose TGD heads
@@ -147,6 +152,23 @@ FiniteModelResult ConstructFiniteCounterModel(
     return result;
   }
 
+  // Step 7, for the finite chase and for every attempt: certifies `s`, a
+  // chase or saturation result over the extended signature, in place and
+  // returns the failure, empty when certified. D, T₀ and Q read only the
+  // original predicates, whose rows ProjectToOriginal copies in row order,
+  // so each check gets the verdict it would get on the projection, and
+  // CheckModel the same first violation. Only the accepted model is
+  // projected, into result.model; callers run this in the certify phase.
+  auto certify = [&](const Structure& s) -> std::string {
+    if (!s.ContainsAllFactsOf(instance)) return "candidate lost facts of D";
+    if (auto violation = CheckModel(s, theory)) {
+      return "not a model: " + violation->ToString(*sig);
+    }
+    if (Satisfies(s, query)) return "candidate satisfies the query";
+    result.model = ProjectToOriginal(s, num_original_preds);
+    return "";
+  };
+
   size_t depth = options.initial_chase_depth;
   bool stop = false;
   while (!stop) {
@@ -203,6 +225,7 @@ FiniteModelResult ConstructFiniteCounterModel(
 
     // F present => Chase(D, T₀) ⊨ Q: no counter-model exists (§3.1).
     if (!chase.structure.Rows(f_pred).empty()) {
+      release(chase.structure);
       result.query_certainly_true = true;
       result.status = Status::FailedPrecondition(
           "the query is certainly true: Chase(D, T) derives it");
@@ -213,33 +236,27 @@ FiniteModelResult ConstructFiniteCounterModel(
 
     if (chase.fixpoint_reached) {
       // The chase itself is a finite model avoiding F; certify directly.
-      Structure candidate =
-          ProjectToOriginal(chase.structure, num_original_preds);
       PipelineAttempt attempt;
       attempt.chase_depth = chase.rounds_run;
       attempt.n = 0;
       {
         PhaseScope scope(ctx, "certify");
-        if (candidate.ContainsAllFactsOf(instance) &&
-            CheckModel(candidate, theory) == std::nullopt &&
-            !Satisfies(candidate, query)) {
-          attempt.certified = true;
-          scope.set_progress("finite chase certified directly");
-        } else {
-          scope.set_progress("finite chase failed certification");
+        attempt.certified = certify(chase.structure).empty();
+        if (!attempt.certified) {
+          attempt.failure = "finite chase failed certification";
         }
+        scope.set_progress(attempt.certified
+                               ? "finite chase certified directly"
+                               : attempt.failure);
       }
-      if (attempt.certified) {
-        result.attempts.push_back(attempt);
-        result.model = std::move(candidate);
-        result.chase_depth_used = chase.rounds_run;
-        finalize();
-        result.report.partial_result = false;
-        return result;
-      }
-      attempt.failure = "finite chase failed certification";
       result.attempts.push_back(attempt);
-      break;  // deeper chase cannot change a reached fixpoint
+      release(chase.structure);
+      // A deeper chase cannot change a reached fixpoint.
+      if (!attempt.certified) break;
+      result.chase_depth_used = chase.rounds_run;
+      finalize();
+      result.report.partial_result = false;
+      return result;
     }
 
     // Step 4: skeleton.
@@ -252,6 +269,7 @@ FiniteModelResult ConstructFiniteCounterModel(
       return s;
     }();
     if (!forest.is_forest) {
+      release(chase.structure);
       result.status = Status::Internal(
           "skeleton is not a forest — (♠5) normalization violated Lemma 3");
       return result;
@@ -263,6 +281,7 @@ FiniteModelResult ConstructFiniteCounterModel(
       return NaturalColoring(skeleton.structure, m);
     }();
     if (!coloring.ok()) {
+      release(chase.structure);
       result.status = coloring.status();
       return result;
     }
@@ -329,6 +348,7 @@ FiniteModelResult ConstructFiniteCounterModel(
         return std::move(s.result);
       }();
       if (saturated.status.code() == StatusCode::kInternal) {
+        release(saturated.structure);
         result.status = saturated.status;
         result.partial_chase = std::move(chase.structure);
         result.partial_chase_rounds = chase.rounds_run;
@@ -336,7 +356,10 @@ FiniteModelResult ConstructFiniteCounterModel(
         return result;
       }
       if (!saturated.status.ok()) {
+        // Checked before the release: the trip is judged on the budget as
+        // the saturation left it.
         Status sat_cp = ctx->CheckPoint("pipeline saturation");
+        release(saturated.structure);
         if (!sat_cp.ok()) {
           result.status = std::move(sat_cp);
           result.partial_chase = std::move(chase.structure);
@@ -346,52 +369,35 @@ FiniteModelResult ConstructFiniteCounterModel(
         }
         attempt.failure = "saturation: " + saturated.status.ToString();
         result.attempts.push_back(attempt);
-        if (governed) {
-          ctx->memory().Release(saturated.structure.ApproxAccountedBytes());
-        }
         continue;
       }
 
       // Step 7: certification against the ORIGINAL theory and query.
-      Structure candidate =
-          ProjectToOriginal(saturated.structure, num_original_preds);
       {
         PhaseScope cert_scope(ctx, "certify");
-        if (!candidate.ContainsAllFactsOf(instance)) {
-          attempt.failure = "candidate lost facts of D";
-        } else if (auto violation = CheckModel(candidate, theory)) {
-          attempt.failure =
-              "not a model: " + violation->ToString(*sig);
-        } else if (Satisfies(candidate, query)) {
-          attempt.failure = "candidate satisfies the query";
-        } else {
-          attempt.certified = true;
-          cert_scope.set_progress(
-              "model with " + std::to_string(candidate.NumFacts()) +
-              " facts at depth " + std::to_string(depth) +
-              ", n=" + std::to_string(n));
-        }
-        if (!attempt.certified) cert_scope.set_progress(attempt.failure);
+        attempt.failure = certify(saturated.structure);
+        attempt.certified = attempt.failure.empty();
+        cert_scope.set_progress(
+            attempt.certified
+                ? "model with " + std::to_string(result.model.NumFacts()) +
+                      " facts at depth " + std::to_string(depth) +
+                      ", n=" + std::to_string(n)
+                : attempt.failure);
       }
+      result.attempts.push_back(attempt);
+      release(saturated.structure);
       if (attempt.certified) {
-        result.attempts.push_back(attempt);
-        result.model = std::move(candidate);
+        release(chase.structure);
         result.n_used = n;
         result.chase_depth_used = depth;
         finalize();
         result.report.partial_result = false;
         return result;
       }
-      result.attempts.push_back(attempt);
-      if (governed) {
-        ctx->memory().Release(saturated.structure.ApproxAccountedBytes());
-      }
     }
     // This depth's chase prefix is rebuilt (deeper) next iteration; hand
     // its allowance back to the budget.
-    if (governed) {
-      ctx->memory().Release(chase.structure.ApproxAccountedBytes());
-    }
+    release(chase.structure);
     depth *= 2;
   }
 

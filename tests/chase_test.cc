@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <optional>
+#include <random>
+#include <set>
 #include <string>
 
 #include "bddfc/chase/chase.h"
 #include "bddfc/chase/skeleton.h"
 #include "bddfc/eval/match.h"
+#include "bddfc/finitemodel/pipeline.h"
 #include "bddfc/parser/parser.h"
 #include "bddfc/testing/oracles.h"
 #include "bddfc/workload/generators.h"
@@ -626,6 +630,220 @@ TEST(CheckModelTest, Example1QuotientIsNotAModel) {
   opts.max_rounds = 8;
   ChaseResult res = RunChase(p.theory, m_prime, opts);
   EXPECT_FALSE(res.fixpoint_reached);
+}
+
+/// The Matcher-only certifier that CheckModel's exact-tuple head probes
+/// replaced, kept verbatim as the reference: per match it grounds a copy
+/// of the head and asks Matcher::Exists, datalog heads included.
+std::optional<RuleViolation> ReferenceCheckModel(const Structure& m,
+                                                 const Theory& theory) {
+  Matcher matcher(m);
+  std::optional<RuleViolation> violation;
+  for (size_t ri = 0; ri < theory.rules().size() && !violation; ++ri) {
+    const Rule& rule = theory.rules()[ri];
+    matcher.Enumerate(rule.body, {}, [&](const Binding& b) {
+      // Check head satisfaction: grounded atoms for bound variables,
+      // existential variables free for the matcher.
+      std::vector<Atom> head = rule.head;
+      for (Atom& a : head) {
+        for (TermId& t : a.args) {
+          if (IsVar(t)) {
+            auto it = b.find(t);
+            if (it != b.end()) t = it->second;
+          }
+        }
+      }
+      if (!matcher.Exists(head, {})) {
+        RuleViolation v;
+        v.rule_index = static_cast<int>(ri);
+        for (const Atom& a : rule.body) {
+          Atom g = a;
+          for (TermId& t : g.args) {
+            auto it = b.find(t);
+            if (it != b.end()) t = it->second;
+          }
+          v.grounded_body.push_back(std::move(g));
+        }
+        violation = std::move(v);
+        return false;
+      }
+      return true;
+    });
+  }
+  return violation;
+}
+
+/// A verdict as text: the violation (rule index and grounded body) or
+/// "model".
+std::string Verdict(const std::optional<RuleViolation>& v,
+                    const Signature& sig) {
+  return v ? v->ToString(sig) : "model";
+}
+
+/// A random program over constants k0..k3: facts of the nullary g, a/1,
+/// b/2, c/2 and d/3 first, so z/2, which only rule heads use, is interned
+/// last and has no stored relation; then 1-4 rules whose heads mix body
+/// variables, repeated variables, constants, several atoms, g, z and
+/// existential variables, repeated ones included. Drawn from raw
+/// mt19937_64 output, so the text is the same everywhere.
+std::string RandomCertifierProgram(std::mt19937_64& rng) {
+  struct Pred {
+    const char* name;
+    int arity;
+  };
+  const Pred kStored[] = {{"g", 0}, {"a", 1}, {"b", 2}, {"c", 2}, {"d", 3}};
+  const Pred kZ = {"z", 2};
+  const char* const kConsts[] = {"k0", "k1", "k2", "k3"};
+  const char* const kVars[] = {"X", "Y", "W"};
+  const char* const kExists[] = {"E", "F"};
+  auto pick = [&rng](uint64_t n) { return static_cast<size_t>(rng() % n); };
+  auto atom = [](const Pred& p, const std::vector<std::string>& args) {
+    std::string s = p.name;
+    for (size_t i = 0; i < args.size(); ++i) {
+      s += (i == 0 ? "(" : ", ") + args[i];
+    }
+    return args.empty() ? s : s + ")";
+  };
+  std::string text;
+  for (const Pred& p : kStored) {
+    const size_t facts = p.arity == 0 ? pick(2) : pick(8);
+    for (size_t i = 0; i < facts; ++i) {
+      std::vector<std::string> args;
+      for (int j = 0; j < p.arity; ++j) args.push_back(kConsts[pick(4)]);
+      text += atom(p, args) + ".\n";
+    }
+  }
+  const size_t rules = 1 + pick(4);
+  for (size_t r = 0; r < rules; ++r) {
+    std::set<std::string> body_vars;
+    std::string body;
+    const size_t body_atoms = 1 + pick(3);
+    for (size_t i = 0; i < body_atoms; ++i) {
+      const Pred& p = kStored[pick(5)];
+      std::vector<std::string> args;
+      for (int j = 0; j < p.arity; ++j) {
+        args.push_back(pick(6) == 0 ? kConsts[pick(4)] : kVars[pick(3)]);
+        if (args.back()[0] != 'k') body_vars.insert(args.back());
+      }
+      body += (i == 0 ? "" : ", ") + atom(p, args);
+    }
+    const bool tgd = pick(3) == 0;
+    std::string head;
+    const size_t head_atoms = 1 + pick(3);
+    for (size_t i = 0; i < head_atoms; ++i) {
+      const Pred& p = pick(6) == 0 ? kZ : kStored[pick(5)];
+      std::vector<std::string> args;
+      for (int j = 0; j < p.arity; ++j) {
+        const size_t kind = pick(6);
+        if (tgd && kind < 2) {
+          args.push_back(kExists[pick(2)]);
+        } else if (kind == 2 || body_vars.empty()) {
+          args.push_back(kConsts[pick(4)]);
+        } else {
+          args.push_back(*std::next(body_vars.begin(),
+                                    static_cast<long>(pick(body_vars.size()))));
+        }
+      }
+      head += (i == 0 ? "" : ", ") + atom(p, args);
+    }
+    text += body + " -> " + head + ".\n";
+  }
+  return text;
+}
+
+TEST(CheckModelTest, AgreesWithTheMatcherOnlyReferenceOnRandomPrograms) {
+  // Same first violation (rule index and grounded body) or the same
+  // "model" verdict on random instances and on their chase prefixes, which
+  // are closer to models. Both outcomes, violations of datalog and of
+  // existential rules, and violated heads with the nullary g and with z
+  // must occur, or the comparison would show little.
+  std::mt19937_64 rng(20261019);
+  size_t models = 0, datalog_violations = 0, tgd_violations = 0;
+  size_t nullary_heads = 0, unstored_heads = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::string text = RandomCertifierProgram(rng);
+    Result<Program> parsed = ParseProgram(text);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
+    const Program& p = parsed.value();
+    ChaseOptions opts;
+    opts.max_rounds = 3;
+    const ChaseResult chased = RunChase(p.theory, p.instance, opts);
+    for (const Structure* m : {&p.instance, &chased.structure}) {
+      const std::optional<RuleViolation> got = CheckModel(*m, p.theory);
+      const std::optional<RuleViolation> want =
+          ReferenceCheckModel(*m, p.theory);
+      ASSERT_EQ(Verdict(got, p.theory.sig()), Verdict(want, p.theory.sig()))
+          << text;
+      if (!got) {
+        ++models;
+        continue;
+      }
+      const Rule& rule = p.theory.rules()[got->rule_index];
+      ++(rule.IsDatalog() ? datalog_violations : tgd_violations);
+      for (const Atom& a : rule.head) {
+        const std::string& name = p.theory.sig().PredicateName(a.pred);
+        if (name == "g") ++nullary_heads;
+        if (name == "z") ++unstored_heads;
+      }
+    }
+  }
+  EXPECT_GE(models, 50u);
+  EXPECT_GE(datalog_violations, 50u);
+  EXPECT_GE(tgd_violations, 50u);
+  EXPECT_GE(nullary_heads, 10u);
+  EXPECT_GE(unstored_heads, 10u);
+}
+
+TEST(CheckModelTest, CertifiedExample7ModelMinusOneFactIsNoModel) {
+  // The certifier still says no. From the certified counter-model of
+  // Example 7 over a 16-edge path, delete every fifth fact of each
+  // relation, one at a time: the verdict is the reference's, and it is a
+  // violation for every r fact, each of which is the co-child rule's head
+  // for a match of its body. An e fact can be redundant (its source keeps
+  // another successor), but some e deletions must still break the TGD.
+  std::string text =
+      "e(X, Y) -> exists Z: e(Y, Z).\n"
+      "e(X, Y), e(X1, Y) -> r(X, X1).\n";
+  for (int i = 0; i < 16; ++i) {
+    text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
+            ").\n";
+  }
+  Program p = MustParse(text.c_str());
+  Result<ConjunctiveQuery> q =
+      ParseQuery("e(X, X)", p.theory.signature_ptr().get());
+  ASSERT_TRUE(q.ok());
+  const FiniteModelResult r =
+      ConstructFiniteCounterModel(p.theory, p.instance, q.value());
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  ASSERT_EQ(CheckModel(r.model, p.theory), std::nullopt);
+  const Signature& sig = p.theory.sig();
+  const PredId r_pred = std::move(sig.FindPredicate("r")).ValueOrDie();
+  size_t sampled_r = 0, e_violations = 0;
+  for (PredId pred = 0; pred < r.model.NumStoredPredicates(); ++pred) {
+    for (uint32_t gone = 0; gone < r.model.NumFacts(pred); gone += 5) {
+      Structure m(r.model.signature_ptr());
+      for (PredId kept = 0; kept < r.model.NumStoredPredicates(); ++kept) {
+        const RowsView rows = r.model.Rows(kept);
+        for (uint32_t row = 0; row < rows.size(); ++row) {
+          if (kept != pred || row != gone) m.AddFact(kept, rows[row]);
+        }
+      }
+      const std::optional<RuleViolation> got = CheckModel(m, p.theory);
+      const std::string without =
+          Atom(pred, r.model.Rows(pred)[gone]).ToString(sig);
+      EXPECT_EQ(Verdict(got, sig),
+                Verdict(ReferenceCheckModel(m, p.theory), sig))
+          << "without " << without;
+      if (pred == r_pred) {
+        EXPECT_TRUE(got.has_value()) << "without " << without;
+        ++sampled_r;
+      } else if (got.has_value()) {
+        ++e_violations;
+      }
+    }
+  }
+  EXPECT_GE(sampled_r, 50u);
+  EXPECT_GE(e_violations, 1u);
 }
 
 TEST(SkeletonTest, SkeletonKeepsTgpAtomsAndDAtoms) {

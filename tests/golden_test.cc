@@ -150,28 +150,101 @@ TEST(GoldenDigestTest, ChaseRunsMatchTheRecordedDigests) {
   }
 }
 
-TEST(GoldenDigestTest, Example7ModelAtSixteenMatchesTheRecordedDigest) {
-  // `bddfc model`'s counter-model for Example 7 over a 16-edge path.
+/// `bddfc model`'s pipeline run for the query e(X, X) on Example 7 over an
+/// `edges`-edge path.
+FiniteModelResult Example7Model(int edges) {
   std::string text =
       "e(X, Y) -> exists Z: e(Y, Z).\n"
       "e(X, Y), e(X1, Y) -> r(X, X1).\n";
-  for (int i = 0; i < 16; ++i) {
+  for (int i = 0; i < edges; ++i) {
     text += "e(c" + std::to_string(i) + ", c" + std::to_string(i + 1) +
             ").\n";
   }
   Result<Program> parsed = ParseProgram(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
   const Program& p = parsed.value();
   Result<ConjunctiveQuery> q =
       ParseQuery("e(X, X)", p.theory.signature_ptr().get());
-  ASSERT_TRUE(q.ok());
-  const FiniteModelResult r = ConstructFiniteCounterModel(
-      p.theory, p.instance, q.value(), PipelineOptions{});
+  EXPECT_TRUE(q.ok());
+  return ConstructFiniteCounterModel(p.theory, p.instance, q.value(),
+                                     PipelineOptions{});
+}
+
+TEST(GoldenDigestTest, Example7ModelAtSixteenMatchesTheRecordedDigest) {
+  // `bddfc model`'s counter-model for Example 7 over a 16-edge path.
+  const FiniteModelResult r = Example7Model(16);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   std::string s;
   AppendRows(r.model, &s);
   AppendDomainAndNames(r.model, &s);
   EXPECT_EQ(Hex(Fnv1a(s)), "3099e4334b14fc89");
+}
+
+TEST(GoldenDigestTest, Example7AttemptsAndCertifyNotesMatchTheRecord) {
+  // Every attempt of the pipeline and the certify phase notes of its
+  // report, for Example 7 over 16- and 64-edge paths, as recorded when
+  // certification still ran on a projected copy of each attempt's
+  // saturation: certifying in place must give each attempt the same
+  // verdict, failure text and note.
+  auto render = [](const FiniteModelResult& r) {
+    std::string s;
+    for (const PipelineAttempt& a : r.attempts) {
+      s += "depth=" + std::to_string(a.chase_depth) +
+           " n=" + std::to_string(a.n) +
+           " skeleton=" + std::to_string(a.skeleton_facts) +
+           " quotient=" + std::to_string(a.quotient_size) +
+           " certified=" + std::to_string(a.certified) +
+           " failure=" + a.failure + "\n";
+    }
+    for (const PhaseProgress& phase : r.report.phases) {
+      if (phase.phase == "certify") s += "certify: " + phase.progress + "\n";
+    }
+    return s;
+  };
+  EXPECT_EQ(render(Example7Model(16)),
+            "depth=8 n=2 skeleton=80 quotient=66 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q96, _q112)\n"
+            "depth=8 n=3 skeleton=80 quotient=81 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q145, _q161)\n"
+            "depth=8 n=4 skeleton=80 quotient=81 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q209, _q225)\n"
+            "depth=16 n=2 skeleton=144 quotient=70 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q420, _q421)\n"
+            "depth=16 n=3 skeleton=144 quotient=85 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q488, _q489)\n"
+            "depth=16 n=4 skeleton=144 quotient=100 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q571, _q572)\n"
+            "depth=32 n=2 skeleton=272 quotient=70 certified=1 "
+            "failure=\n"
+            "certify: not a model: rule #0 violated by e(_q96, _q112)\n"
+            "certify: not a model: rule #0 violated by e(_q145, _q161)\n"
+            "certify: not a model: rule #0 violated by e(_q209, _q225)\n"
+            "certify: not a model: rule #0 violated by e(_q420, _q421)\n"
+            "certify: not a model: rule #0 violated by e(_q488, _q489)\n"
+            "certify: not a model: rule #0 violated by e(_q571, _q572)\n"
+            "certify: model with 427 facts at depth 32, n=2\n");
+  EXPECT_EQ(render(Example7Model(64)),
+            "depth=8 n=2 skeleton=320 quotient=258 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q384, _q448)\n"
+            "depth=8 n=3 skeleton=320 quotient=321 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q577, _q641)\n"
+            "depth=8 n=4 skeleton=320 quotient=321 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q833, _q897)\n"
+            "depth=16 n=2 skeleton=576 quotient=262 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q1668, _q1669)\n"
+            "depth=16 n=3 skeleton=576 quotient=325 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q1928, _q1929)\n"
+            "depth=16 n=4 skeleton=576 quotient=388 certified=0 "
+            "failure=not a model: rule #0 violated by e(_q2251, _q2252)\n"
+            "depth=32 n=2 skeleton=1088 quotient=262 certified=1 "
+            "failure=\n"
+            "certify: not a model: rule #0 violated by e(_q384, _q448)\n"
+            "certify: not a model: rule #0 violated by e(_q577, _q641)\n"
+            "certify: not a model: rule #0 violated by e(_q833, _q897)\n"
+            "certify: not a model: rule #0 violated by e(_q1668, _q1669)\n"
+            "certify: not a model: rule #0 violated by e(_q1928, _q1929)\n"
+            "certify: not a model: rule #0 violated by e(_q2251, _q2252)\n"
+            "certify: model with 4747 facts at depth 32, n=2\n");
 }
 
 }  // namespace

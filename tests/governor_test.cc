@@ -602,6 +602,47 @@ TEST(GovernedPipelineTest, UngovernedRunsAreUnaffected) {
   EXPECT_FALSE(r.report.partial_result);
 }
 
+TEST(GovernedPipelineTest, EveryExitHandsBackTheBytesItCharged) {
+  // One governed context serves run after run: each returns the accounted
+  // bytes of every chase and saturation it drops, so used() ends where it
+  // started, whether the run certifies (Example 7, three times), finds
+  // the query certainly true, certifies a terminating chase directly or
+  // ends Unknown once every saturation ran out of rounds.
+  ExecutionContext ctx;
+  auto run = [&ctx](const char* text, StatusCode want,
+                    PipelineOptions opts = {}) {
+    Program p = MustParse(text);
+    ASSERT_FALSE(p.queries.empty());
+    const size_t before = ctx.memory().used();
+    opts.context = &ctx;
+    FiniteModelResult r = ConstructFiniteCounterModel(p.theory, p.instance,
+                                                      p.queries[0], opts);
+    EXPECT_EQ(r.status.code(), want) << r.status.ToString();
+    EXPECT_EQ(ctx.memory().used(), before) << text;
+  };
+  constexpr const char* kExample7 = R"(
+    e(X, Y) -> exists Z: e(Y, Z).
+    e(X, Y), e(X1, Y) -> r(X, X1).
+    e(a, b).
+    ?- e(X, X).
+  )";
+  for (int i = 0; i < 3; ++i) run(kExample7, StatusCode::kOk);
+  run(R"(
+    e(X, Y) -> exists Z: e(Y, Z).
+    e(a, b).
+    ?- e(X, Y).
+  )", StatusCode::kFailedPrecondition);
+  run(R"(
+    e(X, Y) -> exists Z: r(Y, Z).
+    e(a, b).
+    ?- r(X, X).
+  )", StatusCode::kOk);
+  PipelineOptions one_round;
+  one_round.max_saturation_rounds = 1;
+  run(kExample7, StatusCode::kUnknown, one_round);
+  EXPECT_GT(ctx.memory().peak(), 0u);
+}
+
 TEST(RunContextTest, ResolutionIsNearestAncestorWins) {
   // The serving layer hangs every request off one shared server root,
   // each request child carrying its own RunContext and fault registry.
