@@ -5,16 +5,14 @@
 // restricted one wherever witnesses pre-exist.
 //
 // Also compares the production engine against the kNaive reference on
-// generator workloads (equal outputs, wall-clock speedup), measures the
-// engine's thread scaling (E15), and exports ChaseStats counters into the
-// google-benchmark counter set (visible in --benchmark_format=json
-// output).
+// generator workloads (equal outputs, wall-clock speedup) and exports
+// ChaseStats counters into the google-benchmark counter set (visible in
+// --benchmark_format=json output).
 
 #include "bench_common.h"
 
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -71,7 +69,7 @@ GeneratorWorkload MakeGeneratorWorkload(int nodes, int edges, uint64_t seed) {
   std::vector<TermId> consts;
   consts.reserve(nodes);
   for (int i = 0; i < nodes; ++i) {
-    consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('k' + std::to_string(i)));
   }
   for (int i = 0; i < edges; ++i) {
     d.AddFact(b0, {consts[rng.Uniform(nodes)], consts[rng.Uniform(nodes)]});
@@ -117,104 +115,6 @@ void PrintEngineComparison() {
                 naive_ms, prod_ms, naive_ms / std::max(prod_ms, 1e-9),
                 naive.stats.match.bindings_tried,
                 prod.stats.match.bindings_tried, equal ? "yes" : "NO");
-  }
-}
-
-/// True iff the two results are byte-identical: same rows in the same
-/// append order with the same raw TermIds (valid because each run chased
-/// a freshly generated workload, so null numbering starts equal).
-bool ByteIdentical(const ChaseResult& a, const ChaseResult& b) {
-  if (a.structure.NumStoredPredicates() != b.structure.NumStoredPredicates())
-    return false;
-  for (PredId p = 0; p < a.structure.NumStoredPredicates(); ++p) {
-    if (a.structure.Rows(p) != b.structure.Rows(p)) return false;
-  }
-  return a.facts_per_round == b.facts_per_round &&
-         a.nulls_created == b.nulls_created && a.rounds_run == b.rounds_run;
-}
-
-/// One measured configuration of E15, also a row of BENCH_chase.json.
-struct ScalingRow {
-  int nodes;
-  int edges;
-  size_t threads;
-  double ms;
-  size_t facts;
-  size_t rounds;
-  bool identical;  // byte- and stats-identical to the one-thread run
-};
-
-/// Execution counters every thread count must agree on.
-bool StatsParity(const ChaseResult& a, const ChaseResult& b) {
-  return a.stats.match.bindings_tried == b.stats.match.bindings_tried &&
-         a.stats.triggers_deduped == b.stats.triggers_deduped &&
-         a.stats.datalog_deduped == b.stats.datalog_deduped;
-}
-
-/// Writes the perf-trajectory artifact consumed by CI. The path defaults
-/// to BENCH_chase.json in the working directory (CI runs from the repo
-/// root); override with BDDFC_BENCH_JSON.
-void WriteBenchJson(const std::vector<ScalingRow>& rows) {
-  const char* path = std::getenv("BDDFC_BENCH_JSON");
-  if (path == nullptr) path = "BENCH_chase.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "E15: cannot write %s\n", path);
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"chase\",\n  \"experiment\": \"E15\",\n");
-  std::fprintf(f, "  \"workload\": \"RandomAcyclicBinaryTheory seed=42\",\n");
-  std::fprintf(f, "  \"rows\": [\n");
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const ScalingRow& r = rows[i];
-    std::fprintf(f,
-                 "    {\"nodes\": %d, \"edges\": %d, \"threads\": %zu, "
-                 "\"ms\": %.3f, \"facts\": %zu, \"rounds\": %zu, "
-                 "\"identical\": %s}%s\n",
-                 r.nodes, r.edges, r.threads, r.ms, r.facts, r.rounds,
-                 r.identical ? "true" : "false",
-                 i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu rows)\n", path, rows.size());
-}
-
-void PrintParallelScaling(std::vector<ScalingRow>* json_rows) {
-  bddfc_bench::Banner(
-      "E15", "production chase engine thread scaling (byte- and "
-             "stats-identical at every thread count; scaling needs real "
-             "cores)");
-  std::printf("%-8s %-8s %-8s %-8s %-8s %-8s %-8s %-8s %-9s %-9s\n",
-              "nodes", "edges", "facts", "rounds", "t=1", "t=2", "t=4", "t=8",
-              "speedup4", "identical");
-  const int sizes[][2] = {{100, 300}, {200, 600}, {400, 1200}};
-  const size_t thread_counts[] = {1, 2, 4, 8};
-  for (auto [nodes, edges] : sizes) {
-    // Each run chases a freshly generated workload: the chase interns
-    // nulls into the workload's signature, so reusing one instance would
-    // shift the TermIds of the second run and break the byte comparison.
-    // Reference: the one-thread (inline) run.
-    double ms[4] = {0, 0, 0, 0};
-    GeneratorWorkload ref_w = MakeGeneratorWorkload(nodes, edges, 42);
-    ChaseResult ref = TimedChase(ref_w, ChaseEngine::kParallel, 1, &ms[0]);
-    json_rows->push_back({nodes, edges, 1, ms[0], ref.structure.NumFacts(),
-                          ref.rounds_run, true});
-    bool all_identical = true;
-    for (int i = 1; i < 4; ++i) {
-      GeneratorWorkload w = MakeGeneratorWorkload(nodes, edges, 42);
-      ChaseResult r =
-          TimedChase(w, ChaseEngine::kParallel, thread_counts[i], &ms[i]);
-      const bool identical = ByteIdentical(r, ref) && StatsParity(r, ref);
-      all_identical = all_identical && identical;
-      json_rows->push_back({nodes, edges, thread_counts[i], ms[i],
-                            r.structure.NumFacts(), r.rounds_run, identical});
-    }
-    std::printf(
-        "%-8d %-8d %-8zu %-8zu %-8.2f %-8.2f %-8.2f %-8.2f %-9.2f %-9s\n",
-        nodes, edges, ref.structure.NumFacts(), ref.rounds_run, ms[0], ms[1],
-        ms[2], ms[3], ms[0] / std::max(ms[2], 1e-9),
-        all_identical ? "yes" : "NO");
   }
 }
 
@@ -347,7 +247,7 @@ void BM_DatalogSaturation(benchmark::State& state) {
     PredId e = std::move(p.theory.sig().FindPredicate("e")).ValueOrDie();
     for (int i = 1; i <= state.range(0); ++i) {
       TermId next = p.theory.mutable_sig().AddConstant(
-          "c" + std::to_string(i));
+          'c' + std::to_string(i));
       p.instance.AddFact(e, {prev, next});
       prev = next;
     }
@@ -362,9 +262,6 @@ BENCHMARK(BM_DatalogSaturation)->Arg(16)->Arg(32)->Arg(64);
 void PrintAllTables() {
   PrintTable();
   PrintEngineComparison();
-  std::vector<ScalingRow> json_rows;
-  PrintParallelScaling(&json_rows);
-  WriteBenchJson(json_rows);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // full enumeration through the interpretive Matcher (CountMatches) and the
 // vectorized plan executor (block rows summed), equal counts required,
 // with the per-query timings exported as BENCH_eval.json (the CQ-eval perf
-// trajectory CI archives next to BENCH_chase.json).
+// trajectory CI archives).
 
 #include "bench_common.h"
 

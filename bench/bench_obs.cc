@@ -4,9 +4,9 @@
 // default, free when off, cheap when on". Disabled, a TraceSpan is one
 // relaxed atomic load and metrics publication is a guarded no-op; enabled,
 // spans take a mutex + clock read per round/level/stage (never per fact)
-// and counters are relaxed adds on thread-private shards. This experiment
-// measures the end-to-end cost on the E1 chase shapes and an E3 rewrite
-// workload, two ways per rep, interleaved:
+// and a counter is one relaxed add. This experiment measures the
+// end-to-end cost on the E1 chase shapes and an E3 rewrite workload, two
+// ways per rep, interleaved:
 //
 //   off — tracer disabled, metrics registry disabled (the default state)
 //   on  — tracer enabled with the CLI's 1<<16-slot ring, registry enabled

@@ -8,7 +8,7 @@ namespace bddfc {
 namespace {
 
 std::string Quoted(std::string_view value) {
-  return "'" + std::string(value) + "'";
+  return '\'' + std::string(value) + '\'';
 }
 
 /// Parses a finite number in [0, max] into *out; returns the problem, or

@@ -15,7 +15,7 @@ size_t DefaultThreads() {
 }
 
 Status ParallelFor(size_t n, size_t threads,
-                   const std::function<Status(size_t)>& fn,
+                   const std::function<Status(size_t, size_t)>& fn,
                    ExecutionContext* ctx) {
   // The caller's innermost span and its tracer: every task re-parents
   // there, whichever thread runs it.
@@ -24,7 +24,7 @@ Status ParallelFor(size_t n, size_t threads,
   obs::Tracer* const tracer = obs::Tracer::CurrentTracer();
   std::vector<Status> statuses(n);
   std::atomic<size_t> cursor{0};
-  auto drain = [&] {
+  auto drain = [&](size_t worker) {
     for (size_t i; (i = cursor.fetch_add(1, std::memory_order_relaxed)) < n;) {
       if (ctx != nullptr && ctx->Exhausted()) {
         statuses[i] = ctx->CheckPoint("ParallelFor");
@@ -32,9 +32,9 @@ Status ParallelFor(size_t n, size_t threads,
       }
       if (traced) {
         obs::TraceSpan span(tracer, "pool.task", parent);
-        statuses[i] = fn(i);
+        statuses[i] = fn(i, worker);
       } else {
-        statuses[i] = fn(i);
+        statuses[i] = fn(i, worker);
       }
     }
   };
@@ -42,10 +42,10 @@ Status ParallelFor(size_t n, size_t threads,
     // jthreads join on every exit from this block, before the state they
     // read goes out of scope.
     std::vector<std::jthread> helpers;
-    for (size_t t = 1; t < std::min(threads, n); ++t) {
-      helpers.emplace_back(drain);
+    for (size_t w = 1; w < std::min(threads, n); ++w) {
+      helpers.emplace_back(drain, w);
     }
-    drain();
+    drain(0);
   }
   for (Status& st : statuses) {
     if (!st.ok()) return std::move(st);

@@ -11,7 +11,9 @@
 // Each call is a self-contained fork-join: the caller and at most
 // threads - 1 std::threads, started and joined inside the call, take
 // indexes from one atomic cursor in ascending order. Nothing outlives the
-// call — no queues, no idle workers, no shutdown.
+// call — no queues, no idle workers, no shutdown. Each of these workers
+// has a number, and fn learns which worker runs its index, so a caller
+// can keep one output slot per worker instead of one per index.
 
 #ifndef BDDFC_BASE_PARALLEL_H_
 #define BDDFC_BASE_PARALLEL_H_
@@ -27,9 +29,13 @@ namespace bddfc {
 /// A reasonable default thread count: hardware concurrency, at least 1.
 size_t DefaultThreads();
 
-/// Runs fn(i) for every i in [0, n) on min(threads, n) threads — the
-/// caller plus at most threads - 1 threads started and joined here — and
-/// returns the first non-OK Status in index order.
+/// Runs fn(i, worker) for every i in [0, n) on min(threads, n) workers —
+/// the caller (worker 0) plus at most threads - 1 threads started and
+/// joined here (workers 1, 2, ...) — and returns the first non-OK Status
+/// in index order. A worker runs one index at a time, so fn may write
+/// slot `worker` of a per-worker array without a lock; which worker gets
+/// which index depends on scheduling, except at one worker, which runs
+/// every index in ascending order.
 ///
 /// Governance: with a non-null `ctx`, a thread checks ctx->Exhausted()
 /// before it runs an index. Once the context has tripped (deadline,
@@ -44,7 +50,7 @@ size_t DefaultThreads();
 /// so a fan-out's task spans nest under the span that started it even
 /// when they run on other threads.
 Status ParallelFor(size_t n, size_t threads,
-                   const std::function<Status(size_t)>& fn,
+                   const std::function<Status(size_t, size_t)>& fn,
                    ExecutionContext* ctx = nullptr);
 
 }  // namespace bddfc

@@ -160,9 +160,9 @@ ChaseResult RunChase(const Theory& theory, const Structure& instance,
   // one witness per trigger, not one per round).
   std::unordered_set<std::string> fired;
 
-  // The production engine shards each round over ParallelFor above one
-  // thread and runs it inline otherwise. The reference (kNaive) uses none
-  // of the production machinery: no fan-out, no plans, no sorted indexes.
+  // The production engine fans each round's chunk tasks out over
+  // ParallelFor on `threads` workers. The reference (kNaive) uses none of
+  // the production machinery: no fan-out, no plans, no sorted indexes.
   const bool production = options.engine != ChaseEngine::kNaive;
   const size_t threads =
       options.threads != 0 ? options.threads : DefaultThreads();

@@ -24,9 +24,9 @@
 //     Each task compiles the plans it runs (eval/plan.h, eval/exec.h): the
 //     body, and in the restricted chase each TGD head, whose plan answers
 //     the witness check per body match. Head derivations go through the
-//     vectorized round sink (chase/round.h). At one thread the round runs
-//     inline over the whole delta; above one it shards into fixed
-//     1,024-row chunks, one ParallelFor task each (base/parallel.h).
+//     vectorized round sink (chase/round.h). At every thread count the
+//     round splits each delta into fixed 1,024-row chunks, one ParallelFor
+//     task each (base/parallel.h), and keeps one sink per worker.
 //   * kNaive, the reference, re-enumerates every binding every round on
 //     the interpretive Matcher, which also answers its witness checks, and
 //     buffers through a per-binding hash sink. It shares no evaluator with
@@ -63,8 +63,9 @@ namespace bddfc {
 /// (see the header comment); only bindings_tried and the wall time differ.
 enum class ChaseEngine {
   /// The production engine: delta evaluation through compiled plans and
-  /// the vectorized sink, inline at one thread and sharded above. The
-  /// result does not depend on ChaseOptions::threads.
+  /// the vectorized sink, in chunk tasks fanned out over
+  /// ChaseOptions::threads workers. The result does not depend on the
+  /// thread count.
   kParallel,
   /// The independent reference: full re-enumeration every round on the
   /// interpretive Matcher with the per-binding hash sink.
@@ -88,7 +89,7 @@ struct ChaseOptions {
   /// Threads of the production engine (kNaive ignores it);
   /// 0 = DefaultThreads(). The result, bindings_tried included, does not
   /// depend on this value, only the wall time does. A resolved value of 1
-  /// runs each round inline, with no fan-out.
+  /// runs each round's tasks on the calling thread.
   size_t threads = 1;
   /// Runtime invariant checking (DESIGN.md §2.14): kCheap adds O(1)
   /// per-round identity checks (sink counters, index freshness,
@@ -122,8 +123,8 @@ struct ChaseStats {
   /// structure — both are functions of the round's derivation multiset,
   /// identical at every thread count. sink_probes counts the distinct
   /// tuples actually submitted to bulk ContainsSorted; like postings_hits
-  /// it depends on compaction and shard boundaries, so it is excluded from
-  /// byte-identity comparisons.
+  /// it depends on compaction boundaries, and on which worker ran which
+  /// task, so it is excluded from byte-identity comparisons.
   size_t sink_candidates = 0;
   size_t sink_contained = 0;
   size_t sink_probes = 0;
@@ -132,7 +133,7 @@ struct ChaseStats {
   /// ChaseResult::report.peak_bytes.
   std::vector<double> round_ms;
 
-  /// Adds the counters of `o` (a shard task's, or a round's). round_ms is
+  /// Adds the counters of `o` (a worker's, or a round's). round_ms is
   /// not merged: only RunChase records it, once per round.
   ChaseStats& operator+=(const ChaseStats& o) {
     match.bindings_tried += o.match.bindings_tried;

@@ -368,7 +368,7 @@ void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
     size_t j = i + 1;
     while (j < runs.size() && runs[j].pred == runs[i].pred) ++j;
     if (j == i + 1) {
-      // A single run (every predicate of an inline round) is already
+      // A single run (every predicate of a one-worker round) is already
       // sorted and distinct: nothing to collapse.
       out->push_back(std::move(runs[i]));
       i = j;
@@ -436,20 +436,20 @@ std::string ObliviousKey(size_t ri, const std::vector<Atom>& body,
 }  // namespace
 
 void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
-                   std::vector<TriggerTable> tasks, TriggerTable* out,
+                   std::vector<TriggerTable> tables, TriggerTable* out,
                    size_t* tdedup) {
   const std::vector<Rule>& rules = theory.rules();
-  // One table of every task's records: the first task's moves over, the
+  // One table of every worker's records: the first table moves over, the
   // others append to it.
   TriggerTable all;
-  for (TriggerTable& task : tasks) {
-    if (&task == &tasks.front()) {
-      all = std::move(task);
+  for (TriggerTable& table : tables) {
+    if (&table == &tables.front()) {
+      all = std::move(table);
       continue;
     }
     const size_t base = all.cells.size();
-    all.cells.insert(all.cells.end(), task.cells.begin(), task.cells.end());
-    for (TriggerTable::Trigger& t : task.triggers) {
+    all.cells.insert(all.cells.end(), table.cells.begin(), table.cells.end());
+    for (TriggerTable::Trigger& t : table.triggers) {
       t.cells += base;
       all.triggers.push_back(std::move(t));
     }
@@ -638,7 +638,7 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
     if (witness.Exists(head, {})) return true;
     key = PatternKey(head);
     if (in.bug == SelfTestBug::kSkipTriggerDedup) {
-      key += "#" + std::to_string(sink.bug_seq++);
+      key += '#' + std::to_string(sink.bug_seq++);
     }
   }
   sink.BufferTrigger(std::move(key),
@@ -646,49 +646,35 @@ bool HandleBinding(const RoundInputs& in, size_t ri, const Binding& b,
   return true;
 }
 
-/// The production round's sink: datalog candidates go through
-/// DatalogSinkBuffers, existential triggers append as raw flat records and
-/// dedup once at the round barrier.
-class VectorSink {
- public:
-  /// `stats` receives the sink counters at TakeDatalogRuns.
-  VectorSink(const RoundInputs& in, ChaseStats* stats)
-      : stats_(stats),
-        bufs_(in.frozen, kSinkCompactTuples,
-              in.bug == SelfTestBug::kSinkDropDup) {}
+/// One worker's share of a production round: every task the worker runs
+/// adds its counters to `stats`, its datalog head occurrences to
+/// `datalog` and its raw trigger records to `triggers`. The round barrier
+/// reads the slots once the fan-out is over.
+struct WorkerSlot {
+  explicit WorkerSlot(const RoundInputs& in)
+      : datalog(in.frozen, kSinkCompactTuples,
+                in.bug == SelfTestBug::kSinkDropDup) {}
 
-  /// Appends a raw trigger of rule `ri` and returns the slot for its `n`
-  /// cells (invalidated by the next append).
-  TermId* AppendTrigger(size_t ri, size_t n) {
-    return triggers_.Append(static_cast<int32_t>(ri), n);
-  }
-  TermId* AppendDatalogSlot(PredId pred, size_t arity) {
-    return bufs_.Append(pred, arity);
-  }
+  ChaseStats stats;
+  DatalogSinkBuffers datalog;
+  TriggerTable triggers;
+  std::vector<DatalogRun> runs;  ///< datalog's final compaction
 
-  /// Final compaction: folds the sink counters into `stats` and moves the
-  /// sorted per-predicate runs out.
-  std::vector<DatalogRun> TakeDatalogRuns() {
-    std::vector<DatalogRun> runs = bufs_.TakeRuns();
-    stats_->sink_candidates += bufs_.candidates();
-    stats_->sink_contained += bufs_.contained();
-    stats_->sink_probes += bufs_.probes();
-    stats_->datalog_deduped += bufs_.deduped();
-    return runs;
+  /// Final compaction: moves the sorted runs out of the sink and folds its
+  /// counters into `stats`.
+  void TakeRuns() {
+    runs = datalog.TakeRuns();
+    stats.sink_candidates += datalog.candidates();
+    stats.sink_contained += datalog.contained();
+    stats.sink_probes += datalog.probes();
+    stats.datalog_deduped += datalog.deduped();
   }
-  TriggerTable TakeRawTriggers() { return std::move(triggers_); }
-
- private:
-  ChaseStats* stats_;
-  DatalogSinkBuffers bufs_;
-  TriggerTable triggers_;
 };
 
 /// Bands for evaluating `rule`'s body with delta anchor `di` confined to
 /// rows [begin, end) of its relation: atoms before the anchor stay on
 /// pre-round rows, atoms after it range over the full relation — the
-/// standard old/new split, with the anchor band narrowed to one chunk for
-/// sharded scans.
+/// standard old/new split, with the anchor band narrowed to one chunk.
 std::vector<RowBand> AnchorBands(const Structure& s, const Rule& rule,
                                  size_t di, uint32_t begin, uint32_t end) {
   const size_t k = rule.body.size();
@@ -771,13 +757,12 @@ struct DeltaAnchor {
 };
 
 /// The (rule, delta anchor) pairs a production round enumerates, in
-/// (rule, anchor) order — the one selection both the inline and the
-/// sharded round use. Skipped: existential rules under datalog_only,
+/// (rule, anchor) order. Skipped: existential rules under datalog_only,
 /// anchors whose relation gained nothing last round, and anchors after a
 /// body atom with no pre-round rows (the old/new split leaves that atom
 /// an empty band, so no binding exists; the plan executor pins the anchor
 /// first and would scan its whole delta before finding out). The test
-/// reads only the structure, so the sharded task set stays a pure
+/// reads only the structure, so the round's task set stays a pure
 /// function of the workload. Before the first MarkRoundBoundary every
 /// watermark is 0, which leaves anchor 0 alone: round 1 is one full
 /// enumeration per rule.
@@ -799,18 +784,17 @@ std::vector<DeltaAnchor> DeltaAnchors(const RoundInputs& in) {
 }
 
 /// Enumerates anchor `a` with its delta confined to rows `chunk` into
-/// `sink`. The task compiles the plans it runs against the frozen round
-/// snapshot: the body with the anchor pinned first and, for an existential
-/// rule in the restricted chase, the head with the body's slots (and so
-/// the frontier) prebound. Every rule grounds its head straight from the
-/// executor's slot blocks through templates: a datalog head is written
-/// into the sink's flat buffers (no Binding, no Atom per occurrence); an
-/// existential head is checked by the head plan's probe, seeded with the
-/// body match's slot row, and when unwitnessed grounded into the sink's
-/// flat trigger record.
+/// `out`, the slot of the worker running the task. The task compiles the
+/// plans it runs against the frozen round snapshot: the body with the
+/// anchor pinned first and, for an existential rule in the restricted
+/// chase, the head with the body's slots (and so the frontier) prebound.
+/// Every rule grounds its head straight from the executor's slot blocks
+/// through templates: a datalog head is written into the flat sink
+/// buffers (no Binding, no Atom per occurrence); an existential head is
+/// checked by the head plan's probe, seeded with the body match's slot
+/// row, and when unwitnessed grounded into a flat trigger record.
 void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
-                     RowRange chunk, VectorSink* sink,
-                     MatchStats* match_stats) {
+                     RowRange chunk, WorkerSlot* out) {
   // Fail-stop fault site at the plan boundary: a fire latches the context
   // and the round-abort path discards the partial buffer.
   if (!in.ctx->CheckFault(faults::kPlanCompile).ok()) return;
@@ -848,7 +832,7 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
       for (size_t r = 0; r < blk.num_rows; ++r) {
         const TermId* slots = blk.rows + r * blk.width;
         for (const AtomTemplate& h : heads) {
-          h.Ground(slots, sink->AppendDatalogSlot(h.pred, h.args.size()));
+          h.Ground(slots, out->datalog.Append(h.pred, h.args.size()));
         }
       }
       return true;
@@ -868,91 +852,73 @@ void EnumerateAnchor(const RoundInputs& in, const DeltaAnchor& a,
         if (witness.has_value() && witness->Exists(slots, blk.width)) {
           continue;
         }
-        TermId* dst = sink->AppendTrigger(a.ri, cells);
+        TermId* dst = out->triggers.Append(static_cast<int32_t>(a.ri), cells);
         GroundCells(body_templates, slots, GroundCells(heads, slots, dst));
       }
       return true;
     };
   }
-  ExecutePlan(in.frozen, plan, &bands, {}, on_block, match_stats,
+  ExecutePlan(in.frozen, plan, &bands, {}, on_block, &out->stats.match,
               &block_stop);
 }
 
-/// One sharded task's inputs and its output slot: the (anchor, chunk) it
-/// enumerates, then the counters, sorted runs and raw trigger records its
-/// private sink produced.
+/// One task of a production round: the anchor it enumerates, with its
+/// delta confined to one chunk.
 struct ShardTask {
   DeltaAnchor anchor;
   RowRange chunk;
-  ChaseStats stats;
-  std::vector<DatalogRun> runs;
-  TriggerTable triggers;
 };
 
-/// The production round. Inline (in.threads == 1): one sink, and one
-/// EnumerateAnchor call over each anchor's whole delta. Sharded: one
-/// ParallelFor task per (anchor, kChunkRows chunk), each with a private
-/// sink and its own output slot, folded in task order at the barrier.
-/// Either way the round ends in one canonical merge of sorted runs and raw
-/// trigger records, which runs even after a governor trip (the
+/// The production round: one ParallelFor task per (anchor, kChunkRows
+/// chunk), each appending to the slot of the worker that runs it; then one
+/// ParallelFor over the slots for their final compactions, and one
+/// canonical merge of the slots' sorted runs and raw trigger records in
+/// worker order. The merge runs even after a governor trip (the
 /// kTornExhaust self-test applies a torn round's buffered datalog).
 Status EnumerateDeltaRound(const RoundInputs& in, RoundBuffer* buf) {
-  std::vector<DatalogRun> runs;
-  std::vector<TriggerTable> raw_triggers;
-  Status barrier = Status::OK();
-  VectorSink sink(in, &buf->stats);  // the inline round's; unused if sharded
-  if (in.threads <= 1) {
-    for (const DeltaAnchor& a : DeltaAnchors(in)) {
-      if (in.ctx->Exhausted()) break;  // a trip skips the rest of the round
-      const RowRange delta{in.frozen.WatermarkRows(a.pred),
-                           static_cast<uint32_t>(in.frozen.NumFacts(a.pred))};
-      EnumerateAnchor(in, a, delta, &sink, &buf->stats.match);
-    }
-  } else {
-    std::vector<ShardTask> tasks;
-    for (const DeltaAnchor& a : DeltaAnchors(in)) {
-      for (const RowRange& chunk : in.frozen.DeltaChunks(a.pred, kChunkRows)) {
-        tasks.push_back({a, chunk, {}, {}, {}});
-      }
-    }
-    barrier = ParallelFor(
-        tasks.size(), in.threads,
-        [&](size_t i) -> Status {
-          // Fail-stop fault site: a fire latches a trip on the context, so
-          // no later task starts (ParallelFor records the trip at the
-          // first skipped index) and running ones stop at ShouldStop.
-          if (!in.ctx->CheckFault(faults::kPoolTask).ok()) {
-            return Status::OK();
-          }
-          ShardTask& t = tasks[i];
-          obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
-          VectorSink task_sink(in, &t.stats);
-          EnumerateAnchor(in, t.anchor, t.chunk, &task_sink, &t.stats.match);
-          t.runs = task_sink.TakeDatalogRuns();
-          t.triggers = task_sink.TakeRawTriggers();
-          span.set_detail("r" + std::to_string(t.anchor.ri) + " a" +
-                          std::to_string(t.anchor.di) + " +" +
-                          std::to_string(t.chunk.size()) + "@" +
-                          std::to_string(t.chunk.begin));
-          return Status::OK();
-        },
-        in.ctx);
-    for (ShardTask& t : tasks) {
-      buf->stats += t.stats;
-      for (DatalogRun& run : t.runs) runs.push_back(std::move(run));
-      if (!t.triggers.triggers.empty()) {
-        raw_triggers.push_back(std::move(t.triggers));
-      }
+  std::vector<ShardTask> tasks;
+  for (const DeltaAnchor& a : DeltaAnchors(in)) {
+    for (const RowRange& chunk : in.frozen.DeltaChunks(a.pred, kChunkRows)) {
+      tasks.push_back({a, chunk});
     }
   }
+  const size_t workers = std::min(in.threads, tasks.size());
+  std::vector<WorkerSlot> slots;
+  slots.reserve(workers);
+  for (size_t w = 0; w < workers; ++w) slots.emplace_back(in);
+  const Status barrier = ParallelFor(
+      tasks.size(), in.threads,
+      [&](size_t i, size_t worker) -> Status {
+        // Fail-stop fault site: a fire latches a trip on the context, so
+        // no later task starts (ParallelFor records the trip at the first
+        // skipped index) and running ones stop at ShouldStop.
+        if (!in.ctx->CheckFault(faults::kPoolTask).ok()) return Status::OK();
+        const ShardTask& t = tasks[i];
+        obs::TraceSpan span(&in.ctx->tracer(), "chase.shard");
+        EnumerateAnchor(in, t.anchor, t.chunk, &slots[worker]);
+        span.set_detail('r' + std::to_string(t.anchor.ri) + " a" +
+                        std::to_string(t.anchor.di) + " +" +
+                        std::to_string(t.chunk.size()) + "@" +
+                        std::to_string(t.chunk.begin));
+        return Status::OK();
+      },
+      in.ctx);
 
   obs::TraceSpan span(&in.ctx->tracer(), "chase.sink");
   // Fail-stop fault site at the merge; a fire latches the context and the
   // round-abort path in chase.cc discards the merged buffer.
   (void)in.ctx->CheckFault(faults::kSinkMerge);
-  if (in.threads <= 1) {
-    runs = sink.TakeDatalogRuns();
-    raw_triggers.push_back(sink.TakeRawTriggers());
+  // No context: the compactions run even after a trip.
+  (void)ParallelFor(slots.size(), in.threads, [&slots](size_t w, size_t) {
+    slots[w].TakeRuns();
+    return Status::OK();
+  });
+  std::vector<DatalogRun> runs;
+  std::vector<TriggerTable> raw_triggers;
+  for (WorkerSlot& slot : slots) {
+    buf->stats += slot.stats;
+    for (DatalogRun& run : slot.runs) runs.push_back(std::move(run));
+    raw_triggers.push_back(std::move(slot.triggers));
   }
   MergeDatalogRuns(std::move(runs), in.bug == SelfTestBug::kSinkDropDup,
                    &buf->datalog, &buf->stats.datalog_deduped);

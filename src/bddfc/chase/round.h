@@ -5,9 +5,10 @@
 //
 // Determinism design. Within a round, body bindings may be enumerated in
 // any order — each production task compiles its plans against the frozen
-// snapshot and the executor follows their join order, the sharded
-// production round splits delta anchors into row chunks, and the
-// reference re-enumerates everything on the interpretive Matcher.
+// snapshot and the executor follows their join order, the production
+// round splits delta anchors into row chunks whose tasks land on whichever
+// worker takes them, and the reference re-enumerates everything on the
+// interpretive Matcher.
 // Byte-identical results therefore cannot rely on discovery order
 // anywhere. Instead:
 //
@@ -32,18 +33,20 @@
 // order. The reference keys every trigger by its PatternKey string in a
 // keep-min map, and asks the Matcher for witnesses.
 //
-// Sharding. Above one thread, a production round is one ParallelFor
+// Sharding. At every thread count, a production round is one ParallelFor
 // (base/parallel.h) over a task list in (rule, delta anchor, chunk)
 // order, where Structure::DeltaChunks splits the anchor relation's delta
 // into kChunkRows-row chunks. The task set depends only on the structure,
 // never on the thread count, and the chunks partition the round's
 // bindings exactly (each binding's anchor row lies in exactly one chunk).
-// Each task buffers into a private sink and leaves its stats, sorted runs
-// and trigger records in its own slot; the round barrier folds the slots
-// in task order and merges them in canonical order. So a sharded round
-// applies the same derivation set as the inline one, and bindings_tried
-// is the same sum at any thread count. Every task of a round compiles
-// against the same snapshot, so all of them run the same plans.
+// Each worker keeps one slot — stats, a sink and raw trigger records —
+// that every task it runs appends to; the round barrier compacts the
+// slots (one more ParallelFor), folds them in worker order and merges
+// them in canonical order. Which worker runs which task varies from run
+// to run, but the merge depends only on the round's derivation set, so
+// every thread count applies the same set and bindings_tried is the same
+// sum. Every task of a round compiles against the same snapshot, so all
+// of them run the same plans.
 //
 // The header is an implementation detail, not API: only chase.cc and the
 // sink tests include it.
@@ -162,13 +165,13 @@ struct RoundInputs {
   /// FaultRegistry fire at faults::kChaseBug.
   SelfTestBug bug = SelfTestBug::kNone;
   /// ChaseOptions::threads resolved once by RunChase (0 becomes
-  /// DefaultThreads()): 1 runs the production round inline, more shards it.
+  /// DefaultThreads()): the production round's ParallelFor threads.
   size_t threads = 1;
 };
 
-/// Rows per sharded anchor chunk. Fixed (never derived from the thread
-/// count) so the task decomposition — and with it every per-task stat —
-/// is a function of the workload alone.
+/// Rows per anchor chunk, the unit of one production task. Fixed (never
+/// derived from the thread count) so the task decomposition — and with it
+/// every plan compile — is a function of the workload alone.
 inline constexpr uint32_t kChunkRows = 1024;
 
 /// Default per-predicate raw-tail size (tuples) at which the vectorized
@@ -189,10 +192,10 @@ inline constexpr size_t kSinkCompactTuples = 1 << 16;
 /// place by value, duplicate groups collapse with order-independent
 /// counting (a group of k occurrences contributes k-1 to deduped() whether
 /// it collapses in one compaction, telescopes across several, or splits
-/// across parallel tasks), and the fresh distinct tuples go through one
-/// bulk Structure::ContainsSorted probe. The counters therefore match the
-/// reference's hash sink exactly — the byte-identity contract extends to
-/// stats.
+/// across the sinks of several workers), and the fresh distinct tuples go
+/// through one bulk Structure::ContainsSorted probe. The counters
+/// therefore match the reference's hash sink exactly — the byte-identity
+/// contract extends to stats.
 class DatalogSinkBuffers {
  public:
   /// `frozen` answers containment (Chase^{i-1}; must outlive the sink).
@@ -207,7 +210,7 @@ class DatalogSinkBuffers {
 
   /// Final compaction, then moves the surviving tuples out as one sorted
   /// distinct run per predicate (ascending pred) — the round barrier
-  /// merges runs across tasks.
+  /// merges runs across workers.
   std::vector<DatalogRun> TakeRuns();
 
   size_t candidates() const { return candidates_; }
@@ -244,7 +247,7 @@ class DatalogSinkBuffers {
   size_t deduped_ = 0;
 };
 
-/// Merges sorted distinct runs (TakeRuns output, one or several tasks'
+/// Merges sorted distinct runs (TakeRuns output, one or several workers'
 /// worth) into one run per predicate appended to `out` in ascending
 /// predicate order: a predicate's single run moves over as is; several
 /// runs are concatenated and sorted by value, and cross-run duplicate
@@ -256,8 +259,8 @@ class DatalogSinkBuffers {
 void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
                       std::vector<DatalogRun>* out, size_t* deduped);
 
-/// The round barrier's trigger dedup over the raw records of every task
-/// (`tasks`, in any order; their keys empty). Each record is keyed on flat
+/// The round barrier's trigger dedup over the raw records of every worker
+/// (`tables`, in any order; their keys empty). Each record is keyed on flat
 /// TermIds: Canonicalize of its head cells, or in oblivious mode its rule
 /// index followed by its body cells. Each key collapses to its
 /// TriggerLess-least record — least (rule index, head cells), the order of
@@ -268,15 +271,15 @@ void MergeDatalogRuns(std::vector<DatalogRun> runs, bool drop_dup_groups,
 /// fault: every record gets a sequence cell appended to its key (rendered
 /// "#seq"), so nothing collapses.
 void DedupTriggers(const Theory& theory, bool oblivious, bool unique_keys,
-                   std::vector<TriggerTable> tasks, TriggerTable* out,
+                   std::vector<TriggerTable> tables, TriggerTable* out,
                    size_t* tdedup);
 
 /// Enumerates one round's derivations into `buf` on the engine
-/// options.engine selects. The production engine runs inline at
-/// in.threads == 1 and shards over ParallelFor above; kNaive ignores
+/// options.engine selects. The production engine fans its chunk tasks
+/// out over ParallelFor on in.threads workers; kNaive ignores
 /// in.threads. Returns the fan-out's status: non-OK means tasks were
 /// skipped on a tripped context and the round is incomplete, so the
-/// caller must discard it. Counters in buf->stats are summed across tasks.
+/// caller must discard it. Counters in buf->stats are summed across workers.
 Status EnumerateRound(const RoundInputs& in, RoundBuffer* buf);
 
 /// Appends every tuple of `runs` to `s` in run order, one AppendRows batch

@@ -51,7 +51,9 @@ SupervisedChase RunChaseSupervised(const Theory& theory,
     if (parent->has_deadline() && parent->RemainingMs() <= 0) break;
 
     // Discard the failed attempt before rolling the signature back: the
-    // result's structure references the ids being forgotten.
+    // result's structure references the ids being forgotten. Its bytes
+    // were charged through the child to the parent, so hand them back.
+    child->memory().Release(out.result.structure.ApproxAccountedBytes());
     out.result = ChaseResult(instance.signature_ptr());
     instance.signature_ptr()->RollbackTo(mark);
 

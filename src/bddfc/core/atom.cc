@@ -3,7 +3,7 @@
 namespace bddfc {
 
 std::string TermToString(const Signature& sig, TermId t) {
-  if (IsVar(t)) return "?" + std::to_string(DecodeVar(t));
+  if (IsVar(t)) return '?' + std::to_string(DecodeVar(t));
   return sig.ConstantName(t);
 }
 

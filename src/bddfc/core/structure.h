@@ -344,12 +344,12 @@ class Structure {
 
   /// Splits the delta of `pred` — rows in [WatermarkRows(pred),
   /// NumFacts(pred)) — into contiguous chunks of at most `max_chunk_rows`
-  /// rows, for sharded anchor scans. Chunk boundaries depend only on the
+  /// rows, one chase task each. Chunk boundaries depend only on the
   /// watermark and the row count, never on the reader's thread count, so a
   /// parallel scan enumerates the same row partition at any parallelism
   /// (the determinism anchor of the parallel chase). Empty when the delta
   /// is. A skewed relation whose delta dwarfs the others simply yields
-  /// more chunks — load balancing falls out of chunking plus stealing.
+  /// more chunks — load balancing falls out of chunking.
   std::vector<RowRange> DeltaChunks(PredId pred,
                                     uint32_t max_chunk_rows) const;
 

@@ -7,7 +7,7 @@ namespace bddfc {
 Status Theory::AddRule(Rule rule) {
   BDDFC_RETURN_NOT_OK(rule.Validate(*sig_));
   if (rule.label.empty()) {
-    rule.label = "r" + std::to_string(rules_.size());
+    rule.label = 'r' + std::to_string(rules_.size());
   }
   rules_.push_back(std::move(rule));
   return Status::OK();

@@ -69,7 +69,7 @@ Result<GuardedBinarization> GuardedToBinary(const Theory& theory) {
   for (int i = 1; i <= max_arity; ++i) {
     BDDFC_ASSIGN_OR_RETURN(
         PredId f,
-        sig->AddPredicate(sig->FreshPredicateName("f" + std::to_string(i)),
+        sig->AddPredicate(sig->FreshPredicateName('f' + std::to_string(i)),
                           2));
     out.parent_links[i] = f;
   }
@@ -96,7 +96,7 @@ Result<GuardedBinarization> GuardedToBinary(const Theory& theory) {
     auto it = out.monadic.find(key);
     if (it != out.monadic.end()) return it->second;
     std::string name = "q_" + sig->PredicateName(q);
-    for (int i : idx) name += "_" + std::to_string(i);
+    for (int i : idx) name += '_' + std::to_string(i);
     BDDFC_ASSIGN_OR_RETURN(PredId p,
                            sig->AddPredicate(sig->FreshPredicateName(name), 1));
     out.monadic.emplace(key, p);

@@ -8,13 +8,6 @@
 
 namespace bddfc::obs {
 
-size_t ThisThreadShard() {
-  static std::atomic<size_t> next{0};
-  thread_local size_t shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kCounterShards;
-  return shard;
-}
-
 void Histogram::Record(uint64_t sample) {
   count_.fetch_add(1, std::memory_order_relaxed);
   sum_.fetch_add(sample, std::memory_order_relaxed);

@@ -1,6 +1,6 @@
 // Process-wide metrics registry: named counters, gauges and histograms
-// with cheap thread-sharded hot paths, snapshotted on demand and exported
-// as text or JSON.
+// updated with relaxed atomics, snapshotted on demand and exported as
+// text or JSON.
 //
 // The repo grew four generations of ad-hoc counters (ChaseStats,
 // RewriteStats, the fuzzer's oracle tallies, the governor's
@@ -13,8 +13,9 @@
 // `bddfc_fuzz --metrics-out`, bench JSON — reads the same snapshot.
 //
 // Concurrency and cost:
-//   * Counter::Add is one relaxed fetch_add on a cache-line-private shard
-//     picked by a thread-local index — safe from any thread, no locks.
+//   * Counter::Add is one relaxed fetch_add on one atomic — safe from any
+//     thread, no locks. Publishers add once per run or per request, never
+//     per fact, so one word per counter does not contend.
 //   * Gauge::Set/Max are single relaxed atomics.
 //   * Histogram::Record is a relaxed add on a log2 bucket.
 //   * Handle resolution (GetCounter/...) takes a mutex and may allocate;
@@ -39,36 +40,15 @@
 
 namespace bddfc::obs {
 
-/// Number of cache-line-private cells a counter is sharded over. Threads
-/// pick a cell by a thread-local index, so concurrent increments from up
-/// to this many threads never contend on one line.
-inline constexpr size_t kCounterShards = 16;
-
-/// Small stable per-thread index in [0, kCounterShards); assigned on
-/// first use, reused by everything in obs that shards per thread.
-size_t ThisThreadShard();
-
-/// Monotone named counter. Value() sums the shards (racy reads are fine:
-/// each shard is monotone, so a snapshot is a consistent lower bound).
+/// Monotone named counter.
 class Counter {
  public:
-  void Add(uint64_t n = 1) {
-    cells_[ThisThreadShard()].v.fetch_add(n, std::memory_order_relaxed);
-  }
-  uint64_t Value() const {
-    uint64_t sum = 0;
-    for (const Cell& c : cells_) sum += c.v.load(std::memory_order_relaxed);
-    return sum;
-  }
-  void Reset() {
-    for (Cell& c : cells_) c.v.store(0, std::memory_order_relaxed);
-  }
+  void Add(uint64_t n = 1) { v_.fetch_add(n, std::memory_order_relaxed); }
+  uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
+  void Reset() { v_.store(0, std::memory_order_relaxed); }
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<uint64_t> v{0};
-  };
-  Cell cells_[kCounterShards];
+  std::atomic<uint64_t> v_{0};
 };
 
 /// Last-write-wins (Set) or monotone-max (Max) named value.

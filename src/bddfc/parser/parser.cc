@@ -436,7 +436,7 @@ Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
     parsed = parser.ParseAll(&program);
     if (parsed.ok()) {
       if (span.id() != 0) {
-        span.set_detail("b" + std::to_string(text.size()) + " f" +
+        span.set_detail('b' + std::to_string(text.size()) + " f" +
                         std::to_string(program.instance.NumFacts()) + " r" +
                         std::to_string(program.theory.size()));
       }

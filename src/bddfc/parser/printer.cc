@@ -12,7 +12,7 @@ namespace {
 class VarNamer {
  public:
   std::string Name(TermId v) {
-    auto [it, inserted] = names_.emplace(v, "V" + std::to_string(next_));
+    auto [it, inserted] = names_.emplace(v, 'V' + std::to_string(next_));
     if (inserted) ++next_;
     return it->second;
   }

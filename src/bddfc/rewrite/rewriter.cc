@@ -407,7 +407,7 @@ std::vector<RewriteResult> RewriteAll(const Theory& theory,
   std::vector<char> ran(qs.size(), 0);
   ParallelFor(
       qs.size(), options.threads,
-      [&](size_t i) {
+      [&](size_t i, size_t) {
         ran[i] = 1;
         results[i] = RewriteQuery(theory, qs[i], options);
         return Status::OK();

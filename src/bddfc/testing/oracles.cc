@@ -436,9 +436,9 @@ class GovernorPrefixOracle : public Oracle {
     base.max_facts = config.max_facts;
     ChaseResult baseline = RunChase(s.theory, s.instance, base);
 
-    // The production engine inline and sharded: cooperative checks land
-    // in plan blocks on one thread and in queued shard tasks on four, and
-    // a trip at either must discard the buffered (incomplete) round.
+    // The production engine on one worker and on four: cooperative checks
+    // land in plan blocks and between chunk tasks, and a trip at either
+    // thread count must discard the buffered (incomplete) round.
     bool tripped_any = false;
     for (size_t threads : {size_t{1}, size_t{4}}) {
     for (size_t after : {size_t{1}, size_t{3}, size_t{7}}) {
@@ -540,8 +540,8 @@ class ChaosRecoveryOracle : public Oracle {
     if (config.chaos_plans == 0) {
       return OracleOutcome::Skip("chaos disabled (--chaos)");
     }
-    // The sharded production engine: it reaches every recoverable fault
-    // site, and a retry degrades it to the reference.
+    // The production engine at four threads: it reaches every recoverable
+    // fault site, and a retry degrades it to the reference.
     ChaseOptions opts;
     opts.max_rounds = config.max_rounds;
     opts.max_facts = config.max_facts;

@@ -34,7 +34,7 @@ void AddRandomFacts(Scenario* s, Rng* rng, int num_consts, int num_facts) {
   std::vector<TermId> consts;
   consts.reserve(num_consts);
   for (int i = 0; i < num_consts; ++i) {
-    consts.push_back(s->sig->AddConstant("c" + std::to_string(i)));
+    consts.push_back(s->sig->AddConstant('c' + std::to_string(i)));
   }
   std::vector<PredId> preds = NonNullaryPredicates(*s->sig);
   if (preds.empty()) return;

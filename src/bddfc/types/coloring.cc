@@ -22,7 +22,7 @@ std::string LocalIsoKey(const Structure& c, TermId e, TermId parent) {
   auto name = [&](TermId t) -> std::string {
     if (t == e) return "@E";
     if (t == parent) return "@P";
-    if (!c.sig().IsNull(t)) return "c" + std::to_string(t);
+    if (!c.sig().IsNull(t)) return 'c' + std::to_string(t);
     return "";  // outside P(e) ∪ C_con
   };
   std::vector<std::string> atoms;
@@ -53,7 +53,7 @@ void AddLocalAtom(const Signature& sig, PredId p, TupleRef row, TermId e,
     } else if (t == parent) {
       s += "@P,";
     } else if (!sig.IsNull(t)) {
-      s += "c" + std::to_string(t) + ",";
+      s += 'c' + std::to_string(t) + ",";
     } else {
       return;
     }

@@ -381,7 +381,7 @@ struct BallCanon {
       }
     }
     std::sort(children.begin(), children.end());
-    std::string s = "[" + LabelOf(e) + "]";
+    std::string s = '[' + LabelOf(e) + ']';
     for (auto& ch : children) s += ch;
     return s;
   }

@@ -12,7 +12,7 @@ Structure RandomGraph(SignaturePtr sig, int nodes, int edges, uint64_t seed,
   Rng rng(seed);
   std::vector<PredId> rels;
   for (int i = 0; i < num_relations; ++i) {
-    rels.push_back(std::move(sig->AddPredicate("e" + std::to_string(i), 2))
+    rels.push_back(std::move(sig->AddPredicate('e' + std::to_string(i), 2))
                        .ValueOrDie());
   }
   Structure s(sig);
@@ -57,7 +57,7 @@ Theory RandomLinearTheory(SignaturePtr sig, int preds, int rules,
   Rng rng(seed);
   std::vector<PredId> ps;
   for (int i = 0; i < preds; ++i) {
-    ps.push_back(std::move(sig->AddPredicate("p" + std::to_string(i), 2))
+    ps.push_back(std::move(sig->AddPredicate('p' + std::to_string(i), 2))
                      .ValueOrDie());
   }
   Theory theory(sig);
@@ -94,7 +94,7 @@ Theory RandomGuardedTheory(SignaturePtr sig, int max_arity, int rules,
   for (int a = 1; a <= max_arity; ++a) {
     for (int i = 0; i < 2; ++i) {
       pool.push_back(std::move(sig->AddPredicate(
-                                   "g" + std::to_string(a) + "_" +
+                                   'g' + std::to_string(a) + "_" +
                                        std::to_string(i),
                                    a))
                          .ValueOrDie());
@@ -145,7 +145,7 @@ Theory RandomAcyclicBinaryTheory(SignaturePtr sig, int preds, int tgds,
   Rng rng(seed);
   std::vector<PredId> ps;
   for (int i = 0; i < preds; ++i) {
-    ps.push_back(std::move(sig->AddPredicate("b" + std::to_string(i), 2))
+    ps.push_back(std::move(sig->AddPredicate('b' + std::to_string(i), 2))
                      .ValueOrDie());
   }
   Theory theory(sig);

@@ -80,7 +80,7 @@ TEST(SeminaiveTest, AgreesWithNaiveOnRandomTheories) {
     PredId b1 = std::move(sig->FindPredicate("b1")).ValueOrDie();
     std::vector<TermId> consts;
     for (int i = 0; i < 4; ++i) {
-      consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+      consts.push_back(sig->AddConstant('k' + std::to_string(i)));
     }
     for (int i = 0; i < 6; ++i) {
       d.AddFact(i % 2 ? b0 : b1,

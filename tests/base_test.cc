@@ -3,8 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -110,10 +113,10 @@ TEST(InternerTest, InternIsIdempotentAndDense) {
 TEST(InternerTest, SurvivesManyInsertions) {
   Interner in;
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(in.Intern("s" + std::to_string(i)), i);
+    EXPECT_EQ(in.Intern('s' + std::to_string(i)), i);
   }
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(in.Find("s" + std::to_string(i)), i);
+    EXPECT_EQ(in.Find('s' + std::to_string(i)), i);
   }
 }
 
@@ -136,23 +139,23 @@ TEST(InternerTest, TruncateAcrossTableGrowthRestoresEveryId) {
   for (int i = 0; i < 5; ++i) in.Intern("keep" + std::to_string(i));
   // Past the mark, enough names to double the table several times.
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(in.Intern("s" + std::to_string(i)), 5 + i);
+    EXPECT_EQ(in.Intern('s' + std::to_string(i)), 5 + i);
   }
   in.TruncateTo(5);
   EXPECT_EQ(in.size(), 5);
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(in.Find("s" + std::to_string(i)), -1) << i;
+    EXPECT_EQ(in.Find('s' + std::to_string(i)), -1) << i;
   }
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(in.Find("keep" + std::to_string(i)), i);
   }
   // Re-interning in another order hands out the freed ids in that order.
   for (int i = 999; i >= 0; --i) {
-    EXPECT_EQ(in.Intern("s" + std::to_string(i)), 5 + (999 - i));
+    EXPECT_EQ(in.Intern('s' + std::to_string(i)), 5 + (999 - i));
   }
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(in.NameOf(in.Find("s" + std::to_string(i))),
-              "s" + std::to_string(i));
+    EXPECT_EQ(in.NameOf(in.Find('s' + std::to_string(i))),
+              's' + std::to_string(i));
   }
   in.TruncateTo(0);
   EXPECT_EQ(in.size(), 0);
@@ -177,7 +180,7 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   for (size_t n : {1u, 3u, 64u}) {
     for (size_t threads : {1u, 2u, 4u, 8u}) {
       std::vector<std::atomic<int>> hits(n);
-      Status st = ParallelFor(n, threads, [&hits](size_t i) {
+      Status st = ParallelFor(n, threads, [&hits](size_t i, size_t) {
         ++hits[i];
         return Status::OK();
       });
@@ -190,10 +193,52 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnce) {
   }
 }
 
+TEST(ThreadPoolTest, EachWorkerRunsOneIndexAtATime) {
+  // fn learns the worker that runs its index: a number below
+  // min(threads, n) that runs one index at a time, so a caller's
+  // per-worker slots need no lock. One thread is worker 0, running every
+  // index in ascending order.
+  for (size_t n : {3u, 64u}) {
+    for (size_t threads : {1u, 2u, 4u, 8u}) {
+      const size_t workers = std::min(threads, n);
+      std::vector<std::atomic<int>> busy(workers);
+      std::vector<size_t> worker_of(n, workers);
+      std::vector<size_t> order;
+      std::mutex order_mu;
+      std::atomic<int> overlaps{0};
+      Status st = ParallelFor(n, threads, [&](size_t i, size_t worker) {
+        if (worker >= workers) return Status::Internal("worker out of range");
+        if (busy[worker].exchange(1) != 0) ++overlaps;
+        worker_of[i] = worker;
+        {
+          std::lock_guard<std::mutex> lock(order_mu);
+          order.push_back(i);
+        }
+        std::this_thread::yield();
+        busy[worker].store(0);
+        return Status::OK();
+      });
+      const std::string where =
+          "n " + std::to_string(n) + " threads " + std::to_string(threads);
+      EXPECT_TRUE(st.ok()) << where << ": " << st.ToString();
+      EXPECT_EQ(overlaps.load(), 0) << where;
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_LT(worker_of[i], workers) << where << " index " << i;
+      }
+      if (threads == 1) {
+        std::vector<size_t> ascending(n);
+        for (size_t i = 0; i < n; ++i) ascending[i] = i;
+        EXPECT_EQ(order, ascending) << where;
+        EXPECT_EQ(worker_of, std::vector<size_t>(n, 0)) << where;
+      }
+    }
+  }
+}
+
 TEST(ThreadPoolTest, WaitAggregatesFirstFailureInSubmissionOrder) {
   // Whatever the completion order, the failure at the lowest index wins.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
-    Status st = ParallelFor(32, threads, [](size_t i) {
+    Status st = ParallelFor(32, threads, [](size_t i, size_t) {
       if (i == 7) return Status::InvalidArgument("seven");
       if (i == 21) return Status::Internal("twenty-one");
       return Status::OK();
@@ -208,7 +253,7 @@ TEST(ThreadPoolTest, WaitOnEmptyPoolIsOk) {
   // An empty range is OK and calls fn never, at every thread count.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     std::atomic<int> calls{0};
-    Status st = ParallelFor(0, threads, [&calls](size_t) {
+    Status st = ParallelFor(0, threads, [&calls](size_t, size_t) {
       ++calls;
       return Status::OK();
     });
@@ -222,7 +267,7 @@ TEST(ThreadPoolTest, ParallelForCoversTheRangeAndOrdersStatuses) {
   // index is the one returned.
   for (size_t threads : {1u, 2u, 4u, 8u}) {
     std::vector<int> out(100, 0);
-    Status st = ParallelFor(out.size(), threads, [&out](size_t i) {
+    Status st = ParallelFor(out.size(), threads, [&out](size_t i, size_t) {
       out[i] = static_cast<int>(i) + 1;
       if (i == 13) return Status::Unknown("thirteen");
       if (i == 71) return Status::Internal("seventy-one");

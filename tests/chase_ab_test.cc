@@ -264,7 +264,7 @@ Workload AcyclicBinaryTheory(uint64_t seed) {
   Rng rng(seed * 31 + 5);
   std::vector<TermId> consts;
   for (int i = 0; i < 4; ++i) {
-    consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('k' + std::to_string(i)));
   }
   for (int i = 0; i < 6; ++i) {
     d.AddFact(b0, {consts[rng.Uniform(4)], consts[rng.Uniform(4)]});

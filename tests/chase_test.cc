@@ -472,8 +472,8 @@ TEST(SeminaiveTest, ClosureMatchesNaiveChase) {
 }
 
 TEST(SeminaiveTest, ShardedSaturationMatchesSerialByteForByte) {
-  // The sharded round merges its tasks' sorted runs and applies in sorted
-  // order — the closure must match the inline round row-for-row (same
+  // The round merges its workers' sorted runs and applies in sorted
+  // order — the closure must match the one-worker round row-for-row (same
   // append order, same counters) at every thread count.
   std::string text = "e(X, Y), e(Y, Z) -> e(X, Z).\ne(h, c0).\n";
   for (int i = 0; i < 10; ++i) {

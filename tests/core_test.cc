@@ -95,11 +95,11 @@ TEST(SignatureTest, RollbackAcrossTableGrowthRestoresIdsAndNames) {
   std::vector<std::string> names;
   std::vector<TermId> ids;
   for (int i = 0; i < 600; ++i) {
-    names.push_back("c" + std::to_string(i));
+    names.push_back('c' + std::to_string(i));
     ids.push_back(sig.AddConstant(names.back()));
     ids.push_back(sig.AddNull());
     names.push_back(sig.ConstantName(ids.back()));
-    ASSERT_TRUE(sig.AddPredicate("p" + std::to_string(i), 1).ok());
+    ASSERT_TRUE(sig.AddPredicate('p' + std::to_string(i), 1).ok());
   }
   sig.RollbackTo(mark);
   EXPECT_EQ(sig.num_constants(), 1);
@@ -297,11 +297,11 @@ class StructureDifferentialTest : public ::testing::Test {
     sig_ = std::make_shared<Signature>();
     for (int k = 0; k <= 4; ++k) {
       preds_.push_back(
-          std::move(sig_->AddPredicate("p" + std::to_string(k), k))
+          std::move(sig_->AddPredicate('p' + std::to_string(k), k))
               .ValueOrDie());
     }
     for (int i = 0; i < 240; ++i) {
-      consts_.push_back(sig_->AddConstant("c" + std::to_string(i)));
+      consts_.push_back(sig_->AddConstant('c' + std::to_string(i)));
     }
   }
 
@@ -453,7 +453,7 @@ TEST_F(StructureDifferentialTest, RandomAddFactsMatchTheReferenceModel) {
   }
   PredId late = -1;
   for (int i = 0; i < 100; ++i) {
-    late = std::move(sig_->AddPredicate("q" + std::to_string(i), 2))
+    late = std::move(sig_->AddPredicate('q' + std::to_string(i), 2))
                .ValueOrDie();
   }
   ASSERT_TRUE(s.AddFact(late, {consts_[1], consts_[2]}));

@@ -58,7 +58,7 @@ void AppendRows(const Structure& s, std::string* out) {
 
 void AppendDomainAndNames(const Structure& s, std::string* out) {
   *out += "domain:";
-  for (TermId c : s.Domain()) *out += " " + std::to_string(c);
+  for (TermId c : s.Domain()) *out += ' ' + std::to_string(c);
   *out += "\n";
   const Signature& sig = s.sig();
   for (PredId p = 0; p < sig.num_predicates(); ++p) {
@@ -80,7 +80,7 @@ std::string ChaseDigest(const std::string& text, size_t threads) {
   std::string s;
   AppendRows(p.instance, &s);
   s += "parsed domain:";
-  for (TermId c : p.instance.Domain()) s += " " + std::to_string(c);
+  for (TermId c : p.instance.Domain()) s += ' ' + std::to_string(c);
   s += "\n";
   ChaseOptions opts;
   opts.max_rounds = 32;

@@ -201,7 +201,7 @@ TEST(ParallelForGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
     std::atomic<int> executed{0};
     Status s = ParallelFor(
         16, threads,
-        [&executed](size_t) {
+        [&executed](size_t, size_t) {
           ++executed;
           return Status::OK();
         },
@@ -229,7 +229,7 @@ TEST(ParallelForGovernorTest, ATripMidFanOutStopsLaterIndexes) {
     std::vector<std::atomic<int>> ran(kN);
     Status s = ParallelFor(
         kN, threads,
-        [&](size_t i) {
+        [&](size_t i, size_t) {
           ++ran[i];
           if (i == kTrip) {
             ctx.RequestCancel();

@@ -259,7 +259,7 @@ TEST_F(ObsTest, ParallelForTasksParentUnderTheCallingSpan) {
     TraceSpan fan_out("fan.out");
     caller_id = fan_out.id();
     std::atomic<int> ran{0};
-    EXPECT_TRUE(ParallelFor(8, 4, [&ran](size_t) {
+    EXPECT_TRUE(ParallelFor(8, 4, [&ran](size_t, size_t) {
                   ++ran;
                   return Status::OK();
                 }).ok());
@@ -293,7 +293,7 @@ TEST_F(ObsTest, NestedSpansWithoutATracerRecordToTheirParentsRing) {
     TraceSpan outer(&session, "session.outer");
     EXPECT_EQ(Tracer::CurrentTracer(), &session);
     TraceSpan inner("nested.inner");
-    EXPECT_TRUE(ParallelFor(2, 2, [](size_t) {
+    EXPECT_TRUE(ParallelFor(2, 2, [](size_t, size_t) {
                   TraceSpan in_task("nested.task");
                   return Status::OK();
                 }).ok());

@@ -39,7 +39,7 @@ TEST_P(ChaseProperty, FixpointImpliesModel) {
   Rng rng(GetParam() * 7 + 1);
   std::vector<TermId> consts;
   for (int i = 0; i < 4; ++i) {
-    consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('k' + std::to_string(i)));
   }
   for (int i = 0; i < 5; ++i) {
     d.AddFact(b0, {consts[rng.Uniform(4)], consts[rng.Uniform(4)]});
@@ -112,7 +112,7 @@ TEST_P(RewriteEquivalence, CertainAnswersMatchRewriting) {
   Rng rng(GetParam() + 100);
   std::vector<TermId> consts;
   for (int i = 0; i < 3; ++i) {
-    consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('k' + std::to_string(i)));
   }
   for (int i = 0; i < 4; ++i) {
     d.AddFact(b0, {consts[rng.Uniform(3)], consts[rng.Uniform(3)]});

@@ -53,7 +53,7 @@ TEST(RewriteTest, RewritingIsSoundAndCompleteOnInstances) {
       std::vector<TermId> named;
       for (TermId t : row) {
         named.push_back(p.theory.signature_ptr()->AddConstant(
-            "c" + std::to_string(t)));
+            'c' + std::to_string(t)));
       }
       d2.AddFact(e, named);
     });

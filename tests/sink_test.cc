@@ -99,7 +99,7 @@ struct ProbeCase {
                .ValueOrDie();
     std::vector<TermId> consts;
     for (size_t i = 0; i < domain; ++i) {
-      consts.push_back(sig->AddConstant("c" + std::to_string(i)));
+      consts.push_back(sig->AddConstant('c' + std::to_string(i)));
     }
     std::mt19937 rng(seed);
     auto random_tuple = [&] {
@@ -162,8 +162,8 @@ TEST(ContainsSortedTest, StaysCorrectOnStaleIndexes) {
   std::mt19937 rng(99);
   std::vector<std::vector<TermId>> late;
   for (size_t i = 0; i < 40; ++i) {
-    std::vector<TermId> t = {pc.sig->AddConstant("d" + std::to_string(i)),
-                             pc.sig->AddConstant("d" + std::to_string(i))};
+    std::vector<TermId> t = {pc.sig->AddConstant('d' + std::to_string(i)),
+                             pc.sig->AddConstant('d' + std::to_string(i))};
     if (pc.s.AddFact(pc.pred, t)) late.push_back(t);
   }
   ASSERT_LT(pc.s.IndexedRows(pc.pred), pc.s.NumFacts(pc.pred));
@@ -190,7 +190,7 @@ TEST(ContainsSortedTest, WideEqualValueSlicesAnswerExactly) {
   TermId hub = sig->AddConstant("hub");
   std::vector<TermId> spokes;
   for (int i = 0; i < 100; ++i) {
-    spokes.push_back(sig->AddConstant("s" + std::to_string(i)));
+    spokes.push_back(sig->AddConstant('s' + std::to_string(i)));
     s.AddFact(p, {hub, spokes.back()});
   }
   s.RefreshIndexes();
@@ -264,7 +264,7 @@ std::vector<PredId> SinkPredicates(Signature* sig) {
   std::vector<PredId> preds;
   for (int arity = 1; arity <= 4; ++arity) {
     preds.push_back(
-        std::move(sig->AddPredicate("p" + std::to_string(arity), arity))
+        std::move(sig->AddPredicate('p' + std::to_string(arity), arity))
             .ValueOrDie());
   }
   return preds;
@@ -280,7 +280,7 @@ std::vector<Atom> RandomOccurrences(Structure* frozen, SignaturePtr sig,
   std::mt19937 rng(seed);
   std::vector<TermId> consts;
   for (size_t i = 0; i < 10; ++i) {
-    consts.push_back(sig->AddConstant("k" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('k' + std::to_string(i)));
   }
   std::vector<Atom> pool_atoms;
   for (size_t i = 0; i < pool; ++i) {
@@ -334,7 +334,7 @@ TEST(SinkBuffersTest, AllDistinctAndAllDuplicateExtremes) {
   PredId p = std::move(sig->AddPredicate("p", 1)).ValueOrDie();
   std::vector<TermId> consts;
   for (int i = 0; i < 50; ++i) {
-    consts.push_back(sig->AddConstant("c" + std::to_string(i)));
+    consts.push_back(sig->AddConstant('c' + std::to_string(i)));
   }
   frozen.RefreshIndexes();
 
@@ -665,7 +665,7 @@ TEST(DedupTriggersTest, KeepsTheTriggerLessLeastWinnerAtAnyArrivalOrder) {
   const PredId w = std::move(sig.FindPredicate("w")).ValueOrDie();
   // Ten constants, so a is 9 and b is 10: their decimal order differs
   // from their numeric order.
-  for (int i = 0; i < 9; ++i) sig.AddConstant("k" + std::to_string(i));
+  for (int i = 0; i < 9; ++i) sig.AddConstant('k' + std::to_string(i));
   const TermId a = sig.AddConstant("a");
   const TermId b = sig.AddConstant("b");
   ASSERT_EQ(a, 9);
@@ -731,7 +731,8 @@ TEST(DedupTriggersTest, KeepsTheTriggerLessLeastWinnerAtAnyArrivalOrder) {
 // ---------------------------------------------------------------------------
 
 /// The engine configurations the end-to-end tests sweep: the production
-/// engine inline and sharded, and the kNaive reference with its hash sink.
+/// engine on one worker and on four, and the kNaive reference with its
+/// hash sink.
 struct EngineCase {
   ChaseEngine engine;
   size_t threads;

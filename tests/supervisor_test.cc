@@ -96,6 +96,31 @@ TEST(SupervisorTest, RecoversByteIdenticallyIncludingNullTermIds) {
   EXPECT_TRUE(ctx.report().open_phases.empty());
 }
 
+TEST(SupervisorTest, RecoveredRunLeavesOnlyTheResultCharged) {
+  // Each attempt charges its structure through its child context to the
+  // caller's. Dropping the failed attempt must hand its bytes back, so a
+  // recovered run leaves the caller's context charged for the returned
+  // structure alone.
+  Program p = Parse();
+  ExecutionContext ctx;
+  FaultRegistry reg;
+  reg.Arm({.site = faults::kChaseRound,
+           .schedule = FaultSchedule::kAfterN,
+           .n = 1,
+           .max_fires = 1,
+           .action = ""});
+  ctx.SetFaultRegistry(&reg);
+  SupervisorOptions sup;
+  sup.context = &ctx;
+  SupervisedChase s =
+      RunChaseSupervised(p.theory, p.instance, RichOptions(), sup);
+
+  ASSERT_TRUE(s.recovered);
+  ASSERT_TRUE(s.result.status.ok());
+  EXPECT_GT(s.result.structure.ApproxAccountedBytes(), 0u);
+  EXPECT_EQ(ctx.memory().used(), s.result.structure.ApproxAccountedBytes());
+}
+
 TEST(SupervisorTest, DegradationLadderWalksEveryRungInOrder) {
   Program a = Parse();
   ChaseResult plain = RunChase(a.theory, a.instance, RichOptions());

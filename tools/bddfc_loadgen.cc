@@ -80,7 +80,7 @@ struct TenantWorkload {
 };
 
 std::string Const(int t, int i) {
-  return "n" + std::to_string(t) + "_" + std::to_string(i);
+  return 'n' + std::to_string(t) + "_" + std::to_string(i);
 }
 
 /// A chain n_0 -> ... -> n_len under transitive closure, plus a `top`
