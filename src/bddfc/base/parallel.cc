@@ -24,10 +24,14 @@ Status ParallelFor(size_t n, size_t threads,
   obs::Tracer* const tracer = obs::Tracer::CurrentTracer();
   std::vector<Status> statuses(n);
   std::atomic<size_t> cursor{0};
+  std::atomic<bool> stopped{false};
   auto drain = [&](size_t worker) {
     for (size_t i; (i = cursor.fetch_add(1, std::memory_order_relaxed)) < n;) {
       if (ctx != nullptr && ctx->Exhausted()) {
-        statuses[i] = ctx->CheckPoint("ParallelFor");
+        // The first worker to stop records the call's one check.
+        if (!stopped.exchange(true, std::memory_order_relaxed)) {
+          statuses[i] = ctx->CheckPoint("ParallelFor");
+        }
         return;
       }
       if (traced) {

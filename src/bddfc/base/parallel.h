@@ -39,10 +39,12 @@ size_t DefaultThreads();
 ///
 /// Governance: with a non-null `ctx`, a thread checks ctx->Exhausted()
 /// before it runs an index. Once the context has tripped (deadline,
-/// memory, cancellation, fault), the thread records ctx->CheckPoint() at
-/// that index and takes no more, so later indexes never start; tasks in
-/// flight observe the same context at their own check-points. At one
-/// thread that is one CheckPoint, then stop.
+/// memory, cancellation, fault), the thread takes no more indexes, so
+/// later indexes never start; tasks in flight observe the same context at
+/// their own check-points. The first thread to stop records one
+/// ctx->CheckPoint() at the index it took, so a tripped call adds exactly
+/// one to cancel_checks at any thread count, and its trip status takes
+/// part in the first-non-OK rule.
 ///
 /// Tracing: at threads <= 1 tasks run on the caller with no span. Above
 /// one thread every task runs under a "pool.task" span whose parent is

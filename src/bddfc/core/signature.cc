@@ -9,10 +9,7 @@ Result<PredId> Signature::AddPredicate(std::string_view name, int arity) {
   int32_t existing = pred_names_.Find(name);
   if (existing >= 0) {
     if (predicates_[existing].arity != arity) {
-      return Status::AlreadyExists(
-          "predicate '" + std::string(name) + "' redeclared with arity " +
-          std::to_string(arity) + " (was " +
-          std::to_string(predicates_[existing].arity) + ")");
+      return ArityConflict(name, arity, predicates_[existing].arity);
     }
     return existing;
   }
@@ -25,6 +22,13 @@ Result<PredId> Signature::AddPredicate(std::string_view name, int arity) {
   info.arity = arity;
   predicates_.push_back(std::move(info));
   return id;
+}
+
+Status Signature::ArityConflict(std::string_view name, int arity, int was) {
+  return Status::AlreadyExists("predicate '" + std::string(name) +
+                               "' redeclared with arity " +
+                               std::to_string(arity) + " (was " +
+                               std::to_string(was) + ")");
 }
 
 PredId Signature::AddColorPredicate(int hue, int lightness) {

@@ -43,9 +43,13 @@ class Signature {
  public:
   Signature() = default;
 
-  /// Adds (or finds) a predicate. Returns error if it exists with a
-  /// different arity.
+  /// Adds (or finds) a predicate. Returns ArityConflict if it exists with
+  /// a different arity.
   Result<PredId> AddPredicate(std::string_view name, int arity);
+
+  /// The error for predicate `name` used with `arity` when it has arity
+  /// `was`.
+  static Status ArityConflict(std::string_view name, int arity, int was);
 
   /// Adds a fresh color predicate K_h^l. The generated name encodes (h, l).
   PredId AddColorPredicate(int hue, int lightness);

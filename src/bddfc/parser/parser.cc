@@ -192,10 +192,20 @@ class Lexer {
 /// buffers and become Atoms only for a rule or a query; a fact's cells go
 /// straight to a per-predicate buffer that ParseProgram appends to the
 /// instance in one batch per predicate.
+///
+/// A program parse interns every name into its signature. A query parse
+/// only reads its signature: a name the signature lacks gets a query-local
+/// id past the signature's table, in order of first occurrence, and is
+/// remembered so that InternLocals can give it that same id.
 class Parser {
  public:
-  Parser(std::string_view text, Signature* sig, int32_t* next_var)
-      : lexer_(text), sig_(sig), next_var_(next_var) {
+  /// A program parse, interning into `sig`.
+  Parser(std::string_view text, Signature* sig) : Parser(text, *sig) {
+    interning_ = sig;
+  }
+  /// A query parse, reading `sig` only.
+  Parser(std::string_view text, const Signature& sig)
+      : lexer_(text), sig_(sig) {
     tok_ = lexer_.Lex();
   }
 
@@ -254,6 +264,15 @@ class Parser {
     return ConjunctiveQuery(MakeAtoms(0, atoms_.size()));
   }
 
+  /// Interns a query parse's query-local names into `sig`, the signature
+  /// it read, in order, so each gets the id the parse gave it.
+  void InternLocals(Signature* sig) const {
+    for (const auto& [name, arity] : local_predicates_) {
+      (void)sig->AddPredicate(name, arity);
+    }
+    for (std::string_view name : local_constants_) sig->AddConstant(name);
+  }
+
  private:
   /// One parsed atom of the current statement; its arguments are
   /// cells_[begin, begin + arity).
@@ -269,6 +288,43 @@ class Parser {
     size_t rows = 0;
   };
 
+  /// The id of constant `name`: interned, or for a query parse the
+  /// signature's id or else a query-local one.
+  TermId Constant(std::string_view name) {
+    if (interning_ != nullptr) return interning_->AddConstant(name);
+    if (Result<TermId> c = sig_.FindConstant(name); c.ok()) return c.value();
+    const size_t i =
+        std::find(local_constants_.begin(), local_constants_.end(), name) -
+        local_constants_.begin();
+    if (i == local_constants_.size()) local_constants_.push_back(name);
+    return sig_.num_constants() + static_cast<TermId>(i);
+  }
+
+  /// The id of predicate `name` used with `arity`, resolved like
+  /// Constant; a use with another arity than an earlier one, known or
+  /// query-local, is Signature::ArityConflict.
+  Result<PredId> Predicate(std::string_view name, int arity) {
+    if (interning_ != nullptr) return interning_->AddPredicate(name, arity);
+    PredId id;
+    int was;
+    if (Result<PredId> p = sig_.FindPredicate(name); p.ok()) {
+      id = p.value();
+      was = sig_.arity(id);
+    } else {
+      const size_t i =
+          std::find_if(local_predicates_.begin(), local_predicates_.end(),
+                       [name](const auto& e) { return e.first == name; }) -
+          local_predicates_.begin();
+      if (i == local_predicates_.size()) {
+        local_predicates_.emplace_back(name, arity);
+      }
+      id = sig_.num_predicates() + static_cast<PredId>(i);
+      was = local_predicates_[i].second;
+    }
+    if (was != arity) return Signature::ArityConflict(name, arity, was);
+    return id;
+  }
+
   /// Parses a term; variables scope over the current statement.
   Result<TermId> ParseTerm() {
     const Token t = Next();
@@ -276,19 +332,19 @@ class Parser {
       for (const auto& [name, v] : var_scope_) {
         if (name == t.text) return v;
       }
-      const TermId v = MakeVar((*next_var_)++);
+      const TermId v = MakeVar(next_var_++);
       var_scope_.emplace_back(t.text, v);
       return v;
     }
     if (t.kind == TokKind::kIdent || t.kind == TokKind::kQuoted) {
-      return sig_->AddConstant(t.text);
+      return Constant(t.text);
     }
     return Status::InvalidArgument("line " + std::to_string(t.line) +
                                    ": expected term, got '" +
                                    std::string(t.text) + "'");
   }
 
-  /// Parses one atom onto atoms_/cells_. The predicate is interned after
+  /// Parses one atom onto atoms_/cells_. The predicate is resolved after
   /// its arguments (its arity is their count); its name token stays valid
   /// meanwhile because token text never moves.
   Status ParseAtom() {
@@ -310,8 +366,8 @@ class Parser {
       }
     }
     const size_t arity = cells_.size() - begin;
-    BDDFC_ASSIGN_OR_RETURN(
-        PredId p, sig_->AddPredicate(name.text, static_cast<int>(arity)));
+    BDDFC_ASSIGN_OR_RETURN(PredId p,
+                           Predicate(name.text, static_cast<int>(arity)));
     atoms_.push_back({p, begin, arity});
     return Status::OK();
   }
@@ -376,7 +432,7 @@ class Parser {
             body_vars.end()) {
           return Status::InvalidArgument(
               "declared existential variable also occurs in the body of: " +
-              rule.ToString(*sig_));
+              rule.ToString(sig_));
         }
       }
       return program->theory.AddRule(std::move(rule));
@@ -389,7 +445,7 @@ class Parser {
       const TermId* args = cells_.data() + a.begin;
       if (!std::all_of(args, args + a.arity, IsConst)) {
         return Status::InvalidArgument("fact is not ground: " +
-                                       MakeAtom(a).ToString(*sig_));
+                                       MakeAtom(a).ToString(sig_));
       }
       if (static_cast<size_t>(a.pred) >= facts_.size()) {
         facts_.resize(a.pred + 1);
@@ -406,8 +462,14 @@ class Parser {
 
   Lexer lexer_;
   Token tok_;  // the lookahead
-  Signature* sig_;
-  int32_t* next_var_;
+  const Signature& sig_;
+  Signature* interning_ = nullptr;  // sig_, for a program parse
+  /// A query parse's names missing from sig_, in order of first
+  /// occurrence: entry i has id sig_.num_predicates() (num_constants())
+  /// + i. Views of the input or the lexer's buffer.
+  std::vector<std::pair<std::string_view, int>> local_predicates_;
+  std::vector<std::string_view> local_constants_;
+  int32_t next_var_ = 0;
   std::vector<std::pair<std::string_view, TermId>> var_scope_;
   std::vector<FlatAtom> atoms_;
   std::vector<TermId> cells_;
@@ -431,8 +493,7 @@ Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
   Status parsed = Status::OK();
   {
     Program program(sig);
-    int32_t next_var = 0;
-    Parser parser(text, sig.get(), &next_var);
+    Parser parser(text, sig.get());
     parsed = parser.ParseAll(&program);
     if (parsed.ok()) {
       if (span.id() != 0) {
@@ -449,14 +510,16 @@ Result<Program> ParseProgram(std::string_view text, SignaturePtr sig,
   return parsed;
 }
 
-Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig,
-                                    int32_t* next_var) {
-  return Parser(text, sig, next_var).ParseQueryBody();
+Result<ConjunctiveQuery> ParseQuery(std::string_view text,
+                                    const Signature& sig) {
+  return Parser(text, sig).ParseQueryBody();
 }
 
 Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig) {
-  int32_t next_var = 0;
-  return ParseQuery(text, sig, &next_var);
+  Parser parser(text, std::as_const(*sig));
+  Result<ConjunctiveQuery> q = parser.ParseQueryBody();
+  if (q.ok()) parser.InternLocals(sig);
+  return q;
 }
 
 }  // namespace bddfc

@@ -14,6 +14,12 @@
 // clause is optional — any head variable not occurring in the body is
 // existential. Multi-head rules write the head as a comma-separated
 // conjunction. 0-ary atoms are written without parentheses as `goal`.
+//
+// A program parse interns every name into its signature. A query parse
+// can instead only read a signature, so threads may share one unlocked
+// (the serving layer's artifacts do): a name the signature lacks gets a
+// query-local id. The interning query parse is that parse followed by
+// interning those names, so either parse fails without interning.
 
 #ifndef BDDFC_PARSER_PARSER_H_
 #define BDDFC_PARSER_PARSER_H_
@@ -51,13 +57,20 @@ class FaultRegistry;
 Result<Program> ParseProgram(std::string_view text, SignaturePtr sig = nullptr,
                              FaultRegistry* faults = nullptr);
 
-/// Parses a single conjunctive query body, e.g. "edge(X, Y), u(Y)".
-/// Predicates/constants are interned into `sig`. Variable ids are assigned
-/// from *next_var by name (and *next_var is advanced).
-Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig,
-                                    int32_t* next_var);
+/// Parses a single conjunctive query body, e.g. "edge(X, Y), u(Y)", and
+/// only reads `sig`. A predicate or constant that `sig` lacks gets a
+/// query-local id past `sig`'s table, numbered in order of first
+/// occurrence. Nothing in `sig` names such an id, so it renders only
+/// through a signature that interned it; no fact over `sig` holds it.
+/// Variables are numbered from 0 by first occurrence. An error is the
+/// status the interning parse below returns, arity conflicts included
+/// (Signature::ArityConflict, against `sig` or an earlier use).
+Result<ConjunctiveQuery> ParseQuery(std::string_view text,
+                                    const Signature& sig);
 
-/// Convenience: parse a query against a fresh variable space starting at 0.
+/// The read-only parse above against `*sig`, then the query-local names
+/// interned into `*sig` in order, so the query's ids are theirs. A failed
+/// parse interns nothing.
 Result<ConjunctiveQuery> ParseQuery(std::string_view text, Signature* sig);
 
 }  // namespace bddfc

@@ -1,10 +1,15 @@
 #include "bddfc/serve/artifact_cache.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cinttypes>
+#include <cstdio>
 
+#include "bddfc/chase/chase.h"
 #include "bddfc/eval/match.h"
 #include "bddfc/obs/trace.h"
+#include "bddfc/parser/parser.h"
 #include "bddfc/parser/printer.h"
 
 namespace bddfc::serve {
@@ -21,87 +26,86 @@ uint64_t CanonicalHash(std::string_view canonical_text) {
 }
 
 std::string KeyToHex(uint64_t key) {
-  static const char* kDigits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[i] = kDigits[key & 0xf];
-    key >>= 4;
-  }
-  return out;
+  char hex[17];
+  std::snprintf(hex, sizeof(hex), "%016" PRIx64, key);
+  return hex;
 }
 
 bool KeyFromHex(std::string_view hex, uint64_t* out) {
-  if (hex.empty() || hex.size() > 16) return false;
+  // Hex digits of either case only: no sign, prefix or space.
   uint64_t v = 0;
-  for (char c : hex) {
-    int d;
-    if (c >= '0' && c <= '9') {
-      d = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      d = c - 'a' + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      d = c - 'A' + 10;
-    } else {
-      return false;
-    }
-    v = (v << 4) | static_cast<uint64_t>(d);
+  const char* end = hex.data() + hex.size();
+  if (hex.empty() || hex.size() > 16 ||
+      std::from_chars(hex.data(), end, v, 16).ptr != end) {
+    return false;
   }
   *out = v;
   return true;
 }
 
-Result<bool> Artifact::EvalBoolean(const std::string& query_text) {
-  std::lock_guard<std::mutex> lock(mu);
-  Signature& sig = *program.instance.signature_ptr();
-  const Signature::Mark mark = sig.TakeMark();
-  Result<ConjunctiveQuery> q = ParseQuery(query_text, &sig);
-  if (!q.ok()) {
-    sig.RollbackTo(mark);
-    return q.status();
+namespace {
+
+/// True when `q` holds a query-local id: a predicate or constant past
+/// `sig`'s tables, so a name `sig` lacks.
+bool NamesUnknownSymbol(const ConjunctiveQuery& q, const Signature& sig) {
+  for (const Atom& a : q.atoms) {
+    if (a.pred >= sig.num_predicates()) return true;
+    for (TermId t : a.args) {
+      if (IsConst(t) && t >= sig.num_constants()) return true;
+    }
   }
-  // Predicates/constants the query introduced are interned past the mark;
-  // the chase structure simply has no rows for them, so evaluation is
-  // safe, and the rollback below forgets them — the artifact signature is
-  // byte-identical to its admitted state regardless of query order.
-  const bool sat = Satisfies(chase.structure, q.value());
-  sig.RollbackTo(mark);
-  return sat;
+  return false;
 }
 
-Result<std::string> Artifact::RewriteFor(const std::string& query_text,
-                                         const RewriteOptions& opts) {
-  std::lock_guard<std::mutex> lock(mu);
-  Signature& sig = *program.instance.signature_ptr();
-  const Signature::Mark mark = sig.TakeMark();
-  Result<ConjunctiveQuery> q = ParseQuery(query_text, &sig);
-  if (!q.ok()) {
-    sig.RollbackTo(mark);
-    return q.status();
-  }
-  const std::string memo_key = q.value().CanonicalKey();
-  if (auto it = rewrite_memo_.find(memo_key); it != rewrite_memo_.end()) {
-    sig.RollbackTo(mark);
-    return it->second;
-  }
-  RewriteResult rr = RewriteQuery(program.theory, q.value(), opts);
+/// The REWRITE body for `q` under `theory`, rendered through `sig`, which
+/// names every id of `q`.
+Result<std::string> RewriteBody(const Theory& theory,
+                                const ConjunctiveQuery& q,
+                                const SignaturePtr& sig,
+                                const RewriteOptions& opts) {
+  RewriteResult rr = RewriteQuery(theory, q, opts);
   if (!rr.status.ok() && rr.status.code() != StatusCode::kUnknown) {
-    sig.RollbackTo(mark);
     return rr.status;
   }
-  // Render before the rollback: printing reads names interned past the
-  // mark. The rendered string owns its bytes, so it survives the rollback.
   std::string body = "disjuncts=" + std::to_string(rr.rewriting.size()) +
                      " complete=" + (rr.status.ok() ? "1" : "0");
-  const Theory empty_theory(program.instance.signature_ptr());
-  std::string rendered = ToProgramText(empty_theory, nullptr, &rr.rewriting);
+  std::string rendered = ToProgramText(Theory(sig), nullptr, &rr.rewriting);
   if (!rendered.empty()) {
     body += "\n";
     if (rendered.back() == '\n') rendered.pop_back();
     body += rendered;
   }
-  sig.RollbackTo(mark);
-  rewrite_memo_.emplace(memo_key, body);
   return body;
+}
+
+}  // namespace
+
+Result<bool> Artifact::EvalBoolean(const std::string& query_text) const {
+  Result<ConjunctiveQuery> q = ParseQuery(query_text, structure.sig());
+  if (!q.ok()) return q.status();
+  if (NamesUnknownSymbol(q.value(), structure.sig())) return false;
+  return Satisfies(structure, q.value());
+}
+
+Result<std::string> Artifact::RewriteFor(const std::string& query_text,
+                                         const RewriteOptions& opts) const {
+  Result<ConjunctiveQuery> q = ParseQuery(query_text, theory.sig());
+  if (!q.ok()) return q.status();
+  if (NamesUnknownSymbol(q.value(), theory.sig())) {
+    // The interning parse gives the copy the query's names at the ids the
+    // read-only parse chose; the rules' ids are a prefix of the copy's.
+    auto local = std::make_shared<Signature>(theory.sig());
+    Result<ConjunctiveQuery> named = ParseQuery(query_text, local.get());
+    return RewriteBody(theory, named.value(), local, opts);
+  }
+  const std::string memo_key = q.value().CanonicalKey();
+  if (std::optional<std::string> hit = memo_.Find(memo_key)) return *hit;
+  // Two identical cold REWRITEs may both get here and both rewrite; they
+  // render the same bytes, and the first insert wins.
+  Result<std::string> body =
+      RewriteBody(theory, q.value(), theory.signature_ptr(), opts);
+  if (!body.ok()) return body;
+  return memo_.Insert(memo_key, std::move(body).value());
 }
 
 ArtifactCache::ArtifactCache(size_t capacity, MemoryAccountant* accountant)
@@ -113,7 +117,7 @@ ArtifactCache::~ArtifactCache() {
   for (auto& [key, e] : entries_) accountant_->Release(e.artifact->bytes);
 }
 
-std::shared_ptr<Artifact> ArtifactCache::Find(uint64_t key) {
+std::shared_ptr<const Artifact> ArtifactCache::Find(uint64_t key) {
   std::lock_guard<std::mutex> lock(cache_mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) return nullptr;
@@ -153,7 +157,7 @@ ArtifactCache::Outcome ArtifactCache::GetOrCompile(
       submitted.value().theory, &submitted.value().instance, nullptr);
   const uint64_t key = CanonicalHash(canonical);
 
-  if (std::shared_ptr<Artifact> cached = Find(key)) {
+  if (std::shared_ptr<const Artifact> cached = Find(key)) {
     out.artifact = std::move(cached);
     out.hit = true;
     return out;
@@ -169,7 +173,7 @@ ArtifactCache::Outcome ArtifactCache::GetOrCompile(
     // leader admits before it erases its in-flight slot, so a request that
     // missed above just before the admit, and got here just after the
     // erase, finds the artifact instead of compiling it a second time.
-    if (std::shared_ptr<Artifact> cached = Find(key)) {
+    if (std::shared_ptr<const Artifact> cached = Find(key)) {
       out.artifact = std::move(cached);
       out.hit = true;
       return out;
@@ -219,10 +223,9 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   obs::TraceSpan span(&ContextTracer(ctx), "serve.compile");
   const auto start = std::chrono::steady_clock::now();
 
-  // Copy-on-admit: re-parse the canonical text into a fresh Program with
-  // an artifact-owned Signature. Interned ids become a pure function of
-  // the canonical form, and no caller-visible signature is shared with
-  // the artifact — the precondition for EvalBoolean's rollback safety.
+  // Re-parse the canonical text into a fresh signature the artifact owns:
+  // interned ids become a pure function of the canonical form, and no
+  // caller-visible signature is shared with the artifact.
   Result<Program> reparsed =
       ParseProgram(canonical, nullptr,
                    ctx != nullptr ? ctx->fault_registry() : nullptr);
@@ -230,47 +233,47 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
     out.status = reparsed.status();
     return out;
   }
-  auto artifact = std::make_shared<Artifact>(std::move(reparsed).value());
-  artifact->canonical_text = canonical;
-  artifact->key = key;
+  Program program = std::move(reparsed).value();
 
   ChaseOptions chase_opts;
   chase_opts.max_rounds = copts.max_rounds;
   chase_opts.max_facts = copts.max_facts;
   chase_opts.threads = copts.threads;
   chase_opts.context = ctx;
-  artifact->chase =
-      RunChase(artifact->program.theory, artifact->program.instance,
-               chase_opts);
+  ChaseResult chase = RunChase(program.theory, program.instance, chase_opts);
   // The chase charged its facts to the request context, which rolls up to
   // the server accountant. An admitted artifact is accounted by the cache
   // (artifact->bytes below), so the request's charge goes back on every
   // exit, as the pipeline does with its chase prefixes.
   if (ctx != nullptr) {
-    ctx->memory().Release(artifact->chase.structure.ApproxAccountedBytes());
+    ctx->memory().Release(chase.structure.ApproxAccountedBytes());
   }
-  if (!artifact->chase.status.ok()) {
-    out.status = artifact->chase.status;
+  if (!chase.status.ok()) {
+    out.status = chase.status;
     return out;
   }
-  if (!artifact->chase.fixpoint_reached) {
+  if (!chase.fixpoint_reached) {
     out.status = Status(StatusCode::kResourceExhausted,
                         "theory did not saturate within the compile budget");
     return out;
   }
-  artifact->rounds = artifact->chase.rounds_run;
 
+  auto artifact = std::make_shared<Artifact>(std::move(program.theory),
+                                             std::move(chase.structure));
+  artifact->canonical_text = canonical;
+  artifact->key = key;
+  artifact->rounds = chase.rounds_run;
   // Accounted estimate: canonical bytes plus exactly what the chase
   // charged for its structure (released above) plus fixed overhead.
-  artifact->bytes = canonical.size() +
-                    artifact->chase.structure.ApproxAccountedBytes() + 4096;
+  artifact->bytes =
+      canonical.size() + artifact->structure.ApproxAccountedBytes() + 4096;
   if (accountant_ != nullptr) accountant_->Charge(artifact->bytes);
 
   out.evicted = Admit(key, artifact);
   out.artifact = std::move(artifact);
   out.compiled = true;
   span.set_detail("facts " +
-                  std::to_string(out.artifact->chase.structure.NumFacts()));
+                  std::to_string(out.artifact->structure.NumFacts()));
   metrics.GetHistogram("bddfc.serve.compile_ms")
       ->Record(static_cast<uint64_t>(
           std::chrono::duration<double, std::milli>(
@@ -279,7 +282,8 @@ ArtifactCache::Outcome ArtifactCache::Compile(uint64_t key,
   return out;
 }
 
-size_t ArtifactCache::Admit(uint64_t key, std::shared_ptr<Artifact> artifact) {
+size_t ArtifactCache::Admit(uint64_t key,
+                            std::shared_ptr<const Artifact> artifact) {
   size_t evicted = 0;
   std::lock_guard<std::mutex> lock(cache_mu_);
   entries_[key] = Entry{std::move(artifact), ++tick_};

@@ -14,14 +14,11 @@
 //   * compiles are single-flight: concurrent first loads of one key elect
 //     one compiling request, the rest block on its completion and share
 //     the result — the chase never runs twice for one key;
-//   * query-time signature mutation is confined per artifact (see
-//     Artifact::mu): each artifact owns its Signature outright, so two
-//     sessions querying DIFFERENT artifacts never contend, and two
-//     sessions querying the SAME artifact serialize the
-//     mark → parse → evaluate → rollback critical section that keeps the
-//     artifact's signature byte-stable. (The pre-serve bug: Mark /
-//     RollbackTo on a signature shared across concurrent requests rolls
-//     back the other request's interned ids mid-evaluation.)
+//   * an admitted artifact is read-only: the cache hands it out const,
+//     QUERY and REWRITE parse against its signature without interning
+//     (parser.h), and no request writes its theory, structure or
+//     signature. Requests on one artifact therefore take no lock; only the
+//     REWRITE memo has one, held for a lookup or an insert.
 //
 // Memory: each admitted artifact charges its estimated bytes to the
 // server accountant and releases them on eviction, so the LRU and the
@@ -38,6 +35,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -45,9 +43,9 @@
 
 #include "bddfc/base/governor.h"
 #include "bddfc/base/status.h"
-#include "bddfc/chase/chase.h"
+#include "bddfc/core/structure.h"
+#include "bddfc/core/theory.h"
 #include "bddfc/obs/metrics.h"
-#include "bddfc/parser/parser.h"
 #include "bddfc/rewrite/rewriter.h"
 
 namespace bddfc::serve {
@@ -61,47 +59,62 @@ std::string KeyToHex(uint64_t key);
 /// Parses a hex key; false on malformed input.
 bool KeyFromHex(std::string_view hex, uint64_t* out);
 
-/// One compiled theory. Immutable after admission except through
-/// EvalBoolean/RewriteFor, which serialize on `mu` and restore the
-/// signature before returning.
+/// Rendered REWRITE answers by the query's CanonicalKey. Thread-safe; the
+/// lock is held for one lookup or one insert, never across a rewriting.
+class RewriteMemo {
+ public:
+  std::optional<std::string> Find(const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = bodies_.find(key);
+    if (it == bodies_.end()) return std::nullopt;
+    return it->second;
+  }
+  /// Stores `body` unless `key` has one, and returns the stored body: the
+  /// first insert wins.
+  std::string Insert(const std::string& key, std::string body) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bodies_.try_emplace(key, std::move(body)).first->second;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::map<std::string, std::string> bodies_;
+};
+
+/// One compiled theory, read-only once admitted (see file comment).
 struct Artifact {
   /// Canonical program text (rules + facts; no queries) — what the key
   /// hashes and what byte-identity comparisons replay.
   std::string canonical_text;
   uint64_t key = 0;
-  /// Re-parsed from canonical_text with an artifact-owned Signature
-  /// (copy-on-admit): no other artifact, session or caller holds this
-  /// signature, so query-time interning stays private to `mu`.
-  Program program;
-  /// The saturated chase of the program (fixpoint reached — partial
-  /// chases are never admitted).
-  ChaseResult chase;
+  /// The rules of canonical_text's re-parse, over a signature the
+  /// artifact owns with `structure` (read by REWRITE).
+  Theory theory;
+  /// The saturated chase of that re-parse (fixpoint reached — partial
+  /// chases are never admitted); read by QUERY and LOAD's facts=.
+  Structure structure;
   size_t rounds = 0;
   /// Accounted estimate charged to the server accountant while cached.
   size_t bytes = 0;
 
-  /// Serializes query-time signature mutation (see file comment).
-  std::mutex mu;
+  Artifact(Theory t, Structure s)
+      : theory(std::move(t)), structure(std::move(s)) {}
 
-  explicit Artifact(Program p)
-      : program(std::move(p)), chase(program.instance.signature_ptr()) {}
-
-  /// Boolean certain answer: Chase(D, T) ⊨ Q. Parses `query_text` against
-  /// the artifact signature under a mark, evaluates, rolls back — the
-  /// signature (and therefore canonical_text and every cached id) is
-  /// byte-identical before and after, for any interleaving of callers.
-  Result<bool> EvalBoolean(const std::string& query_text);
+  /// Boolean certain answer: Chase(D, T) ⊨ Q. A query naming a symbol the
+  /// signature lacks is false without evaluation: no stored fact holds it.
+  Result<bool> EvalBoolean(const std::string& query_text) const;
 
   /// UCQ rewriting of `query_text` under this artifact's theory: returns
   /// "disjuncts=<n> complete=<0|1>" plus one canonical rendered line per
-  /// disjunct. Memoized by the query's canonical key (rewriting is the
-  /// expensive path); the same mark/rollback discipline applies.
+  /// disjunct. Memoized by the query's canonical key over known names; a
+  /// query naming an unknown symbol is rewritten and rendered in a private
+  /// copy of the signature and not memoized, since its query-local ids
+  /// name other symbols in other queries.
   Result<std::string> RewriteFor(const std::string& query_text,
-                                 const RewriteOptions& opts);
+                                 const RewriteOptions& opts) const;
 
  private:
-  /// Rewriting memo: canonical query key → rendered result. Guarded by mu.
-  std::map<std::string, std::string> rewrite_memo_;
+  mutable RewriteMemo memo_;
 };
 
 /// Budgets a compile runs under (forwarded to RunChase).
@@ -125,7 +138,7 @@ class ArtifactCache {
 
   struct Outcome {
     Status status = Status::OK();
-    std::shared_ptr<Artifact> artifact;  ///< null iff !status.ok()
+    std::shared_ptr<const Artifact> artifact;  ///< null iff !status.ok()
     bool hit = false;       ///< served from cache (no compile ran)
     bool compiled = false;  ///< THIS call ran the compile
     size_t evicted = 0;     ///< artifacts evicted by this admission
@@ -143,7 +156,7 @@ class ArtifactCache {
                        const CompileOptions& copts);
 
   /// The cached artifact for `key`, bumping its LRU slot; null when absent.
-  std::shared_ptr<Artifact> Find(uint64_t key);
+  std::shared_ptr<const Artifact> Find(uint64_t key);
 
   size_t size() const;
   size_t capacity() const { return capacity_; }
@@ -156,10 +169,10 @@ class ArtifactCache {
     std::condition_variable cv;
     bool done = false;
     Status status = Status::OK();
-    std::shared_ptr<Artifact> artifact;
+    std::shared_ptr<const Artifact> artifact;
   };
   struct Entry {
-    std::shared_ptr<Artifact> artifact;
+    std::shared_ptr<const Artifact> artifact;
     uint64_t last_used = 0;
   };
 
@@ -171,7 +184,7 @@ class ArtifactCache {
 
   /// Inserts under cache_mu_, evicting LRU entries past capacity.
   /// Returns the number evicted.
-  size_t Admit(uint64_t key, std::shared_ptr<Artifact> artifact);
+  size_t Admit(uint64_t key, std::shared_ptr<const Artifact> artifact);
 
   const size_t capacity_;
   MemoryAccountant* const accountant_;

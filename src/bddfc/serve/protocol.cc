@@ -1,5 +1,6 @@
 #include "bddfc/serve/protocol.h"
 
+#include <algorithm>
 #include <vector>
 
 namespace bddfc::serve {
@@ -95,45 +96,95 @@ Status ParseRequestLine(std::string_view line, Request* out,
   return Status::InvalidArgument("unknown verb " + std::string(verb));
 }
 
-size_t ServeBuffer(ReasoningServer& server, std::string_view input,
-                   std::string* output) {
-  size_t served = 0;
-  size_t pos = 0;
-  while (pos < input.size()) {
-    size_t eol = input.find('\n', pos);
-    if (eol == std::string_view::npos) eol = input.size();
-    std::string_view line = input.substr(pos, eol - pos);
-    pos = eol + 1;
+void Framer::Reply(const Status& status, std::string* out) {
+  *out += FormatResponse(Response{status, status.message()});
+  ++served_;
+}
+
+bool Framer::Serve(std::string_view in, size_t* pos, std::string* out,
+                   bool at_end) {
+  for (;;) {
+    const std::string_view rest = in.substr(*pos);
+    if (!started_) {
+      // Only the connection's first bytes can open an HTTP request; wait
+      // while they still could.
+      const size_t n = std::min<size_t>(rest.size(), 4);
+      if (n < 4 && !at_end && rest == std::string_view("GET ", n)) {
+        return false;
+      }
+      started_ = true;
+      http_ = LooksLikeHttp(rest);
+    }
+    size_t eol = rest.find('\n');
+    if ((eol == std::string_view::npos ? rest.size() : eol) >
+        kMaxRequestLineBytes) {
+      if (!http_) {
+        Reply(Status::InvalidArgument(
+                  "request line exceeds " +
+                  std::to_string(kMaxRequestLineBytes) + " bytes"),
+              out);
+      }
+      return true;
+    }
+    if (eol == std::string_view::npos) {
+      if (!at_end || rest.empty()) return false;
+      eol = rest.size();
+    }
+    std::string_view line = rest.substr(0, eol);
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
+    const size_t next = std::min(*pos + eol + 1, in.size());
+    if (http_) {
+      *out += HandleHttp(server_, line);
+      ++served_;
+      return true;
+    }
+    if (line.empty()) {
+      *pos = next;
+      continue;
+    }
 
     Request request;
     size_t payload_bytes = 0;
     bool quit = false;
-    Status parsed = ParseRequestLine(line, &request, &payload_bytes, &quit);
-    if (quit) break;
+    const Status parsed =
+        ParseRequestLine(line, &request, &payload_bytes, &quit);
+    if (quit) return true;
     if (!parsed.ok()) {
-      *output += FormatResponse(Response{parsed, parsed.message()});
-      ++served;
+      Reply(parsed, out);
+      *pos = next;
       continue;
     }
-    if (payload_bytes > 0) {
-      if (pos + payload_bytes > input.size()) {
-        Status err = Status::InvalidArgument("truncated payload");
-        *output += FormatResponse(Response{err, err.message()});
-        ++served;
-        break;
-      }
-      request.payload = std::string(input.substr(pos, payload_bytes));
-      pos += payload_bytes;
-      // An optional newline after the payload keeps hand-written scripts
-      // readable; it is not part of the payload.
-      if (pos < input.size() && input[pos] == '\n') ++pos;
+    // The payload is buffered whole before Handle: refuse one the server's
+    // memory budget could never admit before reading it.
+    const size_t limit = server_.options().memory_limit_bytes;
+    if (limit != 0 && payload_bytes > limit) {
+      Reply(Status::InvalidArgument(
+                "payload of " + std::to_string(payload_bytes) +
+                " bytes exceeds the server memory limit of " +
+                std::to_string(limit) + " bytes"),
+            out);
+      return true;
     }
-    *output += FormatResponse(server.Handle(request));
-    ++served;
+    if (in.size() - next < payload_bytes) {
+      if (at_end) Reply(Status::InvalidArgument("truncated payload"), out);
+      return at_end;
+    }
+    request.payload = std::string(in.substr(next, payload_bytes));
+    *pos = next + payload_bytes;
+    // An optional newline after the payload keeps hand-written scripts
+    // readable; it is not part of the payload.
+    if (*pos < in.size() && in[*pos] == '\n') ++*pos;
+    *out += FormatResponse(server_.Handle(request));
+    ++served_;
   }
-  return served;
+}
+
+size_t ServeBuffer(ReasoningServer& server, std::string_view input,
+                   std::string* output) {
+  Framer framer(server);
+  size_t pos = 0;
+  framer.Serve(input, &pos, output, /*at_end=*/true);
+  return framer.served();
 }
 
 bool LooksLikeHttp(std::string_view prefix) {

@@ -20,6 +20,9 @@
 // with one HTTP/1.0 response and closed — "GET /metrics" returns the
 // server's text exposition, "GET /healthz" returns "ok", anything else
 // 404. Enough for curl and a scrape job; not an HTTP server.
+//
+// Framing is one routine, Framer::Serve: the socket loop (daemon.h) and
+// ServeBuffer feed it the same bytes and get the same answers.
 
 #ifndef BDDFC_SERVE_PROTOCOL_H_
 #define BDDFC_SERVE_PROTOCOL_H_
@@ -32,10 +35,10 @@
 
 namespace bddfc::serve {
 
-/// Longest request header line the daemon buffers, in bytes. A header is
-/// a verb plus at most three short tokens; a connection that sends more
-/// without a newline gets one InvalidArgument error and is closed (an
-/// HTTP one is just closed).
+/// Longest request header line served, in bytes. A header is a verb plus
+/// at most three short tokens; a longer line, terminated or not, gets one
+/// InvalidArgument error and closes the connection (an HTTP one is just
+/// closed).
 inline constexpr size_t kMaxRequestLineBytes = 4096;
 
 /// Renders a response in wire framing.
@@ -47,10 +50,36 @@ std::string FormatResponse(const Response& response);
 Status ParseRequestLine(std::string_view line, Request* out,
                         size_t* payload_bytes, bool* quit);
 
-/// Serves requests from an in-memory byte stream (the protocol's pure
-/// core — the socket loop and tests feed it the same bytes): consumes
-/// `input`, appends every framed response to *output, stops at QUIT or
-/// end of input. Returns the number of requests served.
+/// The request framing of one connection.
+class Framer {
+ public:
+  explicit Framer(ReasoningServer& server) : server_(server) {}
+
+  /// Serves every complete request of `in` from *pos on, in order,
+  /// advancing *pos past each and appending its response to *out. Returns
+  /// true when the connection must close: after QUIT, an HTTP GET, a
+  /// header line over kMaxRequestLineBytes, or a declared payload over the
+  /// server's memory limit (refused before it is read). With `at_end` no
+  /// byte follows `in`: an unterminated last line counts as a line, and a
+  /// payload cut short is answered "truncated payload".
+  bool Serve(std::string_view in, size_t* pos, std::string* out,
+             bool at_end);
+
+  /// Responses written so far.
+  size_t served() const { return served_; }
+
+ private:
+  void Reply(const Status& status, std::string* out);
+
+  ReasoningServer& server_;
+  bool started_ = false;  ///< the first bytes have decided HTTP or not
+  bool http_ = false;
+  size_t served_ = 0;
+};
+
+/// Serves a whole byte stream with one Framer, as a connection that sends
+/// `input` and then closes: appends every framed response to *output and
+/// returns how many it wrote.
 size_t ServeBuffer(ReasoningServer& server, std::string_view input,
                    std::string* output);
 

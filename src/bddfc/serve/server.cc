@@ -97,7 +97,7 @@ Response ReasoningServer::Handle(const Request& request) {
   ctx->SetFaultRegistry(&session.faults);
 
   const auto start = std::chrono::steady_clock::now();
-  Response response = Dispatch(request, session, ctx.get(), req_metrics);
+  Response response = Dispatch(request, ctx.get(), req_metrics);
 
   req_metrics.GetCounter("bddfc.serve.requests")->Add(1);
   if (!response.ok()) {
@@ -120,10 +120,9 @@ Response ReasoningServer::Handle(const Request& request) {
   return response;
 }
 
-Response ReasoningServer::Dispatch(const Request& request, Session& session,
+Response ReasoningServer::Dispatch(const Request& request,
                                    ExecutionContext* ctx,
                                    obs::MetricsRegistry& req_metrics) {
-  (void)session;
   switch (request.kind) {
     case Request::Kind::kLoad: {
       ArtifactCache::Outcome got =
@@ -147,34 +146,27 @@ Response ReasoningServer::Dispatch(const Request& request, Session& session,
       return Response{
           Status::OK(),
           "key=" + KeyToHex(got.artifact->key) +
-              " facts=" + std::to_string(got.artifact->chase.structure
-                                             .NumFacts()) +
+              " facts=" + std::to_string(got.artifact->structure.NumFacts()) +
               " rounds=" + std::to_string(got.artifact->rounds) +
               (got.hit ? " cached=hit" : " cached=miss")};
     }
-    case Request::Kind::kQuery: {
-      std::shared_ptr<Artifact> artifact = cache_.Find(request.key);
-      if (artifact == nullptr) {
-        req_metrics.GetCounter("bddfc.serve.unknown_artifact")->Add(1);
-        return Response{Status::NotFound("unknown artifact " +
-                                         KeyToHex(request.key)),
-                        "unknown artifact"};
-      }
-      req_metrics.GetCounter("bddfc.serve.queries")->Add(1);
-      obs::TraceSpan span(&ctx->tracer(), "serve.query");
-      Result<bool> answer = artifact->EvalBoolean(request.payload);
-      if (!answer.ok()) {
-        return Response{answer.status(), answer.status().message()};
-      }
-      return Response{Status::OK(), answer.value() ? "true" : "false"};
-    }
+    case Request::Kind::kQuery:
     case Request::Kind::kRewrite: {
-      std::shared_ptr<Artifact> artifact = cache_.Find(request.key);
+      std::shared_ptr<const Artifact> artifact = cache_.Find(request.key);
       if (artifact == nullptr) {
         req_metrics.GetCounter("bddfc.serve.unknown_artifact")->Add(1);
         return Response{Status::NotFound("unknown artifact " +
                                          KeyToHex(request.key)),
                         "unknown artifact"};
+      }
+      if (request.kind == Request::Kind::kQuery) {
+        req_metrics.GetCounter("bddfc.serve.queries")->Add(1);
+        obs::TraceSpan span(&ctx->tracer(), "serve.query");
+        Result<bool> answer = artifact->EvalBoolean(request.payload);
+        if (!answer.ok()) {
+          return Response{answer.status(), answer.status().message()};
+        }
+        return Response{Status::OK(), answer.value() ? "true" : "false"};
       }
       req_metrics.GetCounter("bddfc.serve.rewrites")->Add(1);
       obs::TraceSpan span(&ctx->tracer(), "serve.rewrite");

@@ -15,15 +15,16 @@
 //      that points engines at a request-scoped MetricsRegistry and the
 //      session's trace ring, with the session's fault registry attached;
 //   4. dispatches: LOAD compiles/fetches an artifact (artifact_cache.h),
-//      QUERY/REWRITE evaluate against a cached artifact under its mutex;
+//      QUERY/REWRITE read a cached artifact, which no request writes or
+//      locks (artifact_cache.h);
 //   5. folds the request registry's snapshot into the session's
 //      cumulative registry and the server totals.
 //
 // Determinism: artifacts are compiled from canonical text with
-// artifact-owned signatures and queried under mark/rollback, so the
-// response to any request is a pure function of (artifact key, request
-// payload) — byte-identical across thread interleavings and equal to a
-// one-shot CLI run over the same canonical program.
+// artifact-owned signatures and queried through a parse that interns
+// nothing, so the response to any request is a pure function of (artifact
+// key, request payload) — byte-identical across thread interleavings and
+// equal to a one-shot CLI run over the same canonical program.
 
 #ifndef BDDFC_SERVE_SERVER_H_
 #define BDDFC_SERVE_SERVER_H_
@@ -129,8 +130,8 @@ class ReasoningServer {
   }
 
  private:
-  Response Dispatch(const Request& request, Session& session,
-                    ExecutionContext* ctx, obs::MetricsRegistry& req_metrics);
+  Response Dispatch(const Request& request, ExecutionContext* ctx,
+                    obs::MetricsRegistry& req_metrics);
 
   ServerOptions options_;
   /// Root of every request context: owns the server-wide accountant.

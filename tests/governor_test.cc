@@ -216,6 +216,24 @@ TEST(ParallelForGovernorTest, ParallelForSkipsWorkOnTrippedContext) {
   }
 }
 
+TEST(ParallelForGovernorTest, ATrippedCallRecordsOneCheck) {
+  // Every worker finds the context tripped at its first index; only one
+  // of them may record a check, so cancel_checks does not depend on the
+  // thread count.
+  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+    ExecutionContext ctx;
+    ctx.RequestCancel();
+    const Status trip = ctx.CheckPoint("latch");
+    ASSERT_FALSE(trip.ok());
+    const size_t checks_before = ctx.cancel_checks();
+    Status s = ParallelFor(
+        64, threads, [](size_t, size_t) { return Status::OK(); }, &ctx);
+    EXPECT_EQ(s.ToString(), trip.ToString()) << "threads=" << threads;
+    EXPECT_EQ(ctx.cancel_checks(), checks_before + 1)
+        << "threads=" << threads;
+  }
+}
+
 TEST(ParallelForGovernorTest, ATripMidFanOutStopsLaterIndexes) {
   // Index 5 trips the context while it runs, as a shard task's ShouldStop
   // does when the deadline passes: the fan-out must report the trip (so

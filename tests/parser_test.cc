@@ -8,6 +8,8 @@
 #include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "bddfc/base/faults.h"
 #include "bddfc/parser/parser.h"
@@ -131,6 +133,85 @@ TEST(ParserTest, ParseQueryRequiresEndOfInput) {
     auto q = ParseQuery(text, &sig);
     ASSERT_TRUE(q.ok()) << text << ": " << q.status().ToString();
     EXPECT_EQ(q.value().atoms.size(), 1u);
+  }
+}
+
+TEST(ParserTest, ReadOnlyParseGivesQueryLocalIdsInFirstOccurrenceOrder) {
+  auto sig = std::make_shared<Signature>();
+  ASSERT_TRUE(ParseProgram("e(a, b).", sig).ok());
+  const int preds = sig->num_predicates();
+  const int consts = sig->num_constants();
+
+  auto q = ParseQuery("p(zz), e(a, yy), q(zz, X), p(yy)", std::as_const(*sig));
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  EXPECT_EQ(sig->num_predicates(), preds);
+  EXPECT_EQ(sig->num_constants(), consts);
+  const std::vector<Atom>& atoms = q.value().atoms;
+  ASSERT_EQ(atoms.size(), 4u);
+  // p and q follow e; zz and yy follow a and b, in the order they occur.
+  const PredId p = preds, qq = preds + 1;
+  const TermId zz = consts, yy = consts + 1;
+  const TermId a = sig->FindConstant("a").value();
+  EXPECT_EQ(atoms[0], Atom(p, {zz}));
+  EXPECT_EQ(atoms[1], Atom(sig->FindPredicate("e").value(), {a, yy}));
+  EXPECT_EQ(atoms[2], Atom(qq, {zz, MakeVar(0)}));
+  EXPECT_EQ(atoms[3], Atom(p, {yy}));
+
+  // The interning parse gives the same query and interns the local names
+  // with the ids the read-only parse gave them.
+  auto interned = ParseQuery("p(zz), e(a, yy), q(zz, X), p(yy)", sig.get());
+  ASSERT_TRUE(interned.ok());
+  EXPECT_EQ(interned.value().atoms, atoms);
+  EXPECT_EQ(sig->FindPredicate("p").value(), p);
+  EXPECT_EQ(sig->FindPredicate("q").value(), qq);
+  EXPECT_EQ(sig->FindConstant("zz").value(), zz);
+  EXPECT_EQ(sig->FindConstant("yy").value(), yy);
+}
+
+TEST(ParserTest, ReadOnlyParseFailsWithTheInterningParsesStatus) {
+  // Every error of the interning parse, on the read-only parse: the
+  // trailing-input cases, an arity conflict with a known predicate (also
+  // after a query-local name) and one between two uses of an unknown one.
+  const std::pair<const char*, const char*> bad[] = {
+      {"e(X, Y) f(Y)",
+       "InvalidArgument: line 1: expected end of query, got 'f'"},
+      {"e(X, Y) -> f(Y)",
+       "InvalidArgument: line 1: expected end of query, got '->'"},
+      {"e(X, Y) ?- z",
+       "InvalidArgument: line 1: expected end of query, got '?-'"},
+      {"e(X, Y).\nf(Y)",
+       "InvalidArgument: line 2: expected end of query, got 'f'"},
+      {"e(X, Y). .", "InvalidArgument: line 1: expected end of query, got '.'"},
+      {"e(a)", "AlreadyExists: predicate 'e' redeclared with arity 1 (was 2)"},
+      {"p(zz), e(a)",
+       "AlreadyExists: predicate 'e' redeclared with arity 1 (was 2)"},
+      {"p(a), p(a, b)",
+       "AlreadyExists: predicate 'p' redeclared with arity 2 (was 1)"},
+  };
+  for (const auto& [text, status] : bad) {
+    auto sig = std::make_shared<Signature>();
+    ASSERT_TRUE(ParseProgram("e(a, b).", sig).ok());
+    auto read_only = ParseQuery(text, std::as_const(*sig));
+    ASSERT_FALSE(read_only.ok()) << text;
+    EXPECT_EQ(read_only.status().ToString(), status) << text;
+    auto interning = ParseQuery(text, sig.get());
+    ASSERT_FALSE(interning.ok()) << text;
+    EXPECT_EQ(interning.status().ToString(), status) << text;
+  }
+}
+
+TEST(ParserTest, FailedParseQueryInternsNothing) {
+  // `p` and `zz` come before the error; neither may stay interned.
+  auto sig = std::make_shared<Signature>();
+  ASSERT_TRUE(ParseProgram("e(a, b).", sig).ok());
+  const int preds = sig->num_predicates();
+  const int consts = sig->num_constants();
+  for (const char* text : {"p(zz), e(a)", "p(zz) q(a)", "p(zz), e(a, @)"}) {
+    ASSERT_FALSE(ParseQuery(text, sig.get()).ok()) << text;
+    EXPECT_EQ(sig->num_predicates(), preds) << text;
+    EXPECT_EQ(sig->num_constants(), consts) << text;
+    EXPECT_FALSE(sig->FindPredicate("p").ok()) << text;
+    EXPECT_FALSE(sig->FindConstant("zz").ok()) << text;
   }
 }
 

@@ -1,6 +1,6 @@
 // Tests for the multi-tenant reasoning server (serve/): artifact cache
-// identity and single-flight, copy-on-admit signature stability under
-// concurrent queries, per-session metrics/fault isolation and the
+// identity and single-flight, read-only artifacts under concurrent queries
+// and rewrites, per-session metrics/fault isolation and the
 // session-sums == server-totals reconciliation invariant, admission
 // control, the wire protocol, and the socket daemon's drain.
 
@@ -147,8 +147,7 @@ TEST(ServeCacheTest, QueryAnswersMatchOneShotRun) {
     ASSERT_TRUE(q.ok()) << body;
     const std::string want =
         Satisfies(chase.structure, q.value()) ? "true" : "false";
-    // Ask twice: the second ask runs against a signature the first ask
-    // already marked and rolled back.
+    // Ask twice: an answer does not depend on the queries before it.
     for (int round = 0; round < 2; ++round) {
       const Response r = server.Handle(Query("t1", key, body));
       ASSERT_TRUE(r.ok()) << r.status.ToString();
@@ -232,10 +231,10 @@ TEST(ServeCacheTest, ArtifactChargeIsTheStructuresAccountedBytes) {
   // overhead, not a per-fact constant of its own.
   ReasoningServer server{ServerOptions{}};
   const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
-  const std::shared_ptr<serve::Artifact> a = server.cache().Find(key);
+  const std::shared_ptr<const serve::Artifact> a = server.cache().Find(key);
   ASSERT_NE(a, nullptr);
   const size_t expected = a->canonical_text.size() +
-                          a->chase.structure.ApproxAccountedBytes() + 4096;
+                          a->structure.ApproxAccountedBytes() + 4096;
   EXPECT_EQ(a->bytes, expected);
   EXPECT_EQ(server.cache().charged_bytes(), expected);
 }
@@ -259,8 +258,8 @@ TEST(ServeCacheTest, ConcurrentLoadsSingleFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Copy-on-admit: the artifact-owned signature stays byte-stable under
-// concurrent queries that intern and roll back fresh names.
+// Read-only artifacts: queries and rewrites, fresh names included, never
+// write the artifact's signature, and no answer depends on another query.
 // ---------------------------------------------------------------------------
 
 TEST(ServeSignatureTest, ConcurrentQueriesKeepArtifactSignatureStable) {
@@ -268,7 +267,7 @@ TEST(ServeSignatureTest, ConcurrentQueriesKeepArtifactSignatureStable) {
   const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
   auto artifact = server.cache().Find(key);
   ASSERT_NE(artifact, nullptr);
-  const Signature& sig = *artifact->program.instance.signature_ptr();
+  const Signature& sig = artifact->theory.sig();
   const int preds_before = sig.num_predicates();
   const int consts_before = sig.num_constants();
 
@@ -278,9 +277,9 @@ TEST(ServeSignatureTest, ConcurrentQueriesKeepArtifactSignatureStable) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 50; ++i) {
-        // Every query interns thread-unique fresh names (a predicate and
-        // a constant) past the artifact's admit mark; the per-query
-        // rollback must retire them for every interleaving.
+        // Every query names thread-unique fresh names (a predicate and a
+        // constant) that the artifact's signature lacks; the read-only
+        // parse must answer without interning them.
         const std::string fresh = "zz" + std::to_string(t) + "_" +
                                   std::to_string(i);
         const Response neg = server.Handle(
@@ -294,17 +293,17 @@ TEST(ServeSignatureTest, ConcurrentQueriesKeepArtifactSignatureStable) {
   for (std::thread& t : threads) t.join();
 
   EXPECT_EQ(wrong.load(), 0);
-  // The rollback regression: a leaked query name would grow the tables.
+  // A query name that leaked into the signature would grow the tables.
   EXPECT_EQ(sig.num_predicates(), preds_before);
   EXPECT_EQ(sig.num_constants(), consts_before);
 }
 
-TEST(ServeSignatureTest, QueryWithTrailingInputIsRejectedAndRolledBack) {
+TEST(ServeSignatureTest, QueryWithTrailingInputIsRejectedAndInternsNothing) {
   ReasoningServer server{ServerOptions{}};
   const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
   auto artifact = server.cache().Find(key);
   ASSERT_NE(artifact, nullptr);
-  const Signature& sig = *artifact->program.instance.signature_ptr();
+  const Signature& sig = artifact->theory.sig();
   const int preds_before = sig.num_predicates();
   const int consts_before = sig.num_constants();
 
@@ -345,6 +344,121 @@ TEST(ServeSignatureTest, RewriteIsMemoizedPerArtifact) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(first.body, second.body);
   EXPECT_EQ(Counter(server, "bddfc.serve.rewrites"), 2u);
+}
+
+// A closure theory whose rewritings keep the query's constants.
+constexpr char kClosure[] =
+    "e(X, Y), e(Y, Z) -> e(X, Z).\n"
+    "r(X, Y) -> e(X, Y).\n"
+    "e(a, b).\n"
+    "e(b, c).\n";
+
+Request Rewrite(const std::string& tenant, uint64_t key,
+                const std::string& body) {
+  Request r = Query(tenant, key, body);
+  r.kind = Request::Kind::kRewrite;
+  return r;
+}
+
+/// Small rewriting budgets: closure theories are not UCQ-rewritable, so a
+/// REWRITE runs to its budget.
+ServerOptions SmallRewriteBudget() {
+  ServerOptions options;
+  options.rewrite.max_depth = 3;
+  options.rewrite.max_queries = 100;
+  return options;
+}
+
+TEST(ServeSignatureTest, RewriteOfUnknownNamesAnswersItsOwnQuery) {
+  // Query-local ids of different queries coincide, so a memo keyed by ids
+  // would answer the second query of each pair with the first's rewriting.
+  struct Case {
+    const char* first;
+    const char* second;
+    const char* names;  ///< what the second answer must mention
+  };
+  const Case cases[] = {{"e(zz, X)", "e(yy, X)", "yy"},
+                        {"p(X), e(X, b)", "q(X), e(X, b)", "q("}};
+  for (const Case& c : cases) {
+    ReasoningServer shared(SmallRewriteBudget());
+    const uint64_t key = KeyOf(shared.Handle(Load("t1", kClosure)));
+    ASSERT_TRUE(shared.Handle(Rewrite("t1", key, c.first)).ok());
+    const Response got = shared.Handle(Rewrite("t1", key, c.second));
+    ReasoningServer fresh(SmallRewriteBudget());
+    const Response want = fresh.Handle(
+        Rewrite("t1", KeyOf(fresh.Handle(Load("t1", kClosure))), c.second));
+    ASSERT_TRUE(want.ok()) << want.status.ToString();
+    EXPECT_EQ(got.body, want.body) << c.second;
+    EXPECT_NE(got.body.find(c.names), std::string::npos) << got.body;
+    // Asked again, the same bytes.
+    EXPECT_EQ(shared.Handle(Rewrite("t1", key, c.second)).body, want.body);
+  }
+}
+
+TEST(ServeSignatureTest, ColdRewritesAndQueriesOnOneArtifactMatchSerial) {
+  // Eight threads mix cold REWRITEs of distinct queries, over known names
+  // and fresh ones, with QUERYs on one artifact; no request waits for
+  // another's rewriting, and every answer is the serial one.
+  constexpr int kThreads = 8;
+  constexpr int kPerThread = 6;
+  const char* known[] = {"a", "b", "c", "d"};
+  std::vector<std::vector<Request>> work(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int i = 0; i < kPerThread; ++i) {
+      const int n = t * kPerThread + i;
+      const std::string fresh = "u" + std::to_string(n);
+      const std::string c1 = known[n % 4];
+      const std::string c2 = n % 2 == 0 ? known[(n / 4) % 4] : fresh;
+      work[t].push_back(
+          Rewrite("t1", 0,
+                  n % 3 == 0 ? "e(" + c1 + ", X), e(X, " + c2 + ")"
+                             : "e(" + c2 + ", X), top(" + c1 + ")"));
+      work[t].push_back(Query("t1", 0, "e(a, d)"));
+      work[t].push_back(Query("t1", 0, "e(" + c1 + ", " + c2 + ")"));
+      work[t].push_back(Query("t1", 0, fresh + "(" + c1 + ")"));
+    }
+  }
+  auto answer = [](ReasoningServer& server, Request r, uint64_t key) {
+    r.key = key;
+    const Response resp = server.Handle(r);
+    return resp.status.ToString() + "|" + resp.body;
+  };
+
+  ReasoningServer serial(SmallRewriteBudget());
+  const uint64_t serial_key = KeyOf(serial.Handle(Load("t1", kTheoryA)));
+  std::vector<std::vector<std::string>> want(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Request& r : work[t]) {
+      want[t].push_back(answer(serial, r, serial_key));
+    }
+  }
+
+  ReasoningServer server(SmallRewriteBudget());
+  const uint64_t key = KeyOf(server.Handle(Load("t1", kTheoryA)));
+  const Signature& sig = server.cache().Find(key)->theory.sig();
+  const int preds_before = sig.num_predicates();
+  const int consts_before = sig.num_constants();
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const Request& r : work[t]) got[t].push_back(answer(server, r, key));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  EXPECT_EQ(got, want);
+  // A rewriting keeps its query's fresh constant.
+  for (int t = 0; t < kThreads; ++t) {
+    for (size_t j = 0; j < work[t].size(); j += 4) {
+      const std::string fresh = "u" + std::to_string(t * kPerThread + j / 4);
+      if (work[t][j].payload.find(fresh) != std::string::npos) {
+        EXPECT_NE(got[t][j].find(fresh), std::string::npos) << got[t][j];
+      }
+    }
+  }
+  EXPECT_EQ(sig.num_predicates(), preds_before);
+  EXPECT_EQ(sig.num_constants(), consts_before);
 }
 
 // ---------------------------------------------------------------------------
@@ -571,6 +685,11 @@ TEST(ServeProtocolTest, ServesFramedRequestStream) {
   EXPECT_EQ(serve::ServeBuffer(server, "NONSENSE x\nHEALTH\n", &output3), 2u);
   EXPECT_EQ(output3.rfind("ERR InvalidArgument", 0), 0u) << output3;
   EXPECT_NE(output3.find("OK 2\nok"), std::string::npos);
+
+  // The end of the input ends an unterminated last line.
+  std::string output4;
+  EXPECT_EQ(serve::ServeBuffer(server, "HEALTH\nHEALTH", &output4), 2u);
+  EXPECT_EQ(output4, "OK 2\nokOK 2\nok");
 }
 
 TEST(ServeProtocolTest, MetricsAndHttpFallback) {
@@ -591,6 +710,51 @@ TEST(ServeProtocolTest, MetricsAndHttpFallback) {
   EXPECT_NE(metrics.find("bddfc.serve.requests"), std::string::npos);
   const std::string missing = serve::HandleHttp(server, "GET /nope HTTP/1.0");
   EXPECT_EQ(missing.rfind("HTTP/1.0 404", 0), 0u);
+
+  // A stream that opens with "GET " gets the HTTP answer and nothing more.
+  std::string http;
+  EXPECT_EQ(serve::ServeBuffer(server, "GET /healthz HTTP/1.0\r\n\r\nHEALTH\n",
+                               &http),
+            1u);
+  EXPECT_EQ(http, health);
+}
+
+TEST(ServeProtocolTest, OverlongHeaderLineIsRefusedAndEndsTheStream) {
+  // Terminated or not, a header line over the cap gets one error and ends
+  // the stream, as it closes a connection.
+  ReasoningServer server{ServerOptions{}};
+  const std::string overlong(serve::kMaxRequestLineBytes + 1, 'x');
+  for (const std::string& input :
+       {overlong + "\nHEALTH\n", overlong, "HEALTH\n" + overlong}) {
+    std::string output;
+    const size_t served = serve::ServeBuffer(server, input, &output);
+    const size_t err = output.find("ERR InvalidArgument ");
+    ASSERT_NE(err, std::string::npos) << served;
+    EXPECT_NE(output.find("request line exceeds 4096 bytes", err),
+              std::string::npos);
+    EXPECT_EQ(output.find("ERR", err + 1), std::string::npos);
+    EXPECT_EQ(served, input.rfind("HEALTH", 0) == 0 ? 2u : 1u);
+  }
+}
+
+TEST(ServeProtocolTest, OversizedPayloadIsRefusedUnread) {
+  ServerOptions options;
+  options.memory_limit_bytes = 1 << 20;
+  ReasoningServer server(options);
+  std::string output;
+  EXPECT_EQ(serve::ServeBuffer(server, "LOAD t1 2000000\nHEALTH\n", &output),
+            1u);
+  EXPECT_EQ(output.rfind("ERR InvalidArgument ", 0), 0u) << output;
+  EXPECT_NE(output.find("payload of 2000000 bytes exceeds the server memory "
+                        "limit of 1048576 bytes"),
+            std::string::npos)
+      << output;
+  // A payload within the limit that the input cuts short is truncated.
+  std::string cut;
+  EXPECT_EQ(serve::ServeBuffer(server, "LOAD t1 100\ne(a, b).\n", &cut), 1u);
+  EXPECT_EQ(cut, serve::FormatResponse(Response{
+                     Status::InvalidArgument("truncated payload"),
+                     "truncated payload"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -714,6 +878,26 @@ TEST(ServeDaemonTest, SocketRoundTripAndGracefulDrain) {
   // The drained LOAD folded into the server totals before Serve returned
   // (HEALTH bypasses admission and is not an accounted request).
   EXPECT_EQ(Counter(server, "bddfc.serve.requests"), 1u);
+}
+
+TEST(ServeDaemonTest, HalfClosedStreamGetsServeBuffersAnswers) {
+  // A client that sends a stream and closes its side gets the bytes
+  // ServeBuffer answers the same stream with, end-of-input rules included.
+  const std::string stream = "HEALTH\nNONSENSE\nHEALTH";
+  ReasoningServer reference{ServerOptions{}};
+  std::string want;
+  ASSERT_EQ(serve::ServeBuffer(reference, stream, &want), 3u);
+
+  ReasoningServer server{ServerOptions{}};
+  DaemonHarness daemon(server);
+  const int fd = daemon.Connect();
+  SendAsFarAsAccepted(fd, stream);
+  ::shutdown(fd, SHUT_WR);
+  bool closed = false;
+  const std::string got = ReadUntilClosed(fd, &closed);
+  ::close(fd);
+  EXPECT_EQ(got, want);
+  EXPECT_TRUE(closed);
 }
 
 TEST(ServeDaemonTest, OverlongRequestLineIsRefusedAndClosed) {
